@@ -12,7 +12,7 @@ BENCH_OUT ?= /tmp/spmvbench.json
 ## the swap/iterate interleaving).
 SOAK_COUNT ?= 1
 
-.PHONY: check build test race bench bench-parallel bench-tune bench-synth bench-batch chaos fuzz soak fmt vet lint vulncheck spmvbench
+.PHONY: check build test race bench bench-smoke bench-parallel bench-tune bench-synth bench-batch chaos fuzz soak fmt vet lint vulncheck spmvbench
 
 ## check: the full verification gate (fmt, vet, build, race tests, fuzz
 ## smoke, staticcheck + govulncheck when installed)
@@ -30,6 +30,12 @@ race:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+## bench-smoke: the wall-clock benchmark's own smoke (BENCHMARK.json's
+## command with --smoke): vets, tests and builds the nested bench/ module,
+## then drives a real spmvd through a short pass of every workload.
+bench-smoke:
+	bash bench/run.sh --smoke
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMTX -fuzztime=10s ./internal/mmio

@@ -2,125 +2,21 @@ package core
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"math"
-	"time"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
-	"spmvtune/internal/hsa"
-	"spmvtune/internal/kernels"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/sparse"
 )
 
-// This file is the multi-vector execution layer: one fused SpMM launch
-// serves B coalesced requests against the same matrix structure, paying the
-// DRAM traffic for values and column indices once instead of B times. The
-// guarded path mirrors the single-vector fallback chain but verifies each
-// right-hand side independently — a fault that corrupts one vector pulls
-// only that vector out of the fused launch (it is re-served through the
-// ordinary single-vector chain), while the remaining B-1 requests keep
-// their clean fused result.
-
-// launchBatchKernel executes one fused multi-RHS launch, routing between
-// the legacy single-accountant executor and the sharded one exactly like
-// launchKernel. A single-vector call delegates to launchKernel so its
-// stats stay bit-identical to the pre-batch path; a kernel without a fused
-// variant degrades to B sequential single-vector launches (summed stats).
-func launchBatchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
-
-	if len(vs) == 1 {
-		return launchKernel(ctx, dev, a, vs[0], us[0], k, groups, fs, collect)
-	}
-	bk, ok := kernels.BatchKernelFor(k)
-	if !ok {
-		var total hsa.Stats
-		var tc *hsa.Counters
-		for b := range vs {
-			st, ctr := launchKernel(ctx, dev, a, vs[b], us[b], k, groups, fs, collect)
-			total.Add(st)
-			if ctr != nil {
-				if tc == nil {
-					tc = &hsa.Counters{}
-				}
-				tc.Add(*ctr)
-			}
-		}
-		return total, tc
-	}
-
-	if dev.Workers == 0 {
-		run := hsa.AcquireRun(dev)
-		if ctx != nil {
-			run.SetContext(ctx)
-		}
-		run.InjectFaults(fs)
-		if collect {
-			run.EnableCounters()
-		}
-		in := kernels.AcquireBatchInput(run, a, vs, us)
-		bk.RunBatch(run, in, groups)
-		st := run.Stats()
-		var ctr *hsa.Counters
-		// Gated on collect so the escaping copy is only allocated when
-		// counters were actually requested (see launchKernel).
-		if collect {
-			if c, ok := run.Counters(); ok {
-				ctr = &c
-			}
-		}
-		in.Release()
-		run.Release()
-		return st, ctr
-	}
-
-	parts := kernels.SplitGroups(groups, kernels.RowsPerWG(k, dev), dev.Shards())
-	return hsa.RunSharded(ctx, dev, hsa.ShardOptions{
-		Shards:   dev.Shards(),
-		Workers:  dev.Workers,
-		Counters: collect,
-		Fault:    fs,
-	}, func(shard int, r *hsa.Run) {
-		in := kernels.AcquireBatchInput(r, a, vs, us)
-		bk.RunBatch(r, in, parts[shard])
-		in.Release()
-	})
-}
-
-// SimulateBatchKernel runs one fused multi-RHS launch over the given row
-// groups on a fresh device run and returns its stats; us[b] receives A
-// times vs[b] for every b. A single-vector call is exactly SimulateKernel.
-func SimulateBatchKernel(dev hsa.Config, a *sparse.CSR, vs, us [][]float64, k kernels.Kernel, groups []binning.Group) hsa.Stats {
-	st, _ := SimulateBatchKernelCtx(context.Background(), dev, a, vs, us, k, groups)
-	return st
-}
-
-// SimulateBatchKernelCtx is SimulateBatchKernel under a context, with the
-// same cancellation contract as SimulateKernelCtx.
-func SimulateBatchKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group) (st hsa.Stats, err error) {
-
-	if len(vs) == 0 || len(vs) != len(us) {
-		return st, errdefs.Invalidf("core: batch launch needs equal, non-zero vector counts (got %d/%d)", len(vs), len(us))
-	}
-	if len(vs) == 1 {
-		return SimulateKernelCtx(ctx, dev, a, vs[0], us[0], k, groups)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			if e, ok := rec.(error); ok && errors.Is(e, errdefs.ErrCanceled) {
-				err = e
-				return
-			}
-			panic(rec)
-		}
-	}()
-	st, _ = launchBatchKernel(ctx, dev, a, vs, us, k, groups, nil, false)
-	return st, nil
-}
+// This file is the plan execution entry point: a TuningPlan applied to B
+// right-hand sides, one guarded launch of width B per bin. Serving B
+// coalesced requests against the same matrix structure with one launch pays
+// the DRAM traffic for values and column indices once instead of B times.
+// Each right-hand side is verified independently — a fault that corrupts one
+// vector pulls only that vector out of the fused launch (it is re-served
+// alone), while the remaining B-1 requests keep their clean fused result.
+// ExecutePlanOpts is the B=1 call of the same path.
 
 // BatchReport records how one batched guarded execution served its B
 // coalesced requests.
@@ -149,21 +45,22 @@ func (r *BatchReport) VectorDegraded(b int) bool {
 	return b >= 0 && b < len(r.PerVector) && r.PerVector[b] != nil
 }
 
-// ExecutePlanBatch applies a TuningPlan to B right-hand sides with one
-// fused guarded launch per bin under the default GuardOptions. On success
-// every us[b] holds a verified A times vs[b], byte-identical to what B
-// sequential ExecutePlan calls would produce.
-func (fw *Framework) ExecutePlanBatch(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us [][]float64) (*BatchReport, error) {
-	return fw.ExecutePlanBatchOpts(ctx, p, a, vs, us, DefaultGuardOptions())
-}
-
-// ExecutePlanBatchOpts is ExecutePlanBatch with explicit options. A
-// single-vector batch delegates to ExecutePlanOpts, so B=1 results and
-// reports stay bit-identical to the unbatched path. Bins are served
-// sequentially in bin order (opt.Workers applies only inside the
-// single-vector isolation chain); per-vector verification failures isolate
-// the failing vector alone, and only cancellation or invalid input yields
-// a non-nil error.
+// ExecutePlanBatchOpts applies a previously computed TuningPlan to B
+// right-hand sides: the predict path is skipped entirely (that is the
+// plan's purpose), the binning is reconstructed deterministically from the
+// plan parameters, and every bin executes as one guarded launch of width B
+// through the predicted → Kernel-Serial → CPU-reference fallback chain —
+// kernel faults degrade, they do not fail the request. On success every
+// us[b] holds a verified A times vs[b], byte-identical to what B calls with
+// one vector each would produce.
+//
+// The plan must have been derived from a matrix with this structure; cheap
+// shape checks reject obvious mismatches (full fingerprint equality is the
+// caller's cache-key contract). A plan that no longer covers the matrix's
+// non-empty bins degrades to the single-bin serial strategy and is
+// reported via Shared.DecisionFallback. Per-vector verification failures
+// isolate the failing vector alone, and only cancellation or invalid input
+// yields a non-nil error.
 func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us [][]float64, opt GuardOptions) (*BatchReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -202,16 +99,13 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 		return brep, errdefs.Canceled(err)
 	}
 
-	if len(vs) == 1 {
-		rep, err := fw.ExecutePlanOpts(ctx, p, a, vs[0], us[0], opt)
-		brep.Shared = rep
-		return brep, err
-	}
-
 	bn, err := p.Rebin(a)
+	// Execution routes bin→kernel lookups through the plan's allocation-free
+	// accessor; the report's Decision still carries the conventional map.
 	kernelFor := func(binID int) int { kid, _ := p.KernelFor(binID); return kid }
 	kernelByBin := p.KernelByBin()
 	if err != nil {
+		// A stale plan degrades exactly like a failed predict path.
 		brep.Shared.DecisionFallback = true
 		bn = binning.Single(a)
 		kernelFor = func(int) int { return 0 }
@@ -226,185 +120,11 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 		a.MulVec(vs[b], wants[b])
 	}
 
-	for _, binID := range bn.NonEmpty() {
-		if err := fw.runBinBatchGuarded(ctx, fw.Cfg.Device, a, vs, us, wants, bn, binID, kernelFor(binID), opt, brep); err != nil {
-			return brep, err
-		}
-	}
+	err = fw.runBinsGuarded(ctx, a, vs, us, wants, bn, kernelFor, opt, brep.Shared, brep.PerVector)
 	for _, pv := range brep.PerVector {
 		if pv != nil {
 			brep.Isolated++
 		}
 	}
-	return brep, nil
-}
-
-// runBinBatchGuarded serves one bin for every vector of the batch: the
-// fused launch walks the predicted-then-serial chain with retries exactly
-// like the single-vector path, but the output is verified per vector. A
-// launch whose outputs verify for only part of the batch is still accepted
-// for the passing vectors; each failing vector is re-served for this bin
-// through the single-vector guarded chain (which re-arms the same fault
-// plan, so a deterministic per-vector fault degrades that request through
-// its own retries and fallbacks without touching the others). Only when
-// the fused chain is exhausted entirely does the whole batch isolate.
-func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
-	bn *binning.Binning, binID, predictedKID int, opt GuardOptions, brep *BatchReport) error {
-
-	nb := len(vs)
-	groups := bn.Bins[binID]
-	shared := brep.Shared
-	br := BinReport{Bin: binID, Rows: bn.NumRows(binID)}
-
-	type link struct {
-		stage Stage
-		kid   int
-	}
-	chain := []link{{StagePredicted, predictedKID}}
-	if predictedKID != 0 {
-		chain = append(chain, link{StageSerialFallback, 0})
-	}
-
-	for _, ln := range chain {
-		info, ok := kernels.ByID(ln.kid)
-		if !ok {
-			br.Attempts = append(br.Attempts, Attempt{
-				Stage: ln.stage, Kernel: fmt.Sprintf("kernel#%d", ln.kid),
-				Err: "unknown kernel id (stale model?)",
-			})
-			continue
-		}
-		for retry := 0; retry < opt.MaxAttempts; retry++ {
-			if retry > 0 {
-				shared.Retries++
-				if err := sleepBackoff(ctx, opt.Backoff<<(retry-1)); err != nil {
-					shared.Bins = append(shared.Bins, br)
-					return err
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				shared.Bins = append(shared.Bins, br)
-				return errdefs.Canceled(err)
-			}
-			fs := opt.Faults.Arm(binID, ln.kid, retry)
-			spanStart := opt.Trace.Now()
-			wallStart := time.Now()
-			st, ctr, err := simulateBatchBinAttempt(ctx, dev, a, vs, us, info.Kernel, groups, fs, opt.Counters, binID%nb)
-			var failed []int
-			if err == nil {
-				for b := 0; b < nb; b++ {
-					if row, ok := verifyBin(us[b], wants[b], groups, opt.Tolerance); !ok {
-						failed = append(failed, b)
-						_ = row
-					}
-				}
-				if len(failed) == nb {
-					// Every vector is wrong: that is a kernel-level failure,
-					// not per-request corruption — retry the fused launch.
-					err = fmt.Errorf("core: output verification failed for all %d vectors: %w", nb, errdefs.ErrKernelFault)
-				}
-			}
-			if err == nil {
-				br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry})
-				br.Final = ln.stage
-				if ln.stage != StagePredicted {
-					shared.Fallbacks++
-				}
-				shared.Stats.Add(st)
-				if ctr != nil {
-					shared.Counters.Add(*ctr)
-				}
-				pr := plan.ExecProfile{
-					Bin: binID, U: shared.Decision.U,
-					Kernel: ln.kid, KernelName: info.Name,
-					Rows: br.Rows, NNZ: binNNZ(a, groups),
-					Vectors: nb,
-					Stage:   ln.stage.String(), FallbackDepth: int(ln.stage),
-					Attempts: len(br.Attempts),
-					Cycles:   st.Cycles, Seconds: st.Seconds,
-					WallNs:   time.Since(wallStart).Nanoseconds(),
-					Counters: ctr,
-				}
-				shared.Profiles = append(shared.Profiles, pr)
-				emitBinSpan(opt, spanStart, &pr)
-				shared.Bins = append(shared.Bins, br)
-				// Isolate the vectors whose fused result failed verification:
-				// each re-runs this bin through the single-vector chain,
-				// overwriting its poisoned rows.
-				for _, b := range failed {
-					if err := fw.isolateVector(ctx, dev, a, vs, us, wants, bn, binID, predictedKID, opt, brep, b); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry, Err: err.Error()})
-			if errors.Is(err, errdefs.ErrCanceled) {
-				shared.Bins = append(shared.Bins, br)
-				return err
-			}
-		}
-	}
-
-	// Fused chain exhausted: the whole batch leaves the fused path for this
-	// bin. Every vector is re-served through the single-vector chain (whose
-	// own terminal is the CPU reference, which cannot fail).
-	shared.Fallbacks++
-	shared.Bins = append(shared.Bins, br)
-	for b := 0; b < nb; b++ {
-		if err := fw.isolateVector(ctx, dev, a, vs, us, wants, bn, binID, predictedKID, opt, brep, b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// isolateVector re-serves one bin for one vector through the single-vector
-// guarded chain, recording the service in the vector's isolation report.
-func (fw *Framework) isolateVector(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
-	bn *binning.Binning, binID, predictedKID int, opt GuardOptions, brep *BatchReport, b int) error {
-
-	if brep.PerVector[b] == nil {
-		brep.PerVector[b] = &ExecReport{
-			Decision:        brep.Shared.Decision,
-			CountersEnabled: brep.Shared.CountersEnabled,
-		}
-	}
-	return fw.runBinGuarded(ctx, dev, a, vs[b], us[b], wants[b], bn, binID, predictedKID, opt, brep.PerVector[b])
-}
-
-// simulateBatchBinAttempt is simulateBinAttempt for a fused launch: panics
-// are contained identically, and an armed silent-corruption fault poisons
-// exactly one vector of the batch (poison — the caller derives it from the
-// bin ID), modeling per-request corruption rather than a whole-launch
-// failure. The other vectors' outputs stay valid, which is what the
-// per-vector verification and isolation above rely on.
-func simulateBatchBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool, poison int) (st hsa.Stats, ctr *hsa.Counters, err error) {
-
-	defer func() {
-		rec := recover()
-		if rec == nil {
-			return
-		}
-		if e, ok := rec.(error); ok && (errors.Is(e, errdefs.ErrKernelFault) || errors.Is(e, errdefs.ErrCanceled)) {
-			err = e
-			return
-		}
-		err = fmt.Errorf("core: recovered kernel panic: %v: %w", rec, errdefs.ErrKernelFault)
-	}()
-
-	st, ctr = launchBatchKernel(ctx, dev, a, vs, us, k, groups, fs, collect)
-	if fs.PoisonOutput() {
-		if poison < 0 || poison >= len(us) {
-			poison = 0
-		}
-		u := us[poison]
-		for _, g := range groups {
-			for r := g.Start; r < g.Start+g.Count; r++ {
-				u[r] = math.NaN()
-			}
-		}
-	}
-	return st, ctr, nil
+	return brep, err
 }

@@ -27,7 +27,7 @@ func batchTestVectors(a *sparse.CSR, nb int, seed int64) ([][]float64, [][]float
 	return vs, us, wants
 }
 
-// The guarded batch property: ExecutePlanBatch over B vectors must produce
+// The guarded batch property: ExecutePlanBatchOpts over B vectors must produce
 // byte-identical outputs to B sequential ExecutePlan calls — across device
 // worker counts (legacy and sharded executors) and batch widths, on a
 // clean run with no degradation.
@@ -57,7 +57,7 @@ func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 					}
 				}
 
-				rep, err := bfw.ExecutePlanBatch(context.Background(), p, a, vs, us)
+				rep, err := bfw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, DefaultGuardOptions())
 				if err != nil {
 					t.Fatalf("mat %d w=%d nb=%d: batch: %v", mi, devWorkers, nb, err)
 				}
@@ -148,9 +148,9 @@ func TestExecutePlanBatchIsolatesFaultedVector(t *testing.T) {
 	}
 }
 
-// Steady-state fused launches on the legacy executor must allocate nothing:
-// runs, inputs and kernel scratch all come from pools — the device-side
-// half of the batch zero-alloc discipline.
+// Steady-state launches on the legacy executor must allocate nothing at any
+// width: runs, inputs and kernel scratch all come from pools — the
+// device-side half of the zero-alloc discipline.
 func TestBatchLaunchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool operations")
@@ -158,17 +158,19 @@ func TestBatchLaunchZeroAlloc(t *testing.T) {
 	dev := hsa.DefaultConfig()
 	a := matgen.Mixed(300, 300, 12, []int{2, 40}, 5)
 	groups := binning.Single(a).Bins[0]
-	vs, us, _ := batchTestVectors(a, 8, 23)
-	for _, info := range kernels.Pool() {
-		k := info.Kernel
-		for i := 0; i < 3; i++ { // warm the pools
-			launchBatchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
-		}
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		if n := testing.AllocsPerRun(10, func() {
-			launchBatchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
-		}); n != 0 {
-			t.Errorf("%s: batch launch allocates %v/op in steady state, want 0", info.Name, n)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, nb := range []int{1, 8} {
+		vs, us, _ := batchTestVectors(a, nb, 23)
+		for _, info := range kernels.Pool() {
+			k := info.Kernel
+			for i := 0; i < 3; i++ { // warm the pools
+				launchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				launchKernel(context.Background(), dev, a, vs, us, k, groups, nil, false)
+			}); n != 0 {
+				t.Errorf("%s B=%d: launch allocates %v/op in steady state, want 0", info.Name, nb, n)
+			}
 		}
 	}
 }

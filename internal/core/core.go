@@ -74,10 +74,10 @@ type Config struct {
 
 	// Vectors is the number of dense right-hand sides the tuning search
 	// models per launch: 0 or 1 searches for plain SpMV (byte-identical to
-	// the pre-batch search, including its cache keys), B > 1 evaluates the
-	// fused SpMM variants over B vectors so the search can pick different
-	// kernel parameters for batched traffic — at B=8 the structure traffic
-	// is amortized eight ways and a wider, more ALU-hungry point often
+	// the pre-batch search, including its cache keys), B > 1 times every
+	// kernel at launch width B so the search can pick different kernel
+	// parameters for batched traffic — at B=8 the structure traffic is
+	// amortized eight ways and a wider, more ALU-hungry point often
 	// overtakes the B=1 winner. Cost-cache keys and certified lower bounds
 	// carry the vector count, so batched and single-vector searches never
 	// alias.
@@ -129,7 +129,15 @@ func SimulateKernel(dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Ker
 // cancellation between work-group dispatches and aborts with an error
 // matching errdefs.ErrCanceled (u is then partially written). Other kernel
 // panics propagate; use Framework.RunGuarded for full containment.
-func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (st hsa.Stats, err error) {
+func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (hsa.Stats, error) {
+	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, groups)
+}
+
+// simulateKernelCtx is SimulateKernelCtx at any launch width: us[b]
+// receives A times vs[b] for every b (see launchKernel).
+func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
+	k kernels.Kernel, groups []binning.Group) (st hsa.Stats, err error) {
+
 	defer func() {
 		if rec := recover(); rec != nil {
 			if e, ok := rec.(error); ok && errors.Is(e, errdefs.ErrCanceled) {
@@ -139,7 +147,7 @@ func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u 
 			panic(rec)
 		}
 	}()
-	st, _ = launchKernel(ctx, dev, a, v, u, k, groups, nil, false)
+	st, _ = launchKernel(ctx, dev, a, vs, us, k, groups, nil, false)
 	return st, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"spmvtune/internal/binning"
@@ -255,61 +256,93 @@ func (fw *Framework) RunGuardedOpts(ctx context.Context, a *sparse.CSR, v, u []f
 	want := make([]float64, a.Rows)
 	a.MulVec(v, want)
 
-	if err := fw.runBinsGuarded(ctx, a, v, u, want, b, func(binID int) int { return d.KernelByBin[binID] }, opt, rep); err != nil {
-		return d, rep, err
-	}
-	return d, rep, nil
+	err = fw.runBinsGuarded(ctx, a, [][]float64{v}, [][]float64{u}, [][]float64{want}, b,
+		func(binID int) int { return d.KernelByBin[binID] }, opt, rep, nil)
+	return d, rep, err
 }
 
-// runBinsGuarded serves every non-empty bin through the fallback chain —
-// the shared execution engine of RunGuardedOpts and ExecutePlanOpts.
-// kernelFor maps a non-empty bin to its predicted kernel ID (a func rather
-// than a map so hot per-request callers can route plan lookups without
-// materializing a map per request). With opt.Workers > 1 independent bins
-// are served concurrently; each bin runs against a private sub-report and
-// the sub-reports merge in bin order, so the success-path result is
-// identical to the sequential run's.
-func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, v, u, want []float64,
-	b *binning.Binning, kernelFor func(binID int) int, opt GuardOptions, rep *ExecReport) error {
+// runBinsGuarded serves every non-empty bin for the B vector pairs
+// (vs[b], us[b]) through the fallback chain — the one execution engine under
+// RunGuardedOpts, ExecutePlanOpts and ExecutePlanBatchOpts. wants[b] is
+// vector b's reference result. kernelFor maps a non-empty bin to its
+// predicted kernel ID (a func rather than a map so hot per-request callers
+// can route plan lookups without materializing a map per request). rep
+// records the launches of the full width; isolated has one slot per vector
+// for the report of the bins that vector had to be re-served for alone (see
+// runBinBatchGuarded), which cannot happen at B = 1 — there it may be nil.
+//
+// Bins run on a pool of opt.Workers goroutines (<= 1: in bin order on the
+// caller's). Each bin runs against private sub-reports and the sub-reports
+// merge in bin order, so the success-path result is the same at every
+// worker count. An aborting error (cancellation) stops bins that have not
+// started and is returned after the merge.
+func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, vs, us, wants [][]float64,
+	b *binning.Binning, kernelFor func(binID int) int, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
 
 	bins := b.NonEmpty()
-	workers := opt.Workers
-	if workers > len(bins) {
-		workers = len(bins)
+	workers := min(opt.Workers, len(bins))
+	dev := fw.Cfg.Device
+	if workers > 1 {
+		dev = sequentialDevice(dev)
 	}
-	if workers <= 1 {
-		for _, binID := range bins {
-			if err := fw.runBinGuarded(ctx, fw.Cfg.Device, a, v, u, want, b, binID, kernelFor(binID), opt, rep); err != nil {
-				return err
-			}
-		}
-		return nil
+	type binResult struct {
+		rep      *ExecReport
+		isolated []*ExecReport
+		err      error
 	}
-
-	dev := sequentialDevice(fw.Cfg.Device)
-	subs := make([]*ExecReport, len(bins))
-	errs := make([]error, len(bins))
+	results := make([]binResult, len(bins))
+	var aborted atomic.Bool
 	forEachLimit(workers, len(bins), func(i int) {
-		sub := &ExecReport{Decision: rep.Decision, CountersEnabled: rep.CountersEnabled}
-		subs[i] = sub
-		errs[i] = fw.runBinGuarded(ctx, dev, a, v, u, want, b, bins[i], kernelFor(bins[i]), opt, sub)
+		if aborted.Load() {
+			return
+		}
+		res := &results[i]
+		res.rep = rep.child()
+		res.isolated = make([]*ExecReport, len(isolated))
+		res.err = fw.runBinBatchGuarded(ctx, dev, a, vs, us, wants, b, bins[i], kernelFor(bins[i]), opt, res.rep, res.isolated)
+		if res.err != nil {
+			aborted.Store(true)
+		}
 	})
 	var firstErr error
-	for i, sub := range subs {
-		rep.Bins = append(rep.Bins, sub.Bins...)
-		rep.Profiles = append(rep.Profiles, sub.Profiles...)
-		rep.Stats.Add(sub.Stats)
-		if rep.CountersEnabled {
-			rep.Counters.Add(sub.Counters)
+	for _, res := range results {
+		if res.rep == nil {
+			continue
 		}
-		rep.Retries += sub.Retries
-		rep.Fallbacks += sub.Fallbacks
-		rep.CPUServed += sub.CPUServed
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
+		rep.merge(res.rep)
+		for v, iso := range res.isolated {
+			if iso == nil {
+				continue
+			}
+			if isolated[v] == nil {
+				isolated[v] = rep.child()
+			}
+			isolated[v].merge(iso)
+		}
+		if res.err != nil && firstErr == nil {
+			firstErr = res.err
 		}
 	}
 	return firstErr
+}
+
+// child returns an empty report for a part of r's run (one bin, or one
+// isolated vector), sharing its decision and counter mode.
+func (r *ExecReport) child() *ExecReport {
+	return &ExecReport{Decision: r.Decision, CountersEnabled: r.CountersEnabled}
+}
+
+// merge appends a child report's bins and sums to r.
+func (r *ExecReport) merge(c *ExecReport) {
+	r.Bins = append(r.Bins, c.Bins...)
+	r.Profiles = append(r.Profiles, c.Profiles...)
+	r.Stats.Add(c.Stats)
+	if r.CountersEnabled {
+		r.Counters.Add(c.Counters)
+	}
+	r.Retries += c.Retries
+	r.Fallbacks += c.Fallbacks
+	r.CPUServed += c.CPUServed
 }
 
 // decideGuarded runs the predict path with panic recovery, emitting one
@@ -331,16 +364,36 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 	return d, b, nil
 }
 
-// runBinGuarded serves one bin through the fallback chain on the given
+// runBinBatchGuarded serves one bin for the B vector pairs on the given
 // device config (runBinsGuarded passes a sequential-clamped device when the
-// bins themselves run on a pool). It returns a non-nil error only on
-// cancellation; every device failure degrades to the next chain link, and
-// the CPU reference cannot fail.
-func (fw *Framework) runBinGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u, want []float64,
-	b *binning.Binning, binID, predictedKID int, opt GuardOptions, rep *ExecReport) error {
+// bins themselves run on a pool). One launch of width B walks the predicted
+// → Kernel-Serial chain with bounded retries, and its output is verified
+// per vector:
+//
+//   - every vector wrong is a kernel-level failure: the launch is retried,
+//     then the next chain link tried (at B = 1 this is the whole story);
+//   - some vectors wrong is per-request corruption: the launch is accepted
+//     for the passing vectors and each failing one is re-served for this bin
+//     alone, as a width-1 call of this function reporting into its
+//     isolated[b] slot. That call re-arms the same fault plan, so a
+//     deterministic per-vector fault degrades that request through its own
+//     retries and fallbacks without touching the others;
+//   - chain exhausted: at B > 1 every vector is re-served alone; at B = 1
+//     the bin is copied from the reference result, which cannot fail.
+//
+// It returns a non-nil error only on cancellation.
+func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
+	b *binning.Binning, binID, predictedKID int, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
 
+	nb := len(vs)
 	groups := b.Bins[binID]
 	br := BinReport{Bin: binID, Rows: b.NumRows(binID)}
+	isolate := func(v int) error {
+		if isolated[v] == nil {
+			isolated[v] = rep.child()
+		}
+		return fw.runBinBatchGuarded(ctx, dev, a, vs[v:v+1], us[v:v+1], wants[v:v+1], b, binID, predictedKID, opt, isolated[v], nil)
+	}
 
 	// The simulated chain: the predicted kernel, then Kernel-Serial unless
 	// serial was the prediction.
@@ -377,55 +430,89 @@ func (fw *Framework) runBinGuarded(ctx context.Context, dev hsa.Config, a *spars
 			fs := opt.Faults.Arm(binID, ln.kid, retry)
 			spanStart := opt.Trace.Now()
 			wallStart := time.Now()
-			st, ctr, err := simulateBinAttempt(ctx, dev, a, v, u, info.Kernel, groups, fs, opt.Counters)
+			st, ctr, err := simulateBinAttempt(ctx, dev, a, vs, us, info.Kernel, groups, fs, opt.Counters, binID%nb)
+			var failed []int
 			if err == nil {
-				if row, ok := verifyBin(u, want, groups, opt.Tolerance); !ok {
-					err = fmt.Errorf("core: output verification failed at row %d: %w", row, errdefs.ErrKernelFault)
+				failRow := 0
+				for v := range us {
+					if row, ok := verifyBin(us[v], wants[v], groups, opt.Tolerance); !ok {
+						if len(failed) == 0 {
+							failRow = row
+						}
+						failed = append(failed, v)
+					}
+				}
+				if len(failed) == nb {
+					// Every vector is wrong: that is a kernel-level failure,
+					// not per-request corruption — retry the launch.
+					err = fmt.Errorf("core: output verification failed at row %d: %w", failRow, errdefs.ErrKernelFault)
+					if nb > 1 {
+						err = fmt.Errorf("core: output verification failed for all %d vectors, first at vector %d row %d: %w",
+							nb, failed[0], failRow, errdefs.ErrKernelFault)
+					}
 				}
 			}
-			if err == nil {
-				br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry})
-				br.Final = ln.stage
-				if ln.stage != StagePredicted {
-					rep.Fallbacks++
+			if err != nil {
+				br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry, Err: err.Error()})
+				if errors.Is(err, errdefs.ErrCanceled) {
+					rep.Bins = append(rep.Bins, br)
+					return err
 				}
-				rep.Stats.Add(st)
-				if ctr != nil {
-					rep.Counters.Add(*ctr)
-				}
-				pr := plan.ExecProfile{
-					Bin: binID, U: rep.Decision.U,
-					Kernel: ln.kid, KernelName: info.Name,
-					Rows: br.Rows, NNZ: binNNZ(a, groups),
-					Stage: ln.stage.String(), FallbackDepth: int(ln.stage),
-					Attempts: len(br.Attempts),
-					Cycles:   st.Cycles, Seconds: st.Seconds,
-					WallNs:   time.Since(wallStart).Nanoseconds(),
-					Counters: ctr,
-				}
-				rep.Profiles = append(rep.Profiles, pr)
-				emitBinSpan(opt, spanStart, &pr)
-				rep.Bins = append(rep.Bins, br)
-				return nil
+				continue
 			}
-			br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry, Err: err.Error()})
-			if errors.Is(err, errdefs.ErrCanceled) {
-				rep.Bins = append(rep.Bins, br)
-				return err
+			br.Attempts = append(br.Attempts, Attempt{Stage: ln.stage, Kernel: info.Name, Retry: retry})
+			br.Final = ln.stage
+			if ln.stage != StagePredicted {
+				rep.Fallbacks++
 			}
+			rep.Stats.Add(st)
+			if ctr != nil {
+				rep.Counters.Add(*ctr)
+			}
+			pr := plan.ExecProfile{
+				Bin: binID, U: rep.Decision.U,
+				Kernel: ln.kid, KernelName: info.Name,
+				Rows: br.Rows, NNZ: binNNZ(a, groups),
+				Vectors: st.Vectors, // 0 for a single-vector launch, like the stats
+				Stage:   ln.stage.String(), FallbackDepth: int(ln.stage),
+				Attempts: len(br.Attempts),
+				Cycles:   st.Cycles, Seconds: st.Seconds,
+				WallNs:   time.Since(wallStart).Nanoseconds(),
+				Counters: ctr,
+			}
+			rep.Profiles = append(rep.Profiles, pr)
+			emitBinSpan(opt, spanStart, &pr)
+			rep.Bins = append(rep.Bins, br)
+			for _, v := range failed {
+				if err := isolate(v); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
 	}
 
-	// Terminal fallback: the reference result is already in want; serving
+	rep.Fallbacks++
+	if nb > 1 {
+		// The whole batch leaves the fused path for this bin.
+		rep.Bins = append(rep.Bins, br)
+		for v := range vs {
+			if err := isolate(v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+
+	// Terminal fallback: the reference result is already in wants; serving
 	// the bin from it is exact, so no verification step is needed.
 	spanStart := opt.Trace.Now()
 	wallStart := time.Now()
 	for _, g := range groups {
-		copy(u[g.Start:int(g.Start)+int(g.Count)], want[g.Start:int(g.Start)+int(g.Count)])
+		copy(us[0][g.Start:int(g.Start)+int(g.Count)], wants[0][g.Start:int(g.Start)+int(g.Count)])
 	}
 	br.Attempts = append(br.Attempts, Attempt{Stage: StageCPUReference, Kernel: "reference"})
 	br.Final = StageCPUReference
-	rep.Fallbacks++
 	rep.CPUServed++
 	pr := plan.ExecProfile{
 		Bin: binID, U: rep.Decision.U,
@@ -482,10 +569,13 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 // contained as a generic kernel fault instead of taking down the process.
 // The launch routes through launchKernel, so dev.Workers selects the
 // executor (legacy single-accountant vs sharded) and faults fire under
-// either. With collect set the launch gathers device performance counters,
-// returned alongside the stats (nil otherwise).
-func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (st hsa.Stats, ctr *hsa.Counters, err error) {
+// either. An armed silent-corruption fault poisons exactly one vector of
+// the launch (poison — the caller derives it from the bin ID), modeling
+// per-request corruption rather than a whole-launch failure: the other
+// vectors' outputs stay valid, which is what per-vector verification and
+// isolation rely on.
+func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
+	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool, poison int) (st hsa.Stats, ctr *hsa.Counters, err error) {
 
 	defer func() {
 		rec := recover()
@@ -499,10 +589,11 @@ func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u
 		err = fmt.Errorf("core: recovered kernel panic: %v: %w", rec, errdefs.ErrKernelFault)
 	}()
 
-	st, ctr = launchKernel(ctx, dev, a, v, u, k, groups, fs, collect)
+	st, ctr = launchKernel(ctx, dev, a, vs, us, k, groups, fs, collect)
 	if fs.PoisonOutput() {
-		// Silent data corruption: the launch "succeeded" but its output
-		// rows are NaN. Only the verification oracle can catch this.
+		// Silent data corruption: the launch "succeeded" but one vector's
+		// output rows are NaN. Only the verification oracle can catch this.
+		u := us[poison]
 		for _, g := range groups {
 			for r := g.Start; r < g.Start+g.Count; r++ {
 				u[r] = math.NaN()

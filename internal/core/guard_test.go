@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/matgen"
@@ -284,6 +285,43 @@ func TestExecReportStringDegraded(t *testing.T) {
 	for _, frag := range []string{"cpu-served", "served by cpu-reference", "verification failed"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("report %q missing %q", s, frag)
+		}
+	}
+}
+
+// A launch whose every vector fails verification must say where: the first
+// failing (vector, row) at B > 1, and at B = 1 — which is also how each
+// vector is then re-served alone — the historical row-only text.
+func TestVerificationFailureNamesVectorAndRow(t *testing.T) {
+	fw := guardFramework(t)
+	a, _, _ := guardMatrix()
+	bn := binning.Single(a)
+	const nb, badRow = 3, 7
+	vs, us, wants := batchTestVectors(a, nb, 5)
+	for b := range wants {
+		wants[b][badRow]++ // a wrong oracle fails every vector on every launch
+	}
+	opt := DefaultGuardOptions()
+	opt.Backoff = -1
+	rep := &ExecReport{}
+	isolated := make([]*ExecReport, nb)
+	if err := fw.runBinBatchGuarded(context.Background(), fw.Cfg.Device, a, vs, us, wants, bn, 0, 0, opt, rep, isolated); err != nil {
+		t.Fatal(err)
+	}
+	wantFused := "core: output verification failed for all 3 vectors, first at vector 0 row 7: " + ErrKernelFault.Error()
+	if got := rep.Bins[0].Attempts[0].Err; got != wantFused {
+		t.Errorf("fused attempt Err = %q, want %q", got, wantFused)
+	}
+	wantSingle := "core: output verification failed at row 7: " + ErrKernelFault.Error()
+	for b, iso := range isolated {
+		if iso == nil {
+			t.Fatalf("vector %d was not re-served alone after the fused chain was exhausted", b)
+		}
+		if got := iso.Bins[0].Attempts[0].Err; got != wantSingle {
+			t.Errorf("vector %d single attempt Err = %q, want %q", b, got, wantSingle)
+		}
+		if iso.CPUServed != 1 {
+			t.Errorf("vector %d: CPUServed = %d, want 1", b, iso.CPUServed)
 		}
 	}
 }

@@ -12,14 +12,17 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// launchKernel executes one kernel launch on the device, routing between
-// the legacy single-accountant path (dev.Workers == 0 — byte-compatible
-// with the pre-parallel simulator) and the sharded ND-range executor
-// (dev.Workers >= 1 — worker-count-invariant, see hsa.RunSharded). Faults
-// and cancellation surface as panics on the calling goroutine in both
+// launchKernel executes one kernel launch over the B vector pairs
+// (vs[b], us[b]) on the device — plain SpMV is the B=1 launch — routing
+// between the legacy single-accountant path (dev.Workers == 0 —
+// byte-compatible with the pre-parallel simulator) and the sharded ND-range
+// executor (dev.Workers >= 1 — worker-count-invariant, see hsa.RunSharded).
+// Faults and cancellation surface as panics on the calling goroutine in both
 // modes; callers that need containment wrap this in a recover (see
-// simulateBinAttempt and SimulateKernelCtx).
-func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64,
+// simulateBinAttempt and simulateKernelCtx). With collect set the launch
+// gathers device performance counters, returned alongside the stats (nil
+// otherwise).
+func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
 	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
 
 	if dev.Workers == 0 {
@@ -31,7 +34,7 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []flo
 		if collect {
 			run.EnableCounters()
 		}
-		in := kernels.AcquireInput(run, a, v, u)
+		in := kernels.AcquireBatchInput(run, a, vs, us)
 		k.Run(run, in, groups)
 		st := run.Stats()
 		var ctr *hsa.Counters
@@ -48,14 +51,14 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []flo
 		return st, ctr
 	}
 
-	parts := kernels.SplitGroups(groups, kernels.RowsPerWG(k, dev), dev.Shards())
+	parts := kernels.SplitGroups(groups, k.RowsPerWG(dev), dev.Shards())
 	return hsa.RunSharded(ctx, dev, hsa.ShardOptions{
 		Shards:   dev.Shards(),
 		Workers:  dev.Workers,
 		Counters: collect,
 		Fault:    fs,
 	}, func(shard int, r *hsa.Run) {
-		in := kernels.AcquireInput(r, a, v, u)
+		in := kernels.AcquireBatchInput(r, a, vs, us)
 		k.Run(r, in, parts[shard])
 		in.Release()
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -96,10 +97,42 @@ func guardedRun(t *testing.T, fw *Framework, workers int) ([]float64, Decision, 
 	return u, d, rep
 }
 
-// TestGuardedWorkerDeterminism is the end-to-end golden test: Workers=1
-// and Workers=8 must produce byte-identical output vectors, Stats,
-// Counters, decisions and execution profiles (wall time excepted — it is
-// measured, not modeled).
+// assertReportsEqual fails unless two guarded runs reported the same
+// service: Stats, Counters, degradation counts, bin reports and execution
+// profiles (wall time excepted — it is measured, not modeled). Two nil
+// reports are equal.
+func assertReportsEqual(t *testing.T, label string, want, got *ExecReport) {
+	t.Helper()
+	if want == nil || got == nil {
+		if want != got {
+			t.Errorf("%s: one report is nil: %v vs %v", label, want, got)
+		}
+		return
+	}
+	if want.Stats != got.Stats {
+		t.Errorf("%s: stats differ:\n %+v\n %+v", label, want.Stats, got.Stats)
+	}
+	if want.Counters != got.Counters {
+		t.Errorf("%s: counters differ:\n %+v\n %+v", label, want.Counters, got.Counters)
+	}
+	if want.Retries != got.Retries || want.Fallbacks != got.Fallbacks || want.CPUServed != got.CPUServed {
+		t.Errorf("%s: degradation accounting differs: {r%d f%d c%d} vs {r%d f%d c%d}", label,
+			want.Retries, want.Fallbacks, want.CPUServed, got.Retries, got.Fallbacks, got.CPUServed)
+	}
+	if !reflect.DeepEqual(want.Bins, got.Bins) {
+		t.Errorf("%s: bin reports differ:\n %+v\n %+v", label, want.Bins, got.Bins)
+	}
+	if !reflect.DeepEqual(normalizeProfiles(want.Profiles), normalizeProfiles(got.Profiles)) {
+		t.Errorf("%s: exec profiles differ:\n %+v\n %+v", label, want.Profiles, got.Profiles)
+	}
+}
+
+// TestGuardedWorkerDeterminism is the end-to-end golden test: the bin pool
+// size must not show in the result. Workers=1 and Workers=8 must produce
+// byte-identical output vectors, decisions and reports for a single-vector
+// run, and so must Workers 1, 2 and 4 for plan execution at widths 3 and 8
+// — clean, and with a persistent NaN poison on every bin, which corrupts
+// one vector per bin and sends it through isolation.
 func TestGuardedWorkerDeterminism(t *testing.T) {
 	fw := guardFramework(t)
 	u1, d1, rep1 := guardedRun(t, fw, 1)
@@ -111,17 +144,54 @@ func TestGuardedWorkerDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(d1, d8) {
 		t.Errorf("decisions differ: %+v vs %+v", d1, d8)
 	}
-	if rep1.Stats != rep8.Stats {
-		t.Errorf("stats differ:\n w=1 %+v\n w=8 %+v", rep1.Stats, rep8.Stats)
+	assertReportsEqual(t, "w=1 vs w=8", rep1, rep8)
+
+	a, _, _ := guardMatrix()
+	p, err := fw.Plan(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep1.Counters != rep8.Counters {
-		t.Errorf("counters differ:\n w=1 %+v\n w=8 %+v", rep1.Counters, rep8.Counters)
+	if len(p.Bins) < 2 {
+		t.Fatalf("plan has %d bins; the bin pool needs at least 2 to matter", len(p.Bins))
 	}
-	if !reflect.DeepEqual(rep1.Bins, rep8.Bins) {
-		t.Errorf("bin reports differ:\n w=1 %+v\n w=8 %+v", rep1.Bins, rep8.Bins)
-	}
-	if !reflect.DeepEqual(normalizeProfiles(rep1.Profiles), normalizeProfiles(rep8.Profiles)) {
-		t.Errorf("exec profiles differ:\n w=1 %+v\n w=8 %+v", rep1.Profiles, rep8.Profiles)
+	for _, nb := range []int{3, 8} {
+		for _, poison := range []bool{false, true} {
+			run := func(workers int) ([][]float64, *BatchReport) {
+				vs, us, _ := batchTestVectors(a, nb, 61)
+				opt := DefaultGuardOptions()
+				opt.Counters = true
+				opt.Backoff = -1
+				opt.Workers = workers
+				if poison {
+					opt.Faults = hsa.NewFaultPlan().AddFault(hsa.Fault{Class: hsa.FaultNaNPoison})
+				}
+				rep, err := fw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, opt)
+				if err != nil {
+					t.Fatalf("B=%d poison=%v workers=%d: %v", nb, poison, workers, err)
+				}
+				return us, rep
+			}
+			wantUs, want := run(1)
+			if poison && want.Isolated == 0 {
+				t.Fatalf("B=%d: poison isolated no vector — the fault path was not exercised", nb)
+			}
+			for _, workers := range []int{2, 4} {
+				label := fmt.Sprintf("B=%d poison=%v w=1 vs w=%d", nb, poison, workers)
+				us, got := run(workers)
+				for b := range us {
+					if i := bitsEqual(wantUs[b], us[b]); i != -1 {
+						t.Fatalf("%s: vector %d differs at row %d", label, b, i)
+					}
+				}
+				if got.Isolated != want.Isolated {
+					t.Errorf("%s: Isolated %d vs %d", label, want.Isolated, got.Isolated)
+				}
+				assertReportsEqual(t, label+" shared", want.Shared, got.Shared)
+				for b := range want.PerVector {
+					assertReportsEqual(t, fmt.Sprintf("%s vector %d", label, b), want.PerVector[b], got.PerVector[b])
+				}
+			}
+		}
 	}
 }
 
@@ -183,13 +253,10 @@ func TestGuardedParallelFaults(t *testing.T) {
 	if rep1.Retries == 0 {
 		t.Fatal("transient fault injected no retries — the fault path was not exercised")
 	}
-	if !rep4.Degraded() || rep4.Retries != rep1.Retries || rep4.Fallbacks != rep1.Fallbacks || rep4.CPUServed != rep1.CPUServed {
-		t.Fatalf("degradation accounting differs: w=1 {r%d f%d c%d}, w=4 {r%d f%d c%d}",
-			rep1.Retries, rep1.Fallbacks, rep1.CPUServed, rep4.Retries, rep4.Fallbacks, rep4.CPUServed)
+	if !rep4.Degraded() {
+		t.Fatal("faulted run at workers=4 reports no degradation")
 	}
-	if !reflect.DeepEqual(rep1.Bins, rep4.Bins) {
-		t.Fatalf("faulted bin reports differ:\n w=1 %+v\n w=4 %+v", rep1.Bins, rep4.Bins)
-	}
+	assertReportsEqual(t, "faulted w=1 vs w=4", rep1, rep4)
 }
 
 // TestSimulateKernelShardedInvariance: the device-level sharded executor

@@ -139,71 +139,16 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 	return p, nil
 }
 
-// ExecutePlan applies a previously computed TuningPlan to the matrix with
-// the default GuardOptions: the predict path is skipped entirely (that is
-// the plan's purpose), the binning is reconstructed deterministically from
-// the plan parameters, and the bins execute through the same guarded
-// fallback chain as RunGuarded — kernel faults degrade, they do not fail
-// the request. On success u holds a verified u = A·v.
-//
-// The plan must have been derived from a matrix with this structure; cheap
-// shape checks reject obvious mismatches (full fingerprint equality is the
-// caller's cache-key contract). A plan that no longer covers the matrix's
-// non-empty bins degrades to the single-bin serial strategy and is
-// reported via ExecReport.DecisionFallback.
+// ExecutePlan applies a previously computed TuningPlan to one vector with
+// the default GuardOptions; see ExecutePlanBatchOpts. On success u holds a
+// verified u = A·v.
 func (fw *Framework) ExecutePlan(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, v, u []float64) (*ExecReport, error) {
 	return fw.ExecutePlanOpts(ctx, p, a, v, u, DefaultGuardOptions())
 }
 
-// ExecutePlanOpts is ExecutePlan with explicit options.
+// ExecutePlanOpts is ExecutePlanBatchOpts for a single right-hand side; the
+// report is the batch's shared report (a lone vector is never isolated).
 func (fw *Framework) ExecutePlanOpts(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, v, u []float64, opt GuardOptions) (*ExecReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	rep := &ExecReport{CountersEnabled: opt.Counters}
-
-	if p == nil {
-		return rep, errdefs.Invalidf("core: nil tuning plan")
-	}
-	if err := p.Validate(); err != nil {
-		return rep, err
-	}
-	if err := a.Validate(); err != nil {
-		return rep, err
-	}
-	if err := p.CheckMatrix(a); err != nil {
-		return rep, err
-	}
-	if len(v) < a.Cols {
-		return rep, errdefs.Invalidf("core: launch validation: len(v)=%d < Cols=%d", len(v), a.Cols)
-	}
-	if len(u) < a.Rows {
-		return rep, errdefs.Invalidf("core: launch validation: len(u)=%d < Rows=%d", len(u), a.Rows)
-	}
-	if err := ctx.Err(); err != nil {
-		return rep, errdefs.Canceled(err)
-	}
-
-	b, err := p.Rebin(a)
-	// Execution routes bin→kernel lookups through the plan's allocation-free
-	// accessor; the report's Decision still carries the conventional map.
-	kernelFor := func(binID int) int { kid, _ := p.KernelFor(binID); return kid }
-	kernelByBin := p.KernelByBin()
-	if err != nil {
-		// A stale plan degrades exactly like a failed predict path.
-		rep.DecisionFallback = true
-		b = binning.Single(a)
-		kernelFor = func(int) int { return 0 }
-		kernelByBin = map[int]int{0: 0}
-	}
-	rep.Decision = Decision{U: p.U, KernelByBin: kernelByBin}
-
-	want := make([]float64, a.Rows)
-	a.MulVec(v, want)
-
-	if err := fw.runBinsGuarded(ctx, a, v, u, want, b, kernelFor, opt, rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	brep, err := fw.ExecutePlanBatchOpts(ctx, p, a, [][]float64{v}, [][]float64{u}, opt)
+	return brep.Shared, err
 }

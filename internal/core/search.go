@@ -9,7 +9,6 @@ import (
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/formats"
-	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
@@ -148,21 +147,13 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 	for i := range v {
 		v[i] = 1
 	}
-	// A batched search (Config.Vectors > 1) times the fused SpMM variants
-	// instead of the single-vector kernels. Kernel cost depends only on
-	// structure, so every right-hand side can alias the same probe vector —
-	// and every output the same scratch slice, since all B results are
-	// identical.
-	vecs := cfg.Vectors
-	if vecs < 1 {
-		vecs = 1
-	}
-	var vsProbe [][]float64
-	if vecs > 1 {
-		vsProbe = make([][]float64, vecs)
-		for i := range vsProbe {
-			vsProbe[i] = v
-		}
+	// The search times launches of Config.Vectors right-hand sides (plain
+	// SpMV at 0 or 1). Kernel cost depends only on structure, so every
+	// right-hand side can alias the same probe vector — and every output
+	// the same scratch slice, since all B results are identical.
+	vsProbe := make([][]float64, max(cfg.Vectors, 1))
+	for i := range vsProbe {
+		vsProbe[i] = v
 	}
 
 	// Stage 1 (sequential): bin the matrix per U and lay the result skeleton
@@ -220,12 +211,9 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		}
 		up := scratch.Get().(*[]float64)
 		defer scratch.Put(up)
-		var usProbe [][]float64
-		if vecs > 1 {
-			usProbe = make([][]float64, vecs)
-			for b := range usProbe {
-				usProbe[b] = *up
-			}
+		usProbe := make([][]float64, len(vsProbe))
+		for b := range usProbe {
+			usProbe[b] = *up
 		}
 		var mask uint64
 		order := list
@@ -246,13 +234,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 					continue
 				}
 			}
-			var st hsa.Stats
-			var err error
-			if vecs > 1 {
-				st, err = SimulateBatchKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, t.groups)
-			} else {
-				st, err = SimulateKernelCtx(ctx, dev, a, v, *up, info.Kernel, t.groups)
-			}
+			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, t.groups)
 			if err != nil {
 				errs[i] = err
 				stop.Store(true)

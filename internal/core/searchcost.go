@@ -44,9 +44,8 @@ type costLayer struct {
 	prune bool
 	a     *sparse.CSR
 	// vecs is the launch width the search models (Config.Vectors, floored
-	// at 1). At vecs > 1 the lower bounds switch to the fused-launch pipe
-	// floors and the cell keys carry the width, so batched and
-	// single-vector cost entries never alias.
+	// at 1). The pipe floors scale with it, and at vecs > 1 the cell keys
+	// carry it, so batched and single-vector cost entries never alias.
 	vecs int
 	// prefix is deviceFingerprint || spaceFingerprint || matrixFingerprint
 	// — the key material shared by every cell of this search.
@@ -76,10 +75,7 @@ func newCostLayer(cfg Config, dev hsa.Config, a *sparse.CSR, sp *kernels.Space) 
 	if cache == nil && !prune {
 		return nil
 	}
-	vecs := cfg.Vectors
-	if vecs < 1 {
-		vecs = 1
-	}
+	vecs := max(cfg.Vectors, 1)
 	cl := &costLayer{dev: dev, cache: cache, prune: prune, a: a, vecs: vecs}
 	var p [16]byte
 	binary.LittleEndian.PutUint64(p[0:8], dev.Fingerprint())
@@ -179,35 +175,21 @@ func segRange(lo, hi, elem, segBytes int64, prev *int64) int64 {
 //     busiest pipe >= pipe sum / SIMDPerCU); the makespan is at least the
 //     total CU load divided evenly;
 //   - divergence pipe floor: the wavefront covering the longest row pays an
-//     irreducible per-iteration pipe cost (kernels.PipeFloorer);
+//     irreducible per-iteration pipe cost (kernels.Kernel.PipeFloor);
 //   - DRAM roofline: every distinct segment is fetched at least once on a
 //     cold cache, and the makespan is bounded by DRAM bandwidth.
 func (cl *costLayer) lowerBound(info kernels.Info, g cellGeom) float64 {
 	d := cl.dev
-	rowsPer := kernels.RowsPerWG(info.Kernel, d)
+	rowsPer := info.Kernel.RowsPerWG(d)
 	wgs := (g.rows + rowsPer - 1) / rowsPer
 	tx := float64(g.segs) * d.TxHitCycles
 	lb := (float64(wgs)*d.WGLaunchCycles + tx/float64(d.SIMDPerCU)) / float64(d.NumCUs)
 	// The additive and DRAM terms count only structure segments (values and
-	// column indices), which a fused launch touches exactly once per batch,
-	// so they stay sound verbatim at every width; only the pipe floor
-	// scales with the vector count.
-	if cl.vecs > 1 {
-		if bf, ok := info.Kernel.(kernels.BatchPipeFloorer); ok {
-			if f := bf.BatchPipeFloor(d, g.maxLen, cl.vecs); f > lb {
-				lb = f
-			}
-		} else if pf, ok := info.Kernel.(kernels.PipeFloorer); ok {
-			// A kernel without a fused floor still cannot undercut its
-			// single-vector floor on any vector of the batch.
-			if f := pf.PipeFloor(d, g.maxLen); f > lb {
-				lb = f
-			}
-		}
-	} else if pf, ok := info.Kernel.(kernels.PipeFloorer); ok {
-		if f := pf.PipeFloor(d, g.maxLen); f > lb {
-			lb = f
-		}
+	// column indices), which a launch touches exactly once whatever its
+	// width, so they stay sound verbatim; only the pipe floor scales with
+	// the vector count.
+	if f := info.Kernel.PipeFloor(d, g.maxLen, cl.vecs); f > lb {
+		lb = f
 	}
 	if bw := float64(g.segs) * float64(d.SegmentBytes) / d.DRAMBytesPerCycle; bw > lb {
 		lb = bw

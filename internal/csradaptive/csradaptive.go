@@ -63,7 +63,7 @@ func BuildBlocks(a *sparse.CSR, blockNNZ int) Blocks {
 }
 
 // Run executes CSR-Adaptive over the whole matrix as one kernel launch on
-// the simulated device, writing in.U.
+// the simulated device, writing in.Us[0].
 func Run(run *hsa.Run, in *kernels.Input, blocks Blocks) {
 	cfg := run.Config()
 	wgSize := cfg.MaxWorkGroupSize
@@ -96,9 +96,9 @@ func streamBlock(run *hsa.Run, in *kernels.Input, r0, r1, wgSize, wfSize int) {
 		lo, hi := a.RowPtr[r], a.RowPtr[r+1]
 		sum := 0.0
 		for k := lo; k < hi; k++ {
-			sum += a.Val[k] * in.V[a.ColIdx[k]]
+			sum += a.Val[k] * in.Vs[0][a.ColIdx[k]]
 		}
-		in.U[r] = sum
+		in.Us[0][r] = sum
 	}
 
 	g := run.BeginWG()

@@ -56,12 +56,13 @@ func BenchmarkSerialLaunch(b *testing.B) {
 	v := make([]float64, a.Cols)
 	u := make([]float64, a.Rows)
 	groups := binning.Single(a).Bins[0]
+	serial := Pool()[0].Kernel
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run := hsa.AcquireRun(cfg)
 		in := AcquireInput(run, a, v, u)
-		Serial{}.Run(run, in, groups)
+		serial.Run(run, in, groups)
 		in.Release()
 		run.Release()
 	}

@@ -9,9 +9,9 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// batchKernelsUnderTest covers every kernel family with a fused variant:
-// the full pool plus synthesized points exercising the serial geometry,
-// the sequential reduction, and the wavefront-synchronous combine.
+// batchKernelsUnderTest covers every walker family: the full pool plus
+// synthesized points exercising the serial geometry, the sequential
+// reduction, and the wavefront-synchronous combine.
 func batchKernelsUnderTest() []Info {
 	infos := append([]Info{}, Pool()...)
 	for _, p := range []KernelParams{
@@ -20,7 +20,7 @@ func batchKernelsUnderTest() []Info {
 		{TPR: 16, Reduction: ReduceWavefront},
 		{TPR: 64, Reduction: ReduceWavefront},
 	} {
-		infos = append(infos, Info{ID: -1, Name: p.Name(), Kernel: Synth{P: p}})
+		infos = append(infos, Info{ID: -1, Name: p.Name(), Kernel: Kernel{P: p}})
 	}
 	return infos
 }
@@ -39,8 +39,8 @@ func batchVectors(a *sparse.CSR, nb int, seed int64) ([][]float64, [][]float64) 
 	return vs, us
 }
 
-// A fused RunBatch over B vectors must produce byte-identical outputs to B
-// independent Run launches, for every kernel family including wavefront.
+// A fused launch over B vectors must produce byte-identical outputs to B
+// independent single-vector launches, for every walker family.
 func TestRunBatchByteIdenticalToIndependentRuns(t *testing.T) {
 	mats := map[string]*sparse.CSR{
 		"figure1":  sparse.Figure1(),
@@ -53,10 +53,6 @@ func TestRunBatchByteIdenticalToIndependentRuns(t *testing.T) {
 		for _, nb := range []int{1, 2, 3, 8} {
 			vs, us := batchVectors(a, nb, 7)
 			for _, info := range batchKernelsUnderTest() {
-				bk, ok := info.Kernel.(BatchKernel)
-				if !ok {
-					t.Fatalf("%s: kernel has no batch variant", info.Name)
-				}
 				// Independent single-vector launches.
 				want := make([][]float64, nb)
 				for b := 0; b < nb; b++ {
@@ -71,7 +67,7 @@ func TestRunBatchByteIdenticalToIndependentRuns(t *testing.T) {
 				}
 				run := hsa.NewRun(hsa.DefaultConfig())
 				in := NewBatchInput(run, a, vs, us)
-				bk.RunBatch(run, in, groups)
+				info.Kernel.Run(run, in, groups)
 				for b := 0; b < nb; b++ {
 					for i := range want[b] {
 						if us[b][i] != want[b][i] {
@@ -95,8 +91,6 @@ func TestRunBatchAmortizesStructureTraffic(t *testing.T) {
 	const nb = 8
 	vs, us := batchVectors(a, nb, 11)
 	for _, info := range batchKernelsUnderTest() {
-		bk := info.Kernel.(BatchKernel)
-
 		var seq hsa.Stats
 		for b := 0; b < nb; b++ {
 			run := hsa.NewRun(hsa.DefaultConfig())
@@ -107,7 +101,7 @@ func TestRunBatchAmortizesStructureTraffic(t *testing.T) {
 
 		run := hsa.NewRun(hsa.DefaultConfig())
 		in := NewBatchInput(run, a, vs, us)
-		bk.RunBatch(run, in, groups)
+		info.Kernel.Run(run, in, groups)
 		batch := run.Stats()
 
 		if batch.Vectors != nb {
@@ -124,42 +118,9 @@ func TestRunBatchAmortizesStructureTraffic(t *testing.T) {
 	}
 }
 
-// A single-vector batch bind must be indistinguishable from the plain bind:
-// RunBatch at B=1 delegates to Run, so stats stay bit-identical to the
-// pre-batch path.
-func TestRunBatchSingleVectorDelegates(t *testing.T) {
-	a := matgen.Banded(257, 5, 2)
-	groups := allRows(a)
-	vs, us := batchVectors(a, 1, 5)
-	for _, info := range batchKernelsUnderTest() {
-		bk := info.Kernel.(BatchKernel)
-
-		uSingle := make([]float64, a.Rows)
-		runS := hsa.NewRun(hsa.DefaultConfig())
-		inS := NewInput(runS, a, vs[0], uSingle)
-		info.Kernel.Run(runS, inS, groups)
-		single := runS.Stats()
-
-		runB := hsa.NewRun(hsa.DefaultConfig())
-		inB := NewBatchInput(runB, a, vs, us)
-		bk.RunBatch(runB, inB, groups)
-		batch := runB.Stats()
-
-		if single != batch {
-			t.Errorf("%s: B=1 batch stats diverge from single launch:\n batch  %v\n single %v",
-				info.Name, batch, single)
-		}
-		for i := range uSingle {
-			if us[0][i] != uSingle[i] {
-				t.Fatalf("%s: B=1 output differs at row %d", info.Name, i)
-			}
-		}
-	}
-}
-
-// BatchPipeFloor soundness: the simulated batch makespan (excluding launch
-// overhead) must never undercut the certified floor, and at vectors<=1 the
-// floor must equal PipeFloor.
+// PipeFloor soundness at every width: the simulated makespan (excluding
+// launch overhead) must never undercut the certified floor, and a width
+// below 1 must count as 1.
 func TestBatchPipeFloorSound(t *testing.T) {
 	cfg := hsa.DefaultConfig()
 	mats := []*sparse.CSR{
@@ -175,21 +136,16 @@ func TestBatchPipeFloorSound(t *testing.T) {
 			}
 		}
 		groups := allRows(a)
-		for _, nb := range []int{2, 4, 8} {
+		for _, nb := range []int{1, 2, 4, 8} {
 			vs, us := batchVectors(a, nb, 17)
 			for _, info := range batchKernelsUnderTest() {
-				bf, ok := info.Kernel.(BatchPipeFloorer)
-				if !ok {
-					t.Fatalf("%s: no BatchPipeFloor", info.Name)
+				if got, want := info.Kernel.PipeFloor(cfg, maxLen, 0), info.Kernel.PipeFloor(cfg, maxLen, 1); got != want {
+					t.Errorf("%s: PipeFloor(vectors=0)=%v != PipeFloor(vectors=1) %v", info.Name, got, want)
 				}
-				pf := info.Kernel.(PipeFloorer)
-				if got, want := bf.BatchPipeFloor(cfg, maxLen, 1), pf.PipeFloor(cfg, maxLen); got != want {
-					t.Errorf("%s: BatchPipeFloor(B=1)=%v != PipeFloor %v", info.Name, got, want)
-				}
-				floor := bf.BatchPipeFloor(cfg, maxLen, nb)
+				floor := info.Kernel.PipeFloor(cfg, maxLen, nb)
 				run := hsa.NewRun(cfg)
 				in := NewBatchInput(run, a, vs, us)
-				info.Kernel.(BatchKernel).RunBatch(run, in, groups)
+				info.Kernel.Run(run, in, groups)
 				if st := run.Stats(); st.ExecCycles < floor {
 					t.Errorf("%s B=%d: makespan %.1f undercuts certified floor %.1f",
 						info.Name, nb, st.ExecCycles, floor)

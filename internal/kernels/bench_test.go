@@ -25,32 +25,36 @@ func benchSim(b *testing.B, dev hsa.Config, a *sparse.CSR, k Kernel) {
 	b.ReportMetric(sim, "sim-ms/op")
 }
 
+var serialKernel = Kernel{P: KernelParams{TPR: 1}}
+
 func shortRows() *sparse.CSR  { return matgen.RoadNetwork(4096, 1) }
 func mediumRows() *sparse.CSR { return matgen.BlockFEM(1024, 60, 10, 2) }
 func longRows() *sparse.CSR   { return matgen.BlockFEM(128, 2000, 100, 3) }
 
 // Per-kernel simulated cost across the three row-length regimes.
 func BenchmarkKernelShortSerial(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), shortRows(), Serial{})
+	benchSim(b, hsa.DefaultConfig(), shortRows(), serialKernel)
 }
 func BenchmarkKernelShortSub8(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), shortRows(), Subvector{X: 8})
+	benchSim(b, hsa.DefaultConfig(), shortRows(), Kernel{P: KernelParams{TPR: 8}})
 }
 func BenchmarkKernelShortVector(b *testing.B) {
 	benchSim(b, hsa.DefaultConfig(), shortRows(), VectorKernel())
 }
 func BenchmarkKernelMediumSerial(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Serial{})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), serialKernel)
 }
 func BenchmarkKernelMediumSub16(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16}})
 }
 func BenchmarkKernelMediumVector(b *testing.B) {
 	benchSim(b, hsa.DefaultConfig(), mediumRows(), VectorKernel())
 }
-func BenchmarkKernelLongSerial(b *testing.B) { benchSim(b, hsa.DefaultConfig(), longRows(), Serial{}) }
+func BenchmarkKernelLongSerial(b *testing.B) {
+	benchSim(b, hsa.DefaultConfig(), longRows(), serialKernel)
+}
 func BenchmarkKernelLongSub64(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), longRows(), Subvector{X: 64})
+	benchSim(b, hsa.DefaultConfig(), longRows(), Kernel{P: KernelParams{TPR: 64}})
 }
 func BenchmarkKernelLongVector(b *testing.B) {
 	benchSim(b, hsa.DefaultConfig(), longRows(), VectorKernel())
@@ -58,16 +62,16 @@ func BenchmarkKernelLongVector(b *testing.B) {
 
 // Ablation: the LDS buffering factor of Algorithms 4/5 (paper fixes 4).
 func BenchmarkAblationLDSFactor1(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16, Factor: 1})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16, LDSFactor: 1}})
 }
 func BenchmarkAblationLDSFactor2(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16, Factor: 2})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16, LDSFactor: 2}})
 }
 func BenchmarkAblationLDSFactor4(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16, Factor: 4})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16, LDSFactor: 4}})
 }
 func BenchmarkAblationLDSFactor8(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16, Factor: 8})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16, LDSFactor: 8}})
 }
 
 // Ablation: device sensitivity — a 32-lane-wavefront device (NVIDIA-like)
@@ -80,16 +84,16 @@ func wavefront32() hsa.Config {
 }
 
 func BenchmarkAblationWavefront64Serial(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Serial{})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), serialKernel)
 }
 func BenchmarkAblationWavefront32Serial(b *testing.B) {
-	benchSim(b, wavefront32(), mediumRows(), Serial{})
+	benchSim(b, wavefront32(), mediumRows(), serialKernel)
 }
 func BenchmarkAblationWavefront64Sub16(b *testing.B) {
-	benchSim(b, hsa.DefaultConfig(), mediumRows(), Subvector{X: 16})
+	benchSim(b, hsa.DefaultConfig(), mediumRows(), Kernel{P: KernelParams{TPR: 16}})
 }
 func BenchmarkAblationWavefront32Sub16(b *testing.B) {
-	benchSim(b, wavefront32(), mediumRows(), Subvector{X: 16})
+	benchSim(b, wavefront32(), mediumRows(), Kernel{P: KernelParams{TPR: 16}})
 }
 
 // LDS factor correctness under ablation values.
@@ -105,7 +109,7 @@ func TestSubvectorFactorAblationCorrect(t *testing.T) {
 		u := make([]float64, a.Rows)
 		run := hsa.NewRun(hsa.DefaultConfig())
 		in := NewInput(run, a, v, u)
-		Subvector{X: 16, Factor: f}.Run(run, in, binning.Single(a).Bins[0])
+		Kernel{P: KernelParams{TPR: 16, LDSFactor: f}}.Run(run, in, binning.Single(a).Bins[0])
 		if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 			t.Errorf("factor %d: wrong at row %d", f, i)
 		}

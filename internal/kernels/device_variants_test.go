@@ -70,7 +70,7 @@ func TestMoreCUsNeverSlower(t *testing.T) {
 		dev.NumCUs = cus
 		r := hsa.NewRun(dev)
 		in := NewInput(r, a, v, u)
-		Serial{}.Run(r, in, binning.Single(a).Bins[0])
+		Pool()[0].Kernel.Run(r, in, binning.Single(a).Bins[0])
 		return r.Stats().Cycles
 	}
 	c1, c4, c16 := run(1), run(4), run(16)

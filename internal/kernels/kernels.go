@@ -1,11 +1,21 @@
-// Package kernels implements the paper's pool of nine CSR SpMV kernels
-// (Section III-B, Algorithms 3-5) on the simulated HSA device:
+// Package kernels implements the CSR SpMV kernels the auto-tuner chooses
+// among, on the simulated HSA device. Every kernel is one KernelParams point
+// — threads per row × rows per work-group × LDS tiling × reduction strategy —
+// realized by one of three walkers (walkers.go):
 //
-//   - Kernel-Serial: one work-item per row;
-//   - Kernel-SubvectorX for X in {2,4,8,16,32,64,128}: X work-items
-//     cooperate on one row, staging products in LDS and reducing with a
-//     segmented parallel reduction;
-//   - Kernel-Vector: the whole 256-thread work-group processes one row.
+//   - serial (Algorithm 3): one work-item per row, walking it in lock-step
+//     with the rest of its wavefront;
+//   - LDS-staged (Algorithms 4/5): X work-items cooperate on one row,
+//     staging products in LDS and combining them per round;
+//   - wavefront: X work-items of one wavefront keep private partials and
+//     merge them with a single cross-lane combine per row.
+//
+// The paper's pool of nine kernels (Section III-B) is nine named points:
+// Kernel-Serial is TPR=1, Kernel-SubvectorX is TPR=X with the paper's LDS
+// factor 4 and tree reduction, Kernel-Vector is TPR = the work-group size.
+// A launch applies the matrix to however many right-hand sides its Input
+// binds — plain SpMV is the width-1 launch of the same walker a fused SpMM
+// batch runs, not a separate implementation.
 //
 // All kernels compute identical results (u = A·v restricted to their rows)
 // but differ in thread organization, so their costs diverge with row
@@ -23,24 +33,24 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// Input bundles a device-resident CSR matrix and its vectors: the Go slices
-// hold the actual data (kernels execute functionally) and the Regions give
-// the simulated memory layout used for coalescing analysis.
+// Input bundles a device-resident CSR matrix and the vectors of one launch:
+// the Go slices hold the actual data (kernels execute functionally) and the
+// Regions give the simulated memory layout used for coalescing analysis.
 type Input struct {
 	A *sparse.CSR
-	V []float64 // input vector (length >= Cols)
-	U []float64 // output vector (length >= Rows)
 
-	// Multi-RHS (SpMM) binding: Vs/Us hold the B dense right-hand sides and
-	// outputs of one fused launch (Vs[0]/Us[0] alias V/U). RegV and RegU then
-	// cover B vector slabs laid out back to back — vector b's element i lives
-	// at region index b*stride+i, with the stride rounded to a segment
-	// boundary so distinct vectors never share a cache segment and the batch
-	// pays its honest vector-traffic footprint. Single-vector binds leave Vs
-	// and Us nil. See AcquireBatchInput.
+	// Vs/Us hold the B dense right-hand sides and outputs of the launch
+	// (B = 1 for plain SpMV). RegV and RegU cover B vector slabs laid out
+	// back to back — vector b's element i lives at region index b*stride+i.
+	// With several vectors the stride is rounded to a segment boundary so
+	// distinct vectors never share a cache segment and the batch pays its
+	// honest vector-traffic footprint; a lone vector's slab is the vector.
 	Vs, Us  [][]float64
 	vStride int64
 	uStride int64
+	// v1/u1 back Vs/Us for single-vector binds, so NewInput and AcquireInput
+	// need no slice allocation.
+	v1, u1 [1][]float64
 
 	RegRowPtr hsa.Region
 	RegColIdx hsa.Region
@@ -50,20 +60,49 @@ type Input struct {
 	RegBin    hsa.Region
 }
 
-// NewInput allocates simulated regions for the matrix and vectors on run.
+// NewInput allocates simulated regions for the matrix and one vector pair
+// on run.
 func NewInput(run *hsa.Run, a *sparse.CSR, v, u []float64) *Input {
 	in := new(Input)
-	in.bind(run, a, v, u)
+	in.bindOne(run, a, v, u)
 	return in
 }
 
-func (in *Input) bind(run *hsa.Run, a *sparse.CSR, v, u []float64) {
-	in.A, in.V, in.U = a, v, u
+// NewBatchInput allocates simulated regions for a launch over the B vector
+// pairs (vs[b], us[b]). Panics on empty or unequal vector counts.
+func NewBatchInput(run *hsa.Run, a *sparse.CSR, vs, us [][]float64) *Input {
+	in := new(Input)
+	in.bind(run, a, vs, us)
+	return in
+}
+
+func (in *Input) bindOne(run *hsa.Run, a *sparse.CSR, v, u []float64) {
+	in.v1[0], in.u1[0] = v, u
+	in.bind(run, a, in.v1[:], in.u1[:])
+}
+
+func (in *Input) bind(run *hsa.Run, a *sparse.CSR, vs, us [][]float64) {
+	if len(vs) != len(us) || len(vs) == 0 {
+		panic("kernels: bind needs equal, non-zero vector counts")
+	}
+	in.A, in.Vs, in.Us = a, vs, us
+	in.vStride, in.uStride = 0, 0
+	for b := range vs {
+		in.vStride = max(in.vStride, int64(len(vs[b])))
+		in.uStride = max(in.uStride, int64(len(us[b])))
+	}
+	if nb := len(vs); nb > 1 {
+		// Pad each slab to a segment boundary plus one guard segment.
+		segElems := max(run.Config().SegmentBytes/8, 1)
+		in.vStride = ((in.vStride+segElems-1)/segElems + 1) * segElems
+		in.uStride = ((in.uStride+segElems-1)/segElems + 1) * segElems
+		run.SetVectors(nb)
+	}
 	in.RegRowPtr = run.Alloc(8, int64(len(a.RowPtr)))
 	in.RegColIdx = run.Alloc(4, int64(len(a.ColIdx)))
 	in.RegVal = run.Alloc(8, int64(len(a.Val)))
-	in.RegV = run.Alloc(8, int64(len(v)))
-	in.RegU = run.Alloc(8, int64(len(u)))
+	in.RegV = run.Alloc(8, in.vStride*int64(len(vs)))
+	in.RegU = run.Alloc(8, in.uStride*int64(len(us)))
 	in.RegBin = run.Alloc(4, int64(a.Rows)+1)
 }
 
@@ -74,7 +113,15 @@ var inputPool = sync.Pool{New: func() any { return new(Input) }}
 // The Input is valid for one launch; Release it once the kernel returned.
 func AcquireInput(run *hsa.Run, a *sparse.CSR, v, u []float64) *Input {
 	in := inputPool.Get().(*Input)
-	in.bind(run, a, v, u)
+	in.bindOne(run, a, v, u)
+	return in
+}
+
+// AcquireBatchInput is NewBatchInput backed by the input pool; Release it
+// once the kernel returned, exactly like AcquireInput.
+func AcquireBatchInput(run *hsa.Run, a *sparse.CSR, vs, us [][]float64) *Input {
+	in := inputPool.Get().(*Input)
+	in.bind(run, a, vs, us)
 	return in
 }
 
@@ -84,16 +131,15 @@ func (in *Input) Release() {
 	inputPool.Put(in)
 }
 
-// launchScratch pools the per-launch staging slices every kernel needs
-// (row batches, gather address lists, partial sums) so a launch allocates
-// nothing once the pool is warm. Buffers are handed out with exact
-// capacities: rowIter.take fills to cap(dst), so capacity is semantic —
-// a recycled buffer must never leak a previous launch's larger cap.
+// launchScratch pools the per-launch staging slices every walker needs
+// (row batches, gather address lists) so a launch allocates nothing once
+// the pool is warm. Buffers are handed out with exact capacities:
+// rowIter.take fills to cap(dst), so capacity is semantic — a recycled
+// buffer must never leak a previous launch's larger cap.
 type launchScratch struct {
 	rows   []int32
 	addrs  []int64
 	vAddrs []int64
-	sums   []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(launchScratch) }}
@@ -122,22 +168,27 @@ func (s *launchScratch) vAddrBuf(n int) []int64 {
 	return s.vAddrs[:0:n]
 }
 
-func (s *launchScratch) sumBuf(n int) []float64 {
-	if cap(s.sums) < n {
-		s.sums = make([]float64, n)
+// Kernel is one SpMV implementation: the realization of a KernelParams
+// point on the device a launch runs on. Run processes exactly the rows
+// covered by groups for every vector pair bound to the Input, writing
+// Us[b][row] for each, and accounts device activity on run.
+type Kernel struct {
+	P KernelParams
+	// name is set for the paper's pool points, which keep their historical
+	// names (they are class labels in trained models and persisted plans);
+	// every other point is named after its parameters.
+	name string
+}
+
+// Name returns the kernel's registry name.
+func (k Kernel) Name() string {
+	if k.name != "" {
+		return k.name
 	}
-	return s.sums[:n]
+	return k.P.Name()
 }
 
-// Kernel is one SpMV implementation from the candidate pool. Run processes
-// exactly the rows covered by groups, writing u[row] for each, and accounts
-// device activity on run.
-type Kernel interface {
-	Name() string
-	Run(run *hsa.Run, in *Input, groups []binning.Group)
-}
-
-// Info identifies a kernel in the pool; IDs are the class labels used by
+// Info identifies a kernel in a space; IDs are the class labels used by
 // the stage-2 decision tree.
 type Info struct {
 	ID     int
@@ -145,24 +196,28 @@ type Info struct {
 	Kernel Kernel
 }
 
-// Pool returns the paper's nine-kernel candidate pool in ID order.
+// Pool returns the paper's nine-kernel candidate pool in ID order: serial,
+// subvector2..subvector128, vector.
 func Pool() []Info {
-	infos := []Info{{ID: 0, Name: "serial", Kernel: Serial{}}}
-	for _, x := range []int{2, 4, 8, 16, 32, 64, 128} {
-		infos = append(infos, Info{
-			ID:     len(infos),
-			Name:   fmt.Sprintf("subvector%d", x),
-			Kernel: Subvector{X: x},
-		})
+	var infos []Info
+	for id, p := range poolParams() {
+		name := fmt.Sprintf("subvector%d", p.TPR)
+		switch p.TPR {
+		case 1:
+			name = "serial"
+		case vectorTPR:
+			name = "vector"
+		}
+		infos = append(infos, Info{ID: id, Name: name, Kernel: Kernel{P: p, name: name}})
 	}
-	infos = append(infos, Info{ID: len(infos), Name: "vector", Kernel: Subvector{X: 256, vector: true}})
 	return infos
 }
 
 // VectorKernel returns the Kernel-Vector instance (whole work-group per
 // row), used directly by the CSR-Adaptive baseline for its long-row blocks.
 func VectorKernel() Kernel {
-	return Subvector{X: 256, vector: true}
+	pool := Pool()
+	return pool[len(pool)-1].Kernel
 }
 
 // ByName resolves a kernel name over the full synthesized superset (the
@@ -183,21 +238,6 @@ func ByName(name string) (Info, bool) {
 // that must reject IDs outside a specific space use Space.ByID instead.
 func ByID(id int) (Info, bool) {
 	return SynthSpace().ByID(id)
-}
-
-// PipeFloorer is implemented by kernels that can certify an analytic lower
-// bound on their launch cost, enabling the tuning search to skip simulating
-// kernels that cannot possibly win a bin (see core's lower-bound pruning).
-type PipeFloorer interface {
-	// PipeFloor returns a certified lower bound, in device cycles, on the
-	// busiest SIMD pipe of any single work-group of a launch covering rows
-	// whose longest row has maxRowLen stored non-zeros. Soundness contract:
-	// the simulated makespan of the launch (excluding kernel-launch
-	// overhead) is always >= the returned value, in both the legacy and the
-	// sharded executor. Implementations derive it from the wavefront that
-	// covers the longest row — the divergence floor the paper's kernel
-	// trade-off hinges on. Returns 0 when no useful bound exists.
-	PipeFloor(cfg hsa.Config, maxRowLen int) float64
 }
 
 // rowIter walks the rows of a group list in order.

@@ -8,16 +8,26 @@ import (
 	"spmvtune/internal/errdefs"
 )
 
-// This file generalizes the paper's fixed nine-kernel pool into a
-// parameterized kernel space: every candidate is a KernelParams point in
-// threads-per-row × rows-per-work-group × LDS-tiling × reduction-strategy
-// space, and the pool survives as the degenerate prefix of the larger
-// enumeration (IDs 0..8 keep their exact implementations, names and
-// charging behavior, so every pre-synthesis label and golden test still
-// anchors correctness). The auto-tuner searches a Space — "pool" for the
-// paper's nine points, "synth" for the pruned superset — and the stage-2
+// This file is the parameterized kernel space: every candidate is a
+// KernelParams point in threads-per-row × rows-per-work-group × LDS-tiling ×
+// reduction-strategy space, and the paper's fixed nine-kernel pool is the
+// prefix of every enumeration (IDs 0..8 are the named points poolParams
+// lists, with their historical names, so every pool label and golden test
+// still anchors correctness). The auto-tuner searches a Space — "pool" for
+// the paper's nine points, "synth" for the pruned superset — and the stage-2
 // model predicts a point of that space (a learned quantization: each class
 // label is one enumerated KernelParams).
+
+const (
+	// ldsFactor is the paper's local-memory buffering multiple ("we set the
+	// size of local memory to be factor times of the workgroup size",
+	// factor=4 in Algorithms 4 and 5): each lane stages ldsFactor products
+	// per round.
+	ldsFactor = 4
+	// vectorTPR is Kernel-Vector's threads per row: the paper's 256-thread
+	// work-group, clamped at launch to the device's work-group size.
+	vectorTPR = 256
+)
 
 // Reduction selects how a subvector combines its LDS-staged products.
 type Reduction uint8
@@ -57,8 +67,8 @@ func (r Reduction) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + r.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts exactly "tree" and "seq"; anything else is a typed
-// invalid-input error, so corrupt persisted plans surface as 400-class
+// UnmarshalJSON accepts exactly the names String renders ("tree", "seq",
+// "wf"); anything else is a typed invalid-input error, so corrupt persisted plans surface as 400-class
 // failures instead of silently defaulting.
 func (r *Reduction) UnmarshalJSON(data []byte) error {
 	switch string(data) {
@@ -80,15 +90,16 @@ func (r *Reduction) UnmarshalJSON(data []byte) error {
 // TPR>=2), which keeps the canonical pool points device-agnostic.
 type KernelParams struct {
 	// TPR is the number of work-items cooperating on one row: 1 selects the
-	// serial lock-step walk, >= 2 the LDS-staged subvector scheme (the full
-	// work-group size makes it the vector kernel).
+	// serial lock-step walk, >= 2 a subvector scheme (the full work-group
+	// size makes it the vector kernel).
 	TPR int `json:"tpr"`
 	// RowsPerWG is how many rows one work-group covers; 0 = device default.
 	// Smaller work-groups trade dispatch overhead for compute-unit balance
 	// on small bins.
 	RowsPerWG int `json:"rowsPerWG,omitempty"`
 	// LDSFactor is the local-memory buffering multiple (products staged per
-	// lane per round); 0 = the paper's factor 4. Meaningless for TPR=1.
+	// lane per round); 0 = the paper's factor 4. Meaningless for TPR=1 and
+	// for the wavefront reduction, which never stage through LDS.
 	LDSFactor int `json:"ldsFactor,omitempty"`
 	// Reduction is the staged-product combine strategy; TPR=1 ignores it.
 	Reduction Reduction `json:"reduction"`
@@ -152,8 +163,8 @@ type Space struct {
 	// Name is the space's registry key ("pool", "synth").
 	Name string
 	// Infos are the space's kernels in ID order. For every built-in space
-	// IDs 0..len(Pool())-1 are exactly the paper's pool — same instances,
-	// same names — so pool labels stay valid in every space.
+	// IDs 0..len(Pool())-1 are exactly the paper's pool — same points, same
+	// names — so pool labels stay valid in every space.
 	Infos []Info
 	// Params annotates each ID with its point in parameter space; pool
 	// entries carry their canonical (device-default) coordinates.
@@ -209,35 +220,30 @@ func poolParams() []KernelParams {
 	for _, x := range []int{2, 4, 8, 16, 32, 64, 128} {
 		ps = append(ps, KernelParams{TPR: x, LDSFactor: ldsFactor})
 	}
-	return append(ps, KernelParams{TPR: 256, LDSFactor: ldsFactor})
+	return append(ps, KernelParams{TPR: vectorTPR, LDSFactor: ldsFactor})
 }
 
-// NewSpace builds a space from explicit parameter points, each realized as
-// a synthesized kernel. It is the constructor behind the built-in spaces'
-// non-pool tails and exists separately so tests can probe adversarial
-// spaces. Panics when the enumeration exceeds MaxSpaceKernels.
+// NewSpace builds a space from explicit parameter points, each named after
+// its parameters. It exists separately from the built-in spaces so tests can
+// probe adversarial ones. Panics when the enumeration exceeds
+// MaxSpaceKernels.
 func NewSpace(name string, params []KernelParams) *Space {
-	if len(params) > MaxSpaceKernels {
-		panic(fmt.Sprintf("kernels: space %q enumerates %d > %d kernels", name, len(params), MaxSpaceKernels))
-	}
-	s := &Space{Name: name}
-	for id, p := range params {
-		s.Infos = append(s.Infos, Info{ID: id, Name: p.Name(), Kernel: Synth{P: p}})
-		s.Params = append(s.Params, p)
-	}
-	return s
+	return (&Space{Name: name}).extend(params)
 }
 
-// poolPrefixSpace builds name's space as the exact pool (instances and
-// names untouched) followed by synthesized points.
+// poolPrefixSpace builds name's space as the pool (names untouched)
+// followed by the extra points.
 func poolPrefixSpace(name string, extra []KernelParams) *Space {
-	s := &Space{Name: name, Infos: Pool(), Params: poolParams()}
-	for _, p := range extra {
-		s.Infos = append(s.Infos, Info{ID: len(s.Infos), Name: p.Name(), Kernel: Synth{P: p}})
+	return (&Space{Name: name, Infos: Pool(), Params: poolParams()}).extend(extra)
+}
+
+func (s *Space) extend(params []KernelParams) *Space {
+	for _, p := range params {
+		s.Infos = append(s.Infos, Info{ID: len(s.Infos), Name: p.Name(), Kernel: Kernel{P: p}})
 		s.Params = append(s.Params, p)
 	}
 	if len(s.Infos) > MaxSpaceKernels {
-		panic(fmt.Sprintf("kernels: space %q enumerates %d > %d kernels", name, len(s.Infos), MaxSpaceKernels))
+		panic(fmt.Sprintf("kernels: space %q enumerates %d > %d kernels", s.Name, len(s.Infos), MaxSpaceKernels))
 	}
 	return s
 }
@@ -279,8 +285,8 @@ func synthExtraParams() []KernelParams {
 	}
 	// Vector-like variants (whole work-group per row).
 	ps = append(ps,
-		KernelParams{TPR: 256, LDSFactor: 8},
-		KernelParams{TPR: 256, LDSFactor: 16},
+		KernelParams{TPR: vectorTPR, LDSFactor: 8},
+		KernelParams{TPR: vectorTPR, LDSFactor: 16},
 	)
 	return ps
 }

@@ -1,30 +1,6 @@
 package kernels
 
-import (
-	"spmvtune/internal/binning"
-	"spmvtune/internal/hsa"
-)
-
-// WorkGroupSizer is implemented by kernels that can report how many rows
-// they pack into one work-group on a given device. The parallel ND-range
-// executor aligns shard boundaries to this packing so every shard
-// dispatches exactly the work-groups the unsharded launch would — same
-// wavefront shapes, same instruction counts, same divergence.
-type WorkGroupSizer interface {
-	RowsPerWG(cfg hsa.Config) int
-}
-
-// RowsPerWG returns how many rows kernel k packs into one work-group on
-// the device, falling back to 1 (always a safe alignment) for kernels that
-// do not implement WorkGroupSizer.
-func RowsPerWG(k Kernel, cfg hsa.Config) int {
-	if s, ok := k.(WorkGroupSizer); ok {
-		if n := s.RowsPerWG(cfg); n > 0 {
-			return n
-		}
-	}
-	return 1
-}
+import "spmvtune/internal/binning"
 
 // SplitGroups partitions the row sequence of groups into at most shards
 // contiguous slices, each (except possibly the last non-empty one) covering

@@ -82,22 +82,22 @@ func TestSplitGroupsEmpty(t *testing.T) {
 }
 
 // TestRowsPerWG checks the per-kernel work-group packing the shard
-// alignment relies on, including the fallback for kernels that do not
-// implement WorkGroupSizer.
+// alignment relies on.
 func TestRowsPerWG(t *testing.T) {
 	cfg := hsa.DefaultConfig()
-	if got := RowsPerWG(Serial{}, cfg); got != cfg.MaxWorkGroupSize {
+	if got := (Kernel{P: KernelParams{TPR: 1}}).RowsPerWG(cfg); got != cfg.MaxWorkGroupSize {
 		t.Errorf("Serial: %d rows/WG, want %d", got, cfg.MaxWorkGroupSize)
 	}
-	if got := RowsPerWG(Subvector{X: 4}, cfg); got != cfg.MaxWorkGroupSize/4 {
+	if got := (Kernel{P: KernelParams{TPR: 4}}).RowsPerWG(cfg); got != cfg.MaxWorkGroupSize/4 {
 		t.Errorf("Subvector4: %d rows/WG, want %d", got, cfg.MaxWorkGroupSize/4)
 	}
-	if got := RowsPerWG(Subvector{X: cfg.MaxWorkGroupSize, vector: true}, cfg); got != 1 {
+	if got := VectorKernel().RowsPerWG(cfg); got != 1 {
 		t.Errorf("Vector: %d rows/WG, want 1", got)
 	}
-	// Every pool kernel must report a positive packing.
-	for _, info := range Pool() {
-		if got := RowsPerWG(info.Kernel, cfg); got < 1 {
+	// Every kernel must report a positive packing, hostile params included.
+	infos := append(append([]Info{}, SynthSpace().Infos...), Info{Name: "hostile", Kernel: Kernel{P: KernelParams{TPR: 1 << 20, RowsPerWG: -3}}})
+	for _, info := range infos {
+		if got := info.Kernel.RowsPerWG(cfg); got < 1 {
 			t.Errorf("kernel %s: RowsPerWG = %d", info.Name, got)
 		}
 	}

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Full verification gate: formatting, vet, build, race-enabled tests, a
-# 1-iteration benchmark smoke, short fuzz smokes on the Matrix Market
+# Full verification gate: formatting, vet, build, race-enabled tests, the
+# nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
+# fuzz smokes on the Matrix Market
 # parser and the spmvd request decoders (SpMV and solver sessions), plus
 # staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
@@ -42,6 +43,13 @@ go build ./...
 
 echo "== go test -race"
 go test -race ./...
+
+# bench/ is a module of its own (it imports internal/... through the root
+# module's path), so ./... above never reaches it: an internal rename that
+# breaks spmvload would otherwise surface only when the benchmark runs.
+echo "== bench module (go vet + go test)"
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== bench smoke (1 iteration)"
 go test -run='^$' -bench=. -benchtime=1x ./...
