@@ -90,10 +90,13 @@ bench-parallel:
 
 ## bench-tune: legacy-vs-cached+pruned tuning-search comparison, both
 ## passes single-threaded. Labels must pass the exact-equivalence check and
-## the cached+pruned pass must be >= 3x faster — on any host, since no
-## parallelism is involved (see BENCH_PR5.json "tune").
+## the legacy pass must simulate >= 1.4x the launches of the cached+pruned
+## pass (measured 4059 vs 2704 = 1.50x) — a deterministic count, identical
+## on every host and unmoved by simulator speed-ups. The wall-clock speedup
+## is ~3.4x because the launches the pruner skips are the most expensive
+## ones; it is printed, not gated.
 bench-tune:
-	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-tune.json -workers 1 -min-tune-speedup 3
+	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-tune.json -workers 1 -min-tune-sim-ratio 1.4
 
 ## bench-synth: the parameter-space synthesis gate, entirely over modeled
 ## (machine-independent) quantities: the pool subspace must reproduce the

@@ -17,9 +17,11 @@
 // both and — when the host has at least -workers CPUs — a speedup of at
 // least -min-speedup. A second search comparison times the legacy
 // exhaustive path (cost cache and pruner disabled) against the cached+
-// pruned default, requiring byte-identical labels and a speedup of at
-// least -min-tune-speedup. Exit codes: 0 clean, 1 regression vs the
-// baseline or a failed search gate, 2 setup/usage failure.
+// pruned default, requiring byte-identical labels and at least
+// -min-tune-sim-ratio times fewer simulated launches (a deterministic
+// count; the wall-clock speedup is reported, not gated). Exit codes: 0
+// clean, 1 regression vs the baseline or a failed search gate, 2
+// setup/usage failure.
 package main
 
 import (
@@ -51,19 +53,19 @@ func main() {
 	seed := flag.Int64("seed", 42, "corpus seed")
 	workers := flag.Int("workers", 8, "parallel-search worker count for the seq-vs-parallel comparison (<= 1 skips it)")
 	minSpeedup := flag.Float64("min-speedup", 3.0, "required search speedup at -workers; enforced only when the host has at least that many CPUs (0 disables)")
-	minTuneSpeedup := flag.Float64("min-tune-speedup", 3.0, "required cached+pruned search speedup over the legacy exhaustive path (0 disables)")
+	minTuneSimRatio := flag.Float64("min-tune-sim-ratio", 1.4, "required ratio of the legacy exhaustive search's simulated launches over the cached+pruned search's (0 disables)")
 	maxSynthSims := flag.Float64("max-synth-sims", 4.0, "maximum simulated-cell ratio of the synthesized-space search over the pool search (0 disables)")
 	batchVectors := flag.Int("batch-vectors", 8, "right-hand sides per fused launch in the batch comparison (<= 1 skips it)")
 	maxBatchRatio := flag.Float64("max-batch-ratio", 0.6, "maximum modeled cycles-per-request ratio of the fused batch path over the unbatched path (0 disables)")
 	flag.Parse()
 
-	if err := run(*out, *baseline, *threshold, *n, *iters, *modelPath, *trainCorpus, *seed, *workers, *minSpeedup, *minTuneSpeedup, *maxSynthSims, *batchVectors, *maxBatchRatio); err != nil {
+	if err := run(*out, *baseline, *threshold, *n, *iters, *modelPath, *trainCorpus, *seed, *workers, *minSpeedup, *minTuneSimRatio, *maxSynthSims, *batchVectors, *maxBatchRatio); err != nil {
 		fmt.Fprintln(os.Stderr, "spmvbench:", err)
 		os.Exit(2)
 	}
 }
 
-func run(out, baseline string, threshold float64, n, iters int, modelPath string, trainCorpus int, seed int64, workers int, minSpeedup, minTuneSpeedup, maxSynthSims float64, batchVectors int, maxBatchRatio float64) error {
+func run(out, baseline string, threshold float64, n, iters int, modelPath string, trainCorpus int, seed int64, workers int, minSpeedup, minTuneSimRatio, maxSynthSims float64, batchVectors int, maxBatchRatio float64) error {
 	cfg := core.DefaultConfig()
 	model, err := obtainModel(cfg, modelPath, trainCorpus, seed)
 	if err != nil {
@@ -78,8 +80,8 @@ func run(out, baseline string, threshold float64, n, iters int, modelPath string
 		if err != nil {
 			return fmt.Errorf("case %s: %w", cm.Name, err)
 		}
-		fmt.Printf("%-18s %7d rows %9d nnz  %12.0f cycles  %7.2f GFLOPS-eq  %9d ns/op  lanes %.2f\n",
-			c.Name, c.Rows, c.NNZ, c.Cycles, c.GFLOPSEquivalent, c.NsPerOp, c.Counters.ActiveLaneRatio)
+		fmt.Printf("%-18s %7d rows %9d nnz  %12.0f cycles  %7.2f GFLOPS-eq  %9d ns/op cold  %8d warm  lanes %.2f\n",
+			c.Name, c.Rows, c.NNZ, c.Cycles, c.GFLOPSEquivalent, c.NsPerOp, c.NsPerOpWarm, c.Counters.ActiveLaneRatio)
 		results.Cases = append(results.Cases, *c)
 	}
 	var regressions []string
@@ -96,10 +98,10 @@ func run(out, baseline string, threshold float64, n, iters int, modelPath string
 	}
 	tb := tuneBench(cfg, mats)
 	results.Tune = tb
-	fmt.Printf("tune: %d matrices, legacy %.3fs, cached+pruned %.3fs, %.2fx speedup, identical=%v (cache: %d hits, %d misses, %d cells pruned)\n",
-		tb.Matrices, tb.LegacySeconds, tb.TunedSeconds, tb.Speedup, tb.Identical,
-		tb.CacheHits, tb.CacheMisses, tb.Pruned)
-	regressions = append(regressions, CheckTune(tb, minTuneSpeedup)...)
+	fmt.Printf("tune: %d matrices, %d simulated launches legacy vs %d cached+pruned (%.2fx), identical=%v (cache: %d hits, %d misses, %d cells pruned; wall %.3fs vs %.3fs, %.2fx, not gated)\n",
+		tb.Matrices, tb.LegacySims, tb.TunedSims, tb.SimRatio, tb.Identical,
+		tb.CacheHits, tb.CacheMisses, tb.Pruned, tb.LegacySeconds, tb.TunedSeconds, tb.Speedup)
+	regressions = append(regressions, CheckTune(tb, minTuneSimRatio)...)
 	yb := synthBench(cfg, mats)
 	results.Synth = yb
 	fmt.Printf("synth: %d matrices, space %d vs pool %d kernels, cycle ratio %.4f, sims %d vs %d (%.2fx), pool identical=%v, %d synth wins\n",
@@ -191,8 +193,12 @@ func searchBench(cfg core.Config, mats []matgen.CorpusMatrix, workers int) *Sear
 // disabled — every cell simulated from scratch, the pre-cache behavior)
 // and tuned (a fresh private cost cache plus pruning — the production
 // default, isolated from the process-wide cache so the measurement starts
-// cold). Equivalence is checked after the clocks stop so the gate never
-// contaminates the timing.
+// cold). The gated quantity is the simulated-launch count of each pass —
+// the legacy pass simulates every kernel of every (U, bin) cell, the tuned
+// pass every kernel of every missed cell minus the pruned ones — which
+// repeats exactly on any host and does not move when the simulator itself
+// gets faster. Equivalence is checked after the clocks stop so the gate
+// never contaminates the timing.
 func tuneBench(cfg core.Config, mats []matgen.CorpusMatrix) *TuneBench {
 	legacyCfg := cfg
 	legacyCfg.Workers = 1
@@ -235,6 +241,17 @@ func tuneBench(cfg core.Config, mats []matgen.CorpusMatrix) *TuneBench {
 	tb.CacheHits, tb.CacheMisses, tb.Pruned = st.Hits, st.Misses, st.Pruned
 	if tunedS > 0 {
 		tb.Speedup = legacyS / tunedS
+	}
+	for _, res := range legacy {
+		for _, ul := range res.PerU {
+			for _, bl := range ul.Bins {
+				tb.LegacySims += int64(len(bl.KernelTimes))
+			}
+		}
+	}
+	tb.TunedSims = st.Misses*int64(len(kernels.Pool())) - st.Pruned
+	if tb.TunedSims > 0 {
+		tb.SimRatio = float64(tb.LegacySims) / float64(tb.TunedSims)
 	}
 	return tb
 }
@@ -386,11 +403,15 @@ func batchBench(fw *core.Framework, mats []matgen.CorpusMatrix, b int) (*BatchBe
 	return bb, nil
 }
 
-// benchCase plans once, then executes the plan iters times through the
-// guarded executor with counters enabled. The modeled metrics come from
-// the first run (they are identical every time — that determinism is
-// asserted, since the CI gate depends on it); wall time is the minimum
-// across runs, the standard noise floor estimate.
+// benchCase plans once, then executes the plan through the guarded executor
+// with counters enabled, iters times each on a fresh Framework — a fresh
+// Framework's replay memo is cold, so every iteration's first execution is
+// an independent simulation and the determinism the CI gate depends on is
+// asserted between simulations, not between a memo and itself. The modeled
+// metrics come from the first run; NsPerOp is the minimum wall time of those
+// cold (simulating) executions and NsPerOpWarm of the execution that follows
+// each on the same Framework (replayed — what a served request pays), the
+// minimum being the standard noise floor estimate.
 func benchCase(fw *core.Framework, cm matgen.CorpusMatrix, iters int) (*Case, error) {
 	a := cm.A
 	v := make([]float64, a.Cols)
@@ -410,25 +431,30 @@ func benchCase(fw *core.Framework, cm matgen.CorpusMatrix, iters int) (*Case, er
 		Rows: a.Rows, Cols: a.Cols, NNZ: int64(a.NNZ()),
 		U: p.U, Bins: len(p.Bins),
 	}
-	if iters < 1 {
-		iters = 1
-	}
-	for i := 0; i < iters; i++ {
+	timed := func(f *core.Framework) (*core.ExecReport, int64, error) {
 		start := time.Now()
-		rep, err := fw.ExecutePlanOpts(context.Background(), p, a, v, u, opt)
+		rep, err := f.ExecutePlanOpts(context.Background(), p, a, v, u, opt)
+		return rep, time.Since(start).Nanoseconds(), err
+	}
+	for i := 0; i < max(iters, 1); i++ {
+		fresh := core.NewFramework(fw.Cfg, fw.Model())
+		cold, coldNs, err := timed(fresh)
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start).Nanoseconds()
+		warm, warmNs, err := timed(fresh)
+		if err != nil {
+			return nil, err
+		}
 		if i == 0 {
-			c.Cycles = rep.Stats.Cycles
-			c.SimSeconds = rep.Stats.Seconds
-			if rep.Stats.Seconds > 0 {
-				c.GFLOPSEquivalent = 2 * float64(c.NNZ) / rep.Stats.Seconds / 1e9
+			c.Cycles = cold.Stats.Cycles
+			c.SimSeconds = cold.Stats.Seconds
+			if cold.Stats.Seconds > 0 {
+				c.GFLOPSEquivalent = 2 * float64(c.NNZ) / cold.Stats.Seconds / 1e9
 			}
-			c.Degraded = rep.Degraded()
-			c.NsPerOp = wall
-			ctr := rep.Counters
+			c.Degraded = cold.Degraded()
+			c.NsPerOp, c.NsPerOpWarm = coldNs, warmNs
+			ctr := cold.Counters
 			c.Counters = CounterSummary{
 				ActiveLaneRatio:  ctr.ActiveLaneRatio(),
 				LoadImbalance:    ctr.LoadImbalance(),
@@ -438,14 +464,14 @@ func benchCase(fw *core.Framework, cm matgen.CorpusMatrix, iters int) (*Case, er
 				LDSBankConflicts: ctr.LDSBankConflicts,
 				BarrierWaits:     ctr.BarrierWaits,
 			}
-		} else {
+		}
+		for _, rep := range []*core.ExecReport{cold, warm} {
 			if rep.Stats.Cycles != c.Cycles {
 				return nil, fmt.Errorf("nondeterministic cycles: %v then %v", c.Cycles, rep.Stats.Cycles)
 			}
-			if wall < c.NsPerOp {
-				c.NsPerOp = wall
-			}
 		}
+		c.NsPerOp = min(c.NsPerOp, coldNs)
+		c.NsPerOpWarm = min(c.NsPerOpWarm, warmNs)
 	}
 	return c, nil
 }

@@ -142,26 +142,26 @@ func TestCheckBatch(t *testing.T) {
 }
 
 // TestCheckTune locks the tune-gate semantics: divergent labels always
-// fail, the speedup floor is enforced on every host (both passes are
-// single-threaded, so CPU count is irrelevant), and 0 disables the floor
-// but never the equivalence check.
+// fail, the floor is on the simulated-launch ratio (an exact count, so it is
+// enforced on every host) and never on the wall-clock speedup, and 0
+// disables the floor but never the equivalence check.
 func TestCheckTune(t *testing.T) {
 	if regs := CheckTune(nil, 3); len(regs) != 0 {
 		t.Fatalf("nil tune bench flagged: %v", regs)
 	}
-	diverged := &TuneBench{HostCPUs: 1, Speedup: 5, Identical: false}
+	diverged := &TuneBench{HostCPUs: 1, SimRatio: 5, Identical: false}
 	if regs := CheckTune(diverged, 3); len(regs) != 1 || !strings.Contains(regs[0], "determinism") {
 		t.Fatalf("divergent labels not flagged: %v", regs)
 	}
-	slow := &TuneBench{HostCPUs: 1, Speedup: 1.4, Identical: true}
-	if regs := CheckTune(slow, 3); len(regs) != 1 || !strings.Contains(regs[0], "speedup") {
-		t.Fatalf("missed speedup floor not flagged: %v", regs)
+	wasteful := &TuneBench{HostCPUs: 1, Speedup: 5, LegacySims: 1400, TunedSims: 1000, SimRatio: 1.4, Identical: true}
+	if regs := CheckTune(wasteful, 3); len(regs) != 1 || !strings.Contains(regs[0], "simulated") {
+		t.Fatalf("missed simulated-launch floor not flagged: %v", regs)
 	}
-	if regs := CheckTune(slow, 0); len(regs) != 0 {
+	if regs := CheckTune(wasteful, 0); len(regs) != 0 {
 		t.Fatalf("disabled floor still flagged: %v", regs)
 	}
-	clean := &TuneBench{HostCPUs: 16, Speedup: 4.2, Identical: true}
-	if regs := CheckTune(clean, 3); len(regs) != 0 {
-		t.Fatalf("clean tune bench flagged: %v", regs)
+	slowHost := &TuneBench{HostCPUs: 16, Speedup: 1.2, LegacySims: 4200, TunedSims: 1000, SimRatio: 4.2, Identical: true}
+	if regs := CheckTune(slowHost, 3); len(regs) != 0 {
+		t.Fatalf("wall-clock speedup gated: %v", regs)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
@@ -100,6 +101,7 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 	}
 
 	bn, err := p.Rebin(a)
+	rs := fw.replayScope(p, opt.Counters)
 	// Execution routes bin→kernel lookups through the plan's allocation-free
 	// accessor; the report's Decision still carries the conventional map.
 	kernelFor := func(binID int) int { kid, _ := p.KernelFor(binID); return kid }
@@ -110,21 +112,45 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 		bn = binning.Single(a)
 		kernelFor = func(int) int { return 0 }
 		kernelByBin = map[int]int{0: 0}
+		rs = nil // the launches are no longer the plan's: never memoized
 	}
 	brep.Shared.Decision = Decision{U: p.U, KernelByBin: kernelByBin}
 
-	// Per-vector verification oracles (and terminal CPU fallbacks).
-	wants := make([][]float64, len(vs))
+	// Per-vector verification oracles (and terminal CPU fallbacks), carved
+	// from a pooled slab: the fallback copies out of them and nothing
+	// retains them past the bin loop.
+	ref := refPool.Get().(*refSlab)
+	defer refPool.Put(ref)
+	wants := ref.carve(len(vs), a.Rows)
 	for b := range vs {
-		wants[b] = make([]float64, a.Rows)
 		a.MulVec(vs[b], wants[b])
 	}
 
-	err = fw.runBinsGuarded(ctx, a, vs, us, wants, bn, kernelFor, opt, brep.Shared, brep.PerVector)
+	err = fw.runBinsGuarded(ctx, a, vs, us, wants, bn, kernelFor, rs, opt, brep.Shared, brep.PerVector)
 	for _, pv := range brep.PerVector {
 		if pv != nil {
 			brep.Isolated++
 		}
 	}
 	return brep, err
+}
+
+// refSlab is the pooled backing store of one execution's reference results.
+type refSlab struct {
+	buf   []float64
+	wants [][]float64
+}
+
+var refPool = sync.Pool{New: func() any { return new(refSlab) }}
+
+// carve returns n vectors of rows elements each, growing the slab as needed.
+func (s *refSlab) carve(n, rows int) [][]float64 {
+	if cap(s.buf) < n*rows {
+		s.buf = make([]float64, n*rows)
+	}
+	s.wants = s.wants[:0]
+	for b := 0; b < n; b++ {
+		s.wants = append(s.wants, s.buf[b*rows:(b+1)*rows:(b+1)*rows])
+	}
+	return s.wants
 }

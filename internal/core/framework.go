@@ -13,6 +13,7 @@ import (
 	"spmvtune/internal/cpu"
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
+	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
 	"spmvtune/internal/trace"
 )
@@ -45,14 +46,20 @@ func (d Decision) String() string {
 // flight: every decision loads the pointer exactly once and runs the whole
 // predict path against that snapshot, so no request ever observes a torn
 // mix of two models.
+//
+// A Framework also owns the replay memo of plan execution (replay.go): a
+// fresh Framework is cold and simulates every launch once.
 type Framework struct {
 	Cfg   Config
 	model atomic.Pointer[Model]
+
+	launches            *plancache.Memo[launchCost]
+	simulated, replayed atomic.Int64
 }
 
 // NewFramework builds a runtime framework around a trained model.
 func NewFramework(cfg Config, m *Model) *Framework {
-	fw := &Framework{Cfg: cfg}
+	fw := &Framework{Cfg: cfg, launches: plancache.NewMemo[launchCost](launchMemoCapacity, 16)}
 	if m != nil {
 		fw.model.Store(m)
 	}
@@ -62,6 +69,12 @@ func NewFramework(cfg Config, m *Model) *Framework {
 // Model returns the currently installed model (nil when none is set).
 func (fw *Framework) Model() *Model {
 	return fw.model.Load()
+}
+
+// LaunchCounts reports how many launches of the guarded bin executor ran the
+// device simulator and how many replayed a memoized launch's accounting.
+func (fw *Framework) LaunchCounts() (simulated, replayed int64) {
+	return fw.simulated.Load(), fw.replayed.Load()
 }
 
 // SwapModel atomically installs m as the live model and returns the

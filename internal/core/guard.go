@@ -14,6 +14,7 @@ import (
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plan"
+	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
 	"spmvtune/internal/trace"
 )
@@ -257,7 +258,7 @@ func (fw *Framework) RunGuardedOpts(ctx context.Context, a *sparse.CSR, v, u []f
 	a.MulVec(v, want)
 
 	err = fw.runBinsGuarded(ctx, a, [][]float64{v}, [][]float64{u}, [][]float64{want}, b,
-		func(binID int) int { return d.KernelByBin[binID] }, opt, rep, nil)
+		func(binID int) int { return d.KernelByBin[binID] }, nil, opt, rep, nil)
 	return d, rep, err
 }
 
@@ -277,7 +278,7 @@ func (fw *Framework) RunGuardedOpts(ctx context.Context, a *sparse.CSR, v, u []f
 // worker count. An aborting error (cancellation) stops bins that have not
 // started and is returned after the merge.
 func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, vs, us, wants [][]float64,
-	b *binning.Binning, kernelFor func(binID int) int, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
+	b *binning.Binning, kernelFor func(binID int) int, rs *replayScope, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
 
 	bins := b.NonEmpty()
 	workers := min(opt.Workers, len(bins))
@@ -299,7 +300,7 @@ func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, vs, us, 
 		res := &results[i]
 		res.rep = rep.child()
 		res.isolated = make([]*ExecReport, len(isolated))
-		res.err = fw.runBinBatchGuarded(ctx, dev, a, vs, us, wants, b, bins[i], kernelFor(bins[i]), opt, res.rep, res.isolated)
+		res.err = fw.runBinBatchGuarded(ctx, dev, a, vs, us, wants, b, bins[i], kernelFor(bins[i]), rs, opt, res.rep, res.isolated)
 		if res.err != nil {
 			aborted.Store(true)
 		}
@@ -383,7 +384,7 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 //
 // It returns a non-nil error only on cancellation.
 func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
-	b *binning.Binning, binID, predictedKID int, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
+	b *binning.Binning, binID, predictedKID int, rs *replayScope, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
 
 	nb := len(vs)
 	groups := b.Bins[binID]
@@ -392,7 +393,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 		if isolated[v] == nil {
 			isolated[v] = rep.child()
 		}
-		return fw.runBinBatchGuarded(ctx, dev, a, vs[v:v+1], us[v:v+1], wants[v:v+1], b, binID, predictedKID, opt, isolated[v], nil)
+		return fw.runBinBatchGuarded(ctx, dev, a, vs[v:v+1], us[v:v+1], wants[v:v+1], b, binID, predictedKID, rs, opt, isolated[v], nil)
 	}
 
 	// The simulated chain: the predicted kernel, then Kernel-Serial unless
@@ -430,7 +431,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 			fs := opt.Faults.Arm(binID, ln.kid, retry)
 			spanStart := opt.Trace.Now()
 			wallStart := time.Now()
-			st, ctr, err := simulateBinAttempt(ctx, dev, a, vs, us, info.Kernel, groups, fs, opt.Counters, binID%nb)
+			st, ctr, replayed, err := fw.binAttempt(ctx, dev, a, vs, us, info, groups, fs, rs, opt.Counters, binID)
 			var failed []int
 			if err == nil {
 				failRow := 0
@@ -479,6 +480,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 				Cycles:   st.Cycles, Seconds: st.Seconds,
 				WallNs:   time.Since(wallStart).Nanoseconds(),
 				Counters: ctr,
+				Replayed: replayed,
 			}
 			rep.Profiles = append(rep.Profiles, pr)
 			emitBinSpan(opt, spanStart, &pr)
@@ -551,6 +553,9 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 		"attempts": pr.Attempts, "rows": pr.Rows, "nnz": pr.NNZ,
 		"cycles": pr.Cycles,
 	}
+	if pr.Replayed {
+		attrs["replayed"] = true
+	}
 	if c := pr.Counters; c != nil {
 		attrs["activeLaneRatio"] = c.ActiveLaneRatio()
 		attrs["memInstrs"] = c.MemInstrs
@@ -563,19 +568,26 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 	opt.Trace.Emit(opt.TraceID, "execute-bin", start, attrs)
 }
 
-// simulateBinAttempt runs one kernel launch with panic recovery: injected
-// device faults and cancellation surface as their typed errors, and any
-// other panic — a misbehaving kernel indexing out of range, say — is
-// contained as a generic kernel fault instead of taking down the process.
-// The launch routes through launchKernel, so dev.Workers selects the
+// binAttempt runs one launch attempt of a kernel on a bin with panic
+// recovery: injected device faults and cancellation surface as their typed
+// errors, and any other panic — a misbehaving kernel indexing out of range,
+// say — is contained as a generic kernel fault instead of taking down the
+// process.
+//
+// An unarmed attempt (fs == nil) inside a replay scope is a pure function of
+// its memo cell: the first one simulates and stores its accounting, later
+// ones take the stored numbers and compute the output with kernels.DotRows —
+// the functional half Kernel.Run itself runs, so the bytes are the simulated
+// launch's. An armed attempt never reads or writes the memo.
+//
+// A simulated launch routes through launchKernel, so dev.Workers selects the
 // executor (legacy single-accountant vs sharded) and faults fire under
-// either. An armed silent-corruption fault poisons exactly one vector of
-// the launch (poison — the caller derives it from the bin ID), modeling
-// per-request corruption rather than a whole-launch failure: the other
-// vectors' outputs stay valid, which is what per-vector verification and
-// isolation rely on.
-func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool, poison int) (st hsa.Stats, ctr *hsa.Counters, err error) {
+// either. An armed silent-corruption fault poisons exactly one vector of the
+// launch (binID mod the width), modeling per-request corruption rather than a
+// whole-launch failure: the other vectors' outputs stay valid, which is what
+// per-vector verification and isolation rely on.
+func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
+	k kernels.Info, groups []binning.Group, fs *hsa.FaultState, rs *replayScope, collect bool, binID int) (st hsa.Stats, ctr *hsa.Counters, replayed bool, err error) {
 
 	defer func() {
 		rec := recover()
@@ -589,18 +601,42 @@ func simulateBinAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, 
 		err = fmt.Errorf("core: recovered kernel panic: %v: %w", rec, errdefs.ErrKernelFault)
 	}()
 
-	st, ctr = launchKernel(ctx, dev, a, vs, us, k, groups, fs, collect)
+	var cell plancache.CostKey
+	memoize := fs == nil && rs != nil
+	if memoize {
+		cell = rs.cell(binID, k.ID, len(vs))
+		if c, ok := rs.memo.Get(cell); ok {
+			kernels.DotRows(a, vs, us, groups)
+			fw.replayed.Add(1)
+			if collect {
+				// A copy scoped to this block: the escaping pointer is then
+				// allocated only when counters are collected.
+				cc := c.counters
+				ctr = &cc
+			}
+			return c.stats, ctr, true, nil
+		}
+	}
+	fw.simulated.Add(1)
+	st, ctr = launchKernel(ctx, dev, a, vs, us, k.Kernel, groups, fs, collect)
+	if memoize {
+		c := launchCost{stats: st}
+		if ctr != nil {
+			c.counters = *ctr
+		}
+		rs.memo.Put(cell, c)
+	}
 	if fs.PoisonOutput() {
 		// Silent data corruption: the launch "succeeded" but one vector's
 		// output rows are NaN. Only the verification oracle can catch this.
-		u := us[poison]
+		u := us[binID%len(us)]
 		for _, g := range groups {
 			for r := g.Start; r < g.Start+g.Count; r++ {
 				u[r] = math.NaN()
 			}
 		}
 	}
-	return st, ctr, nil
+	return st, ctr, false, nil
 }
 
 // verifyBin compares the bin's output rows against the reference within

@@ -19,7 +19,7 @@ import (
 // executor (dev.Workers >= 1 — worker-count-invariant, see hsa.RunSharded).
 // Faults and cancellation surface as panics on the calling goroutine in both
 // modes; callers that need containment wrap this in a recover (see
-// simulateBinAttempt and simulateKernelCtx). With collect set the launch
+// Framework.binAttempt and simulateKernelCtx). With collect set the launch
 // gathers device performance counters, returned alongside the stats (nil
 // otherwise).
 func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,

@@ -70,13 +70,15 @@ func TestSearchCtxCancellation(t *testing.T) {
 	}
 }
 
-// normalizeProfiles strips the one legitimately nondeterministic field —
-// host wall time — so profiles can be compared exactly.
+// normalizeProfiles strips the fields that describe how the host got the
+// numbers rather than the numbers — wall time, and whether the launch
+// replayed the memo — so profiles can be compared exactly.
 func normalizeProfiles(ps []plan.ExecProfile) []plan.ExecProfile {
 	out := make([]plan.ExecProfile, len(ps))
 	copy(out, ps)
 	for i := range out {
 		out[i].WallNs = 0
+		out[i].Replayed = false
 	}
 	return out
 }

@@ -152,6 +152,8 @@ func (k Kernel) PipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 // Run executes the kernel over the rows covered by groups for every vector
 // pair bound to in.
 func (k Kernel) Run(run *hsa.Run, in *Input, groups []binning.Group) {
+	// Functional result, independent of the accounting below.
+	DotRows(in.A, in.Vs, in.Us, groups)
 	g := k.geom(run.Config())
 	wfSize := run.Config().WavefrontSize
 	sc := acquireScratch()
@@ -163,13 +165,6 @@ func (k Kernel) Run(run *hsa.Run, in *Input, groups []binning.Group) {
 		rows = it.take(rows[:0:cap(rows)])
 		if len(rows) == 0 {
 			return
-		}
-		// Functional result, independent of the accounting below.
-		for b, v := range in.Vs {
-			u := in.Us[b]
-			for _, r := range rows {
-				u[r] = dotRow(in.A, v, r)
-			}
 		}
 		w.rows = rows
 		wg := run.BeginWG()
@@ -404,11 +399,23 @@ func reductionConflicts(steps int) int {
 	return n
 }
 
-func dotRow(a *sparse.CSR, v []float64, r int32) float64 {
-	lo, hi := a.RowPtr[r], a.RowPtr[r+1]
-	sum := 0.0
-	for k := lo; k < hi; k++ {
-		sum += a.Val[k] * v[a.ColIdx[k]]
+// DotRows is the functional half of every launch: us[b][r] receives the
+// k-ascending dot product of row r of a with vs[b], for every vector pair
+// and every row covered by groups. Kernel.Run computes its results with it
+// whatever the point's geometry, so a caller that already knows a launch's
+// accounting (core's replayed launches) reproduces the launch's output
+// bits by calling it alone.
+func DotRows(a *sparse.CSR, vs, us [][]float64, groups []binning.Group) {
+	for _, g := range groups {
+		for b, v := range vs {
+			u := us[b]
+			for r := g.Start; r < g.Start+g.Count; r++ {
+				sum := 0.0
+				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+					sum += a.Val[k] * v[a.ColIdx[k]]
+				}
+				u[r] = sum
+			}
+		}
 	}
-	return sum
 }

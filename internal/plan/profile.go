@@ -51,6 +51,12 @@ type ExecProfile struct {
 	// it in deterministic mode.
 	WallNs int64 `json:"wallNs,omitempty"`
 
+	// Replayed reports that the accepted launch's modeled metrics (cycles,
+	// seconds, counters) were taken from the framework's replay memo — the
+	// values an earlier, simulated launch of the same cell reported — and
+	// only its output was computed. False on a plan's first (cold) launch.
+	Replayed bool `json:"replayed,omitempty"`
+
 	// Counters holds the device performance counters of the accepted
 	// launch; nil when collection was disabled or the bin was served by
 	// the CPU reference.

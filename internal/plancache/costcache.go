@@ -43,9 +43,6 @@ func (o CostCacheOptions) withDefaults() CostCacheOptions {
 	if o.Shards <= 0 {
 		o.Shards = 16
 	}
-	if o.Shards > o.Capacity {
-		o.Shards = o.Capacity
-	}
 	return o
 }
 
@@ -63,91 +60,119 @@ type costEntry struct {
 	pruned uint64    // bitmask over kernel IDs whose slot holds a lower bound
 }
 
-type costShard struct {
+// Memo is a sharded, size-bounded map from content signatures to values
+// that are pure functions of their key — the storage under the cost cache
+// and under core's launch-replay memo. All methods are safe for concurrent
+// use; racing writers of one key store the same bytes by construction, so
+// lookups are reproducible at any worker count. Eviction is FIFO per shard:
+// the policy affects only the hit rate, never a result. Stored values are
+// never mutated (Put replaces), so a value returned by Get may be read
+// without the lock.
+type Memo[V any] struct {
+	shards             []*memoShard[V]
+	entries, evictions atomic.Int64
+}
+
+type memoShard[V any] struct {
 	mu   sync.Mutex
-	m    map[CostKey]costEntry
+	m    map[CostKey]V
 	ring []CostKey // FIFO eviction order
 	next int
 	cap  int
 }
 
-// CostCache is a sharded, size-bounded map from bin signatures to
-// kernel-pool timing profiles. All methods are safe for concurrent use; a
-// stored value is a pure function of its key, so racing writers always
-// store the same bytes and lookups are reproducible at any worker count.
-type CostCache struct {
-	shards []*costShard
+// NewMemo builds a memo holding at most capacity entries over shards
+// independent lock domains (both floored at 1; shards capped at capacity).
+func NewMemo[V any](capacity, shards int) *Memo[V] {
+	capacity = max(capacity, 1)
+	shards = min(max(shards, 1), capacity)
+	c := &Memo[V]{}
+	for i := 0; i < shards; i++ {
+		c.shards = append(c.shards, &memoShard[V]{m: make(map[CostKey]V), cap: capacity / shards})
+	}
+	return c
+}
 
-	hits, misses, pruned, evictions, entries atomic.Int64
+func (c *Memo[V]) shardFor(k CostKey) *memoShard[V] {
+	return c.shards[k[0]%uint64(len(c.shards))]
+}
+
+// Get returns the value stored under k.
+func (c *Memo[V]) Get(k CostKey) (V, bool) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	v, ok := s.m[k]
+	s.mu.Unlock()
+	return v, ok
+}
+
+// Put stores v under k. When the shard is full the oldest entry is evicted
+// (FIFO); a resident key keeps its place in the eviction order.
+func (c *Memo[V]) Put(k CostKey, v V) {
+	s := c.shardFor(k)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[k]; !ok {
+		if len(s.m) >= s.cap { // ring is full exactly when the map is: evict FIFO
+			delete(s.m, s.ring[s.next])
+			s.ring[s.next] = k
+			s.next = (s.next + 1) % s.cap
+			c.evictions.Add(1)
+			c.entries.Add(-1)
+		} else {
+			s.ring = append(s.ring, k)
+		}
+		c.entries.Add(1)
+	}
+	s.m[k] = v
+}
+
+// Len returns the number of resident entries.
+func (c *Memo[V]) Len() int { return int(c.entries.Load()) }
+
+// Purge drops every resident entry.
+func (c *Memo[V]) Purge() {
+	for _, s := range c.shards {
+		s.mu.Lock()
+		c.entries.Add(int64(-len(s.m)))
+		s.m = make(map[CostKey]V)
+		s.ring = s.ring[:0]
+		s.next = 0
+		s.mu.Unlock()
+	}
+}
+
+// CostCache is a Memo from bin signatures to kernel-pool timing profiles,
+// plus the counters of the search's shared-computation layer.
+type CostCache struct {
+	memo *Memo[costEntry]
+
+	hits, misses, pruned atomic.Int64
 }
 
 // NewCostCache builds a cost cache with the given options.
 func NewCostCache(opts CostCacheOptions) *CostCache {
 	opts = opts.withDefaults()
-	c := &CostCache{}
-	per := opts.Capacity / opts.Shards
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < opts.Shards; i++ {
-		c.shards = append(c.shards, &costShard{
-			m:   make(map[CostKey]costEntry),
-			cap: per,
-		})
-	}
-	return c
-}
-
-func (c *CostCache) shardFor(k CostKey) *costShard {
-	return c.shards[k[0]%uint64(len(c.shards))]
+	return &CostCache{memo: NewMemo[costEntry](opts.Capacity, opts.Shards)}
 }
 
 // Get returns the cached kernel-pool profile for k by copying it into
 // times (which must be at least as long as the stored profile), plus the
 // pruned-kernel bitmask. A miss leaves times untouched.
 func (c *CostCache) Get(k CostKey, times []float64) (pruned uint64, ok bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	if ok {
-		copy(times, e.times)
-		pruned = e.pruned
-	}
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
+	e, ok := c.memo.Get(k)
+	if !ok {
 		c.misses.Add(1)
+		return 0, false
 	}
-	return pruned, ok
+	copy(times, e.times)
+	c.hits.Add(1)
+	return e.pruned, true
 }
 
-// Put stores the kernel-pool profile for k, copying times. When the shard
-// is full the oldest entry is evicted (FIFO). Re-puts of a resident key
-// refresh the value in place — by construction the bytes are identical.
+// Put stores the kernel-pool profile for k, copying times.
 func (c *CostCache) Put(k CostKey, times []float64, pruned uint64) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.m[k]; ok {
-		copy(e.times, times)
-		e.pruned = pruned
-		s.m[k] = e
-		return
-	}
-	e := costEntry{times: make([]float64, len(times)), pruned: pruned}
-	copy(e.times, times)
-	if len(s.m) >= s.cap { // ring is full exactly when the map is: evict FIFO
-		delete(s.m, s.ring[s.next])
-		s.ring[s.next] = k
-		s.next = (s.next + 1) % s.cap
-		c.evictions.Add(1)
-		c.entries.Add(-1)
-	} else {
-		s.ring = append(s.ring, k)
-	}
-	s.m[k] = e
-	c.entries.Add(1)
+	c.memo.Put(k, costEntry{times: append([]float64(nil), times...), pruned: pruned})
 }
 
 // AddPruned counts n simulations skipped by the analytic lower-bound prune.
@@ -161,23 +186,13 @@ func (c *CostCache) Stats() CostStats {
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Pruned:    c.pruned.Load(),
-		Entries:   c.entries.Load(),
-		Evictions: c.evictions.Load(),
+		Entries:   c.memo.entries.Load(),
+		Evictions: c.memo.evictions.Load(),
 	}
 }
 
 // Len returns the number of resident entries.
-func (c *CostCache) Len() int { return int(c.entries.Load()) }
+func (c *CostCache) Len() int { return c.memo.Len() }
 
 // PurgeCost drops every resident entry, preserving counters.
-func (c *CostCache) PurgeCost() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n := len(s.m)
-		s.m = make(map[CostKey]costEntry)
-		s.ring = s.ring[:0]
-		s.next = 0
-		c.entries.Add(int64(-n))
-		s.mu.Unlock()
-	}
-}
+func (c *CostCache) PurgeCost() { c.memo.Purge() }

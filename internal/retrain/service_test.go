@@ -3,8 +3,10 @@ package retrain
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
+	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
 	"spmvtune/internal/core"
 	"spmvtune/internal/errdefs"
@@ -365,5 +367,69 @@ func TestRetrainCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := svc.RetrainOnce(ctx); !errors.Is(err, errdefs.ErrCanceled) {
 		t.Fatalf("canceled pass returned %v", err)
+	}
+}
+
+// TestReplayedLaunchesObserveSameRows: the retrainer learns from the modeled
+// cost in each ExecProfile, and a replayed launch reports the cost its
+// simulated first launch did — so the rows ingested from a warm plan's
+// traffic equal the rows from its cold first request.
+func TestReplayedLaunchesObserveSameRows(t *testing.T) {
+	cfg := svcTestConfig()
+	fw := core.NewFramework(cfg, nil)
+	a := matgen.Mixed(500, 500, 25, []int{2, 60}, 7)
+	const u = 50
+	p := &plan.TuningPlan{
+		Fingerprint: plan.Fingerprint(a),
+		Rows:        a.Rows, Cols: a.Cols, NNZ: a.NNZ(),
+		Features: cfg.FeatureVector(a),
+		U:        u, MaxBins: cfg.MaxBins, Scheme: "coarse",
+	}
+	b := binning.Coarse(a, u, cfg.MaxBins)
+	for i, binID := range b.NonEmpty() {
+		p.Bins = append(p.Bins, plan.BinAssignment{Bin: binID, Rows: b.NumRows(binID), Kernel: 1 + i%3})
+	}
+
+	v := make([]float64, a.Cols)
+	for i := range v {
+		v[i] = 1 + float64(i%5)
+	}
+	rowsOf := func(wantReplayed bool) []Row {
+		t.Helper()
+		rep, err := fw.ExecutePlan(context.Background(), p, a, v, make([]float64, a.Rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range rep.Profiles {
+			if pr.Replayed != wantReplayed {
+				t.Fatalf("bin %d: replayed = %v, want %v", pr.Bin, pr.Replayed, wantReplayed)
+			}
+		}
+		store, err := OpenStore(StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := New(Config{Framework: fw, Store: store, Synchronous: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.Observe(Observation{
+			Fingerprint: p.Fingerprint, A: a, Features: p.Features,
+			U: p.U, MaxBins: p.MaxBins, Scheme: p.Scheme,
+			Degraded: rep.Degraded(), Profiles: rep.Profiles,
+		})
+		rows, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	simulated := rowsOf(false)
+	replayed := rowsOf(true)
+	if len(simulated) != len(p.Bins) {
+		t.Fatalf("cold request produced %d rows, want one per bin (%d)", len(simulated), len(p.Bins))
+	}
+	if !reflect.DeepEqual(simulated, replayed) {
+		t.Errorf("rows from replayed launches differ from simulated ones:\n %+v\n %+v", simulated, replayed)
 	}
 }

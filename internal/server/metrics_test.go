@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"spmvtune/internal/core"
 	"spmvtune/internal/matgen"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/trace"
@@ -34,6 +35,8 @@ var metricFamilies = []string{
 	`spmvd_search_cache_pruned `,
 	`spmvd_search_space_cells `,
 	`spmvd_search_synth_wins_total `,
+	`spmvd_launch_simulated_total `,
+	`spmvd_launch_replayed_total `,
 	`spmvd_matrices_stored `,
 	`spmvd_sessions_active `,
 	`spmvd_batched_requests_total `,
@@ -118,6 +121,28 @@ func TestMetricsExpositionGoldenNames(t *testing.T) {
 		if strings.Contains(out, sum) != strings.Contains(out, count) {
 			t.Errorf("endpoint %q: seconds sum/count pair incomplete", ep)
 		}
+	}
+}
+
+// TestMetricsLaunchCounters: on a cold framework the first request of a plan
+// simulates each of its bins once and every later one replays them — the
+// pair an operator reads to tell a cold plan from a warm one.
+func TestMetricsLaunchCounters(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Framework = core.NewFramework(c.Framework.Cfg, c.Framework.Model())
+	})
+	a := matgen.Banded(64, 3, 1)
+	id := uploadMatrix(t, ts, a)
+	for i := 0; i < 3; i++ {
+		vec := fmt.Sprintf(`{"matrix":%q,"vector":%s}`, id, onesJSON(a.Cols))
+		if resp, body := postSpMV(t, ts, vec); resp.StatusCode != http.StatusOK {
+			t.Fatalf("spmv status %d: %s", resp.StatusCode, body)
+		}
+	}
+	simulated := scrapeMetric(t, ts, `spmvd_launch_simulated_total`)
+	replayed := scrapeMetric(t, ts, `spmvd_launch_replayed_total`)
+	if simulated < 1 || replayed != 2*simulated {
+		t.Errorf("launches: %d simulated, %d replayed, want replayed = 2 x simulated", simulated, replayed)
 	}
 }
 

@@ -940,6 +940,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	sps := core.SearchSpaceStats()
 	fmt.Fprintf(w, "spmvd_search_space_cells %d\n", sps.SpaceCells)
 	fmt.Fprintf(w, "spmvd_search_synth_wins_total %d\n", sps.SynthWins)
+	// Launches of the guarded executor that ran the device simulator versus
+	// those that replayed a memoized launch's accounting: a plan's first
+	// execution per (bin, width) simulates, every later fault-free one
+	// replays — simulated keeps climbing only while plans are cold.
+	simulated, replayed := s.cfg.Framework.LaunchCounts()
+	fmt.Fprintf(w, "spmvd_launch_simulated_total %d\n", simulated)
+	fmt.Fprintf(w, "spmvd_launch_replayed_total %d\n", replayed)
 	fmt.Fprintf(w, "spmvd_matrices_stored %d\n", s.MatrixCount())
 	// Solver-session gauge: how many resident sessions hold a pinned plan
 	// and scratch right now. The iteration/eviction counters live in

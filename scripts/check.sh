@@ -44,6 +44,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# The replay memo is shared by every request of a Framework: repeat the
+# equivalence and racing-first-requests tests so the scheduler gets several
+# interleavings of the cold-cell fill.
+echo "== replay equivalence + race (count=3)"
+go test -race -count=3 -run 'Replay' ./internal/core
+
 # bench/ is a module of its own (it imports internal/... through the root
 # module's path), so ./... above never reaches it: an internal rename that
 # breaks spmvload would otherwise surface only when the benchmark runs.
