@@ -34,7 +34,7 @@ func TestPublicAPITrainRunVerify(t *testing.T) {
 		v[i] = float64(i % 5)
 	}
 	u := make([]float64, a.Rows)
-	decision, stats, err := fw.RunSim(a, v, u)
+	decision, stats, err := spmvtune.RunSim(fw, a, v, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,11 @@ func TestPublicAPITrainRunVerify(t *testing.T) {
 	}
 
 	uc := make([]float64, a.Rows)
-	fw.RunCPU(a, v, uc, 0)
+	cpuDecision, mul := spmvtune.PrepareCPU(fw, a, 0)
+	mul(v, uc)
+	if cpuDecision.String() != decision.String() {
+		t.Errorf("PrepareCPU decided %v, RunSim decided %v", cpuDecision, decision)
+	}
 	if !spmvtune.VecApproxEqual(want, uc, 1e-9) {
 		t.Error("CPU result differs from reference")
 	}
@@ -178,7 +182,7 @@ func TestPublicAPIServing(t *testing.T) {
 		t.Fatalf("fingerprint %q not 32 hex chars", fp)
 	}
 
-	// Plan / ExecutePlan round trip through JSON, verified against Reference.
+	// Plan / ExecutePlanOpts round trip through JSON, verified against Reference.
 	p, err := fw.Plan(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +204,7 @@ func TestPublicAPIServing(t *testing.T) {
 		v[i] = float64(i%7) - 3
 	}
 	u := make([]float64, a.Rows)
-	rep, err := fw.ExecutePlan(context.Background(), back, a, v, u)
+	rep, err := fw.ExecutePlanOpts(context.Background(), back, a, v, u, spmvtune.DefaultGuardOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,9 +244,8 @@ func cmdRun(args []string) error {
 	in := fs.String("in", "", "input Matrix Market file")
 	model := fs.String("model", "model.json", "trained model file")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-	guarded := fs.Bool("guarded", true, "run through the guarded executor (fallback chain + verification)")
 	tracePath := fs.String("trace", "", "write JSONL pipeline spans to this file ('-' for stdout); deterministic — identical runs emit identical bytes")
-	counters := fs.Bool("counters", false, "collect device performance counters and print per-bin execution profiles (guarded runs only)")
+	counters := fs.Bool("counters", false, "collect device performance counters and print per-bin execution profiles")
 	workers := fs.Int("workers", 1, "host goroutines serving independent bins in the guarded executor (1 = sequential; the result and report are identical for every value)")
 	deviceWorkers := fs.Int("device-workers", 0, "sharded ND-range executor workers per kernel launch (0 = legacy sequential simulator; >= 1 selects the sharded executor, whose modeled cycles are worker-count-invariant)")
 	searchStats := fs.Bool("search-stats", false, "run the exhaustive tuning search on the matrix and print cost-cache and parameter-space statistics (hits/misses/pruned cells, space size, synth wins, format pick) before executing")
@@ -313,9 +312,6 @@ func cmdRun(args []string) error {
 	opt.Counters = *counters
 	opt.Workers = *workers
 	if *tracePath != "" {
-		if !*guarded {
-			return fmt.Errorf("-trace requires the guarded executor (drop -guarded=false)")
-		}
 		out := os.Stdout
 		if *tracePath != "-" {
 			f, err := os.Create(*tracePath)
@@ -331,37 +327,25 @@ func cmdRun(args []string) error {
 		opt.Trace = trace.NewDeterministicWriter(out)
 	}
 
-	if *guarded {
-		d, rep, err := fw.RunGuardedOpts(ctx, a, v, u, opt)
-		if err != nil {
-			return err
-		}
-		fmt.Println("decision:", d)
-		fmt.Printf("simulated: %s\n", rep.Stats)
-		fmt.Println(rep)
-		if *counters {
-			fmt.Println("per-bin execution profiles:")
-			for _, pr := range rep.Profiles {
-				fmt.Printf("  bin %-3d %-12s %8d rows %10d nnz  %12.0f cycles  lanes %.2f  imbalance %.2f\n",
-					pr.Bin, pr.KernelName, pr.Rows, pr.NNZ, pr.Cycles,
-					pr.ActiveLaneRatio(), counterImbalance(pr))
-			}
-		}
-		fmt.Println("result verified against the sequential reference")
-		return nil
-	}
-
-	d, st, err := fw.RunSimCtx(ctx, a, v, u)
+	p, err := fw.PlanTraced(ctx, a, opt.Trace, opt.TraceID)
 	if err != nil {
 		return err
 	}
-	want := make([]float64, a.Rows)
-	a.MulVec(v, want)
-	if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
-		return fmt.Errorf("verification failed at row %d", i)
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, opt)
+	if err != nil {
+		return err
 	}
-	fmt.Println("decision:", d)
-	fmt.Printf("simulated: %s\n", st)
+	fmt.Println("decision:", rep.Decision)
+	fmt.Printf("simulated: %s\n", rep.Stats)
+	fmt.Println(rep)
+	if *counters {
+		fmt.Println("per-bin execution profiles:")
+		for _, pr := range rep.Profiles {
+			fmt.Printf("  bin %-3d %-12s %8d rows %10d nnz  %12.0f cycles  lanes %.2f  imbalance %.2f\n",
+				pr.Bin, pr.KernelName, pr.Rows, pr.NNZ, pr.Cycles,
+				pr.ActiveLaneRatio(), counterImbalance(pr))
+		}
+	}
 	fmt.Println("result verified against the sequential reference")
 	return nil
 }
@@ -389,10 +373,15 @@ func cmdCompare(args []string) error {
 	ctx, cancel := withTimeout(*timeout)
 	defer cancel()
 
-	d, auto, err := fw.RunSimCtx(ctx, a, v, u)
+	p, err := fw.Plan(ctx, a)
 	if err != nil {
 		return err
 	}
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, core.DefaultGuardOptions())
+	if err != nil {
+		return err
+	}
+	d, auto := rep.Decision, rep.Stats
 	serial, _ := core.SimulateSingleKernel(cfg.Device, a, v, u, 0)
 	vector, _ := core.SimulateSingleKernel(cfg.Device, a, v, u, 8)
 	adaptive := csradaptive.SimulateSpMV(cfg.Device, a, v, u, 0)

@@ -70,7 +70,7 @@ func main() {
 
 	// Conjugate gradient with the auto-tuned SpMV for every A*p: the
 	// strategy is decided once and the closure reuses it each iteration.
-	decision, mul := fw.PrepareCPU(a, 0)
+	decision, mul := spmvtune.PrepareCPU(fw, a, 0)
 	x := make([]float64, *n)
 	res, err := spmvtune.SolveCG(mul, b, x, *tol, 0)
 	if err != nil {

@@ -69,7 +69,7 @@ func main() {
 	for i := range rank {
 		rank[i] = 1 / n
 	}
-	decision, mul := fw.PrepareCPU(t, 0) // decide once, reuse every iteration
+	decision, mul := spmvtune.PrepareCPU(fw, t, 0) // decide once, reuse every iteration
 	for it := 0; it < *iters; it++ {
 		mul(rank, next) // next = T * rank, auto-tuned
 		for i := range next {

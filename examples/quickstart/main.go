@@ -65,7 +65,7 @@ func main() {
 
 	// 3. Auto-tuned execution on the simulated device.
 	fw := spmvtune.NewFramework(cfg, model)
-	decision, auto, err := fw.RunSim(a, v, u)
+	decision, auto, err := spmvtune.RunSim(fw, a, v, u)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,7 +84,9 @@ func main() {
 	// 5. Verify against the sequential reference (Algorithm 1).
 	want := make([]float64, a.Rows)
 	spmvtune.Reference(a, v, want)
-	fw.RunSim(a, v, u)
+	if _, _, err := spmvtune.RunSim(fw, a, v, u); err != nil {
+		log.Fatal(err)
+	}
 	if !spmvtune.VecApproxEqual(want, u, 1e-9) {
 		log.Fatal("verification FAILED")
 	}

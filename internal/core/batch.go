@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/sparse"
@@ -58,8 +57,9 @@ func (r *BatchReport) VectorDegraded(b int) bool {
 // The plan must have been derived from a matrix with this structure; cheap
 // shape checks reject obvious mismatches (full fingerprint equality is the
 // caller's cache-key contract). A plan that no longer covers the matrix's
-// non-empty bins degrades to the single-bin serial strategy and is
-// reported via Shared.DecisionFallback. Per-vector verification failures
+// non-empty bins degrades to the single-bin serial strategy; that, like a
+// plan whose own predict path had failed (p.Fallback), is reported via
+// Shared.DecisionFallback. Per-vector verification failures
 // isolate the failing vector alone, and only cancellation or invalid input
 // yields a non-nil error.
 func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us [][]float64, opt GuardOptions) (*BatchReport, error) {
@@ -100,21 +100,21 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 		return brep, errdefs.Canceled(err)
 	}
 
-	bn, err := p.Rebin(a)
-	rs := fw.replayScope(p, opt.Counters)
 	// Execution routes bin→kernel lookups through the plan's allocation-free
 	// accessor; the report's Decision still carries the conventional map.
+	d := Decision{U: p.U, KernelByBin: p.KernelByBin()}
 	kernelFor := func(binID int) int { kid, _ := p.KernelFor(binID); return kid }
-	kernelByBin := p.KernelByBin()
+	rs := fw.replayScope(p, opt.Counters)
+	bn, err := p.Rebin(a)
 	if err != nil {
-		// A stale plan degrades exactly like a failed predict path.
-		brep.Shared.DecisionFallback = true
-		bn = binning.Single(a)
+		// A stale plan degrades exactly like a failed predict path. Its
+		// launches are no longer the plan's, so they are never memoized.
+		d, bn = serialFallback(a)
 		kernelFor = func(int) int { return 0 }
-		kernelByBin = map[int]int{0: 0}
-		rs = nil // the launches are no longer the plan's: never memoized
+		rs = nil
 	}
-	brep.Shared.Decision = Decision{U: p.U, KernelByBin: kernelByBin}
+	brep.Shared.Decision = d
+	brep.Shared.DecisionFallback = p.Fallback || err != nil
 
 	// Per-vector verification oracles (and terminal CPU fallbacks), carved
 	// from a pooled slab: the fallback copies out of them and nothing

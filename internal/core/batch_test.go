@@ -52,7 +52,7 @@ func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 				seq := make([][]float64, nb)
 				for b := 0; b < nb; b++ {
 					seq[b] = make([]float64, a.Rows)
-					if _, err := bfw.ExecutePlan(context.Background(), p, a, vs[b], seq[b]); err != nil {
+					if _, err := bfw.ExecutePlanOpts(context.Background(), p, a, vs[b], seq[b], DefaultGuardOptions()); err != nil {
 						t.Fatalf("mat %d w=%d nb=%d: sequential: %v", mi, devWorkers, nb, err)
 					}
 				}

@@ -128,7 +128,7 @@ func SimulateKernel(dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Ker
 // SimulateKernelCtx is SimulateKernel under a context: the launch polls
 // cancellation between work-group dispatches and aborts with an error
 // matching errdefs.ErrCanceled (u is then partially written). Other kernel
-// panics propagate; use Framework.RunGuarded for full containment.
+// panics propagate; Framework.ExecutePlanOpts is the contained path.
 func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (hsa.Stats, error) {
 	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, groups)
 }
@@ -151,16 +151,14 @@ func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, u
 	return st, nil
 }
 
-// SimulateBinned executes one kernel launch per non-empty bin using the
-// given per-bin kernel choices and returns the summed stats (sequential
-// launches, as in Figure 4 step 3).
-func SimulateBinned(dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
-	return SimulateBinnedCtx(context.Background(), dev, a, v, u, b, kernelByBin)
-}
-
-// SimulateBinnedCtx is SimulateBinned under a context: cancellation is
-// honored between bin launches and inside each launch.
-func SimulateBinnedCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
+// SimulateBinned is the unguarded bin loop: one kernel launch per non-empty
+// bin with the given per-bin kernel choices, no verification and no fallback
+// (the regret evaluation and the dispatch-cost experiment time it). It
+// returns the summed stats of launches dispatched one after another (Figure
+// 4 step 3; QueuedDispatch is the other dispatch rule). Cancellation is
+// honored between bin launches and inside each launch; a nil ctx never
+// cancels.
+func SimulateBinned(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
+	"spmvtune/internal/cpu"
 	"spmvtune/internal/features"
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/matgen"
@@ -158,10 +160,11 @@ func TestTrainPredictExecuteEndToEnd(t *testing.T) {
 		a.MulVec(v, want)
 
 		u := make([]float64, a.Rows)
-		d, st, err := fw.RunSim(a, v, u)
-		if err != nil {
-			t.Fatalf("matrix %d: %v (decision %v)", mi, err, d)
+		d, rep, err := runGuarded(context.Background(), fw, a, v, u, DefaultGuardOptions())
+		if err != nil || rep.Degraded() {
+			t.Fatalf("matrix %d: err %v, report %v (decision %v)", mi, err, rep, d)
 		}
+		st := rep.Stats
 		if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 			t.Errorf("matrix %d: auto-tuned result wrong at row %d", mi, i)
 		}
@@ -181,7 +184,8 @@ func TestTrainPredictExecuteEndToEnd(t *testing.T) {
 
 		// CPU execution path must also be correct.
 		uc := make([]float64, a.Rows)
-		fw.RunCPU(a, v, uc, 4)
+		_, b := fw.Decide(a)
+		cpu.MulVecBinned(a, v, uc, b, 4)
 		if i := sparse.FirstVecDiff(want, uc, 1e-9); i >= 0 {
 			t.Errorf("matrix %d: CPU auto result wrong at row %d", mi, i)
 		}
@@ -269,14 +273,14 @@ func TestSimulateBinnedErrors(t *testing.T) {
 	v := make([]float64, a.Cols)
 	u := make([]float64, a.Rows)
 	b := binning.Coarse(a, 10, 16)
-	if _, err := SimulateBinned(hsa.DefaultConfig(), a, v, u, b, map[int]int{}); err == nil {
+	if _, err := SimulateBinned(context.Background(), hsa.DefaultConfig(), a, v, u, b, map[int]int{}); err == nil {
 		t.Error("missing bin assignment accepted")
 	}
 	bad := map[int]int{}
 	for _, id := range b.NonEmpty() {
 		bad[id] = 99
 	}
-	if _, err := SimulateBinned(hsa.DefaultConfig(), a, v, u, b, bad); err == nil {
+	if _, err := SimulateBinned(context.Background(), hsa.DefaultConfig(), a, v, u, b, bad); err == nil {
 		t.Error("unknown kernel id accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -42,8 +43,8 @@ func TestExtendedFeaturesEndToEnd(t *testing.T) {
 	want := make([]float64, a.Rows)
 	a.MulVec(v, want)
 	u := make([]float64, a.Rows)
-	if _, _, err := fw.RunSim(a, v, u); err != nil {
-		t.Fatal(err)
+	if _, rep, err := runGuarded(context.Background(), fw, a, v, u, DefaultGuardOptions()); err != nil || rep.Degraded() {
+		t.Fatalf("err %v, report %v", err, rep)
 	}
 	if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 		t.Errorf("extended-model result wrong at row %d", i)

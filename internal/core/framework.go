@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,8 +9,6 @@ import (
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
-	"spmvtune/internal/cpu"
-	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
@@ -127,47 +124,6 @@ func (fw *Framework) decideTraced(m *Model, a *sparse.CSR, tw *trace.Writer, tra
 	}
 	tw.Emit(traceID, "predict-kernel", start, kernelNames)
 	return d, b
-}
-
-// RunSim executes the auto-tuned SpMV on the simulated device: u = A*v
-// with the decision's per-bin kernels. Returns the decision and the summed
-// device stats.
-func (fw *Framework) RunSim(a *sparse.CSR, v, u []float64) (Decision, hsa.Stats, error) {
-	return fw.RunSimCtx(context.Background(), a, v, u)
-}
-
-// RunSimCtx is RunSim under a context: cancellation and deadlines are
-// honored between bin launches and between work-group dispatches inside
-// each launch; the returned error then matches errdefs.ErrCanceled.
-func (fw *Framework) RunSimCtx(ctx context.Context, a *sparse.CSR, v, u []float64) (Decision, hsa.Stats, error) {
-	d, b := fw.Decide(a)
-	st, err := SimulateBinnedCtx(ctx, fw.Cfg.Device, a, v, u, b, d.KernelByBin)
-	return d, st, err
-}
-
-// RunCPU executes the auto-tuned SpMV natively on the host with the given
-// worker count, using the decision's binning for load balance.
-func (fw *Framework) RunCPU(a *sparse.CSR, v, u []float64, workers int) Decision {
-	d, _ := fw.RunCPUCtx(context.Background(), a, v, u, workers)
-	return d
-}
-
-// RunCPUCtx is RunCPU under a context; on cancellation the returned error
-// matches errdefs.ErrCanceled and u is partially written.
-func (fw *Framework) RunCPUCtx(ctx context.Context, a *sparse.CSR, v, u []float64, workers int) (Decision, error) {
-	d, b := fw.Decide(a)
-	return d, cpu.MulVecBinnedCtx(ctx, a, v, u, b, workers)
-}
-
-// PrepareCPU decides the strategy once and returns a reusable SpMV
-// closure over it — the right form for iterative solvers, which multiply
-// by the same matrix hundreds of times (amortizing the feature extraction
-// and binning is the framework's whole economic argument).
-func (fw *Framework) PrepareCPU(a *sparse.CSR, workers int) (Decision, func(v, u []float64)) {
-	d, b := fw.Decide(a)
-	return d, func(v, u []float64) {
-		cpu.MulVecBinned(a, v, u, b, workers)
-	}
 }
 
 // modelJSON is the serialized form of a trained model.

@@ -53,7 +53,8 @@ func (s Stage) String() string {
 	return fmt.Sprintf("stage(%d)", int(s))
 }
 
-// GuardOptions tunes RunGuardedOpts. The zero value selects defaults.
+// GuardOptions tunes guarded plan execution (ExecutePlanBatchOpts). The zero
+// value selects defaults.
 type GuardOptions struct {
 	// MaxAttempts is the number of launches tried per kernel in the chain
 	// before falling back to the next link; retries absorb transient
@@ -142,8 +143,9 @@ func (b *BinReport) Degraded() bool {
 // so callers (and observability layers) can see what degraded and why.
 type ExecReport struct {
 	Decision Decision
-	// DecisionFallback is set when the predict path itself failed and the
-	// run fell back to the single-bin Kernel-Serial strategy.
+	// DecisionFallback is set when the run executed the single-bin
+	// Kernel-Serial strategy instead of a prediction: the plan's predict path
+	// failed (TuningPlan.Fallback) or the plan no longer fits the matrix.
 	DecisionFallback bool
 	Bins             []BinReport
 	// Stats sums the device stats of the accepted simulated launches only;
@@ -206,71 +208,13 @@ func (r *ExecReport) String() string {
 	return sb.String()
 }
 
-// RunGuarded executes the auto-tuned SpMV u = A·v on the simulated device
-// with full failure protection under the default GuardOptions: input
-// validation, per-bin panic recovery, the predicted → Kernel-Serial →
-// CPU-reference fallback chain, bounded retry with backoff, output
-// verification against the reference SpMV, and context cancellation.
-//
-// On success u holds a verified result (possibly via fallbacks — consult
-// the report) and the error is nil. The error is non-nil only for invalid
-// input (ErrInvalidMatrix) or an expired context (ErrCanceled); it is
-// never a panic.
-func (fw *Framework) RunGuarded(ctx context.Context, a *sparse.CSR, v, u []float64) (Decision, *ExecReport, error) {
-	return fw.RunGuardedOpts(ctx, a, v, u, DefaultGuardOptions())
-}
-
-// RunGuardedOpts is RunGuarded with explicit options.
-func (fw *Framework) RunGuardedOpts(ctx context.Context, a *sparse.CSR, v, u []float64, opt GuardOptions) (Decision, *ExecReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	rep := &ExecReport{CountersEnabled: opt.Counters}
-
-	// Launch validation: the matrix and vector shapes are untrusted.
-	if err := a.Validate(); err != nil {
-		return Decision{}, rep, err
-	}
-	if len(v) < a.Cols {
-		return Decision{}, rep, errdefs.Invalidf("core: launch validation: len(v)=%d < Cols=%d", len(v), a.Cols)
-	}
-	if len(u) < a.Rows {
-		return Decision{}, rep, errdefs.Invalidf("core: launch validation: len(u)=%d < Rows=%d", len(u), a.Rows)
-	}
-	if err := ctx.Err(); err != nil {
-		return Decision{}, rep, errdefs.Canceled(err)
-	}
-
-	// The predict path consults a deserialized model over input-derived
-	// features; a malformed model must degrade the decision, not the run.
-	d, b, err := fw.decideGuarded(fw.Model(), a, opt.Trace, opt.TraceID)
-	if err != nil {
-		rep.DecisionFallback = true
-		b = binning.Single(a)
-		d = Decision{U: 0, KernelByBin: map[int]int{0: 0}}
-	}
-	rep.Decision = d
-
-	// The verification oracle (and the terminal CPU-reference fallback):
-	// the sequential reference result for the whole matrix.
-	want := make([]float64, a.Rows)
-	a.MulVec(v, want)
-
-	err = fw.runBinsGuarded(ctx, a, [][]float64{v}, [][]float64{u}, [][]float64{want}, b,
-		func(binID int) int { return d.KernelByBin[binID] }, nil, opt, rep, nil)
-	return d, rep, err
-}
-
 // runBinsGuarded serves every non-empty bin for the B vector pairs
-// (vs[b], us[b]) through the fallback chain — the one execution engine under
-// RunGuardedOpts, ExecutePlanOpts and ExecutePlanBatchOpts. wants[b] is
-// vector b's reference result. kernelFor maps a non-empty bin to its
-// predicted kernel ID (a func rather than a map so hot per-request callers
-// can route plan lookups without materializing a map per request). rep
-// records the launches of the full width; isolated has one slot per vector
-// for the report of the bins that vector had to be re-served for alone (see
-// runBinBatchGuarded), which cannot happen at B = 1 — there it may be nil.
+// (vs[b], us[b]) through the fallback chain — the bin loop of
+// ExecutePlanBatchOpts. wants[b] is vector b's reference result. kernelFor
+// maps a non-empty bin to its predicted kernel ID (a func rather than a map
+// so the plan's allocation-free lookup serves it). rep records the launches
+// of the full width; isolated has one slot per vector for the report of the
+// bins that vector had to be re-served for alone (see runBinBatchGuarded).
 //
 // Bins run on a pool of opt.Workers goroutines (<= 1: in bin order on the
 // caller's). Each bin runs against private sub-reports and the sub-reports

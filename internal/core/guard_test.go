@@ -24,6 +24,17 @@ func guardFramework(t *testing.T) *Framework {
 	return NewFramework(cfg, TrainModel(td, cfg, c50.DefaultOptions()))
 }
 
+// runGuarded is the one-shot guarded product the way every caller now
+// writes it: Plan (traced with the options' writer), then ExecutePlanOpts.
+func runGuarded(ctx context.Context, fw *Framework, a *sparse.CSR, v, u []float64, opt GuardOptions) (Decision, *ExecReport, error) {
+	p, err := fw.PlanTraced(ctx, a, opt.Trace, opt.TraceID)
+	if err != nil {
+		return Decision{}, nil, err
+	}
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, opt)
+	return rep.Decision, rep, err
+}
+
 func guardMatrix() (*sparse.CSR, []float64, []float64) {
 	a := matgen.Mixed(500, 500, 25, []int{2, 60}, 7)
 	v := randVec(a.Cols, 17)
@@ -36,7 +47,7 @@ func TestRunGuardedClean(t *testing.T) {
 	fw := guardFramework(t)
 	a, v, want := guardMatrix()
 	u := make([]float64, a.Rows)
-	d, rep, err := fw.RunGuarded(context.Background(), a, v, u)
+	d, rep, err := runGuarded(context.Background(), fw, a, v, u, DefaultGuardOptions())
 	if err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
@@ -85,7 +96,7 @@ func TestRunGuardedEveryFaultClass(t *testing.T) {
 			opt.Backoff = time.Microsecond
 			opt.Faults = hsa.NewFaultPlan().AddFault(tc.fault)
 			u := make([]float64, a.Rows)
-			d, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+			d, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 			if err != nil {
 				t.Fatalf("guarded run returned %v, want degraded success", err)
 			}
@@ -136,7 +147,7 @@ func TestRunGuardedTransientFaultRetried(t *testing.T) {
 	// without ever leaving the predicted kernel.
 	opt.Faults = hsa.NewFaultPlan().AddFault(hsa.Fault{Class: hsa.FaultBarrierDivergence, Transient: 1})
 	u := make([]float64, a.Rows)
-	_, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+	_, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 	if err != nil {
 		t.Fatalf("guarded run failed: %v", err)
 	}
@@ -173,7 +184,7 @@ func TestRunGuardedSerialFallback(t *testing.T) {
 		opt.Faults.AddKernelFault(kid, hsa.Fault{Class: hsa.FaultLDSOverflow})
 	}
 	u := make([]float64, a.Rows)
-	d, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+	d, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 	if err != nil {
 		t.Fatalf("guarded run failed: %v", err)
 	}
@@ -207,7 +218,7 @@ func TestRunGuardedCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	u := make([]float64, a.Rows)
-	_, _, err := fw.RunGuarded(ctx, a, v, u)
+	_, _, err := runGuarded(ctx, fw, a, v, u, DefaultGuardOptions())
 	if err == nil {
 		t.Fatal("canceled context produced a result")
 	}
@@ -222,7 +233,7 @@ func TestRunGuardedDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	u := make([]float64, a.Rows)
-	_, _, err := fw.RunGuarded(ctx, a, v, u)
+	_, _, err := runGuarded(ctx, fw, a, v, u, DefaultGuardOptions())
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not match deadline sentinels", err)
 	}
@@ -233,15 +244,15 @@ func TestRunGuardedInvalidInput(t *testing.T) {
 	a, v, _ := guardMatrix()
 
 	short := make([]float64, a.Rows-1)
-	if _, _, err := fw.RunGuarded(context.Background(), a, v, short); !errors.Is(err, ErrInvalidMatrix) {
+	if _, _, err := runGuarded(context.Background(), fw, a, v, short, DefaultGuardOptions()); !errors.Is(err, ErrInvalidMatrix) {
 		t.Errorf("short u: error %v, want ErrInvalidMatrix", err)
 	}
-	if _, _, err := fw.RunGuarded(context.Background(), a, v[:a.Cols-1], make([]float64, a.Rows)); !errors.Is(err, ErrInvalidMatrix) {
+	if _, _, err := runGuarded(context.Background(), fw, a, v[:a.Cols-1], make([]float64, a.Rows), DefaultGuardOptions()); !errors.Is(err, ErrInvalidMatrix) {
 		t.Error("short v accepted")
 	}
 
 	bad := &sparse.CSR{Rows: 2, Cols: 2, RowPtr: []int64{0, 1}, ColIdx: []int32{0}, Val: []float64{1}}
-	if _, _, err := fw.RunGuarded(context.Background(), bad, v, make([]float64, 2)); !errors.Is(err, ErrInvalidMatrix) {
+	if _, _, err := runGuarded(context.Background(), fw, bad, v, make([]float64, 2), DefaultGuardOptions()); !errors.Is(err, ErrInvalidMatrix) {
 		t.Errorf("malformed CSR: error %v, want ErrInvalidMatrix", err)
 	}
 }
@@ -252,7 +263,7 @@ func TestRunGuardedDecisionFallback(t *testing.T) {
 	fw := NewFramework(testConfig(), nil)
 	a, v, want := guardMatrix()
 	u := make([]float64, a.Rows)
-	d, rep, err := fw.RunGuarded(context.Background(), a, v, u)
+	d, rep, err := runGuarded(context.Background(), fw, a, v, u, DefaultGuardOptions())
 	if err != nil {
 		t.Fatalf("decision fallback failed the run: %v", err)
 	}
@@ -277,7 +288,7 @@ func TestExecReportStringDegraded(t *testing.T) {
 	opt.Backoff = time.Microsecond
 	opt.Faults = hsa.NewFaultPlan().AddFault(hsa.Fault{Class: hsa.FaultNaNPoison})
 	u := make([]float64, a.Rows)
-	_, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+	_, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func guardedRun(t *testing.T, fw *Framework, workers int) ([]float64, Decision, 
 	opt := DefaultGuardOptions()
 	opt.Counters = true
 	opt.Workers = workers
-	d, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+	d, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -235,7 +235,7 @@ func TestGuardedParallelFaults(t *testing.T) {
 		opt.Workers = workers
 		opt.Faults = hsa.NewFaultPlan().
 			AddFault(hsa.Fault{Class: hsa.FaultBarrierDivergence, Transient: 1})
-		_, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, opt)
+		_, rep, err := runGuarded(context.Background(), fw, a, v, u, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -59,10 +59,9 @@ func ModelVersion(m *Model) string {
 // stage-2 kernel per non-empty bin, plus the matrix fingerprint and model
 // version for cache keying and auditing. No kernel executes.
 //
-// A panicking predict path (malformed model) degrades to the single-bin
-// Kernel-Serial plan with Fallback set, mirroring RunGuarded's decision
-// fallback. The error is non-nil only for invalid input or an expired
-// context.
+// A panicking predict path (malformed model) degrades to the serial
+// fallback plan (Fallback set; its execution reports DecisionFallback). The
+// error is non-nil only for invalid input or an expired context.
 func (fw *Framework) Plan(ctx context.Context, a *sparse.CSR) (*plan.TuningPlan, error) {
 	return fw.PlanTraced(ctx, a, nil, "")
 }
@@ -98,8 +97,7 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 	d, b, err := fw.decideGuarded(m, a, tw, traceID)
 	if err != nil {
 		p.Fallback = true
-		b = binning.Single(a)
-		d = Decision{U: 0, KernelByBin: map[int]int{0: 0}}
+		d, b = serialFallback(a)
 	}
 	// Pool-model plans keep the pre-synthesis serialized form (version 0, no
 	// space, no params) so older builds and persisted-plan fixtures read them
@@ -113,8 +111,34 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 		p.Space = sp.Name
 	}
 	p.Features = fw.Cfg.FeatureVector(a)
-	p.U = d.U
 	p.MaxBins = fw.Cfg.MaxBins
+	assignBins(p, d, b, sp)
+	return p, nil
+}
+
+// serialFallback is the strategy every failed decision lands on: the whole
+// matrix as one bin on Kernel-Serial, which needs no model and has no LDS,
+// barrier or divergence hazards beyond row length.
+func serialFallback(a *sparse.CSR) (Decision, *binning.Binning) {
+	return Decision{U: 0, KernelByBin: map[int]int{0: 0}}, binning.Single(a)
+}
+
+// SerialFallbackPlan is serialFallback as a plan built from the matrix
+// alone — no model, no features, no tuning — for callers that must serve
+// while tuning is unavailable. Fallback is set, so its execution reports
+// DecisionFallback like any other failed decision.
+func SerialFallbackPlan(a *sparse.CSR, fingerprint string) *plan.TuningPlan {
+	p := &plan.TuningPlan{Fingerprint: fingerprint, Rows: a.Rows, Cols: a.Cols, NNZ: a.NNZ(), Fallback: true}
+	d, b := serialFallback(a)
+	assignBins(p, d, b, kernels.PoolSpace())
+	return p
+}
+
+// assignBins records the decision's layout in p: U, the binning scheme and
+// one assignment per non-empty bin (with kernel parameters from sp when the
+// plan is in the version-2 form).
+func assignBins(p *plan.TuningPlan, d Decision, b *binning.Binning, sp *kernels.Space) {
+	p.U = d.U
 	p.Scheme = b.Scheme
 	for _, binID := range b.NonEmpty() {
 		kid := d.KernelByBin[binID]
@@ -136,14 +160,6 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 		}
 		p.Bins = append(p.Bins, ba)
 	}
-	return p, nil
-}
-
-// ExecutePlan applies a previously computed TuningPlan to one vector with
-// the default GuardOptions; see ExecutePlanBatchOpts. On success u holds a
-// verified u = A·v.
-func (fw *Framework) ExecutePlan(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, v, u []float64) (*ExecReport, error) {
-	return fw.ExecutePlanOpts(ctx, p, a, v, u, DefaultGuardOptions())
 }
 
 // ExecutePlanOpts is ExecutePlanBatchOpts for a single right-hand side; the

@@ -58,7 +58,7 @@ func TestPlanExecuteRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := make([]float64, a.Rows)
-	rep, err := fw.ExecutePlan(context.Background(), back, a, v, u)
+	rep, err := fw.ExecutePlanOpts(context.Background(), back, a, v, u, DefaultGuardOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestExecutePlanValidation(t *testing.T) {
 	a, v, _ := guardMatrix()
 	u := make([]float64, a.Rows)
 
-	if _, err := fw.ExecutePlan(context.Background(), nil, a, v, u); !errors.Is(err, errdefs.ErrInvalidMatrix) {
+	if _, err := fw.ExecutePlanOpts(context.Background(), nil, a, v, u, DefaultGuardOptions()); !errors.Is(err, errdefs.ErrInvalidMatrix) {
 		t.Errorf("nil plan: %v", err)
 	}
 
@@ -89,16 +89,16 @@ func TestExecutePlanValidation(t *testing.T) {
 	wrong := matgen.Banded(a.Rows+1, 3, 1)
 	wv := make([]float64, wrong.Cols)
 	wu := make([]float64, wrong.Rows)
-	if _, err := fw.ExecutePlan(context.Background(), p, wrong, wv, wu); !errors.Is(err, errdefs.ErrInvalidMatrix) {
+	if _, err := fw.ExecutePlanOpts(context.Background(), p, wrong, wv, wu, DefaultGuardOptions()); !errors.Is(err, errdefs.ErrInvalidMatrix) {
 		t.Errorf("shape mismatch: %v", err)
 	}
-	if _, err := fw.ExecutePlan(context.Background(), p, a, v[:1], u); !errors.Is(err, errdefs.ErrInvalidMatrix) {
+	if _, err := fw.ExecutePlanOpts(context.Background(), p, a, v[:1], u, DefaultGuardOptions()); !errors.Is(err, errdefs.ErrInvalidMatrix) {
 		t.Errorf("short vector: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fw.ExecutePlan(ctx, p, a, v, u); !errors.Is(err, errdefs.ErrCanceled) {
+	if _, err := fw.ExecutePlanOpts(ctx, p, a, v, u, DefaultGuardOptions()); !errors.Is(err, errdefs.ErrCanceled) {
 		t.Errorf("canceled ctx: %v", err)
 	}
 	if _, err := fw.Plan(ctx, a); !errors.Is(err, errdefs.ErrCanceled) {
@@ -118,7 +118,7 @@ func TestExecutePlanStaleDegradesNotFails(t *testing.T) {
 	stale := *p
 	stale.Bins = nil
 	u := make([]float64, a.Rows)
-	rep, err := fw.ExecutePlan(context.Background(), &stale, a, v, u)
+	rep, err := fw.ExecutePlanOpts(context.Background(), &stale, a, v, u, DefaultGuardOptions())
 	if err != nil {
 		t.Fatalf("stale plan failed instead of degrading: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestPlanFallbackOnBrokenModel(t *testing.T) {
 		t.Fatalf("broken model should yield a single/serial fallback plan, got %+v", p)
 	}
 	u := make([]float64, a.Rows)
-	if _, err := fw.ExecutePlan(context.Background(), p, a, v, u); err != nil {
+	if _, err := fw.ExecutePlanOpts(context.Background(), p, a, v, u, DefaultGuardOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {

@@ -29,7 +29,7 @@ func TestExecProfilesPopulated(t *testing.T) {
 	a, v, _ := guardMatrix()
 	u := make([]float64, a.Rows)
 	var buf bytes.Buffer
-	_, rep, err := fw.RunGuardedOpts(context.Background(), a, v, u, guardOptsProfiled(&buf, "t1"))
+	_, rep, err := runGuarded(context.Background(), fw, a, v, u, guardOptsProfiled(&buf, "t1"))
 	if err != nil {
 		t.Fatalf("guarded run failed: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestCountersOffByDefault(t *testing.T) {
 	fw := guardFramework(t)
 	a, v, _ := guardMatrix()
 	u := make([]float64, a.Rows)
-	_, rep, err := fw.RunGuarded(context.Background(), a, v, u)
+	_, rep, err := runGuarded(context.Background(), fw, a, v, u, DefaultGuardOptions())
 	if err != nil {
 		t.Fatalf("guarded run failed: %v", err)
 	}
@@ -98,10 +98,12 @@ func TestTraceDeterministic(t *testing.T) {
 	fw := guardFramework(t)
 	a, v, _ := guardMatrix()
 
+	// A cold framework per run, as two invocations of `spmvtune run -trace`
+	// are: on a shared one the second run's spans would say "replayed".
 	runOnce := func() []byte {
 		u := make([]float64, a.Rows)
 		var buf bytes.Buffer
-		_, _, err := fw.RunGuardedOpts(context.Background(), a, v, u, guardOptsProfiled(&buf, "req"))
+		_, _, err := runGuarded(context.Background(), NewFramework(fw.Cfg, fw.Model()), a, v, u, guardOptsProfiled(&buf, "req"))
 		if err != nil {
 			t.Fatalf("guarded run failed: %v", err)
 		}

@@ -1,74 +1,23 @@
 package core
 
-import (
-	"context"
-	"fmt"
+import "spmvtune/internal/hsa"
 
-	"spmvtune/internal/binning"
-	"spmvtune/internal/errdefs"
-	"spmvtune/internal/hsa"
-	"spmvtune/internal/kernels"
-	"spmvtune/internal/sparse"
-)
-
-// SimulateBinnedQueued executes the per-bin kernels through an HSA
-// user-mode queue: the host pays the full launch synchronization once,
-// then every further bin kernel is an AQL packet write (QueueDispatchCycles)
-// and the device drains the queue back-to-back. This is the HSA/SNACK
-// feature the paper's platform section highlights, and it removes most of
-// the per-bin dispatch penalty that sequential launches pay on matrices
-// with several populated bins.
-func SimulateBinnedQueued(dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
-	return SimulateBinnedQueuedCtx(context.Background(), dev, a, v, u, b, kernelByBin)
-}
-
-// SimulateBinnedQueuedCtx is SimulateBinnedQueued under a context: a
-// canceled context drains the queue — packets not yet dispatched are
-// abandoned and the in-flight launch aborts between work-group dispatches.
-func SimulateBinnedQueuedCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// QueuedDispatch re-costs total — the summed stats of `launches` kernels
+// dispatched one after another (SimulateBinned over that many non-empty
+// bins) — as if they had gone through one HSA user-mode queue: the host pays
+// the full launch synchronization once, every further kernel is an AQL
+// packet write (QueueDispatchCycles), and the device drains the queue
+// back-to-back. This is the HSA/SNACK feature the paper's platform section
+// highlights; it removes most of the per-bin dispatch penalty on matrices
+// with several populated bins. The device work (every field but Cycles and
+// Seconds) is the sequential run's: dispatch is a cost rule, not a second
+// execution.
+func QueuedDispatch(dev hsa.Config, total hsa.Stats, launches int) hsa.Stats {
+	if launches <= 0 {
+		return total
 	}
-	var total hsa.Stats
-	launches := 0
-	for _, binID := range b.NonEmpty() {
-		if err := ctx.Err(); err != nil {
-			return total, errdefs.Canceled(err)
-		}
-		kid, ok := kernelByBin[binID]
-		if !ok {
-			return total, fmt.Errorf("core: no kernel assigned to non-empty bin %d", binID)
-		}
-		info, ok := kernels.ByID(kid)
-		if !ok {
-			return total, fmt.Errorf("core: unknown kernel id %d for bin %d", kid, binID)
-		}
-		st, err := SimulateKernelCtx(ctx, dev, a, v, u, info.Kernel, b.Bins[binID])
-		if err != nil {
-			return total, err
-		}
-		// Strip the per-launch overhead; queue costs are added below.
-		st.Cycles = st.ExecCycles
-		st.Seconds = st.Cycles / dev.ClockHz
-		total.Add(st)
-		launches++
-	}
-	if launches > 0 {
-		extra := dev.KernelLaunchCycles + float64(launches-1)*dev.QueueDispatchCycles
-		total.Cycles += extra
-		total.Seconds += extra / dev.ClockHz
-	}
-	return total, nil
-}
-
-// RunSimQueued is Framework.RunSim with queued dispatch.
-func (fw *Framework) RunSimQueued(a *sparse.CSR, v, u []float64) (Decision, hsa.Stats, error) {
-	return fw.RunSimQueuedCtx(context.Background(), a, v, u)
-}
-
-// RunSimQueuedCtx is RunSimQueued under a context.
-func (fw *Framework) RunSimQueuedCtx(ctx context.Context, a *sparse.CSR, v, u []float64) (Decision, hsa.Stats, error) {
-	d, b := fw.Decide(a)
-	st, err := SimulateBinnedQueuedCtx(ctx, fw.Cfg.Device, a, v, u, b, d.KernelByBin)
-	return d, st, err
+	dispatch := dev.KernelLaunchCycles + float64(launches-1)*dev.QueueDispatchCycles
+	total.Cycles = total.ExecCycles + dispatch
+	total.Seconds = total.Cycles / dev.ClockHz
+	return total
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
 
-	"spmvtune/internal/binning"
 	"spmvtune/internal/sparse"
 )
 
@@ -31,22 +31,16 @@ func EvaluateRegret(cfg Config, m *Model, mats []*sparse.CSR) Regret {
 	if m == nil {
 		return Regret{N: len(mats), GeoMean: math.Inf(1), Worst: math.Inf(1)}
 	}
+	fw := NewFramework(cfg, m)
 	logSum := 0.0
 	within := 0
 	for _, a := range mats {
 		res := Search(cfg, a)
 
-		vec := cfg.FeatureVector(a)
-		u := m.PredictUVec(vec)
-		b := binning.Coarse(a, u, cfg.MaxBins)
-		kb := map[int]int{}
-		for _, binID := range b.NonEmpty() {
-			kb[binID] = m.PredictKernelVec(vec, u, binID,
-				b.NumRows(binID), binAvgRowLen(a, b.Bins[binID]))
-		}
+		d, b := fw.Decide(a)
 		v := make([]float64, a.Cols)
 		out := make([]float64, a.Rows)
-		st, err := SimulateBinned(cfg.Device, a, v, out, b, kb)
+		st, err := SimulateBinned(context.Background(), cfg.Device, a, v, out, b, d.KernelByBin)
 		if err != nil {
 			continue
 		}

@@ -252,12 +252,12 @@ func TestReplayWarmCellHonorsCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := make([]float64, a.Rows)
-	if _, err := fw.ExecutePlan(context.Background(), p, a, v, u); err != nil {
+	if _, err := fw.ExecutePlanOpts(context.Background(), p, a, v, u, DefaultGuardOptions()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fw.ExecutePlan(ctx, p, a, v, u); !errors.Is(err, ErrCanceled) {
+	if _, err := fw.ExecutePlanOpts(ctx, p, a, v, u, DefaultGuardOptions()); !errors.Is(err, ErrCanceled) {
 		t.Errorf("warm plan under a canceled context: %v, want ErrCanceled", err)
 	}
 	bn, err := p.Rebin(a)
@@ -290,7 +290,7 @@ func TestReplayStalePlanNeverMemoized(t *testing.T) {
 	stale.Bins = nil
 	u := make([]float64, a.Rows)
 	for run := 0; run < 2; run++ {
-		rep, err := fw.ExecutePlan(context.Background(), &stale, a, v, u)
+		rep, err := fw.ExecutePlanOpts(context.Background(), &stale, a, v, u, DefaultGuardOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,7 +214,7 @@ func TestSynthModelTrainsPredictsAndPlans(t *testing.T) {
 		v[i] = 1
 	}
 	out := make([]float64, a.Rows)
-	rep, err := fw.ExecutePlan(context.Background(), back, a, v, out)
+	rep, err := fw.ExecutePlanOpts(context.Background(), back, a, v, out, DefaultGuardOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -146,8 +147,25 @@ func fig2Kernels() []kernels.Info {
 	return out
 }
 
-// verifyAgainstReference checks a simulated result vector; experiments are
-// also correctness tests.
+// runAuto is the auto-tuned product every figure times: plan, then execute
+// the plan. The guarded executor verifies u against the reference; since
+// experiments are also correctness tests, a run that needed its fallback
+// chain is an error here rather than a degraded success.
+func runAuto(fw *core.Framework, a *sparse.CSR, v, u []float64) (core.Decision, hsa.Stats, error) {
+	ctx := context.Background()
+	p, err := fw.Plan(ctx, a)
+	if err != nil {
+		return core.Decision{}, hsa.Stats{}, err
+	}
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, core.DefaultGuardOptions())
+	if err == nil && rep.Degraded() {
+		err = fmt.Errorf("experiments: auto-tuned run degraded: %v", rep)
+	}
+	return rep.Decision, rep.Stats, err
+}
+
+// verifyAgainstReference checks an unguarded simulated result vector;
+// experiments are also correctness tests.
 func verifyAgainstReference(a *sparse.CSR, v, got []float64) error {
 	want := make([]float64, a.Rows)
 	a.MulVec(v, want)

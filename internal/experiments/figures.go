@@ -211,11 +211,8 @@ func Fig6(o *Options) ([]Fig6Row, TrainStats, error) {
 	for _, r := range o.representative() {
 		v := randVec(r.A.Cols, o.Seed)
 		u := make([]float64, r.A.Rows)
-		d, auto, err := fw.RunSim(r.A, v, u)
+		d, auto, err := runAuto(fw, r.A, v, u)
 		if err != nil {
-			return rows, ts, fmt.Errorf("%s: %w", r.Name, err)
-		}
-		if err := verifyAgainstReference(r.A, v, u); err != nil {
 			return rows, ts, fmt.Errorf("%s: %w", r.Name, err)
 		}
 		serial, err := core.SimulateSingleKernel(o.Dev, r.A, v, u, 0)
@@ -265,7 +262,7 @@ func Fig7(o *Options) ([]Fig7Row, int, error) {
 	for _, r := range o.representative() {
 		v := randVec(r.A.Cols, o.Seed)
 		u := make([]float64, r.A.Rows)
-		_, auto, err := fw.RunSim(r.A, v, u)
+		_, auto, err := runAuto(fw, r.A, v, u)
 		if err != nil {
 			return rows, wins, err
 		}

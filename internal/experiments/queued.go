@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"spmvtune/internal/core"
@@ -38,14 +39,14 @@ func Queued(o *Options) ([]QueuedRow, error) {
 	for _, r := range o.representative() {
 		v := randVec(r.A.Cols, o.Seed)
 		u := make([]float64, r.A.Rows)
-		_, seq, err := fw.RunSim(r.A, v, u)
+		// One unguarded pass over the decision's bins; the two dispatch
+		// rules differ only in what each launch costs the host.
+		d, b := fw.Decide(r.A)
+		seq, err := core.SimulateBinned(context.Background(), o.Dev, r.A, v, u, b, d.KernelByBin)
 		if err != nil {
 			return rows, err
 		}
-		_, queued, err := fw.RunSimQueued(r.A, v, u)
-		if err != nil {
-			return rows, err
-		}
+		queued := core.QueuedDispatch(o.Dev, seq, len(b.NonEmpty()))
 		if err := verifyAgainstReference(r.A, v, u); err != nil {
 			return rows, fmt.Errorf("%s: %w", r.Name, err)
 		}

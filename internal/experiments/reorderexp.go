@@ -34,14 +34,8 @@ func Reorder(o *Options) ([]ReorderRow, error) {
 	run := func(a *sparse.CSR) (float64, error) {
 		v := randVec(a.Cols, o.Seed)
 		u := make([]float64, a.Rows)
-		_, st, err := fw.RunSim(a, v, u)
-		if err != nil {
-			return 0, err
-		}
-		if err := verifyAgainstReference(a, v, u); err != nil {
-			return 0, err
-		}
-		return st.Seconds, nil
+		_, st, err := runAuto(fw, a, v, u)
+		return st.Seconds, err
 	}
 
 	fmt.Fprintf(o.Out, "== Locality ablation: natural vs shuffled vs RCM-reordered ==\n")

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"context"
 	"testing"
 
 	"spmvtune/internal/binning"
@@ -34,7 +35,7 @@ func BenchmarkGPUOnlyBinned(b *testing.B) {
 	var sim float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, err := core.SimulateBinned(hsa.DefaultConfig(), a, v, u, bin, kb)
+		st, err := core.SimulateBinned(context.Background(), hsa.DefaultConfig(), a, v, u, bin, kb)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -396,7 +396,7 @@ func TestReplayedLaunchesObserveSameRows(t *testing.T) {
 	}
 	rowsOf := func(wantReplayed bool) []Row {
 		t.Helper()
-		rep, err := fw.ExecutePlan(context.Background(), p, a, v, make([]float64, a.Rows))
+		rep, err := fw.ExecutePlanOpts(context.Background(), p, a, v, make([]float64, a.Rows), core.DefaultGuardOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -139,12 +139,12 @@ func (co *coalescer) flushWindow(fp string, b *pendingBatch) {
 	co.flush(b, &co.s.m.batchFlushWindow)
 }
 
-// flush executes one batch as a fused guarded launch and demuxes the
-// results. It runs outside the coalescer lock, on the timer goroutine
-// (window trigger) or the filling request's goroutine (size trigger), and
-// is the only writer of item result fields. The execution deadline is the
-// server's own: the batch serves many clients, so no single client's
-// deadline may bound it.
+// flush executes one batch as a fused guarded launch (Server.execute, which
+// owns the accounting) and demuxes the results. It runs outside the
+// coalescer lock, on the timer goroutine (window trigger) or the filling
+// request's goroutine (size trigger), and is the only writer of item result
+// fields. The execution deadline is the server's own: the batch serves many
+// clients, so no single client's deadline may bound it.
 func (co *coalescer) flush(b *pendingBatch, trigger *atomic.Int64) {
 	s := co.s
 	trigger.Add(1)
@@ -179,35 +179,11 @@ func (co *coalescer) flush(b *pendingBatch, trigger *atomic.Int64) {
 		vs[i] = it.v
 		us[i] = it.u
 	}
-	rep, err := s.cfg.Framework.ExecutePlanBatchOpts(ctx, b.p, b.e.A, vs, us, b.opt)
-	if err != nil {
-		for _, it := range b.items {
-			it.err = err
-			close(it.done)
-		}
-		return
-	}
-
-	// Demux: per-vector degradation and fallback counts, batch-wide
-	// accounting and evidence. Metrics are recorded here, once per
-	// execution, so the waiting paths must not double-count.
-	anyDegraded := false
+	rep, err := s.execute(ctx, b.e, b.p, b.opt, b.traceID, vs, us)
 	for i, it := range b.items {
-		if rep.VectorDegraded(i) {
-			it.degraded = true
-			anyDegraded = true
-			s.m.degraded.Add(1)
+		if it.err = err; err == nil {
+			it.degraded, it.fallbacks = vectorOutcome(rep, i)
 		}
-		it.fallbacks = rep.Shared.Fallbacks
-		if pv := rep.PerVector[i]; pv != nil {
-			it.fallbacks += pv.Fallbacks
-			s.m.observeReport(pv)
-		}
-		s.m.vectors.Add(1)
-	}
-	s.m.observeReport(rep.Shared)
-	s.recordEvidence(b.e, b.p, b.traceID, rep.Shared, anyDegraded, n)
-	for _, it := range b.items {
 		close(it.done)
 	}
 }

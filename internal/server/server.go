@@ -30,11 +30,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spmvtune/internal/binning"
 	"spmvtune/internal/core"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/hsa"
-	"spmvtune/internal/kernels"
 	"spmvtune/internal/mmio"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/plancache"
@@ -539,29 +537,7 @@ func (s *Server) recordTuneOutcome(br *breaker, err error) {
 // execution can still fall through to the CPU reference. Fallback is set
 // so the plan is recognizable as degraded wherever it surfaces.
 func (s *Server) degradedPlan(e *matrixEntry) *plan.TuningPlan {
-	b := binning.Single(e.A)
-	name := ""
-	if info, ok := kernels.ByID(0); ok {
-		name = info.Name
-	}
-	p := &plan.TuningPlan{
-		Fingerprint: e.Fingerprint,
-		Rows:        e.A.Rows,
-		Cols:        e.A.Cols,
-		NNZ:         e.A.NNZ(),
-		Scheme:      "single",
-		Fallback:    true,
-	}
-	for _, binID := range b.NonEmpty() {
-		p.Bins = append(p.Bins, plan.BinAssignment{
-			Bin:        binID,
-			Rows:       b.NumRows(binID),
-			Groups:     len(b.Bins[binID]),
-			Kernel:     0,
-			KernelName: name,
-		})
-	}
-	return p
+	return core.SerialFallbackPlan(e.A, e.Fingerprint)
 }
 
 // guardOpts derives the per-request guarded-execution options: the
@@ -588,6 +564,45 @@ func (s *Server) requestTraceID(supplied, matrixID string) string {
 		return supplied
 	}
 	return fmt.Sprintf("%s-%d", matrixID, s.traceSeq.Add(1))
+}
+
+// execute runs one guarded launch of width len(vs) of plan p — us[i]
+// receives A times vs[i] — and is the one place an execution is accounted
+// for: the spmvd_* vector, degradation and device counters, and the
+// profile/retrain evidence, each judged by this execution alone. The
+// stateless handler and session iterates call it at width 1, the coalescer's
+// flush at the batch's width. Callers read vector i's share of the outcome
+// off the report with vectorOutcome.
+func (s *Server) execute(ctx context.Context, e *matrixEntry, p *plan.TuningPlan, opt core.GuardOptions, traceID string, vs, us [][]float64) (*core.BatchReport, error) {
+	rep, err := s.cfg.Framework.ExecutePlanBatchOpts(ctx, p, e.A, vs, us, opt)
+	if err != nil {
+		return rep, err
+	}
+	anyDegraded := false
+	for i := range vs {
+		if rep.VectorDegraded(i) {
+			anyDegraded = true
+			s.m.degraded.Add(1)
+		}
+		if pv := rep.PerVector[i]; pv != nil {
+			s.m.observeReport(pv)
+		}
+	}
+	s.m.vectors.Add(int64(len(vs)))
+	s.m.observeReport(rep.Shared)
+	s.recordEvidence(e, p, traceID, rep.Shared, anyDegraded, len(vs))
+	return rep, nil
+}
+
+// vectorOutcome demuxes request i of an execution: whether it deviated from
+// the clean path (the shared launch chain degraded, or the vector was
+// isolated out of it) and how many bins fell back on its behalf.
+func vectorOutcome(rep *core.BatchReport, i int) (degraded bool, fallbacks int) {
+	fallbacks = rep.Shared.Fallbacks
+	if pv := rep.PerVector[i]; pv != nil {
+		fallbacks += pv.Fallbacks
+	}
+	return rep.VectorDegraded(i), fallbacks
 }
 
 // handleUpload ingests a Matrix Market body. The parser is the hardened
@@ -728,11 +743,14 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		s.cfg.ExecHook()
 	}
 	opt := s.guardOpts(traceID)
+	resp.Results = make([][]float64, len(vecs))
+	for i := range resp.Results {
+		resp.Results[i] = make([]float64, e.A.Rows)
+	}
 	if s.co != nil {
 		// Coalesced path: enqueue every vector before waiting on any, so a
 		// multi-vector request fuses with itself as well as with concurrent
-		// same-fingerprint traffic. Vector/degradation metrics and retrain
-		// evidence are recorded once per fused launch, by the flush.
+		// same-fingerprint traffic.
 		items := make([]*batchItem, len(vecs))
 		for i, vec := range vecs {
 			items[i] = s.co.enqueue(e, p, opt, traceID, vec)
@@ -743,42 +761,25 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		// (at -workers 1 no batch could ever exceed B=1). The slot bounded
 		// admission and tuning above; from here on this goroutine only waits.
 		releaseOnce()
-		for _, it := range items {
-			u := make([]float64, e.A.Rows)
-			degraded, fallbacks, err := s.co.wait(ctx, it, u)
+		for i, it := range items {
+			degraded, fallbacks, err := s.co.wait(ctx, it, resp.Results[i])
 			if err != nil {
 				s.writeError(w, err)
 				return
 			}
-			if degraded {
-				resp.Degraded = true
-			}
+			resp.Degraded = resp.Degraded || degraded
 			resp.Fallbacks += fallbacks
-			resp.Results = append(resp.Results, u)
 		}
 	} else {
-		var lastRep *core.ExecReport
-		for _, vec := range vecs {
-			u := make([]float64, e.A.Rows)
-			rep, err := s.cfg.Framework.ExecutePlanOpts(ctx, p, e.A, vec, u, opt)
+		for i := range vecs {
+			rep, err := s.execute(ctx, e, p, opt, traceID, vecs[i:i+1], resp.Results[i:i+1])
 			if err != nil {
 				s.writeError(w, err)
 				return
 			}
-			if rep.Degraded() {
-				resp.Degraded = true
-				s.m.degraded.Add(1)
-			}
-			resp.Fallbacks += rep.Fallbacks
-			resp.Results = append(resp.Results, u)
-			s.m.vectors.Add(1)
-			s.m.observeReport(rep)
-			lastRep = rep
-		}
-		if lastRep != nil {
-			// Accumulate evidence across runs under the same retention cap as
-			// TuningPlan.Profiles: newest wins, bounded memory.
-			s.recordEvidence(e, p, traceID, lastRep, resp.Degraded, 1)
+			degraded, fallbacks := vectorOutcome(rep, 0)
+			resp.Degraded = resp.Degraded || degraded
+			resp.Fallbacks += fallbacks
 		}
 	}
 	if len(req.Vector) > 0 {

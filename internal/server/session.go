@@ -241,35 +241,32 @@ func (s *Server) sessionExecutor(sess *session) solvers.SpMVCtx {
 		if s.cfg.ExecHook != nil {
 			s.cfg.ExecHook()
 		}
+		var (
+			opt       = s.guardOpts(sess.traceID)
+			degraded  bool
+			fallbacks int
+			err       error
+		)
 		if s.co != nil {
 			// Coalesced path: this iterate's multiply fuses with concurrent
 			// same-fingerprint traffic (other sessions, stateless requests).
 			// Safe under sess.mu — the flush runs on the window timer's
 			// goroutine or another request's, never behind this session's
-			// lock. The flush owns the vector/degradation metrics and the
-			// retrain evidence; only the session's own state updates here.
-			degraded, fallbacks, err := s.co.execute(ctx, sess.e, sess.plan, s.guardOpts(sess.traceID), sess.traceID, v, u)
-			if err != nil {
-				return err
+			// lock.
+			degraded, fallbacks, err = s.co.execute(ctx, sess.e, sess.plan, opt, sess.traceID, v, u)
+		} else {
+			var rep *core.BatchReport
+			if rep, err = s.execute(ctx, sess.e, sess.plan, opt, sess.traceID, [][]float64{v}, [][]float64{u}); err == nil {
+				degraded, fallbacks = vectorOutcome(rep, 0)
 			}
-			if degraded {
-				sess.degraded = true
-			}
-			sess.fallbacks += int64(fallbacks)
-			return nil
 		}
-		rep, err := s.cfg.Framework.ExecutePlanOpts(ctx, sess.plan, sess.e.A, v, u, s.guardOpts(sess.traceID))
 		if err != nil {
 			return err
 		}
-		if rep.Degraded() {
+		if degraded {
 			sess.degraded = true
-			s.m.degraded.Add(1)
 		}
-		sess.fallbacks += int64(rep.Fallbacks)
-		s.m.vectors.Add(1)
-		s.m.observeReport(rep)
-		s.recordEvidence(sess.e, sess.plan, sess.traceID, rep, sess.degraded, 1)
+		sess.fallbacks += int64(fallbacks)
 		return nil
 	}
 }

@@ -50,6 +50,11 @@ go test -race ./...
 echo "== replay equivalence + race (count=3)"
 go test -race -count=3 -run 'Replay' ./internal/core
 
+# The root package aliases core.Framework, so its method set is public API:
+# Plan decides, ExecutePlan*Opts runs, and nothing else does either.
+echo "== framework surface lock"
+go test -run 'FrameworkSurface' ./internal/core
+
 # bench/ is a module of its own (it imports internal/... through the root
 # module's path), so ./... above never reaches it: an internal rename that
 # breaks spmvload would otherwise surface only when the benchmark runs.

@@ -15,7 +15,7 @@ import (
 type (
 	// TuningPlan is the reified tuning decision for one matrix structure:
 	// features, chosen U, binning layout and per-bin kernels, ready to be
-	// cached, serialized, and executed via Framework.ExecutePlan.
+	// cached, serialized, and executed via Framework.ExecutePlanOpts.
 	TuningPlan = plan.TuningPlan
 	// BinAssignment is one bin's row population and chosen kernel.
 	BinAssignment = plan.BinAssignment

@@ -9,8 +9,8 @@ import (
 )
 
 // Iterative solvers with injectable SpMV backends — the applications the
-// paper's introduction motivates SpMV with. Use Framework.PrepareCPU (or
-// DefaultSpMV) to obtain a backend.
+// paper's introduction motivates SpMV with. Use PrepareCPU (or DefaultSpMV)
+// to obtain a backend.
 
 type (
 	// SpMV is a matrix-vector product backend: it computes u = A*v.

@@ -110,7 +110,7 @@ func TestPublicSolverWithPreparedBackend(t *testing.T) {
 	}
 	fw := spmvtune.NewFramework(cfg, model)
 	a, b := spdSystem(1500)
-	_, mul := fw.PrepareCPU(a, 2)
+	_, mul := spmvtune.PrepareCPU(fw, a, 2)
 	x := make([]float64, len(b))
 	res, err := spmvtune.SolveCG(mul, b, x, 1e-10, 0)
 	if err != nil || !res.Converged {

@@ -14,15 +14,24 @@
 //
 //	model, _, err := spmvtune.TrainPipeline(spmvtune.DefaultConfig(), spmvtune.DefaultTrainOptions())
 //	fw := spmvtune.NewFramework(spmvtune.DefaultConfig(), model)
-//	decision, stats, err := fw.RunSim(a, v, u) // u = A*v, auto-tuned
+//	decision, stats, err := spmvtune.RunSim(fw, a, v, u) // u = A*v, auto-tuned
+//
+// A Framework has two verbs, the two steps of the paper's runtime (Figure 3):
+// Plan decides — features, U, bins, a kernel per bin, reified as a
+// TuningPlan that can be cached and serialized — and ExecutePlanOpts /
+// ExecutePlanBatchOpts run a plan on one or B vectors through the guarded
+// chain. RunSim is those two calls for a one-shot product; PrepareCPU is
+// the native-host form for iterative solvers.
 package spmvtune
 
 import (
+	"context"
 	"fmt"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
 	"spmvtune/internal/core"
+	"spmvtune/internal/cpu"
 	"spmvtune/internal/csradaptive"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/features"
@@ -82,7 +91,7 @@ var (
 	ErrCanceled = errdefs.ErrCanceled
 )
 
-// Guarded-execution types (see Framework.RunGuarded / RunGuardedOpts).
+// Guarded-execution types (see Framework.ExecutePlanOpts).
 type (
 	// GuardOptions tunes retries, backoff, verification tolerance and
 	// fault injection for a guarded run.
@@ -122,6 +131,32 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewFramework builds a runtime framework from a config and trained model.
 func NewFramework(cfg Config, m *Model) *Framework { return core.NewFramework(cfg, m) }
+
+// RunSim computes u = A*v auto-tuned on the simulated device: fw.Plan, then
+// fw.ExecutePlanOpts under DefaultGuardOptions. It returns the decision and
+// the summed device stats of the launches that served the bins; u is
+// verified against the sequential reference. Callers that multiply by one
+// matrix repeatedly, or want the ExecReport, make the two calls themselves
+// and keep the plan.
+func RunSim(fw *Framework, a *Matrix, v, u []float64) (Decision, DeviceStats, error) {
+	ctx := context.Background()
+	p, err := fw.Plan(ctx, a)
+	if err != nil {
+		return Decision{}, DeviceStats{}, err
+	}
+	rep, err := fw.ExecutePlanOpts(ctx, p, a, v, u, core.DefaultGuardOptions())
+	return rep.Decision, rep.Stats, err
+}
+
+// PrepareCPU decides the strategy once and returns a reusable native SpMV
+// closure over it (workers <= 0 selects GOMAXPROCS) — the right form for
+// iterative solvers, which multiply by the same matrix hundreds of times:
+// amortizing the feature extraction and binning is the framework's whole
+// economic argument.
+func PrepareCPU(fw *Framework, a *Matrix, workers int) (Decision, SpMV) {
+	d, b := fw.Decide(a)
+	return d, func(v, u []float64) { cpu.MulVecBinned(a, v, u, b, workers) }
+}
 
 // Extract computes the Table I features of a matrix.
 func Extract(a *Matrix) Features { return features.Extract(a) }
