@@ -34,8 +34,10 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -217,7 +219,22 @@ func main() {
 		}
 	}
 	st := srv.CacheStats()
-	log.Printf("plan cache at exit: %d entries, %d hits, %d misses", st.Entries, st.Hits, st.Misses)
+	log.Printf("plan cache at exit: %d entries, %d hits, %d misses; decode fallbacks: %s",
+		st.Entries, st.Hits, st.Misses, scrape(srv, "spmvd_decode_fallback_total"))
+}
+
+// scrape reads one series off the server's own /metrics exposition, in
+// process: the exit log reports a counter the way an operator reads it,
+// without the server growing an accessor per counter.
+func scrape(srv http.Handler, series string) string {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	return "unknown"
 }
 
 // storeDesc names the row store's backing for the startup log line.

@@ -231,13 +231,16 @@ func TestChaosRetrainStorm(t *testing.T) {
 		t.Fatal("storm injected nothing; the test is not testing anything")
 	}
 
-	// Storm over: disarm the fault hook and verify the loop still converges
-	// deterministically. Storm-era rows are polluted (requests served by
+	// Storm over: disarm the fault hook and verify the loop still obeys its
+	// gate. Storm-era rows are polluted (requests served by
 	// chaotically-promoted models observe whatever kernels those models
 	// chose), so first replay oracle evidence — exhaustive-search timings
-	// for the traffic matrices — after which a clean pass must leave the
-	// framework serving a gate-approved model. A poisoned pass against
-	// that incumbent must then be rejected without moving the generation.
+	// for the traffic matrices. Which chaotically promoted model is incumbent
+	// by now depends on the scheduler, and a clean candidate may legitimately
+	// lose to it by more than the slack: the invariant is not an outcome
+	// string but that the framework serves exactly what the gate decided. A
+	// poisoned pass against that incumbent must then be rejected without
+	// moving the generation.
 	armed.Store(false)
 	for i, a := range mats {
 		if err := store.Append(searchRows(cfg, ids[i], a)...); err != nil {
@@ -245,17 +248,25 @@ func TestChaosRetrainStorm(t *testing.T) {
 		}
 	}
 	svc.SetLabelNoise(0)
+	before, genBefore := fw.Model(), svc.Stats().Generation
 	res, err := svc.RetrainOnce(context.Background())
 	if err != nil {
 		t.Fatalf("post-storm clean pass: %v", err)
 	}
-	if res.Outcome != "promoted" && res.Outcome != "unchanged" {
-		t.Fatalf("post-storm clean pass outcome %q (%s), want promoted or unchanged", res.Outcome, res.Reason)
+	switch res.Outcome {
+	case "promoted":
+		if got := core.ModelVersion(fw.Model()); got != res.Version {
+			t.Fatalf("framework serves %q after promotion of %q", got, res.Version)
+		}
+	case "rejected", "unchanged":
+		if got := svc.Stats().Generation; got != genBefore || fw.Model() != before {
+			t.Fatalf("post-storm clean pass %s (%s) but the served model moved: generation %d -> %d",
+				res.Outcome, res.Reason, genBefore, got)
+		}
+	default:
+		t.Fatalf("post-storm clean pass outcome %q (%s), want promoted, rejected or unchanged", res.Outcome, res.Reason)
 	}
-	if got := core.ModelVersion(fw.Model()); res.Outcome == "promoted" && got != res.Version {
-		t.Fatalf("framework serves %q after promotion of %q", got, res.Version)
-	}
-	genBefore := svc.Stats().Generation
+	genBefore = svc.Stats().Generation
 	svc.SetLabelNoise(1)
 	res2, err := svc.RetrainOnce(context.Background())
 	if err != nil {

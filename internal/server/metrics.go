@@ -64,6 +64,14 @@ type metrics struct {
 	sessionEvictions  atomic.Int64
 	sessionRetunes    atomic.Int64
 
+	// Decode stage of the JSON endpoints (spmv, solve, iterate): requests
+	// validated and the time from handler entry to that point — body read
+	// plus decode — and bodies outside the scanner's canonical subset, which
+	// encoding/json decoded instead.
+	decodes         [nEndpoints]atomic.Int64
+	decodeNs        [nEndpoints]atomic.Int64
+	decodeFallbacks atomic.Int64
+
 	// Device-counter derived totals, accumulated from the per-run
 	// ExecReport of every guarded execution. Cycles are modeled device
 	// cycles (deterministic per launch), the rest are the hsa.Counters
@@ -150,4 +158,13 @@ func (m *metrics) writeTo(w io.Writer) {
 	fmt.Fprintf(w, "spmvd_device_lds_bank_conflicts_total %d\n", m.deviceLDSConflicts.Load())
 	fmt.Fprintf(w, "spmvd_device_barrier_waits_total %d\n", m.deviceBarrierWaits.Load())
 	fmt.Fprintf(w, "spmvd_device_workgroups_total %d\n", m.deviceWorkGroups.Load())
+
+	jsonEndpoints := [...]int{epSpMV, epSolve, epIterate} // the ones readRequest serves
+	for _, ep := range jsonEndpoints {
+		fmt.Fprintf(w, "spmvd_decode_seconds_sum{endpoint=%q} %.6f\n", endpointNames[ep], float64(m.decodeNs[ep].Load())/1e9)
+	}
+	for _, ep := range jsonEndpoints {
+		fmt.Fprintf(w, "spmvd_decode_seconds_count{endpoint=%q} %d\n", endpointNames[ep], m.decodes[ep].Load())
+	}
+	fmt.Fprintf(w, "spmvd_decode_fallback_total %d\n", m.decodeFallbacks.Load())
 }

@@ -87,6 +87,13 @@ var metricFamilies = []string{
 	`spmvd_device_lds_bank_conflicts_total `,
 	`spmvd_device_barrier_waits_total `,
 	`spmvd_device_workgroups_total `,
+	`spmvd_decode_seconds_sum{endpoint="spmv"} `,
+	`spmvd_decode_seconds_sum{endpoint="solve"} `,
+	`spmvd_decode_seconds_sum{endpoint="iterate"} `,
+	`spmvd_decode_seconds_count{endpoint="spmv"} `,
+	`spmvd_decode_seconds_count{endpoint="solve"} `,
+	`spmvd_decode_seconds_count{endpoint="iterate"} `,
+	`spmvd_decode_fallback_total `,
 }
 
 // TestMetricsExpositionGoldenNames locks the exposition format: every

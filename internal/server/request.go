@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 
 	"spmvtune/internal/errdefs"
@@ -33,45 +32,66 @@ func (r *SpMVRequest) Batch() [][]float64 {
 	return [][]float64{r.Vector}
 }
 
-// decodeSpMVRequest parses and validates an SpMV request body. The body is
+// fields is the scanner's table for this request: tag → destination.
+func (r *SpMVRequest) fields() []field {
+	return []field{
+		{"matrix", &r.Matrix},
+		{"vector", &r.Vector},
+		{"vectors", &r.Vectors},
+		{"timeoutMs", &r.TimeoutMs},
+		{"traceId", &r.TraceID},
+	}
+}
+
+// decodeSpMVRequest parses and validates an SpMV request body, reporting
+// whether encoding/json rather than the scanner parsed it. The body is
 // untrusted network input: every rejection is a typed invalid-input error
 // (HTTP 400), never a panic — this function is the server's fuzz surface.
 // Dimension checks against the target matrix happen later, in the handler,
 // once the matrix is resolved.
-func decodeSpMVRequest(data []byte, maxBatch int) (*SpMVRequest, error) {
+func decodeSpMVRequest(data []byte, maxBatch int) (*SpMVRequest, bool, error) {
 	var req SpMVRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, errdefs.Invalidf("server: bad request body: %v", err)
+	stdlib, err := unmarshalBody(data, &req, (*SpMVRequest).fields)
+	if err == nil {
+		err = req.validate(maxBatch)
 	}
-	if req.Matrix == "" {
-		return nil, errdefs.Invalidf("server: missing matrix id")
+	if err != nil {
+		return nil, stdlib, err
 	}
-	if req.TimeoutMs < 0 {
-		return nil, errdefs.Invalidf("server: negative timeoutMs %d", req.TimeoutMs)
+	return &req, stdlib, nil
+}
+
+// validate checks a decoded request against every documented constraint.
+func (r *SpMVRequest) validate(maxBatch int) error {
+	if r.Matrix == "" {
+		return errdefs.Invalidf("server: missing matrix id")
 	}
-	if len(req.TraceID) > 128 {
-		return nil, errdefs.Invalidf("server: traceId longer than 128 bytes")
+	if r.TimeoutMs < 0 {
+		return errdefs.Invalidf("server: negative timeoutMs %d", r.TimeoutMs)
 	}
-	if len(req.Vector) > 0 && len(req.Vectors) > 0 {
-		return nil, errdefs.Invalidf("server: vector and vectors are mutually exclusive")
+	if len(r.TraceID) > 128 {
+		return errdefs.Invalidf("server: traceId longer than 128 bytes")
 	}
-	if len(req.Vector) == 0 && len(req.Vectors) == 0 {
-		return nil, errdefs.Invalidf("server: no input vector")
+	if len(r.Vector) > 0 && len(r.Vectors) > 0 {
+		return errdefs.Invalidf("server: vector and vectors are mutually exclusive")
 	}
-	if maxBatch > 0 && len(req.Vectors) > maxBatch {
-		return nil, errdefs.Invalidf("server: batch of %d exceeds limit %d", len(req.Vectors), maxBatch)
+	if len(r.Vector) == 0 && len(r.Vectors) == 0 {
+		return errdefs.Invalidf("server: no input vector")
 	}
-	for i, vec := range req.Batch() {
+	if maxBatch > 0 && len(r.Vectors) > maxBatch {
+		return errdefs.Invalidf("server: batch of %d exceeds limit %d", len(r.Vectors), maxBatch)
+	}
+	for i, vec := range r.Batch() {
 		if len(vec) == 0 {
-			return nil, errdefs.Invalidf("server: vector %d is empty", i)
+			return errdefs.Invalidf("server: vector %d is empty", i)
 		}
 		for j, x := range vec {
 			// JSON cannot encode NaN/Inf, but the decoder is the trust
 			// boundary; keep the invariant explicit.
 			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return nil, errdefs.Invalidf("server: vector %d has non-finite value at %d", i, j)
+				return errdefs.Invalidf("server: vector %d has non-finite value at %d", i, j)
 			}
 		}
 	}
-	return &req, nil
+	return nil
 }

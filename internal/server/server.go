@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -678,14 +677,10 @@ type spmvResponse struct {
 // path is: resolve matrix → claim a worker (or 429) → plan via the shared
 // cache (singleflight) → guarded execution per vector.
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, errdefs.Invalidf("server: read body: %v", err))
-		return
-	}
-	req, err := decodeSpMVRequest(body, s.cfg.MaxBatch)
-	if err != nil {
-		s.writeError(w, err)
+	req, ok := readRequest(s, w, r, epSpMV, func(body []byte) (*SpMVRequest, bool, error) {
+		return decodeSpMVRequest(body, s.cfg.MaxBatch)
+	})
+	if !ok {
 		return
 	}
 	e, ok := s.matrix(req.Matrix)

@@ -335,6 +335,39 @@ func TestRequestValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("oversized header status %d", resp.StatusCode)
 	}
+
+	// A body past MaxBodyBytes is 413 with one body shape on every endpoint
+	// that reads one, whether its length was declared (refused before a byte
+	// is read) or not (the limited reader trips partway).
+	_, small := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
+	var mtx bytes.Buffer
+	if err := mmio.Write(&mtx, a); err != nil {
+		t.Fatal(err)
+	}
+	oversized := fmt.Sprintf(`{"matrix":%q,"vector":[%s1]}`, id, strings.Repeat("1,", 64))
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/matrices", mtx.String()},
+		{"/v1/spmv", oversized},
+		{"/v1/solve", oversized},
+		{"/v1/solve/sv-00000001/iterate", oversized},
+	} {
+		for _, declared := range []bool{true, false} {
+			var body io.Reader = strings.NewReader(tc.body)
+			if !declared {
+				body = io.MultiReader(body) // a type net/http cannot size: sent chunked
+			}
+			resp, err := http.Post(small.URL+tc.path, "application/json", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := `{"detail":"body exceeds 64 bytes","error":"invalid"}` + "\n"
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || string(blob) != want {
+				t.Errorf("oversized %s (length declared: %v): status %d body %s, want 413 %s", tc.path, declared, resp.StatusCode, blob, want)
+			}
+		}
+	}
 }
 
 // TestQueueBackpressure saturates a 1-worker, 1-deep queue and checks that

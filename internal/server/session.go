@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -377,14 +376,8 @@ func newStepper(req *SolveRequest, mul solvers.SpMVCtx, a *sparse.CSR) (solvers.
 // once — plan resolution through the shared cache, solver workspace
 // allocation — so iterates are pure compute.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, errdefs.Invalidf("server: read body: %v", err))
-		return
-	}
-	req, err := decodeSolveRequest(body)
-	if err != nil {
-		s.writeError(w, err)
+	req, ok := readRequest(s, w, r, epSolve, decodeSolveRequest)
+	if !ok {
 		return
 	}
 	if s.draining.Load() {
@@ -528,14 +521,8 @@ func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *sess
 // instead of queueing, so solver state is never contended.
 func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.writeError(w, errdefs.Invalidf("server: read body: %v", err))
-		return
-	}
-	req, err := decodeIterateRequest(body)
-	if err != nil {
-		s.writeError(w, err)
+	req, ok := readRequest(s, w, r, epIterate, decodeIterateRequest)
+	if !ok {
 		return
 	}
 	s.sweepSessions()

@@ -10,7 +10,7 @@ import (
 // start vectors) and the iterate body (step counts, spmv input vectors).
 // The invariant mirrors FuzzHTTPSpMV: arbitrary bytes produce either a
 // typed error or a request satisfying every documented constraint; never
-// a panic.
+// a panic — and the same scanner-vs-encoding/json differential.
 func FuzzHTTPSolve(f *testing.F) {
 	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[1,2,3]}`))
 	f.Add([]byte(`{"matrix":"abc","solver":"gmres","b":[1],"restart":5,"tol":1e-9}`))
@@ -29,9 +29,36 @@ func FuzzHTTPSolve(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
+	// Appended for the scanner-vs-encoding/json differential (see
+	// FuzzHTTPSpMV).
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[-0.517,0.25,-0.10000000000000001],"x0":[1E+2,0.5e-3,-0],"tol":1e-10,"maxIterations":200}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[1],"tol":1e999}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[1],"tol":01}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[+1]}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"pagerank","damping":.5}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"pagerank","damping":1.}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[null]}`))
+	f.Add([]byte(`{"matrix":"abc","Solver":"cg","b":[1]}`))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[1],"b":[2]}`))
+	f.Add([]byte(`{"matrix":"abc","s\u006flver":"cg","b":[1]}`))
+	f.Add([]byte("{\"matrix\":\"abc\",\"solver\":\"cg\",\"b\":[1],\"traceId\":\"r\xc3\xa9q\"}"))
+	f.Add([]byte(" { \"matrix\" : \"abc\" ,\n\t\"solver\" : \"gmres\" , \"b\" : [ 1 , 2 ] , \"restart\" : 5 }\r\n"))
+	f.Add([]byte(`{"matrix":"abc","solver":"cg","b":[1]}{}`))
+	f.Add([]byte("\xef\xbb\xbf" + `{"steps":2}`))
+	f.Add([]byte(`{"steps":2,"timeoutMs":1.0}`))
+	f.Add([]byte(`{"steps":2,"timeoutMs":99999999999999999999}`))
+	f.Add([]byte(`{"steps":5,"Steps":7}`))
+	f.Add([]byte(`{"steps":null}`))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(` `))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if req, err := decodeSolveRequest(data); err == nil {
+		checkAgainstStdlib(t, data, SolveRequest{}, (*SolveRequest).fields, (*SolveRequest).normalize, decodeSolveRequest)
+		if len(data) > 0 { // an empty iterate body is never parsed: it means {}
+			checkAgainstStdlib(t, data, IterateRequest{Steps: 1}, (*IterateRequest).fields, (*IterateRequest).normalize, decodeIterateRequest)
+		}
+
+		if req, _, err := decodeSolveRequest(data); err == nil {
 			if req.Matrix == "" {
 				t.Fatal("accepted solve without matrix id")
 			}
@@ -73,7 +100,7 @@ func FuzzHTTPSolve(f *testing.F) {
 			_ = err.Error() // typed, formattable, never a panic
 		}
 
-		if req, err := decodeIterateRequest(data); err == nil {
+		if req, _, err := decodeIterateRequest(data); err == nil {
 			if req.Steps < 1 || req.Steps > maxStepsPerRequest {
 				t.Fatalf("normalized steps %d out of bounds", req.Steps)
 			}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 
 	"spmvtune/internal/errdefs"
@@ -106,110 +105,151 @@ func checkFiniteVec(name string, v []float64) error {
 	return nil
 }
 
-// decodeSolveRequest parses and validates a solve-session creation body.
+// fields is the scanner's table for this request: tag → destination.
+func (r *SolveRequest) fields() []field {
+	return []field{
+		{"matrix", &r.Matrix},
+		{"solver", &r.Solver},
+		{"mode", &r.Mode},
+		{"b", &r.B},
+		{"x0", &r.X0},
+		{"tol", &r.Tol},
+		{"maxIterations", &r.MaxIterations},
+		{"restart", &r.Restart},
+		{"damping", &r.Damping},
+		{"timeoutMs", &r.TimeoutMs},
+		{"traceId", &r.TraceID},
+	}
+}
+
+// fields is the scanner's table for this request: tag → destination.
+func (r *IterateRequest) fields() []field {
+	return []field{
+		{"steps", &r.Steps},
+		{"vector", &r.Vector},
+		{"timeoutMs", &r.TimeoutMs},
+	}
+}
+
+// decodeSolveRequest parses and validates a solve-session creation body,
+// reporting whether encoding/json rather than the scanner parsed it.
 // Untrusted network input: every rejection is a typed invalid-input error
 // (HTTP 400), never a panic — this is half of the FuzzHTTPSolve surface.
 // Dimension checks against the target matrix happen in the handler once
 // the matrix is resolved.
-func decodeSolveRequest(data []byte) (*SolveRequest, error) {
+func decodeSolveRequest(data []byte) (*SolveRequest, bool, error) {
 	var req SolveRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, errdefs.Invalidf("server: bad request body: %v", err)
+	stdlib, err := unmarshalBody(data, &req, (*SolveRequest).fields)
+	if err == nil {
+		err = req.normalize()
 	}
-	if req.Matrix == "" {
-		return nil, errdefs.Invalidf("server: missing matrix id")
+	if err != nil {
+		return nil, stdlib, err
 	}
-	switch req.Solver {
+	return &req, stdlib, nil
+}
+
+// normalize validates a decoded solve request and fills its defaults.
+func (r *SolveRequest) normalize() error {
+	if r.Matrix == "" {
+		return errdefs.Invalidf("server: missing matrix id")
+	}
+	switch r.Solver {
 	case solverCG, solverJacobi, solverGMRES, solverPageRank, solverPower, solverSpMV:
 	case "":
-		return nil, errdefs.Invalidf("server: missing solver")
+		return errdefs.Invalidf("server: missing solver")
 	default:
-		return nil, errdefs.Invalidf("server: unknown solver %q", req.Solver)
+		return errdefs.Invalidf("server: unknown solver %q", r.Solver)
 	}
-	switch req.Mode {
+	switch r.Mode {
 	case "":
-		req.Mode = "session"
+		r.Mode = "session"
 	case "session":
 	case "run":
-		if req.Solver == solverSpMV {
-			return nil, errdefs.Invalidf("server: mode run is not valid for spmv sessions")
+		if r.Solver == solverSpMV {
+			return errdefs.Invalidf("server: mode run is not valid for spmv sessions")
 		}
 	default:
-		return nil, errdefs.Invalidf("server: unknown mode %q", req.Mode)
+		return errdefs.Invalidf("server: unknown mode %q", r.Mode)
 	}
-	if math.IsNaN(req.Tol) || math.IsInf(req.Tol, 0) || req.Tol < 0 {
-		return nil, errdefs.Invalidf("server: tol must be a finite non-negative number")
+	if math.IsNaN(r.Tol) || math.IsInf(r.Tol, 0) || r.Tol < 0 {
+		return errdefs.Invalidf("server: tol must be a finite non-negative number")
 	}
-	if req.Tol == 0 {
-		req.Tol = defaultTol
+	if r.Tol == 0 {
+		r.Tol = defaultTol
 	}
-	if req.MaxIterations < 0 || req.MaxIterations > maxMaxIterations {
-		return nil, errdefs.Invalidf("server: maxIterations %d outside [0, %d]", req.MaxIterations, maxMaxIterations)
+	if r.MaxIterations < 0 || r.MaxIterations > maxMaxIterations {
+		return errdefs.Invalidf("server: maxIterations %d outside [0, %d]", r.MaxIterations, maxMaxIterations)
 	}
-	if req.MaxIterations == 0 {
-		req.MaxIterations = defaultMaxIterations
+	if r.MaxIterations == 0 {
+		r.MaxIterations = defaultMaxIterations
 	}
-	if req.Restart < 0 || req.Restart > maxGMRESRestart {
-		return nil, errdefs.Invalidf("server: restart %d outside [0, %d]", req.Restart, maxGMRESRestart)
+	if r.Restart < 0 || r.Restart > maxGMRESRestart {
+		return errdefs.Invalidf("server: restart %d outside [0, %d]", r.Restart, maxGMRESRestart)
 	}
-	if req.Restart != 0 && req.Solver != solverGMRES {
-		return nil, errdefs.Invalidf("server: restart is only valid for gmres")
+	if r.Restart != 0 && r.Solver != solverGMRES {
+		return errdefs.Invalidf("server: restart is only valid for gmres")
 	}
-	if math.IsNaN(req.Damping) || req.Damping < 0 || req.Damping > 1 {
-		return nil, errdefs.Invalidf("server: damping must be in (0,1]")
+	if math.IsNaN(r.Damping) || r.Damping < 0 || r.Damping > 1 {
+		return errdefs.Invalidf("server: damping must be in (0,1]")
 	}
-	if req.Damping != 0 && req.Solver != solverPageRank {
-		return nil, errdefs.Invalidf("server: damping is only valid for pagerank")
+	if r.Damping != 0 && r.Solver != solverPageRank {
+		return errdefs.Invalidf("server: damping is only valid for pagerank")
 	}
-	if req.Damping == 0 {
-		req.Damping = 0.85
+	if r.Damping == 0 {
+		r.Damping = 0.85
 	}
-	if req.TimeoutMs < 0 {
-		return nil, errdefs.Invalidf("server: negative timeoutMs %d", req.TimeoutMs)
+	if r.TimeoutMs < 0 {
+		return errdefs.Invalidf("server: negative timeoutMs %d", r.TimeoutMs)
 	}
-	if len(req.TraceID) > 128 {
-		return nil, errdefs.Invalidf("server: traceId longer than 128 bytes")
+	if len(r.TraceID) > 128 {
+		return errdefs.Invalidf("server: traceId longer than 128 bytes")
 	}
-	if linearSolver(req.Solver) {
-		if len(req.B) == 0 {
-			return nil, errdefs.Invalidf("server: solver %s requires b", req.Solver)
+	if linearSolver(r.Solver) {
+		if len(r.B) == 0 {
+			return errdefs.Invalidf("server: solver %s requires b", r.Solver)
 		}
-	} else if len(req.B) > 0 {
-		return nil, errdefs.Invalidf("server: solver %s does not take b", req.Solver)
+	} else if len(r.B) > 0 {
+		return errdefs.Invalidf("server: solver %s does not take b", r.Solver)
 	}
-	if req.Solver == solverSpMV && len(req.X0) > 0 {
-		return nil, errdefs.Invalidf("server: solver spmv does not take x0")
+	if r.Solver == solverSpMV && len(r.X0) > 0 {
+		return errdefs.Invalidf("server: solver spmv does not take x0")
 	}
-	if err := checkFiniteVec("b", req.B); err != nil {
-		return nil, err
+	if err := checkFiniteVec("b", r.B); err != nil {
+		return err
 	}
-	if err := checkFiniteVec("x0", req.X0); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return checkFiniteVec("x0", r.X0)
 }
 
 // decodeIterateRequest parses and validates an iterate body — the other
 // half of the FuzzHTTPSolve surface. Whether Vector is required or
 // forbidden depends on the session's solver, which the handler checks.
-func decodeIterateRequest(data []byte) (*IterateRequest, error) {
+func decodeIterateRequest(data []byte) (*IterateRequest, bool, error) {
 	req := IterateRequest{Steps: 1}
+	var stdlib bool
+	var err error
 	if len(data) > 0 {
-		if err := json.Unmarshal(data, &req); err != nil {
-			return nil, errdefs.Invalidf("server: bad request body: %v", err)
-		}
+		stdlib, err = unmarshalBody(data, &req, (*IterateRequest).fields)
 	}
-	if req.Steps == 0 {
-		req.Steps = 1
+	if err == nil {
+		err = req.normalize()
 	}
-	if req.Steps < 0 || req.Steps > maxStepsPerRequest {
-		return nil, errdefs.Invalidf("server: steps %d outside [1, %d]", req.Steps, maxStepsPerRequest)
+	if err != nil {
+		return nil, stdlib, err
 	}
-	if req.TimeoutMs < 0 {
-		return nil, errdefs.Invalidf("server: negative timeoutMs %d", req.TimeoutMs)
+	return &req, stdlib, nil
+}
+
+// normalize validates a decoded iterate request and fills its defaults.
+func (r *IterateRequest) normalize() error {
+	if r.Steps == 0 {
+		r.Steps = 1
 	}
-	if err := checkFiniteVec("vector", req.Vector); err != nil {
-		return nil, err
+	if r.Steps < 0 || r.Steps > maxStepsPerRequest {
+		return errdefs.Invalidf("server: steps %d outside [1, %d]", r.Steps, maxStepsPerRequest)
 	}
-	return &req, nil
+	if r.TimeoutMs < 0 {
+		return errdefs.Invalidf("server: negative timeoutMs %d", r.TimeoutMs)
+	}
+	return checkFiniteVec("vector", r.Vector)
 }

@@ -2,8 +2,8 @@
 # Full verification gate: formatting, vet, build, race-enabled tests, the
 # nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
 # fuzz smokes on the Matrix Market
-# parser and the spmvd request decoders (SpMV and solver sessions), plus
-# staticcheck and govulncheck.
+# parser and the spmvd request decoders (SpMV and solver sessions), the
+# request scanner's allocation gate, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -76,6 +76,12 @@ go test -run='^$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 
 echo "== fuzz smoke (FuzzPlanDecode, 10s)"
 go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
+
+# The request scanner's memory contract, as counts a shared runner cannot
+# flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
+# bytes, and a megabyte of commas is rejected having allocated < 64 KiB.
+echo "== decode allocation gate"
+go test -count=1 -run 'DecodeAllocs' ./internal/server
 
 echo "== staticcheck"
 if require_or_skip staticcheck; then
