@@ -39,6 +39,32 @@ func TestFingerprintDeterministicAndStructural(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins fingerprint *values*: plans persisted under
+// -cache-dir by older builds are found by them, so how Fingerprint feeds the
+// hash may change but the byte stream may not. The constants were printed
+// by the commit that still wrote one hash call per index.
+func TestFingerprintGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		want string
+	}{
+		{"figure1", sparse.Figure1(), "de84933dfa67d54342c2fdb927e83e88"},
+		{"empty-rows", &sparse.CSR{Rows: 6, Cols: 4,
+			RowPtr: []int64{0, 0, 2, 2, 3, 3, 3},
+			ColIdx: []int32{1, 3, 0},
+			Val:    []float64{1, 2, 3}}, "8657cb77b96880cc699b1c1f14b24feb"},
+		// Row pointers and column indices both span several 4 KiB blocks,
+		// neither a whole number of them.
+		{"powerlaw-3001", matgen.PowerLaw(3001, 5, 2.0, 400, 11), "b33ae460ff0b9bb822e769b7fd6d3bb0"},
+	}
+	for _, c := range cases {
+		if got := Fingerprint(c.a); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestPlanEncodeDecodeRoundTrip(t *testing.T) {
 	p := &TuningPlan{
 		Fingerprint:  "deadbeefdeadbeefdeadbeefdeadbeef",
