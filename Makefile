@@ -82,11 +82,11 @@ spmvbench:
 	$(GO) run ./cmd/spmvbench -out $(BENCH_OUT) -baseline $(BENCH_BASELINE)
 
 ## bench-parallel: sequential-vs-parallel tuning-search comparison. The two
-## passes must produce identical labels; the >= 3x speedup floor at 8
-## workers is enforced only when the host has >= 8 CPUs (see BENCH_PR5.json
-## "search" for the last committed measurement).
+## passes must produce identical labels; the wall-clock speedup is printed,
+## not gated (every committed measurement is from a 1-CPU host — see
+## BENCH_PR5.json "search").
 bench-parallel:
-	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-parallel.json -workers 8 -min-speedup 3
+	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-parallel.json -workers 8
 
 ## bench-tune: legacy-vs-cached+pruned tuning-search comparison, both
 ## passes single-threaded. Labels must pass the exact-equivalence check and

@@ -14,10 +14,10 @@
 //
 // The run also benchmarks the exhaustive tuning search sequentially
 // (Workers=1) and in parallel (-workers), requiring identical labels from
-// both and — when the host has at least -workers CPUs — a speedup of at
-// least -min-speedup. A second search comparison times the legacy
-// exhaustive path (cost cache and pruner disabled) against the cached+
-// pruned default, requiring byte-identical labels and at least
+// both (the speedup is printed, not gated). A second search comparison
+// times the legacy exhaustive path (cost cache and pruner disabled)
+// against the cached+pruned default, requiring byte-identical labels and
+// at least
 // -min-tune-sim-ratio times fewer simulated launches (a deterministic
 // count; the wall-clock speedup is reported, not gated). Exit codes: 0
 // clean, 1 regression vs the baseline or a failed search gate, 2
@@ -52,20 +52,19 @@ func main() {
 	trainCorpus := flag.Int("train-corpus", 8, "bootstrap training corpus size when no -model is given")
 	seed := flag.Int64("seed", 42, "corpus seed")
 	workers := flag.Int("workers", 8, "parallel-search worker count for the seq-vs-parallel comparison (<= 1 skips it)")
-	minSpeedup := flag.Float64("min-speedup", 3.0, "required search speedup at -workers; enforced only when the host has at least that many CPUs (0 disables)")
 	minTuneSimRatio := flag.Float64("min-tune-sim-ratio", 1.4, "required ratio of the legacy exhaustive search's simulated launches over the cached+pruned search's (0 disables)")
 	maxSynthSims := flag.Float64("max-synth-sims", 4.0, "maximum simulated-cell ratio of the synthesized-space search over the pool search (0 disables)")
 	batchVectors := flag.Int("batch-vectors", 8, "right-hand sides per fused launch in the batch comparison (<= 1 skips it)")
 	maxBatchRatio := flag.Float64("max-batch-ratio", 0.6, "maximum modeled cycles-per-request ratio of the fused batch path over the unbatched path (0 disables)")
 	flag.Parse()
 
-	if err := run(*out, *baseline, *threshold, *n, *iters, *modelPath, *trainCorpus, *seed, *workers, *minSpeedup, *minTuneSimRatio, *maxSynthSims, *batchVectors, *maxBatchRatio); err != nil {
+	if err := run(*out, *baseline, *threshold, *n, *iters, *modelPath, *trainCorpus, *seed, *workers, *minTuneSimRatio, *maxSynthSims, *batchVectors, *maxBatchRatio); err != nil {
 		fmt.Fprintln(os.Stderr, "spmvbench:", err)
 		os.Exit(2)
 	}
 }
 
-func run(out, baseline string, threshold float64, n, iters int, modelPath string, trainCorpus int, seed int64, workers int, minSpeedup, minTuneSimRatio, maxSynthSims float64, batchVectors int, maxBatchRatio float64) error {
+func run(out, baseline string, threshold float64, n, iters int, modelPath string, trainCorpus int, seed int64, workers int, minTuneSimRatio, maxSynthSims float64, batchVectors int, maxBatchRatio float64) error {
 	cfg := core.DefaultConfig()
 	model, err := obtainModel(cfg, modelPath, trainCorpus, seed)
 	if err != nil {
@@ -90,11 +89,7 @@ func run(out, baseline string, threshold float64, n, iters int, modelPath string
 		results.Search = sb
 		fmt.Printf("search: %d matrices, seq %.3fs, parallel(%d) %.3fs, %.2fx speedup, identical=%v (host CPUs: %d)\n",
 			sb.Matrices, sb.SeqSeconds, sb.Workers, sb.ParSeconds, sb.Speedup, sb.Identical, sb.HostCPUs)
-		if sb.HostCPUs < sb.Workers {
-			fmt.Printf("search: speedup gate not enforced — host has %d CPUs, fewer than %d workers\n",
-				sb.HostCPUs, sb.Workers)
-		}
-		regressions = append(regressions, CheckSearch(sb, minSpeedup)...)
+		regressions = append(regressions, CheckSearch(sb)...)
 	}
 	tb := tuneBench(cfg, mats)
 	results.Tune = tb

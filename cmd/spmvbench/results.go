@@ -60,11 +60,8 @@ type Case struct {
 // SearchBench records the sequential-vs-parallel exhaustive-search
 // comparison of one run: the same tuning search timed at Workers=1 and at
 // Workers=N, with the requirement that both produce identical labels.
-// Seconds are host wall time — machine-dependent — which is why HostCPUs
-// is recorded: the speedup gate is capacity-conditional and only enforced
-// when the host actually has at least Workers CPUs (a 1-CPU runner cannot
-// honestly demonstrate a parallel speedup, and a fabricated number would
-// defeat the gate's purpose).
+// Seconds are host wall time — machine-dependent, reported and never
+// gated — which is why HostCPUs is recorded beside them.
 type SearchBench struct {
 	Matrices   int     `json:"matrices"` // matrices searched per pass
 	Workers    int     `json:"workers"`
@@ -239,25 +236,12 @@ func Compare(base, cur *Results, threshold float64) []string {
 }
 
 // CheckSearch gates the search benchmark: the parallel result must equal
-// the sequential one unconditionally (determinism is not machine-
-// dependent), and the speedup must reach minSpeedup whenever the host has
-// the CPUs to demonstrate it — on a host with fewer CPUs than workers the
-// speedup is reported but not enforced.
-func CheckSearch(sb *SearchBench, minSpeedup float64) []string {
-	if sb == nil {
+// the sequential one on every host (determinism is not machine-dependent).
+func CheckSearch(sb *SearchBench) []string {
+	if sb == nil || sb.Identical {
 		return nil
 	}
-	var regs []string
-	if !sb.Identical {
-		regs = append(regs,
-			"search: parallel labels differ from sequential labels (determinism violation)")
-	}
-	if minSpeedup > 0 && sb.Workers > 1 && sb.HostCPUs >= sb.Workers && sb.Speedup < minSpeedup {
-		regs = append(regs,
-			fmt.Sprintf("search: %.2fx speedup at %d workers, want >= %.2fx (host has %d CPUs)",
-				sb.Speedup, sb.Workers, minSpeedup, sb.HostCPUs))
-	}
-	return regs
+	return []string{"search: parallel labels differ from sequential labels (determinism violation)"}
 }
 
 // CheckSynth gates the parameter-space synthesis comparison. All three

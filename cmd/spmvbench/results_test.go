@@ -87,28 +87,18 @@ func TestCompareNewCasesAllowed(t *testing.T) {
 }
 
 // TestCheckSearch locks the search-gate semantics: non-identical labels
-// always fail, a capable host must reach the speedup floor, and a host
-// with fewer CPUs than workers is exempt from the floor (the run cannot
-// honestly demonstrate a parallel speedup there).
+// fail on every host, and the wall-clock speedup is never gated.
 func TestCheckSearch(t *testing.T) {
-	if regs := CheckSearch(nil, 3); len(regs) != 0 {
+	if regs := CheckSearch(nil); len(regs) != 0 {
 		t.Fatalf("nil search bench flagged: %v", regs)
 	}
 	diverged := &SearchBench{Workers: 8, HostCPUs: 16, Speedup: 5, Identical: false}
-	if regs := CheckSearch(diverged, 3); len(regs) != 1 || !strings.Contains(regs[0], "determinism") {
+	if regs := CheckSearch(diverged); len(regs) != 1 || !strings.Contains(regs[0], "determinism") {
 		t.Fatalf("divergent labels not flagged: %v", regs)
 	}
-	slow := &SearchBench{Workers: 8, HostCPUs: 16, Speedup: 1.2, Identical: true}
-	if regs := CheckSearch(slow, 3); len(regs) != 1 || !strings.Contains(regs[0], "speedup") {
-		t.Fatalf("missed speedup floor not flagged: %v", regs)
-	}
-	smallHost := &SearchBench{Workers: 8, HostCPUs: 1, Speedup: 0.9, Identical: true}
-	if regs := CheckSearch(smallHost, 3); len(regs) != 0 {
-		t.Fatalf("capacity-exempt host flagged: %v", regs)
-	}
-	fast := &SearchBench{Workers: 8, HostCPUs: 16, Speedup: 4.1, Identical: true}
-	if regs := CheckSearch(fast, 3); len(regs) != 0 {
-		t.Fatalf("clean search bench flagged: %v", regs)
+	slow := &SearchBench{Workers: 8, HostCPUs: 16, Speedup: 0.4, Identical: true}
+	if regs := CheckSearch(slow); len(regs) != 0 {
+		t.Fatalf("wall-clock speedup gated: %v", regs)
 	}
 }
 

@@ -261,7 +261,14 @@ func obtainModel(path string, corpus int, cfg core.Config) (*core.Model, error) 
 		corpus = 2
 	}
 	log.Printf("no -model given: bootstrap-training on a %d-matrix synthetic corpus", corpus)
+	mark := time.Now()
+	lap := func() float64 { // seconds since the previous lap
+		d := time.Since(mark)
+		mark = mark.Add(d)
+		return d.Seconds()
+	}
 	mats := matgen.Corpus(matgen.CorpusOptions{N: corpus, MinRows: 256, MaxRows: 2048, Seed: 42})
+	generated := lap()
 	td := core.NewTrainingData(cfg)
 	for i, cm := range mats {
 		td.AddMatrix(cfg, cm.A)
@@ -269,5 +276,13 @@ func obtainModel(path string, corpus int, cfg core.Config) (*core.Model, error) 
 			log.Printf("labeled %d/%d", i+1, len(mats))
 		}
 	}
-	return core.TrainModel(td, cfg, c50.DefaultOptions()), nil
+	labeled := lap()
+	m := core.TrainModel(td, cfg, c50.DefaultOptions())
+	line := fmt.Sprintf("bootstrap: generated %d matrices in %.2fs, labeled in %.2fs, trained in %.2fs",
+		len(mats), generated, labeled, lap())
+	if cfg.SearchCache != nil {
+		line += fmt.Sprintf(" (cost cache %+v)", cfg.SearchCache.Stats())
+	}
+	log.Print(line)
+	return m, nil
 }

@@ -139,3 +139,20 @@ func BenchmarkSearchResultKernelByBin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBootstrapSearch is the labelling half of spmvd's start-up on the
+// corpus cmd/spmvd bootstraps from when no -model is given (and therefore
+// what bench/'s setup_s mostly is). Each iteration starts from a cold cost
+// cache, as a fresh daemon does.
+func BenchmarkBootstrapSearch(b *testing.B) {
+	mats := matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+		for _, cm := range mats {
+			Search(cfg, cm.A)
+		}
+	}
+}

@@ -3,6 +3,9 @@ package hsa
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"spmvtune/internal/errdefs"
@@ -127,8 +130,10 @@ type Run struct {
 	nextBase int64
 
 	// Direct-mapped cache of segment tags; index = segment % len, value =
-	// segment id + 1 (0 = empty).
-	cache []int64
+	// segment id + 1 (0 = empty). cacheMask is len-1 when len is a power of
+	// two (the modulo of a non-negative segment is then a mask), else -1.
+	cache     []int64
+	cacheMask int64
 
 	cuCycles []float64
 	nextCU   int
@@ -140,7 +145,13 @@ type Run struct {
 	// runs pay nothing.
 	ctr *Counters
 
+	// Gather's scratch. segScratch lists the segments of the instruction
+	// being charged; segSeen is a bitset over the segment ids of everything
+	// Alloc handed out, all-zero between Gather calls. segShift is
+	// log2(SegmentBytes), or -1 when that is not a power of two.
 	segScratch []int64
+	segSeen    []uint64
+	segShift   int
 
 	// wgFree recycles WG accountants (and their pipe arrays and WFAcc
 	// blocks) within this Run: a launch dispatches thousands of work-groups
@@ -244,6 +255,10 @@ func (r *Run) reset(cfg Config) {
 		r.cache = r.cache[:sets]
 		clear(r.cache)
 	}
+	r.cacheMask = -1
+	if sets&(sets-1) == 0 {
+		r.cacheMask = sets - 1
+	}
 	if cap(r.cuCycles) < cfg.NumCUs {
 		r.cuCycles = make([]float64, cfg.NumCUs)
 	} else {
@@ -255,8 +270,15 @@ func (r *Run) reset(cfg Config) {
 	r.ctr = nil
 	r.fault = nil
 	r.ctx = nil
-	// wgFree and segScratch keep their capacity — their contents are
-	// (re)initialized at every BeginWG / Gather.
+	r.segShift = -1
+	if seg := cfg.SegmentBytes; seg&(seg-1) == 0 {
+		r.segShift = bits.TrailingZeros64(uint64(seg))
+	}
+	// Alloc re-extends segSeen, zeroing what it exposes, so whatever state an
+	// aborted launch left behind cannot reach this one. wgFree and
+	// segScratch keep their capacity — their contents are (re)initialized at
+	// every BeginWG / Gather.
+	r.segSeen = r.segSeen[:0]
 }
 
 // Config returns the device configuration of this run.
@@ -274,14 +296,24 @@ func (r *Run) Alloc(elemSize, count int64) Region {
 	// regions never share a coalescing segment.
 	seg := r.cfg.SegmentBytes
 	r.nextBase = base + ((size+seg-1)/seg+1)*seg
+	// Gather's bitset covers every segment handed out so far.
+	if words := int(r.nextBase/seg+63) / 64; words > cap(r.segSeen) {
+		r.segSeen = make([]uint64, words)
+	} else if old := len(r.segSeen); words > old {
+		r.segSeen = r.segSeen[:words]
+		clear(r.segSeen[old:])
+	}
 	return Region{base: base, elemSize: elemSize}
 }
 
 // access charges one global transaction for the given segment id.
 func (r *Run) access(seg int64) float64 {
-	slot := seg % int64(len(r.cache))
-	if slot < 0 {
-		slot = -slot
+	slot := seg & r.cacheMask
+	if r.cacheMask < 0 || seg < 0 {
+		slot = seg % int64(len(r.cache))
+		if slot < 0 {
+			slot = -slot
+		}
 	}
 	r.stats.Transactions++
 	if r.cache[slot] == seg+1 {
@@ -476,35 +508,54 @@ func (a *WFAcc) Barrier() {
 // Gather charges one vector memory instruction whose lanes access the
 // element indices idx within reg. The cost is one transaction per distinct
 // segment touched — fully coalesced access to consecutive elements costs
-// few transactions, a scattered gather up to one per lane.
+// few transactions, a scattered gather up to one per lane. The segments are
+// charged in the order their first lane appears in idx: access mutates the
+// direct-mapped tags and the cost is a float sum, so that order is part of
+// the model.
 func (a *WFAcc) Gather(reg Region, idx []int64) {
 	if len(idx) == 0 {
 		return
 	}
-	if ctr := a.run.ctr; ctr != nil {
-		ctr.recordMem(int64(len(idx)), a.run.cfg.WavefrontSize)
+	r := a.run
+	if ctr := r.ctr; ctr != nil {
+		ctr.recordMem(int64(len(idx)), r.cfg.WavefrontSize)
 	}
-	segs := a.run.segScratch[:0]
-	seg := a.run.cfg.SegmentBytes
+	segs, seen := r.segScratch[:0], r.segSeen
+	seg, shift := r.cfg.SegmentBytes, r.segShift
+	prev := int64(math.MinInt64)
 	for _, i := range idx {
-		s := (reg.base + i*reg.elemSize) / seg
-		dup := false
-		for _, e := range segs {
-			if e == s {
-				dup = true
-				break
+		// The lane's segment: a shift on power-of-two segment sizes, the
+		// division otherwise (and below zero, where the two round apart).
+		addr := reg.base + i*reg.elemSize
+		s := addr >> (uint(shift) & 63)
+		if shift < 0 || addr < 0 {
+			s = addr / seg
+		}
+		if s == prev {
+			continue
+		}
+		prev = s
+		if w := uint64(s) >> 6; w < uint64(len(seen)) {
+			bit := uint64(1) << (uint64(s) & 63)
+			if seen[w]&bit != 0 {
+				continue
 			}
+			seen[w] |= bit
+		} else if slices.Contains(segs, s) {
+			// A segment outside every region has no bit to mark.
+			continue
 		}
-		if !dup {
-			segs = append(segs, s)
-		}
+		segs = append(segs, s)
 	}
-	a.run.segScratch = segs[:0]
+	r.segScratch = segs[:0]
 	cost := 0.0
 	for _, s := range segs {
-		cost += a.run.access(s)
+		if w := uint64(s) >> 6; w < uint64(len(seen)) {
+			seen[w] = 0 // only this call's bits are set in the word
+		}
+		cost += r.access(s)
 	}
-	a.run.stats.CyclesMem += cost
+	r.stats.CyclesMem += cost
 	a.add(cost)
 }
 

@@ -68,8 +68,8 @@ func TestSimulatorGoldenOddDevices(t *testing.T) {
 				us[b] = make([]float64, a.Rows)
 			}
 			for _, dev := range devs {
-				for i, info := range kernels.SynthSpace().Infos {
-					if i%4 != 0 {
+				for pi, info := range kernels.SynthSpace().Infos {
+					if pi%4 != 0 {
 						continue
 					}
 					for b := range us {

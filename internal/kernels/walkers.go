@@ -240,20 +240,20 @@ func (w *wavefront) begin(acc *hsa.WFAcc, gidLo int) bool {
 // load collects one lock-step load of the wavefront into w.addrs/w.vAddrs:
 // lane l of every covered row takes the row's element off+l, if the row is
 // that long. The addresses come out in work-item order (the direct-mapped
-// cache makes the hit/miss sequence order-sensitive); vAddrs holds the
-// matching entries of vector b's v slab. Reports whether any lane is active.
+// cache makes the hit/miss sequence order-sensitive), which slot by slot is
+// each row's lanes inside the wavefront up to the row's end; vAddrs holds
+// the matching entries of vector b's v slab. Reports whether any lane is
+// active.
 func (w *wavefront) load(off, b int) bool {
 	a := w.in.A
 	vBase := int64(b) * w.in.vStride
 	addrs, vAddrs := w.addrs[:0], w.vAddrs[:0]
-	for gid := w.gidLo; gid < w.gidLo+w.size; gid++ {
-		slot := gid / w.x
-		if slot >= len(w.rows) {
-			continue
-		}
+	for slot := w.slotLo; slot <= w.slotHi; slot++ {
 		r := w.rows[slot]
-		e := a.RowPtr[r] + int64(off+gid%w.x)
-		if e < a.RowPtr[r+1] {
+		gid0 := slot * w.x
+		first := a.RowPtr[r] + int64(off)
+		end := min(first+int64(min(w.x, w.gidLo+w.size-gid0)), a.RowPtr[r+1])
+		for e := first + int64(max(w.gidLo-gid0, 0)); e < end; e++ {
 			addrs = append(addrs, e)
 			vAddrs = append(vAddrs, int64(a.ColIdx[e])+vBase)
 		}

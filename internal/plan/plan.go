@@ -37,11 +37,19 @@ const fingerprintSalt = "spmvtune-plan-fp1"
 func Fingerprint(a *sparse.CSR) string {
 	h := sha256.New()
 	h.Write([]byte(fingerprintSalt))
-	var buf [8]byte
-	put := func(x int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		h.Write(buf[:])
+	// The stream is staged through one stack block: a hash call per index
+	// cost more than the hashing.
+	var buf [4096]byte
+	n := 0
+	next := func(size int) []byte {
+		if n == len(buf) {
+			h.Write(buf[:])
+			n = 0
+		}
+		n += size
+		return buf[n-size : n]
 	}
+	put := func(x int64) { binary.LittleEndian.PutUint64(next(8), uint64(x)) }
 	put(int64(a.Rows))
 	put(int64(a.Cols))
 	put(int64(len(a.ColIdx)))
@@ -50,11 +58,10 @@ func Fingerprint(a *sparse.CSR) string {
 	}
 	// Column indices are hashed 32-bit to halve the work; they are int32
 	// in CSR storage already.
-	var b4 [4]byte
 	for _, c := range a.ColIdx {
-		binary.LittleEndian.PutUint32(b4[:], uint32(c))
-		h.Write(b4[:])
+		binary.LittleEndian.PutUint32(next(4), uint32(c))
 	}
+	h.Write(buf[:n])
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
 }

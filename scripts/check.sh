@@ -50,6 +50,14 @@ go test -race ./...
 echo "== replay equivalence + race (count=3)"
 go test -race -count=3 -run 'Replay' ./internal/core
 
+# The simulator's host cost may change, its modeled behaviour may not: the
+# two golden digests pin every stat, counter and output bit (they skip
+# themselves under -race, so the run above never executes them), and the
+# differential test holds Gather to the quadratic reference dedup.
+echo "== simulator bit-identity (golden digests + Gather reference)"
+go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices' ./internal/kernels
+go test -count=1 -run 'TestGatherMatchesReference' ./internal/hsa
+
 # The root package aliases core.Framework, so its method set is public API:
 # Plan decides, ExecutePlan*Opts runs, and nothing else does either.
 echo "== framework surface lock"
