@@ -160,13 +160,15 @@ func TestChaosRetrainStorm(t *testing.T) {
 	// Traffic and retraining race: four request workers, plus a retrain
 	// loop on this goroutine alternating clean and label-noise-poisoned
 	// passes. Everything joins before any assertion.
+	const workers, perWorker = 4, 15
 	var wg sync.WaitGroup
 	trafficDone := make(chan struct{})
-	for w := 0; w < 4; w++ {
+	completed := make(chan struct{}, workers*perWorker) // one token per finished request
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 15; i++ {
+			for i := 0; i < perWorker; i++ {
 				k := (w + i) % len(mats)
 				a := mats[k]
 				v := make([]float64, a.Cols)
@@ -175,6 +177,7 @@ func TestChaosRetrainStorm(t *testing.T) {
 				}
 				vecJSON, _ := json.Marshal(v)
 				rec := do("POST", "/v1/spmv", fmt.Sprintf(`{"matrix":%q,"vector":%s}`, ids[k], vecJSON))
+				completed <- struct{}{}
 				if rec.Code == 200 {
 					continue
 				}
@@ -198,17 +201,20 @@ func TestChaosRetrainStorm(t *testing.T) {
 	}()
 	const passes = 8
 	outcomes := make([]string, 0, passes)
+	seen := 0
 	for r := 0; r < passes; r++ {
 		// Pace against the traffic: a skip is instant, so an unpaced loop
-		// would burn every pass before the first rows land. Once traffic
-		// drains, remaining passes run back to back.
+		// would burn every pass before the first rows land. Pass r waits
+		// for its share of the requests to complete — a count, not a
+		// clock. The service is Synchronous, so a completed request's
+		// evidence is already ingested: nothing is left queued. Once
+		// traffic drains, remaining passes run back to back.
 	pace:
-		for svc.Stats().Rows < int64(10+5*r) {
+		for ; seen < (r+1)*workers*perWorker/passes; seen++ {
 			select {
+			case <-completed:
 			case <-trafficDone:
 				break pace
-			default:
-				time.Sleep(time.Millisecond)
 			}
 		}
 		svc.SetLabelNoise(float64(r % 2)) // odd passes train on poisoned labels

@@ -25,9 +25,9 @@ import (
 // arrivals join it until either the timer fires (trigger "window") or the
 // batch reaches Config.MaxBatch (trigger "size", flushed inline by the
 // arrival that filled it). A window flush runs on the timer goroutine, so
-// waiters — stateless requests holding worker slots and session iterates
-// holding their session lock — never depend on another request's
-// goroutine to make progress.
+// waiters — parked stateless requests and session iterates holding their
+// slot and session lock — never depend on another request's goroutine to
+// make progress. Server.multiply is the only caller of enqueue and wait.
 //
 // Error isolation is per request: a vector that fails verification inside
 // the fused launch is re-served alone through the single-vector guarded
@@ -186,12 +186,4 @@ func (co *coalescer) flush(b *pendingBatch, trigger *atomic.Int64) {
 		}
 		close(it.done)
 	}
-}
-
-// execute routes one vector through the coalescer end to end: enqueue,
-// wait, copy out. The common entry point for the stateless SpMV handler
-// and session iterates.
-func (co *coalescer) execute(ctx context.Context, e *matrixEntry, p *plan.TuningPlan, opt core.GuardOptions, traceID string, v, u []float64) (degraded bool, fallbacks int, err error) {
-	it := co.enqueue(e, p, opt, traceID, v)
-	return co.wait(ctx, it, u)
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -51,13 +49,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, erro
 	return buf, nil
 }
 
-// writeTooLarge answers a body past the configured limit — the one 413 of
-// the API, shared by the upload and the JSON endpoints.
-func writeTooLarge(w http.ResponseWriter, limit int64) {
-	writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-		"error": "invalid", "detail": fmt.Sprintf("body exceeds %d bytes", limit)})
-}
-
 // readRequest is a JSON endpoint's way from handler entry to a validated
 // request: read the body, decode it, give the buffer back, and account the
 // stage (spmvd_decode_seconds, spmvd_decode_fallback_total). On failure it
@@ -66,12 +57,7 @@ func readRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, ep in
 	start := time.Now()
 	buf, err := s.readBody(w, r)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeTooLarge(w, tooLarge.Limit)
-		} else {
-			s.writeError(w, errdefs.Invalidf("server: read body: %v", err))
-		}
+		s.writeError(w, tooLarge(errdefs.Invalidf("server: read body: %w", err)))
 		return nil, false
 	}
 	req, stdlib, err := decode(*buf)

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sync"
@@ -36,6 +37,7 @@ import (
 	"spmvtune/internal/plan"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/retrain"
+	"spmvtune/internal/solvers"
 	"spmvtune/internal/sparse"
 	"spmvtune/internal/trace"
 )
@@ -72,7 +74,8 @@ type Config struct {
 	// request pool owns the host budget.
 	ExecWorkers int
 	// DefaultTimeout is the per-request execution deadline when the
-	// request does not carry its own; <= 0 selects 30s.
+	// request does not carry its own; <= 0 selects 30s. It is clamped to
+	// MaxTimeout.
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied deadlines; <= 0 selects 5m.
 	MaxTimeout time.Duration
@@ -172,6 +175,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 5 * time.Minute
 	}
+	c.DefaultTimeout = min(c.DefaultTimeout, c.MaxTimeout)
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -301,7 +305,7 @@ func (s *Server) AdoptModel(m *core.Model, version string) {
 // never loses tuned plans. It returns the number of plans persisted.
 func (s *Server) Drain() (int, error) {
 	s.draining.Store(true)
-	s.evictIdleSessions()
+	s.evictIdle(math.MaxInt64)
 	return s.cache.Flush()
 }
 
@@ -329,8 +333,8 @@ func (s *Server) MatrixCount() int {
 }
 
 // statusRecorder captures the response status for error accounting and
-// whether anything was written yet — the panic recovery boundary may only
-// write its classed 500 while the response is still untouched.
+// whether anything was written yet — once it has, writeError can no longer
+// send a status and appends its error line instead.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
@@ -369,37 +373,68 @@ func (s *Server) instrument(ep int, h http.HandlerFunc) http.HandlerFunc {
 		s.m.requests[ep].Add(1)
 		s.m.inflight.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					s.m.panics.Add(1)
-					err := errdefs.Panicf("server: %s handler panicked: %v", endpointNames[ep], p)
-					if !rec.wrote {
-						s.writeError(rec, err)
-					} else {
-						// The body is already partially written; the most we
-						// can do is account the request as failed.
-						rec.status = http.StatusInternalServerError
-					}
-				}
-			}()
-			h(rec, r)
+		defer func() {
+			if p := recover(); p != nil {
+				s.m.panics.Add(1)
+				s.writeError(rec, errdefs.Panicf("server: %s handler panicked: %v", endpointNames[ep], p))
+			}
+			s.m.inflight.Add(-1)
+			s.m.latencyNs[ep].Add(time.Since(start).Nanoseconds())
+			if rec.status >= 400 {
+				s.m.errors[ep].Add(1)
+			}
 		}()
-		s.m.inflight.Add(-1)
-		s.m.latencyNs[ep].Add(time.Since(start).Nanoseconds())
-		if rec.status >= 400 {
-			s.m.errors[ep].Add(1)
-		}
+		h(rec, r)
 	}
 }
 
-// errorClass maps an error to its wire class and HTTP status. The classes
-// mirror the errdefs taxonomy so clients can branch without parsing
-// detail strings. Every errdefs class must map to a deliberate status
-// here — the table test in errclass_test.go enforces it against
-// errdefs.Classes().
+// apiError is a failure the server classes itself rather than through
+// errdefs — an unknown ID, a busy session, a full queue, an oversized body —
+// carrying its wire class and status to the one error writer.
+type apiError struct {
+	class  string
+	status int
+	detail string
+}
+
+func (e *apiError) Error() string { return e.detail }
+
+func notFound(f string, a ...any) error {
+	return &apiError{"not_found", http.StatusNotFound, fmt.Sprintf(f, a...)}
+}
+
+func busy(f string, a ...any) error {
+	return &apiError{"busy", http.StatusConflict, fmt.Sprintf(f, a...)}
+}
+
+func overloaded(f string, a ...any) error {
+	return &apiError{"overloaded", http.StatusTooManyRequests, fmt.Sprintf(f, a...)}
+}
+
+// tooLarge turns a body read stopped at MaxBodyBytes into the API's one
+// 413, the same on every endpoint that reads a body; any other error
+// passes through.
+func tooLarge(err error) error {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return &apiError{"invalid", http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", mbe.Limit)}
+	}
+	return err
+}
+
+// errorClass maps an error to its wire class and HTTP status: the one table
+// of the error contract, so clients branch without parsing detail strings.
+// The server's own apiErrors and a solver breakdown (422: the math failed
+// on this input, neither a client bug nor a server fault) sit on top of the
+// errdefs taxonomy, whose every class must map to a deliberate status here
+// — errclass_test.go enforces it against errdefs.Classes().
 func errorClass(err error) (string, int) {
+	var ae *apiError
 	switch {
+	case errors.As(err, &ae):
+		return ae.class, ae.status
+	case errors.Is(err, solvers.ErrBreakdown):
+		return "breakdown", http.StatusUnprocessableEntity
 	case errors.Is(err, errdefs.ErrInvalidMatrix):
 		return "invalid", http.StatusBadRequest
 	case errors.Is(err, errdefs.ErrCanceled):
@@ -416,12 +451,24 @@ func errorClass(err error) (string, int) {
 	return "internal", http.StatusInternalServerError
 }
 
+// writeError is the one producer of error bodies. Once the response has
+// begun (a streamed solve past its 200 header) the error is the stream's
+// last JSONL line and its status is recorded for accounting only.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	class, status := errorClass(err)
 	if class == "canceled" {
 		s.m.canceled.Add(1)
 	}
-	writeJSON(w, status, map[string]string{"error": class, "detail": err.Error()})
+	body := map[string]string{"error": class, "detail": err.Error()}
+	if rec, ok := w.(*statusRecorder); ok && rec.wrote {
+		rec.status = status
+		_ = json.NewEncoder(w).Encode(body)
+		return
+	}
+	if status == http.StatusConflict || status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeJSON(w, status, body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -431,44 +478,54 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// acquire claims a worker-pool slot. ok=false with a nil error means the
-// queue is full (HTTP 429); a non-nil error means the context expired
-// while waiting for a worker.
-func (s *Server) acquire(ctx context.Context) (release func(), ok bool, err error) {
+// admit is the one way into the worker pool (spmv, solve, iterate): the
+// request's context — client disconnect plus its deadline, clamped to
+// MaxTimeout, or the default — and a worker slot. A full queue is a 429
+// (spmvd_rejected_total), a deadline expiring in the queue a 504; on either
+// the error is written and ok is false. release ends the admission: the
+// slot if still held, then the context. park only hands the slot back
+// (see multiply). Both are idempotent.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, timeoutMs int) (ctx context.Context, park, release func(), ok bool) {
+	d := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		d = min(time.Duration(timeoutMs)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
 	select {
 	case s.queue <- struct{}{}:
 	default:
-		return nil, false, nil
+		cancel()
+		s.m.rejected.Add(1)
+		s.writeError(w, overloaded("worker queue full"))
+		return nil, nil, nil, false
 	}
 	select {
 	case s.sem <- struct{}{}:
-		return func() { <-s.sem; <-s.queue }, true, nil
 	case <-ctx.Done():
 		<-s.queue
-		return nil, false, errdefs.Canceled(ctx.Err())
+		s.writeError(w, errdefs.Canceled(ctx.Err()))
+		cancel()
+		return nil, nil, nil, false
 	}
-}
-
-// requestCtx derives the execution context: the client disconnect channel
-// plus the request or default deadline, clamped to the configured maximum.
-func (s *Server) requestCtx(r *http.Request, timeoutMs int) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
-	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
+	held := true
+	park = func() {
+		if held {
+			held = false
+			<-s.sem
+			<-s.queue
+		}
 	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return context.WithTimeout(r.Context(), d)
+	return ctx, park, func() { park(); cancel() }, true
 }
 
 // planFor fetches the matrix's tuning plan through the degradation
 // ladder: the cached plan if resident (even with an open breaker — a
 // known-good plan always beats the degraded one), else a tune through the
 // shared cache's singleflight, else — when the matrix's circuit breaker
-// is open — the always-available degraded serial plan instead of an
-// error. The degraded return reports the bottom rung was served; such
-// responses carry degraded:true and count in spmvd_degraded_total.
+// is open — the always-available degraded serial plan (one Kernel-Serial
+// bin, built from the matrix alone) instead of an error. The degraded
+// return reports the bottom rung was served; such responses carry
+// degraded:true and count in spmvd_degraded_total.
 //
 // Tuning outcomes are recorded on the breaker inside the compute callback
 // — exactly once per actual tuning pass, however many singleflight
@@ -486,7 +543,7 @@ func (s *Server) planFor(ctx context.Context, e *matrixEntry, traceID string) (p
 		}
 		if !proceed {
 			s.m.degradedServed.Add(1)
-			return s.degradedPlan(e), false, true, nil
+			return core.SerialFallbackPlan(e.A, e.Fingerprint), false, true, nil
 		}
 	}
 	p, cacheHit, err = s.cache.GetOrCompute(ctx, e.Fingerprint, func(ctx context.Context) (tp *plan.TuningPlan, terr error) {
@@ -507,7 +564,7 @@ func (s *Server) planFor(ctx context.Context, e *matrixEntry, traceID string) (p
 		// The failure tripped (or joined an already-open) breaker: serve
 		// the degraded plan instead of propagating a 5xx.
 		s.m.degradedServed.Add(1)
-		return s.degradedPlan(e), false, true, nil
+		return core.SerialFallbackPlan(e.A, e.Fingerprint), false, true, nil
 	}
 	return p, cacheHit, false, err
 }
@@ -528,15 +585,6 @@ func (s *Server) recordTuneOutcome(br *breaker, err error) {
 	if br.onFailure() {
 		s.m.breakerTrips.Add(1)
 	}
-}
-
-// degradedPlan is the bottom rung of the degradation ladder: the
-// single-bin Kernel-Serial plan, which needs no model, no search and no
-// tuning — it is constructible from the matrix alone, and its guarded
-// execution can still fall through to the CPU reference. Fallback is set
-// so the plan is recognizable as degraded wherever it surfaces.
-func (s *Server) degradedPlan(e *matrixEntry) *plan.TuningPlan {
-	return core.SerialFallbackPlan(e.A, e.Fingerprint)
 }
 
 // guardOpts derives the per-request guarded-execution options: the
@@ -593,6 +641,48 @@ func (s *Server) execute(ctx context.Context, e *matrixEntry, p *plan.TuningPlan
 	return rep, nil
 }
 
+// multiply serves us[i] = A·vs[i] under plan p — the one place the
+// coalescing choice is made — and returns whether any vector deviated from
+// the clean path and the summed fallbacks. Without a coalescer each vector
+// is its own guarded launch. With one, every vector is enqueued before any
+// is waited on (a multi-vector request fuses with itself too) and park, if
+// non-nil, runs in between: the fused launch runs on the flush goroutine,
+// so a stateless waiter holding its slot would starve the requests its
+// batch waits to fuse with (at -workers 1, B could never exceed 1). A
+// session iterate passes nil and keeps its slot across its multiplies.
+func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPlan, traceID string, vs, us [][]float64, park func()) (degraded bool, fallbacks int, err error) {
+	if s.cfg.ExecHook != nil {
+		s.cfg.ExecHook()
+	}
+	opt := s.guardOpts(traceID)
+	add := func(d bool, f int) { degraded, fallbacks = degraded || d, fallbacks+f }
+	if s.co == nil {
+		for i := range vs {
+			rep, err := s.execute(ctx, e, p, opt, traceID, vs[i:i+1], us[i:i+1])
+			if err != nil {
+				return false, 0, err
+			}
+			add(vectorOutcome(rep, 0))
+		}
+		return degraded, fallbacks, nil
+	}
+	items := make([]*batchItem, len(vs))
+	for i, v := range vs {
+		items[i] = s.co.enqueue(e, p, opt, traceID, v)
+	}
+	if park != nil {
+		park()
+	}
+	for i, it := range items {
+		d, f, err := s.co.wait(ctx, it, us[i])
+		if err != nil {
+			return false, 0, err
+		}
+		add(d, f)
+	}
+	return degraded, fallbacks, nil
+}
+
 // vectorOutcome demuxes request i of an execution: whether it deviated from
 // the clean path (the shared launch chain degraded, or the vector was
 // isolated out of it) and how many bins fell back on its behalf.
@@ -612,13 +702,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	a, err := mmio.ReadWithLimits(body, s.cfg.Limits)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-				"error": "invalid", "detail": fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit)})
-			return
-		}
-		s.writeError(w, err)
+		s.writeError(w, tooLarge(err))
 		return
 	}
 	fp := plan.Fingerprint(a)
@@ -647,11 +731,14 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) matrix(id string) (*matrixEntry, bool) {
+// matrix resolves an uploaded matrix ID.
+func (s *Server) matrix(id string) (*matrixEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.matrices[id]
-	return e, ok
+	if e, ok := s.matrices[id]; ok {
+		return e, nil
+	}
+	return nil, notFound("unknown matrix id %s", id)
 }
 
 // spmvResponse is the body of a successful POST /v1/spmv.
@@ -673,9 +760,9 @@ type spmvResponse struct {
 	ElapsedMs      float64     `json:"elapsedMs"`
 }
 
-// handleSpMV executes one or a batch of tuned multiplications. The hot
-// path is: resolve matrix → claim a worker (or 429) → plan via the shared
-// cache (singleflight) → guarded execution per vector.
+// handleSpMV executes one or a batch of tuned multiplications: decode →
+// resolve the matrix → admit → plan via the shared cache (singleflight) →
+// multiply → respond.
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	req, ok := readRequest(s, w, r, epSpMV, func(body []byte) (*SpMVRequest, bool, error) {
 		return decodeSpMVRequest(body, s.cfg.MaxBatch)
@@ -683,10 +770,9 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	e, ok := s.matrix(req.Matrix)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown matrix id " + req.Matrix})
+	e, err := s.matrix(req.Matrix)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	vecs := req.Batch()
@@ -696,30 +782,11 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-
-	release, ok, err := s.acquire(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	ctx, park, release, ok := s.admit(w, r, req.TimeoutMs)
 	if !ok {
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "overloaded", "detail": "worker queue full"})
 		return
 	}
-	released := false
-	releaseOnce := func() {
-		if !released {
-			released = true
-			release()
-		}
-	}
-	defer releaseOnce()
+	defer release()
 
 	start := time.Now()
 	traceID := s.requestTraceID(req.TraceID, e.ID)
@@ -728,58 +795,22 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-
 	resp := spmvResponse{Matrix: e.ID, Plan: p.Fingerprint, U: p.U, CacheHit: cacheHit, TraceID: traceID}
-	if planDegraded {
-		resp.Degraded = true
-		resp.DegradedReason = "breaker_open"
-	}
-	if s.cfg.ExecHook != nil {
-		s.cfg.ExecHook()
-	}
-	opt := s.guardOpts(traceID)
 	resp.Results = make([][]float64, len(vecs))
 	for i := range resp.Results {
 		resp.Results[i] = make([]float64, e.A.Rows)
 	}
-	if s.co != nil {
-		// Coalesced path: enqueue every vector before waiting on any, so a
-		// multi-vector request fuses with itself as well as with concurrent
-		// same-fingerprint traffic.
-		items := make([]*batchItem, len(vecs))
-		for i, vec := range vecs {
-			items[i] = s.co.enqueue(e, p, opt, traceID, vec)
-		}
-		// A parked waiter is not an execution: the fused launch runs on the
-		// flush goroutine outside the worker pool, so holding the slot here
-		// would starve the very requests this batch is waiting to fuse with
-		// (at -workers 1 no batch could ever exceed B=1). The slot bounded
-		// admission and tuning above; from here on this goroutine only waits.
-		releaseOnce()
-		for i, it := range items {
-			degraded, fallbacks, err := s.co.wait(ctx, it, resp.Results[i])
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			resp.Degraded = resp.Degraded || degraded
-			resp.Fallbacks += fallbacks
-		}
-	} else {
-		for i := range vecs {
-			rep, err := s.execute(ctx, e, p, opt, traceID, vecs[i:i+1], resp.Results[i:i+1])
-			if err != nil {
-				s.writeError(w, err)
-				return
-			}
-			degraded, fallbacks := vectorOutcome(rep, 0)
-			resp.Degraded = resp.Degraded || degraded
-			resp.Fallbacks += fallbacks
-		}
+	degraded, fallbacks, err := s.multiply(ctx, e, p, traceID, vecs, resp.Results, park)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	resp.Degraded, resp.Fallbacks = planDegraded || degraded, fallbacks
+	if planDegraded {
+		resp.DegradedReason = "breaker_open"
 	}
 	if len(req.Vector) > 0 {
-		resp.Result = resp.Results[0]
-		resp.Results = nil
+		resp.Result, resp.Results = resp.Results[0], nil
 	}
 	resp.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	writeJSON(w, http.StatusOK, resp)
@@ -788,14 +819,12 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 // handlePlan returns the tuning plan for an uploaded matrix, computing and
 // caching it if no request has needed it yet.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.matrix(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown matrix id " + id})
+	e, err := s.matrix(r.PathValue("id"))
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	ctx, cancel := s.requestCtx(r, 0)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	p, _, _, err := s.planFor(ctx, e, "")
 	if err != nil {
@@ -821,21 +850,19 @@ type profilesResponse struct {
 // never synthesized).
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	e, ok := s.matrix(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown matrix id " + id})
+	e, err := s.matrix(id)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	s.mu.RLock()
 	rec := s.profiles[id]
 	s.mu.RUnlock()
 	if rec == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "no execution profiled yet for matrix " + id + " — POST /v1/spmv first"})
+		s.writeError(w, notFound("no execution profiled yet for matrix %s — POST /v1/spmv first", id))
 		return
 	}
-	ctx, cancel := s.requestCtx(r, 0)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	p, _, _, err := s.planFor(ctx, e, "")
 	if err != nil {
@@ -863,6 +890,14 @@ func (s *Server) degradedReasons() []string {
 	if open, _ := s.breakerCounts(); open > 0 {
 		reasons = append(reasons, fmt.Sprintf("breaker-open: %d matrices degraded", open))
 	}
+	return append(reasons, s.notReadyReasons()...)
+}
+
+// notReadyReasons collects the conditions under which the daemon should
+// not receive new traffic: the worker queue is saturated or a drain has
+// begun.
+func (s *Server) notReadyReasons() []string {
+	var reasons []string
 	if len(s.queue) >= cap(s.queue) {
 		reasons = append(reasons, "queue-saturated")
 	}
@@ -885,19 +920,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "degraded", "reasons": reasons})
 }
 
-// handleReadyz is the load-balancer signal: 503 while the daemon should
-// not receive new traffic — the worker queue is saturated or a drain has
-// begun. Breaker-open matrices and an unwritable cache dir do NOT fail
+// handleReadyz is the load-balancer signal: 503 with the not-ready
+// reasons. Breaker-open matrices and an unwritable cache dir do NOT fail
 // readiness: the daemon still serves every request (degraded), which
 // beats removing it from rotation.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	var reasons []string
-	if len(s.queue) >= cap(s.queue) {
-		reasons = append(reasons, "queue-saturated")
-	}
-	if s.draining.Load() {
-		reasons = append(reasons, "draining")
-	}
+	reasons := s.notReadyReasons()
 	if len(reasons) == 0 {
 		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 		return

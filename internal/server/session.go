@@ -27,8 +27,9 @@ import (
 // Concurrency contract: the registry map is guarded by Server.smu; each
 // session's solver state is guarded by its own mu. Handlers TryLock the
 // session — a second concurrent iterate gets 409 busy instead of
-// corrupting solver state or blocking a worker slot. lastUsed is atomic
-// so the TTL sweep reads it without the session lock.
+// corrupting solver state or blocking a worker slot. lastUsed and evicted
+// are atomic so the TTL sweep reads the one and a release sets the other
+// without the session lock.
 //
 // Plan pinning contract: the pinned plan is re-validated against the
 // cache's wanted model version at every iteration boundary (before each
@@ -43,7 +44,6 @@ type session struct {
 	mode   string
 
 	mu      sync.Mutex
-	evicted bool
 	stepper solvers.Stepper // nil for spmv sessions
 	u       []float64       // spmv sessions: resident output scratch
 	maxIter int
@@ -57,6 +57,7 @@ type session struct {
 	failed    error // sticky solver breakdown
 
 	lastUsed atomic.Int64 // Config.Clock nanos; TTL sweep reads without mu
+	evicted  atomic.Bool  // out of the registry; a handler holding it answers 404
 }
 
 // remaining is the session's unused iteration budget (spmv sessions are
@@ -145,23 +146,33 @@ func (s *Server) touch(sess *session) {
 
 // sweepSessions evicts every session idle past the TTL. Lazy — it runs at
 // the head of each session operation instead of on a timer, so an idle
-// daemon spends nothing. Busy sessions (TryLock fails) are by definition
-// not idle and are skipped.
+// daemon spends nothing.
 func (s *Server) sweepSessions() {
-	ttl := s.cfg.SessionTTL.Nanoseconds()
-	now := s.cfg.Clock().UnixNano()
+	s.evictIdle(s.cfg.Clock().UnixNano() - s.cfg.SessionTTL.Nanoseconds())
+}
+
+// evictIdle evicts every idle session last used at or before cutoff
+// (Config.Clock nanos) — the TTL sweep, and with no cutoff the drain. Busy
+// sessions (TryLock fails) are by definition not idle and are skipped: they
+// finish their in-flight iterate and find themselves evicted at the next.
+func (s *Server) evictIdle(cutoff int64) {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	for id, sess := range s.sessions {
-		if now-sess.lastUsed.Load() < ttl {
-			continue
+	for _, sess := range s.sessions {
+		if sess.lastUsed.Load() <= cutoff && sess.mu.TryLock() {
+			s.evict(sess, true)
+			sess.mu.Unlock()
 		}
-		if !sess.mu.TryLock() {
-			continue
-		}
-		sess.evicted = true
-		sess.mu.Unlock()
-		delete(s.sessions, id)
+	}
+}
+
+// evict is the one way a session leaves the registry: removed, and marked
+// so a handler that resolved it just before answers 404. The caller holds
+// s.smu. Client releases are not counted as evictions — the work completed.
+func (s *Server) evict(sess *session, counted bool) {
+	delete(s.sessions, sess.ID)
+	sess.evicted.Store(true)
+	if counted {
 		s.m.sessionEvictions.Add(1)
 	}
 }
@@ -175,10 +186,9 @@ func (s *Server) registerSession(sess *session) bool {
 	for len(s.sessions) >= s.cfg.MaxSessions {
 		// Pick the oldest idle session, holding at most the current best
 		// candidate's lock while scanning (all TryLock — never blocks).
-		victimID := ""
 		var victim *session
 		var oldest int64
-		for id, cand := range s.sessions {
+		for _, cand := range s.sessions {
 			t := cand.lastUsed.Load()
 			if victim != nil && t >= oldest {
 				continue
@@ -189,15 +199,13 @@ func (s *Server) registerSession(sess *session) bool {
 			if victim != nil {
 				victim.mu.Unlock()
 			}
-			victimID, victim, oldest = id, cand, t
+			victim, oldest = cand, t
 		}
 		if victim == nil {
 			return false
 		}
-		victim.evicted = true
+		s.evict(victim, true)
 		victim.mu.Unlock()
-		delete(s.sessions, victimID)
-		s.m.sessionEvictions.Add(1)
 	}
 	s.sessions[sess.ID] = sess
 	return true
@@ -211,62 +219,40 @@ func (s *Server) session(id string) (*session, bool) {
 	return sess, ok
 }
 
-// evictIdleSessions drops every idle session — the drain path. Busy
-// sessions finish their in-flight iterate and find themselves evicted at
-// the next request.
-func (s *Server) evictIdleSessions() int {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	n := 0
-	for id, sess := range s.sessions {
-		if !sess.mu.TryLock() {
-			continue
-		}
-		sess.evicted = true
-		sess.mu.Unlock()
-		delete(s.sessions, id)
-		s.m.sessionEvictions.Add(1)
-		n++
+// lockSession resolves a live session and takes its lock: 404 for an
+// unknown or evicted one. With wait false, a session locked by an iterate
+// in flight is 409 busy instead of waited for.
+func (s *Server) lockSession(id string, wait bool) (*session, error) {
+	s.sweepSessions()
+	sess, ok := s.session(id)
+	switch {
+	case !ok:
+		return nil, notFound("unknown session %s", id)
+	case wait:
+		sess.mu.Lock()
+	case !sess.mu.TryLock():
+		return nil, busy("session %s has an iterate in flight", id)
 	}
-	return n
+	if sess.evicted.Load() {
+		sess.mu.Unlock()
+		return nil, notFound("session %s was evicted", id)
+	}
+	return sess, nil
 }
 
 // sessionExecutor is the SpMV backend a session's stepper multiplies
-// through: the guarded plan executor over the session's pinned plan, with
-// the same fallback-chain semantics, accounting, and retrain evidence
-// feed as the stateless POST /v1/spmv path. Called only under sess.mu.
+// through: multiply over the session's pinned plan, with the same
+// fallback-chain semantics, coalescing, accounting, and retrain evidence
+// feed as the stateless POST /v1/spmv path. The iterate keeps its worker
+// slot while a batch is pending — safe under sess.mu, as the flush runs on
+// the window timer's goroutine or another request's, never behind this
+// session's lock. Called only under sess.mu.
 func (s *Server) sessionExecutor(sess *session) solvers.SpMVCtx {
 	return func(ctx context.Context, v, u []float64) error {
-		if s.cfg.ExecHook != nil {
-			s.cfg.ExecHook()
-		}
-		var (
-			opt       = s.guardOpts(sess.traceID)
-			degraded  bool
-			fallbacks int
-			err       error
-		)
-		if s.co != nil {
-			// Coalesced path: this iterate's multiply fuses with concurrent
-			// same-fingerprint traffic (other sessions, stateless requests).
-			// Safe under sess.mu — the flush runs on the window timer's
-			// goroutine or another request's, never behind this session's
-			// lock.
-			degraded, fallbacks, err = s.co.execute(ctx, sess.e, sess.plan, opt, sess.traceID, v, u)
-		} else {
-			var rep *core.BatchReport
-			if rep, err = s.execute(ctx, sess.e, sess.plan, opt, sess.traceID, [][]float64{v}, [][]float64{u}); err == nil {
-				degraded, fallbacks = vectorOutcome(rep, 0)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if degraded {
-			sess.degraded = true
-		}
+		degraded, fallbacks, err := s.multiply(ctx, sess.e, sess.plan, sess.traceID, [][]float64{v}, [][]float64{u}, nil)
+		sess.degraded = sess.degraded || degraded
 		sess.fallbacks += int64(fallbacks)
-		return nil
+		return err
 	}
 }
 
@@ -337,15 +323,6 @@ func (s *Server) advance(ctx context.Context, sess *session, steps int) error {
 	return nil
 }
 
-// writeBreakdown reports a solver breakdown: a well-formed 422 with its
-// own wire class — the math failed on this input (matrix not SPD, zero
-// diagonal), which is neither a client coding error (400) nor a server
-// fault (5xx).
-func writeBreakdown(w http.ResponseWriter, err error) {
-	writeJSON(w, http.StatusUnprocessableEntity, map[string]string{
-		"error": "breakdown", "detail": err.Error()})
-}
-
 // newStepper builds the solver state machine for a session, all workspace
 // preallocated. b and x0 are already length-checked by the caller.
 func newStepper(req *SolveRequest, mul solvers.SpMVCtx, a *sparse.CSR) (solvers.Stepper, error) {
@@ -384,10 +361,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errdefs.Unavailablef("server: draining — no new sessions"))
 		return
 	}
-	e, ok := s.matrix(req.Matrix)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown matrix id " + req.Matrix})
+	e, err := s.matrix(req.Matrix)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	if req.Solver != solverSpMV && e.A.Rows != e.A.Cols {
@@ -403,18 +379,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-	release, ok, err := s.acquire(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+	ctx, _, release, ok := s.admit(w, r, req.TimeoutMs)
 	if !ok {
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "overloaded", "detail": "worker queue full"})
 		return
 	}
 	defer release()
@@ -442,11 +408,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st, err := newStepper(req, s.sessionExecutor(sess), e.A)
 		if err != nil {
-			if errors.Is(err, solvers.ErrBreakdown) {
-				writeBreakdown(w, err)
-				return
+			if !errors.Is(err, solvers.ErrBreakdown) {
+				err = errdefs.Invalidf("server: %v", err)
 			}
-			s.writeError(w, errdefs.Invalidf("server: %v", err))
+			s.writeError(w, err)
 			return
 		}
 		sess.stepper = st
@@ -460,9 +425,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	s.touch(sess)
 	if !s.registerSession(sess) {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "overloaded", "detail": fmt.Sprintf("all %d sessions busy", s.cfg.MaxSessions)})
+		s.writeError(w, overloaded("all %d sessions busy", s.cfg.MaxSessions))
 		return
 	}
 	st := sess.status(false)
@@ -472,11 +435,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 // runSolve is mode "run": the server drives the whole solve, streaming
 // one JSONL progress line per iteration so the client watches convergence
-// live, then a final line with the solution. Cancellation (client
-// disconnect or deadline) stops between iterations through the same ctx
-// the stateless path uses. Model hot-swaps land at iteration boundaries
-// here too — the stream's modelVersion field makes a mid-solve rollout
-// visible to the client.
+// live, then a final line with the solution — or, when the solve fails
+// (breakdown, cancellation), the error writer's line, which also accounts
+// the request as failed. Cancellation (client disconnect or deadline)
+// stops between iterations through the same ctx the stateless path uses.
+// Model hot-swaps land at iteration boundaries here too — the stream's
+// modelVersion field makes a mid-solve rollout visible to the client.
 func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *session) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -494,11 +458,7 @@ func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *sess
 	}
 	for !sess.done {
 		if err := s.advance(ctx, sess, 1); err != nil {
-			class, _ := errorClass(err)
-			if errors.Is(err, solvers.ErrBreakdown) {
-				class = "breakdown"
-			}
-			_ = enc.Encode(map[string]string{"error": class, "detail": err.Error()})
+			s.writeError(w, err)
 			return
 		}
 		st := sess.stepper.Status()
@@ -518,136 +478,71 @@ func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *sess
 // handleIterate advances a session. The request body is tiny (steps
 // count, or one vector for spmv sessions): everything heavy is already
 // resident. A busy session — another iterate in flight — answers 409
-// instead of queueing, so solver state is never contended.
+// instead of queueing, so solver state is never contended. An spmv
+// session's iterate is one tuned product into the resident output buffer,
+// plan re-pinned at the boundary like every other solver.
 func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	req, ok := readRequest(s, w, r, epIterate, decodeIterateRequest)
 	if !ok {
 		return
 	}
-	s.sweepSessions()
-	sess, ok := s.session(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown session " + id})
-		return
-	}
-	if !sess.mu.TryLock() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusConflict, map[string]string{
-			"error": "busy", "detail": "session " + id + " has an iterate in flight"})
+	sess, err := s.lockSession(r.PathValue("id"), false)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	defer sess.mu.Unlock()
-	if sess.evicted {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "session " + id + " was evicted"})
-		return
-	}
 	defer s.touch(sess)
-	if sess.failed != nil {
-		writeBreakdown(w, sess.failed)
-		return
-	}
-	if sess.solver == solverSpMV {
-		s.iterateSpMV(w, r, sess, req)
-		return
-	}
-	if len(req.Vector) > 0 {
-		s.writeError(w, errdefs.Invalidf("server: solver %s sessions do not take a vector", sess.solver))
-		return
-	}
-	if sess.done {
+	spmv := sess.solver == solverSpMV
+	switch {
+	case sess.failed != nil:
+		err = sess.failed
+	case spmv && len(req.Vector) == 0:
+		err = errdefs.Invalidf("server: spmv sessions require a vector per iterate")
+	case spmv && len(req.Vector) != sess.e.A.Cols:
+		err = errdefs.Invalidf("server: vector has length %d, matrix has %d columns", len(req.Vector), sess.e.A.Cols)
+	case !spmv && len(req.Vector) > 0:
+		err = errdefs.Invalidf("server: solver %s sessions do not take a vector", sess.solver)
+	case sess.done:
 		writeJSON(w, http.StatusOK, sess.status(true))
 		return
 	}
-
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-	release, ok, err := s.acquire(ctx)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+
+	ctx, _, release, ok := s.admit(w, r, req.TimeoutMs)
 	if !ok {
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "overloaded", "detail": "worker queue full"})
 		return
 	}
 	defer release()
-
-	if err := s.advance(ctx, sess, req.Steps); err != nil {
-		if errors.Is(err, solvers.ErrBreakdown) {
-			writeBreakdown(w, err)
-			return
-		}
-		s.writeError(w, err)
-		return
+	if !spmv {
+		err = s.advance(ctx, sess, req.Steps)
+	} else if err = s.repinIfStale(ctx, sess); err == nil {
+		err = s.sessionExecutor(sess)(ctx, req.Vector, sess.u)
 	}
-	writeJSON(w, http.StatusOK, sess.status(sess.done))
-}
-
-// iterateSpMV is the iterate path for spmv sessions: one tuned product
-// per request into the resident output buffer, plan re-pinned at the
-// boundary like every other solver.
-func (s *Server) iterateSpMV(w http.ResponseWriter, r *http.Request, sess *session, req *IterateRequest) {
-	if len(req.Vector) == 0 {
-		s.writeError(w, errdefs.Invalidf("server: spmv sessions require a vector per iterate"))
-		return
-	}
-	if len(req.Vector) != sess.e.A.Cols {
-		s.writeError(w, errdefs.Invalidf("server: vector has length %d, matrix has %d columns", len(req.Vector), sess.e.A.Cols))
-		return
-	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
-	defer cancel()
-	release, ok, err := s.acquire(ctx)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if !ok {
-		s.m.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{
-			"error": "overloaded", "detail": "worker queue full"})
-		return
+	st := sess.status(sess.done)
+	if spmv {
+		s.m.sessionIterations.Add(1)
+		st.Result = sess.u
 	}
-	defer release()
-	if err := s.repinIfStale(ctx, sess); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if err := s.sessionExecutor(sess)(ctx, req.Vector, sess.u); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.m.sessionIterations.Add(1)
-	st := sess.status(false)
-	st.Result = sess.u
 	writeJSON(w, http.StatusOK, st)
 }
 
 // handleSession returns a session's current state including the iterate
 // (GET) — progress polling for a client that lost an iterate response.
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.sweepSessions()
-	sess, ok := s.session(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown session " + id})
+	sess, err := s.lockSession(r.PathValue("id"), true)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if sess.evicted {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "session " + id + " was evicted"})
-		return
-	}
 	s.touch(sess)
 	writeJSON(w, http.StatusOK, sess.status(true))
 }
@@ -659,17 +554,13 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	s.smu.Lock()
 	sess, ok := s.sessions[id]
 	if ok {
-		delete(s.sessions, id)
+		s.evict(sess, false)
 	}
 	s.smu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{
-			"error": "not_found", "detail": "unknown session " + id})
+		s.writeError(w, notFound("unknown session %s", id))
 		return
 	}
-	sess.mu.Lock()
-	sess.evicted = true
-	sess.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"released": true, "session": id})
 }
 

@@ -3,7 +3,8 @@
 # nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
 # fuzz smokes on the Matrix Market
 # parser and the spmvd request decoders (SpMV and solver sessions), the
-# request scanner's allocation gate, plus staticcheck and govulncheck.
+# request scanner's allocation gate, the error-response golden and the
+# one-error-writer gate, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -57,6 +58,26 @@ go test -race -count=3 -run 'Replay' ./internal/core
 echo "== simulator bit-identity (golden digests + Gather reference)"
 go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices' ./internal/kernels
 go test -count=1 -run 'TestGatherMatchesReference' ./internal/hsa
+
+# Every error path of the API — status, Content-Type, Retry-After and body
+# bytes — is pinned against the server before its request lifecycle was
+# unified; a failure means the wire contract moved, not that the constants
+# need regenerating.
+echo "== error responses golden"
+go test -count=1 -run 'TestErrorResponsesGolden' ./internal/server
+
+# spmvd has one error writer: an "error": JSON literal in non-test server
+# code may appear only inside writeError, so no handler hand-writes a body.
+echo "== one error writer"
+stray=$(find internal/server -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec awk '
+    FNR == 1 { fn = "" }
+    /^func / { fn = $0 }
+    /"error":/ && fn !~ /\) writeError\(/ { print FILENAME ":" FNR ": " $0 }' {} +)
+if [ -n "$stray" ]; then
+    echo "error bodies written outside writeError:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
 
 # The root package aliases core.Framework, so its method set is public API:
 # Plan decides, ExecutePlan*Opts runs, and nothing else does either.
