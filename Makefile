@@ -39,6 +39,7 @@ bench-smoke:
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadMTX -fuzztime=10s ./internal/mmio
+	$(GO) test -run='^$$' -fuzz=FuzzMTXDifferential -fuzztime=10s ./internal/mmio
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSpMV -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan

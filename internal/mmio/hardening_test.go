@@ -87,6 +87,10 @@ func TestReadOverlongLine(t *testing.T) {
 	}
 }
 
+// tightLimits are the fuzzers' resource limits: small enough that any
+// header they admit materializes in a few MiB.
+var tightLimits = Limits{MaxRows: 1 << 16, MaxCols: 1 << 16, MaxNNZ: 1 << 18}
+
 // FuzzReadMTX extends FuzzRead with the hardening contract: under tight
 // resource limits, arbitrary input must either parse into a valid matrix
 // or fail with an error typed as ErrInvalidMatrix — never panic, never
@@ -111,12 +115,11 @@ func FuzzReadMTX(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
-	lim := Limits{MaxRows: 1 << 16, MaxCols: 1 << 16, MaxNNZ: 1 << 18}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip()
 		}
-		a, err := ReadWithLimits(bytes.NewReader(data), lim)
+		a, err := ReadWithLimits(bytes.NewReader(data), tightLimits)
 		if err != nil {
 			// Reading from memory cannot fail with I/O errors, so every
 			// rejection must carry the malformed-input type.

@@ -10,11 +10,13 @@ package mmio
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/sparse"
@@ -119,17 +121,16 @@ func ReadWithLimits(r io.Reader, lim Limits) (*sparse.CSR, error) {
 		return nil, err
 	}
 
-	// Skip comments and blank lines to the size line.
-	var sizeLine string
+	// Skip comments and blank lines to the size line. It aliases the
+	// scanner's buffer, so it is parsed before the next Scan.
+	var sizeLine []byte
 	for sc.Scan() {
-		l := strings.TrimSpace(sc.Text())
-		if l == "" || strings.HasPrefix(l, "%") {
-			continue
+		if l := entryLine(sc); l != nil {
+			sizeLine = l
+			break
 		}
-		sizeLine = l
-		break
 	}
-	if sizeLine == "" {
+	if sizeLine == nil {
 		if err := sc.Err(); err != nil {
 			return nil, scanErr(err)
 		}
@@ -151,49 +152,114 @@ func scanErr(err error) error {
 	return err
 }
 
-func readCoordinate(sc *bufio.Scanner, h Header, sizeLine string, lim Limits) (*sparse.CSR, error) {
-	f := strings.Fields(sizeLine)
+// entryLine returns the scanner's current line with surrounding whitespace
+// trimmed, or nil for a blank or comment line. The bytes alias the
+// scanner's buffer and are valid until the next Scan.
+func entryLine(sc *bufio.Scanner) []byte {
+	l := bytes.TrimSpace(sc.Bytes())
+	if len(l) == 0 || l[0] == '%' {
+		return nil
+	}
+	return l
+}
+
+// Byte classes for fields: the ASCII bytes unicode.IsSpace accepts (the
+// separators strings.Fields splits ASCII text on), the bytes that may start
+// a multi-byte rune, and everything else, which is token text.
+const (
+	tokenByte = iota
+	spaceByte
+	wideByte
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+		c[b] = spaceByte
+	}
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = wideByte
+	}
+	return c
+}()
+
+// fields splits line around runs of whitespace exactly as strings.Fields
+// does, reusing dst's storage; the tokens alias line. A line with any byte
+// >= 0x80 goes through bytes.Fields, the []byte form of strings.Fields, so
+// NBSP, NEL and every other unicode.IsSpace rune still separate tokens.
+func fields(dst [][]byte, line []byte) [][]byte {
+	dst = dst[:0]
+	for i := 0; i < len(line); {
+		for i < len(line) && byteClass[line[i]] == spaceByte {
+			i++
+		}
+		start := i
+		for i < len(line) && byteClass[line[i]] == tokenByte {
+			i++
+		}
+		if i < len(line) && byteClass[line[i]] == wideByte {
+			return append(dst[:0], bytes.Fields(line)...)
+		}
+		if i > start {
+			dst = append(dst, line[start:i])
+		}
+	}
+	return dst
+}
+
+// maxPrealloc caps the entries a size line can make the reader allocate
+// ahead of the data: beyond it the slices grow only with entries actually
+// read, so a header alone cannot claim memory.
+const maxPrealloc = 1 << 16
+
+// readCoordinate reads a coordinate file's size line and entries. Here and
+// in readArray every number goes through strconv as string(tok), a
+// conversion that does not allocate because strconv does not retain its
+// argument (a NumError clones it): accepted values and error texts are
+// exactly those of strconv on the token's string.
+func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
+	f := fields(nil, sizeLine)
 	if len(f) != 3 {
 		return nil, badf("bad coordinate size line %q", sizeLine)
 	}
-	rows, err1 := strconv.Atoi(f[0])
-	cols, err2 := strconv.Atoi(f[1])
-	nnz, err3 := strconv.Atoi(f[2])
+	rows, err1 := strconv.Atoi(string(f[0]))
+	cols, err2 := strconv.Atoi(string(f[1]))
+	nnz, err3 := strconv.Atoi(string(f[2]))
 	if err1 != nil || err2 != nil || err3 != nil || rows < 0 || cols < 0 || nnz < 0 {
 		return nil, badf("bad coordinate size line %q", sizeLine)
 	}
 	if err := lim.check(rows, cols, nnz); err != nil {
 		return nil, err
 	}
-	c := &sparse.COO{Rows: rows, Cols: cols}
+	n := min(nnz, maxPrealloc)
+	c := &sparse.COO{Rows: rows, Cols: cols, RowIdx: make([]int32, 0, n), ColIdx: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	wantFields := 3
+	if h.Field == "pattern" {
+		wantFields = 2
+	}
 	seen := 0
 	for sc.Scan() {
-		l := strings.TrimSpace(sc.Text())
-		if l == "" || strings.HasPrefix(l, "%") {
+		l := entryLine(sc)
+		if l == nil {
 			continue
 		}
 		if seen >= nnz {
 			return nil, badf("more than %d entries", nnz)
 		}
-		ef := strings.Fields(l)
-		wantFields := 3
-		if h.Field == "pattern" {
-			wantFields = 2
-		}
-		if len(ef) < wantFields {
+		f = fields(f, l)
+		if len(f) < wantFields {
 			return nil, badf("bad entry line %q", l)
 		}
-		i, err := strconv.Atoi(ef[0])
+		i, err := strconv.Atoi(string(f[0]))
 		if err != nil {
 			return nil, badf("bad row index in %q: %v", l, err)
 		}
-		j, err := strconv.Atoi(ef[1])
+		j, err := strconv.Atoi(string(f[1]))
 		if err != nil {
 			return nil, badf("bad col index in %q: %v", l, err)
 		}
 		v := 1.0
 		if h.Field != "pattern" {
-			v, err = strconv.ParseFloat(ef[2], 64)
+			v, err = strconv.ParseFloat(string(f[2]), 64)
 			if err != nil {
 				return nil, badf("bad value in %q: %v", l, err)
 			}
@@ -226,13 +292,13 @@ func readCoordinate(sc *bufio.Scanner, h Header, sizeLine string, lim Limits) (*
 	return c.ToCSR()
 }
 
-func readArray(sc *bufio.Scanner, h Header, sizeLine string, lim Limits) (*sparse.CSR, error) {
-	f := strings.Fields(sizeLine)
+func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
+	f := fields(nil, sizeLine)
 	if len(f) != 2 {
 		return nil, badf("bad array size line %q", sizeLine)
 	}
-	rows, err1 := strconv.Atoi(f[0])
-	cols, err2 := strconv.Atoi(f[1])
+	rows, err1 := strconv.Atoi(string(f[0]))
+	cols, err2 := strconv.Atoi(string(f[1]))
 	if err1 != nil || err2 != nil || rows < 0 || cols < 0 {
 		return nil, badf("bad array size line %q", sizeLine)
 	}
@@ -246,14 +312,15 @@ func readArray(sc *bufio.Scanner, h Header, sizeLine string, lim Limits) (*spars
 		return nil, err
 	}
 	// Array format is column-major dense.
-	vals := make([]float64, 0, rows*cols)
+	vals := make([]float64, 0, min(rows*cols, maxPrealloc))
 	for sc.Scan() {
-		l := strings.TrimSpace(sc.Text())
-		if l == "" || strings.HasPrefix(l, "%") {
+		l := entryLine(sc)
+		if l == nil {
 			continue
 		}
-		for _, tok := range strings.Fields(l) {
-			v, err := strconv.ParseFloat(tok, 64)
+		f = fields(f, l)
+		for _, tok := range f {
+			v, err := strconv.ParseFloat(string(tok), 64)
 			if err != nil {
 				return nil, badf("bad array value %q: %v", tok, err)
 			}

@@ -64,10 +64,11 @@ type metrics struct {
 	sessionEvictions  atomic.Int64
 	sessionRetunes    atomic.Int64
 
-	// Decode stage of the JSON endpoints (spmv, solve, iterate): requests
-	// validated and the time from handler entry to that point — body read
-	// plus decode — and bodies outside the scanner's canonical subset, which
-	// encoding/json decoded instead.
+	// Decode stage of the JSON endpoints (spmv, solve, iterate) and of
+	// uploads: requests validated (for an upload: its CSR built) and the time
+	// from handler entry to that point — body read plus decode — and JSON
+	// bodies outside the scanner's canonical subset, which encoding/json
+	// decoded instead.
 	decodes         [nEndpoints]atomic.Int64
 	decodeNs        [nEndpoints]atomic.Int64
 	decodeFallbacks atomic.Int64
@@ -167,4 +168,6 @@ func (m *metrics) writeTo(w io.Writer) {
 		fmt.Fprintf(w, "spmvd_decode_seconds_count{endpoint=%q} %d\n", endpointNames[ep], m.decodes[ep].Load())
 	}
 	fmt.Fprintf(w, "spmvd_decode_fallback_total %d\n", m.decodeFallbacks.Load())
+	fmt.Fprintf(w, "spmvd_decode_seconds_sum{endpoint=\"upload\"} %.6f\n", float64(m.decodeNs[epMatrices].Load())/1e9)
+	fmt.Fprintf(w, "spmvd_decode_seconds_count{endpoint=\"upload\"} %d\n", m.decodes[epMatrices].Load())
 }

@@ -94,6 +94,8 @@ var metricFamilies = []string{
 	`spmvd_decode_seconds_count{endpoint="solve"} `,
 	`spmvd_decode_seconds_count{endpoint="iterate"} `,
 	`spmvd_decode_fallback_total `,
+	`spmvd_decode_seconds_sum{endpoint="upload"} `,
+	`spmvd_decode_seconds_count{endpoint="upload"} `,
 }
 
 // TestMetricsExpositionGoldenNames locks the exposition format: every

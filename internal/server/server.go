@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -468,14 +469,35 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	if status == http.StatusConflict || status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", "1")
 	}
-	writeJSON(w, status, body)
+	s.writeJSON(w, status, body)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// jsonPool recycles response buffers (see writeJSON).
+var jsonPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON encodes v, then sends it with status in one Write. Encoding
+// comes first because it can fail — a product or residual that is NaN or
+// ±Inf has no JSON form — and a failure must still be able to answer with
+// an error status instead of a 200 with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := jsonPool.Get().(*bytes.Buffer)
+	defer jsonPool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		s.writeError(w, nonFinite(err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+}
+
+// nonFinite classes a response the encoder refused: the only values in the
+// API's responses without a JSON form are non-finite floats, which a finite
+// request reaches only through its matrix (a NaN or Inf entry, or products
+// that overflow) — the client's input, so invalid.
+func nonFinite(err error) error {
+	return errdefs.Invalidf("server: result is not finite and cannot be encoded: %v", err)
 }
 
 // admit is the one way into the worker pool (spmv, solve, iterate): the
@@ -697,14 +719,18 @@ func vectorOutcome(rep *core.BatchReport, i int) (degraded bool, fallbacks int) 
 // handleUpload ingests a Matrix Market body. The parser is the hardened
 // limit-checked reader — a hostile header cannot OOM the daemon — and the
 // matrix ID is derived from the structural fingerprint, so re-uploading
-// the same structure is idempotent.
+// the same structure is idempotent. The time from handler entry to the
+// built CSR is the upload's decode stage (spmvd_decode_seconds).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	a, err := mmio.ReadWithLimits(body, s.cfg.Limits)
 	if err != nil {
 		s.writeError(w, tooLarge(err))
 		return
 	}
+	s.m.decodes[epMatrices].Add(1)
+	s.m.decodeNs[epMatrices].Add(time.Since(start).Nanoseconds())
 	fp := plan.Fingerprint(a)
 	id := fp[:matrixIDLen]
 
@@ -722,7 +748,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	writeJSON(w, http.StatusCreated, map[string]any{
+	s.writeJSON(w, http.StatusCreated, map[string]any{
 		"id":          id,
 		"fingerprint": fp,
 		"rows":        a.Rows,
@@ -813,7 +839,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 		resp.Result, resp.Results = resp.Results[0], nil
 	}
 	resp.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
-	writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePlan returns the tuning plan for an uploaded matrix, computing and
@@ -831,7 +857,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, p)
+	s.writeJSON(w, http.StatusOK, p)
 }
 
 // profilesResponse is the body of GET /v1/profiles/{id}: the matrix's
@@ -872,7 +898,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	// Attach the evidence to a copy: the cached plan stays immutable.
 	withProfiles := *p
 	withProfiles.Profiles = rec.Profiles
-	writeJSON(w, http.StatusOK, profilesResponse{
+	s.writeJSON(w, http.StatusOK, profilesResponse{
 		Matrix:   id,
 		TraceID:  rec.TraceID,
 		Degraded: rec.Degraded,
@@ -914,10 +940,10 @@ func (s *Server) notReadyReasons() []string {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	reasons := s.degradedReasons()
 	if len(reasons) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
+		s.writeJSON(w, http.StatusOK, map[string]any{"status": "ok"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "degraded", "reasons": reasons})
+	s.writeJSON(w, http.StatusOK, map[string]any{"status": "degraded", "reasons": reasons})
 }
 
 // handleReadyz is the load-balancer signal: 503 with the not-ready
@@ -927,10 +953,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	reasons := s.notReadyReasons()
 	if len(reasons) == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
+	s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reasons": reasons})
 }
 
 // handleMetrics renders the cache and request counters as a plain-text

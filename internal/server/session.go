@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -430,7 +431,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	st := sess.status(false)
 	st.CacheHit = cacheHit
-	writeJSON(w, http.StatusCreated, st)
+	s.writeJSON(w, http.StatusCreated, st)
 }
 
 // runSolve is mode "run": the server drives the whole solve, streaming
@@ -440,15 +441,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // the request as failed. Cancellation (client disconnect or deadline)
 // stops between iterations through the same ctx the stateless path uses.
 // Model hot-swaps land at iteration boundaries here too — the stream's
-// modelVersion field makes a mid-solve rollout visible to the client.
+// modelVersion field makes a mid-solve rollout visible to the client. A
+// line with no JSON form (a non-finite residual or solution) ends the
+// stream with the error writer's line instead.
 func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *session) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flush := func() {
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
+	send := func(v any) bool {
+		line.Reset()
+		if err := enc.Encode(v); err != nil {
+			s.writeError(w, nonFinite(err))
+			return false
+		}
+		_, _ = w.Write(line.Bytes()) // a gone client cancels ctx, which ends the loop
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
+		return true
 	}
 	type progress struct {
 		Iter         int     `json:"iter"`
@@ -466,13 +477,13 @@ func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *sess
 		if sess.plan != nil {
 			mv = sess.plan.ModelVersion
 		}
-		_ = enc.Encode(progress{Iter: st.Iterations, Residual: st.Residual, ModelVersion: mv, Retunes: sess.retunes})
-		flush()
+		if !send(progress{Iter: st.Iterations, Residual: st.Residual, ModelVersion: mv, Retunes: sess.retunes}) {
+			return
+		}
 	}
 	final := sess.status(true)
 	final.Done = true
-	_ = enc.Encode(final)
-	flush()
+	send(final)
 }
 
 // handleIterate advances a session. The request body is tiny (steps
@@ -504,7 +515,7 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 	case !spmv && len(req.Vector) > 0:
 		err = errdefs.Invalidf("server: solver %s sessions do not take a vector", sess.solver)
 	case sess.done:
-		writeJSON(w, http.StatusOK, sess.status(true))
+		s.writeJSON(w, http.StatusOK, sess.status(true))
 		return
 	}
 	if err != nil {
@@ -531,7 +542,7 @@ func (s *Server) handleIterate(w http.ResponseWriter, r *http.Request) {
 		s.m.sessionIterations.Add(1)
 		st.Result = sess.u
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 // handleSession returns a session's current state including the iterate
@@ -544,7 +555,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sess.mu.Unlock()
 	s.touch(sess)
-	writeJSON(w, http.StatusOK, sess.status(true))
+	s.writeJSON(w, http.StatusOK, sess.status(true))
 }
 
 // handleRelease deletes a session (client-driven teardown; not counted as
@@ -561,7 +572,7 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, notFound("unknown session %s", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"released": true, "session": id})
+	s.writeJSON(w, http.StatusOK, map[string]any{"released": true, "session": id})
 }
 
 // recordEvidence folds one guarded run's per-bin profiles into the

@@ -87,22 +87,37 @@ func (a *CSR) Validate() error {
 // increasing (no duplicates).
 func (a *CSR) HasSortedRows() bool {
 	for i := 0; i < a.Rows; i++ {
-		cols, _ := a.Row(i)
-		for k := 1; k < len(cols); k++ {
-			if cols[k] <= cols[k-1] {
-				return false
-			}
+		if cols, _ := a.Row(i); !strictlyIncreasing(cols) {
+			return false
+		}
+	}
+	return true
+}
+
+func strictlyIncreasing(cols []int32) bool {
+	for k := 1; k < len(cols); k++ {
+		if cols[k] <= cols[k-1] {
+			return false
 		}
 	}
 	return true
 }
 
 // SortRows sorts each row's entries by column index, keeping values paired.
+// A strictly increasing row is skipped: its sorted order is unique, so no
+// sort could move anything in it. Every other row goes through sort.Sort,
+// whose order among equal columns decides the order sumDuplicates adds them
+// in.
 func (a *CSR) SortRows() {
+	var row csrRowSorter
+	sorter := sort.Interface(&row) // boxed once per call, not per row
 	for i := 0; i < a.Rows; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		row := csrRowSorter{cols: a.ColIdx[lo:hi], vals: a.Val[lo:hi]}
-		sort.Sort(row)
+		if strictlyIncreasing(a.ColIdx[lo:hi]) {
+			continue
+		}
+		row = csrRowSorter{cols: a.ColIdx[lo:hi], vals: a.Val[lo:hi]}
+		sort.Sort(sorter)
 	}
 }
 

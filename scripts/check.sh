@@ -2,9 +2,10 @@
 # Full verification gate: formatting, vet, build, race-enabled tests, the
 # nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
 # fuzz smokes on the Matrix Market
-# parser and the spmvd request decoders (SpMV and solver sessions), the
-# request scanner's allocation gate, the error-response golden and the
-# one-error-writer gate, plus staticcheck and govulncheck.
+# parser (alone and against its reference) and the spmvd request decoders
+# (SpMV and solver sessions), the request scanner's and the upload reader's
+# allocation gates, the error-response golden and the one-error-writer gate,
+# plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -97,6 +98,9 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 echo "== fuzz smoke (FuzzReadMTX, 10s)"
 go test -run='^$' -fuzz=FuzzReadMTX -fuzztime=10s ./internal/mmio
 
+echo "== fuzz smoke (FuzzMTXDifferential, 10s)"
+go test -run='^$' -fuzz=FuzzMTXDifferential -fuzztime=10s ./internal/mmio
+
 echo "== fuzz smoke (FuzzHTTPSpMV, 10s)"
 go test -run='^$' -fuzz=FuzzHTTPSpMV -fuzztime=10s ./internal/server
 
@@ -111,6 +115,14 @@ go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 # bytes, and a megabyte of commas is rejected having allocated < 64 KiB.
 echo "== decode allocation gate"
 go test -count=1 -run 'DecodeAllocs' ./internal/server
+
+# The upload reader's memory contract, also as counts: a fixed handful of
+# allocations per file whatever its size (<= 32 at 34 k nonzeros, <= 64 at
+# 340 k), and a header declaring 2^30 entries claims < 2 MiB before the
+# truncation is found. A result JSON cannot carry is a 400, not an empty 200.
+echo "== upload allocation gate + non-finite results"
+go test -count=1 -run 'TestReadAllocs|TestReadHeaderCannotClaimMemory' ./internal/mmio
+go test -count=1 -run 'TestNonFiniteResultIsAnError' ./internal/server
 
 echo "== staticcheck"
 if require_or_skip staticcheck; then
