@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMTXDifferential -fuzztime=10s ./internal/mmio
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSpMV -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 
 ## soak: the solver-session soak gate — concurrent sessions iterating

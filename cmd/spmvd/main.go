@@ -9,6 +9,7 @@
 //	spmvd -batch-window 2ms -max-batch 32   # fuse concurrent same-matrix SpMVs
 //	spmvd -retrain-interval 10m -retrain-dir /var/lib/spmvd/rows
 //	spmvd -no-retrain                       # serve a frozen model
+//	spmvd -pprof 127.0.0.1:6060             # net/http/pprof on its own listener
 //
 // API (see DESIGN.md §7–8):
 //
@@ -35,6 +36,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux, served by -pprof alone
 	"os"
 	"os/signal"
 	"strings"
@@ -76,6 +78,7 @@ func main() {
 	noRetrain := flag.Bool("no-retrain", false, "disable the online learning loop")
 	exploreRate := flag.Float64("explore-rate", 0.05, "probability of simulating one counterfactual kernel per observed request")
 	kernelSpace := flag.String("kernel-space", "", "kernel space for tuning searches and bootstrap training: 'pool' or '' = the paper's nine kernels, 'synth' = the synthesized parameter space (a -model file carries its own space)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof's /debug/pprof/ on this address, a listener of its own (empty = off; never on the API listener)")
 	flag.Parse()
 	log.SetPrefix("spmvd: ")
 	log.SetFlags(log.LstdFlags)
@@ -173,6 +176,19 @@ func main() {
 		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
+	}
+	if *pprofAddr != "" {
+		// The net/http/pprof import registers its handlers on
+		// http.DefaultServeMux, which only this listener serves; the API
+		// listener's handler is srv.
+		dbg := &http.Server{Addr: *pprofAddr, Handler: http.DefaultServeMux, ReadHeaderTimeout: 10 * time.Second}
+		defer dbg.Close()
+		go func() {
+			if err := dbg.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("pprof: %v", err)
+			}
+		}()
+		log.Printf("pprof on %s", *pprofAddr)
 	}
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests.

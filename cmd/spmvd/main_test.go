@@ -1,0 +1,32 @@
+package main
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"spmvtune/internal/core"
+	"spmvtune/internal/server"
+)
+
+// TestPprofOnlyOnItsOwnListener: the API handler answers 404 on
+// /debug/pprof/ although this binary imports net/http/pprof, and the -pprof
+// listener's handler, http.DefaultServeMux, serves the profile index.
+func TestPprofOnlyOnItsOwnListener(t *testing.T) {
+	srv, err := server.New(server.Config{Framework: core.NewFramework(core.DefaultConfig(), nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("API handler: GET %s = %d, want 404", path, rec.Code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("pprof listener: GET /debug/pprof/ = %d, want 200", rec.Code)
+	}
+}

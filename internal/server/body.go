@@ -107,11 +107,11 @@ func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field) (stdlib 
 // recognizes one top-level object with JSON whitespace anywhere; each key
 // one of the fields' tags spelled exactly, at most once; strings of
 // printable ASCII without escapes; int fields as integer literals; float
-// fields and vector elements as JSON-grammar numbers. Every token is
-// converted by the call encoding/json itself makes (strconv.ParseFloat /
-// ParseInt), so an accepted body decodes to the same bits json.Unmarshal
-// yields. Unknown or case-folded keys, duplicates, null, escapes, non-ASCII,
-// a literal strconv rejects, trailing bytes: all false.
+// fields and vector elements as JSON-grammar numbers. A number decodes to
+// the bits of the call encoding/json itself makes (strconv.ParseFloat /
+// ParseInt): num either computes them exactly or makes that call. Unknown or
+// case-folded keys, duplicates, null, escapes, non-ASCII, a literal strconv
+// rejects, trailing bytes: all false.
 func scanBody(data []byte, fields []field) bool {
 	s := scanner{data: data}
 	var seen uint64 // bit i: fields[i] already assigned
@@ -201,47 +201,93 @@ func (s *scanner) str() ([]byte, bool) {
 	return s.data[start:s.i], s.eat('"')
 }
 
-// digits returns the index after the run of decimal digits at d[i:].
-func digits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
-}
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
 
-// number scans one literal of the JSON number grammar,
-// -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?, and reports whether it has neither
-// fraction nor exponent. The grammar is checked here because strconv alone
-// also accepts +1, .5, 1., 0x1p-2, 1_0 and Inf. tok is nil when the bytes at
-// the cursor are not a number.
-func (s *scanner) number() (tok []byte, integer bool) {
+// num scans one literal of the JSON number grammar,
+// -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?, converts it in the same walk, and
+// reports whether it has neither fraction nor exponent. The grammar is
+// checked here because strconv alone also accepts +1, .5, 1., 0x1p-2, 1_0
+// and Inf; bytes at the cursor that are not a number leave it in place.
+//
+// The walk accumulates the digits into a mantissa m — it stops adding them
+// once m reaches 2^53, so m < 2^53 means m holds them all — and a decimal
+// exponent e, whose exponent part saturates at 10^4. When m < 2^53, the
+// exponent part did not saturate and |e| <= 22, both float64(m) and 10^|e|
+// are exact, so the one multiplication or division by 10^|e| is correctly
+// rounded — the bits strconv.ParseFloat returns (Clinger's fast path, which
+// strconv itself takes first). The sign is applied last, so -0 stays -0.
+// Every other literal is converted by strconv.ParseFloat, and one it
+// rejects (1e999) is not a number here either, with the cursor after it.
+func (s *scanner) num() (f float64, integer, ok bool) {
 	d, i := s.data, s.i
-	if i < len(d) && d[i] == '-' {
+	neg := i < len(d) && d[i] == '-'
+	if neg {
 		i++
 	}
-	j := digits(d, i)
+	var m uint64
+	j := i
+	for ; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
+		if m < 1<<53 {
+			m = m*10 + uint64(d[j]-'0')
+		}
+	}
 	if j == i || j > i+1 && d[i] == '0' {
-		return nil, false
+		return 0, false, false
 	}
 	i, integer = j, true
+	e := 0        // the decimal exponent of m
+	exact := true // false when the exponent part saturated
 	if i < len(d) && d[i] == '.' {
-		if j = digits(d, i+1); j == i+1 {
-			return nil, false
+		for j = i + 1; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
+			if m < 1<<53 {
+				m = m*10 + uint64(d[j]-'0')
+				e--
+			}
+		}
+		if j == i+1 {
+			return 0, false, false
 		}
 		i, integer = j, false
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		if i++; i < len(d) && (d[i] == '+' || d[i] == '-') {
-			i++
+		j = i + 1
+		eneg := j < len(d) && d[j] == '-'
+		if j < len(d) && (d[j] == '+' || d[j] == '-') {
+			j++
 		}
-		if j = digits(d, i); j == i {
-			return nil, false
+		k, x := j, 0
+		for ; k < len(d) && '0' <= d[k] && d[k] <= '9'; k++ {
+			if x < 1e4 {
+				x = x*10 + int(d[k]-'0')
+			}
 		}
-		i, integer = j, false
+		if k == j {
+			return 0, false, false
+		}
+		if exact = x < 1e4; eneg {
+			x = -x
+		}
+		e += x
+		i, integer = k, false
 	}
-	tok = d[s.i:i]
+	tok := d[s.i:i]
 	s.i = i
-	return tok, integer
+	if exact && m < 1<<53 && -22 <= e && e <= 22 {
+		f = float64(m)
+		if e >= 0 {
+			f *= pow10[e]
+		} else {
+			f /= pow10[-e]
+		}
+		if neg {
+			f = -f
+		}
+		return f, integer, true
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, integer, err == nil
 }
 
 // value scans one value of dst's kind into *dst.
@@ -252,14 +298,15 @@ func (s *scanner) value(dst any) (ok bool) {
 		tok, ok = s.str()
 		*p = string(tok)
 	case *int:
-		tok, integer := s.number()
+		start := s.i
+		_, integer, _ := s.num()
 		if !integer {
 			return false
 		}
-		n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+		n, err := strconv.ParseInt(string(s.data[start:s.i]), 10, strconv.IntSize)
 		*p, ok = int(n), err == nil
 	case *float64:
-		*p, ok = s.float()
+		*p, _, ok = s.num()
 	case *[]float64:
 		*p, ok = s.vector()
 	case *[][]float64:
@@ -268,46 +315,45 @@ func (s *scanner) value(dst any) (ok bool) {
 	return ok
 }
 
-func (s *scanner) float() (float64, bool) {
-	tok, _ := s.number()
-	if tok == nil {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
-}
+// maxScratch caps the vector scratch a decode gives back to scratchPool:
+// 2^18 elements, 2 MiB. A larger one — a rare huge body — is left to the
+// GC rather than pinned in the pool.
+const maxScratch = 1 << 18
 
-// vector scans an array of numbers in two passes: a grammar-only pass to
-// the closing bracket that counts the elements, then one exact allocation
-// and the ParseFloat pass. The vector is therefore sized only from bytes
-// already syntax-checked — a body of a million commas allocates nothing.
-func (s *scanner) vector() ([]float64, bool) {
+// scratchPool recycles the slices vector() parses elements into.
+var scratchPool sync.Pool // of *[]float64
+
+// vector scans an array of numbers in one pass: each element is converted
+// as it is scanned, into a pooled scratch slice, and once the closing bracket
+// is reached the vector is one exact allocation and a copy. The vector is
+// therefore sized only from elements already parsed — a body of a million
+// commas allocates nothing.
+func (s *scanner) vector() (v []float64, ok bool) {
 	if !s.eat('[') {
 		return nil, false
 	}
 	s.ws()
-	start, n := s.i, 0
-	for more := !s.eat(']'); more; n++ {
-		if tok, _ := s.number(); tok == nil {
-			return nil, false
-		}
-		var ok bool
-		if more, ok = s.next(']'); !ok {
-			return nil, false
+	scratch, _ := scratchPool.Get().(*[]float64)
+	if scratch == nil {
+		scratch = new([]float64)
+	}
+	buf, ok := (*scratch)[:0], true
+	for more := !s.eat(']'); more && ok; {
+		var f float64
+		if f, _, ok = s.num(); ok {
+			buf = append(buf, f)
+			more, ok = s.next(']')
 		}
 	}
-	end := s.i
-	s.i = start
-	v := make([]float64, n)
-	for k := range v {
-		var ok bool
-		if v[k], ok = s.float(); !ok {
-			return nil, false
-		}
-		s.next(']') // the separator the first pass checked
+	if ok {
+		v = make([]float64, len(buf))
+		copy(v, buf)
 	}
-	s.i = end
-	return v, true
+	if cap(buf) <= maxScratch {
+		*scratch = buf[:0]
+		scratchPool.Put(scratch)
+	}
+	return v, ok
 }
 
 // vectors scans an array of vectors. The outer slice grows with the

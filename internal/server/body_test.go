@@ -210,6 +210,48 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 			}
 		}
 	})
+	// Every element with 17 significant digits: no element takes num's exact
+	// fast path, so this times the strconv.ParseFloat path alone.
+	full := []byte(`{"matrix":"0123456789abcdef","vector":[`)
+	for i := 0; i < 200000; i++ {
+		if i > 0 {
+			full = append(full, ',')
+		}
+		full = strconv.AppendFloat(full, (float64(i%2000)-999.5)/1000, 'e', 16, 64)
+	}
+	full = append(full, "]}"...)
+	b.Run("scanner-full", func(b *testing.B) {
+		b.SetBytes(int64(len(full)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, stdlib, err := decodeSpMVRequest(full, 8); err != nil || stdlib {
+				b.Fatalf("stdlib=%v err=%v", stdlib, err)
+			}
+		}
+	})
+}
+
+// TestDecodeScratchBounded: a vector of 2^20 elements, four times
+// maxScratch, decodes to the encoded bits, and its scratch is not given back
+// to the pool — one huge body cannot pin memory.
+func TestDecodeScratchBounded(t *testing.T) {
+	body, want := benchBody(1 << 20)
+	req, stdlib, err := decodeSpMVRequest(body, 8)
+	if err != nil || stdlib {
+		t.Fatalf("stdlib=%v err=%v", stdlib, err)
+	}
+	if !sameValue(reflect.ValueOf(req.Vector), reflect.ValueOf(want)) {
+		t.Fatal("decoded vector differs from the encoded one")
+	}
+	for {
+		scratch, _ := scratchPool.Get().(*[]float64)
+		if scratch == nil {
+			break
+		}
+		if cap(*scratch) > maxScratch {
+			t.Errorf("pooled scratch of capacity %d, want <= %d", cap(*scratch), maxScratch)
+		}
+	}
 }
 
 // TestPooledBodiesDoNotAlias is the end-to-end check on the bug a body pool

@@ -2,10 +2,11 @@
 # Full verification gate: formatting, vet, build, race-enabled tests, the
 # nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
 # fuzz smokes on the Matrix Market
-# parser (alone and against its reference) and the spmvd request decoders
-# (SpMV and solver sessions), the request scanner's and the upload reader's
-# allocation gates, the error-response golden and the one-error-writer gate,
-# plus staticcheck and govulncheck.
+# parser (alone and against its reference), the spmvd request decoders
+# (SpMV and solver sessions) and the request scanner's number path (against
+# its reference), the request scanner's and the upload reader's allocation
+# gates, output verification against its reference, the error-response
+# golden and the one-error-writer gate, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -110,11 +111,21 @@ go test -run='^$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 echo "== fuzz smoke (FuzzPlanDecode, 10s)"
 go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 
+# The request scanner's one-walk number path against the two-walk one it
+# replaced (number_test.go): same verdict, cursor and bits.
+echo "== fuzz smoke (FuzzScanNumber, 10s)"
+go test -run='^$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
+
 # The request scanner's memory contract, as counts a shared runner cannot
 # flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
-# bytes, and a megabyte of commas is rejected having allocated < 64 KiB.
+# bytes, a megabyte of commas is rejected having allocated < 64 KiB, and a
+# vector past maxScratch leaves no scratch above it in the pool.
 echo "== decode allocation gate"
-go test -count=1 -run 'DecodeAllocs' ./internal/server
+go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded' ./internal/server
+
+# verifyBin takes equal values first; its pre-shortcut copy is the oracle.
+echo "== output verification against its reference"
+go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
 
 # The upload reader's memory contract, also as counts: a fixed handful of
 # allocations per file whatever its size (<= 32 at 34 k nonzeros, <= 64 at
