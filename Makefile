@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
+	$(GO) test -run='^$$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 
 ## soak: the solver-session soak gate — concurrent sessions iterating
 ## under the race detector while a model hot-swap fires mid-traffic.

@@ -82,22 +82,26 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 	if err := p.Validate(); err != nil {
 		return brep, err
 	}
-	if err := a.Validate(); err != nil {
+	if err := checkLaunch(ctx, p, a, vs, us); err != nil {
+		// A corrupt matrix outranks every launch check, as if validated first.
+		if verr := a.Validate(); verr != nil {
+			return brep, verr
+		}
 		return brep, err
 	}
-	if err := p.CheckMatrix(a); err != nil {
+
+	// Per-vector verification oracles (and terminal CPU fallbacks), carved
+	// from a pooled slab: the fallback copies out of them and nothing
+	// retains them past the bin loop. Vector 0's product also validates a,
+	// so validation costs no walk of its own.
+	ref := refPool.Get().(*refSlab)
+	defer refPool.Put(ref)
+	wants := ref.carve(len(vs), a.Rows)
+	if err := a.MulVecChecked(vs[0], wants[0]); err != nil {
 		return brep, err
 	}
-	for b := range vs {
-		if len(vs[b]) < a.Cols {
-			return brep, errdefs.Invalidf("core: launch validation: vector %d: len(v)=%d < Cols=%d", b, len(vs[b]), a.Cols)
-		}
-		if len(us[b]) < a.Rows {
-			return brep, errdefs.Invalidf("core: launch validation: vector %d: len(u)=%d < Rows=%d", b, len(us[b]), a.Rows)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return brep, errdefs.Canceled(err)
+	for b := 1; b < len(vs); b++ {
+		a.MulVec(vs[b], wants[b])
 	}
 
 	// Execution routes bin→kernel lookups through the plan's allocation-free
@@ -116,16 +120,6 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 	brep.Shared.Decision = d
 	brep.Shared.DecisionFallback = p.Fallback || err != nil
 
-	// Per-vector verification oracles (and terminal CPU fallbacks), carved
-	// from a pooled slab: the fallback copies out of them and nothing
-	// retains them past the bin loop.
-	ref := refPool.Get().(*refSlab)
-	defer refPool.Put(ref)
-	wants := ref.carve(len(vs), a.Rows)
-	for b := range vs {
-		a.MulVec(vs[b], wants[b])
-	}
-
 	err = fw.runBinsGuarded(ctx, a, vs, us, wants, bn, kernelFor, rs, opt, brep.Shared, brep.PerVector)
 	for _, pv := range brep.PerVector {
 		if pv != nil {
@@ -133,6 +127,27 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 		}
 	}
 	return brep, err
+}
+
+// checkLaunch holds the plan's shape and every vector's length to the
+// matrix and then checks for cancellation, reporting the first failure.
+// It does not validate a; callers give a corrupt matrix's error precedence.
+func checkLaunch(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us [][]float64) error {
+	if err := p.CheckMatrix(a); err != nil {
+		return err
+	}
+	for b := range vs {
+		if len(vs[b]) < a.Cols {
+			return errdefs.Invalidf("core: launch validation: vector %d: len(v)=%d < Cols=%d", b, len(vs[b]), a.Cols)
+		}
+		if len(us[b]) < a.Rows {
+			return errdefs.Invalidf("core: launch validation: vector %d: len(u)=%d < Rows=%d", b, len(us[b]), a.Rows)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return errdefs.Canceled(err)
+	}
+	return nil
 }
 
 // refSlab is the pooled backing store of one execution's reference results.

@@ -215,3 +215,40 @@ func TestSearchBatchedWidth(t *testing.T) {
 		t.Errorf("batched (B=8) modeled time %v shows no amortization vs 8 x %v", resB.Seconds, res1.Seconds)
 	}
 }
+
+// BenchmarkExecuteWarm times a warm guarded execution — plan in hand, every
+// launch replayed from the memo — on the serving benchmark's matrices:
+// solve_iterate's Poisson grid and spmv_exec's BlockFEM one vector at a
+// time, spmv_fused's Mixed eight at a time.
+func BenchmarkExecuteWarm(b *testing.B) {
+	fw := guardFramework(b)
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		nb   int
+	}{
+		{"poisson120/B=1", matgen.Poisson2D(120), 1},
+		{"blockfem/B=1", matgen.BlockFEM(2000, 200, 30, 1), 1},
+		{"mixed/B=8", matgen.Mixed(4000, 4000, 2000, []int{4, 28}, 1), 8},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := context.Background()
+			p, err := fw.Plan(ctx, tc.a)
+			if err != nil {
+				b.Fatal(err)
+			}
+			vs, us, _ := batchTestVectors(tc.a, tc.nb, 1)
+			opt := DefaultGuardOptions()
+			if _, err := fw.ExecutePlanBatchOpts(ctx, p, tc.a, vs, us, opt); err != nil { // fills the replay memo
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fw.ExecutePlanBatchOpts(ctx, p, tc.a, vs, us, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

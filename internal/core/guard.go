@@ -592,8 +592,10 @@ func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.C
 // infinities are accepted below too, and a NaN never compares equal.
 func verifyBin(u, want []float64, groups []binning.Group, tol float64) (int, bool) {
 	for _, g := range groups {
-		for r := g.Start; r < g.Start+g.Count; r++ {
-			a, b := u[r], want[r]
+		start, end := int(g.Start), int(g.Start)+int(g.Count)
+		got, ref := u[start:end], want[start:end]
+		for i, a := range got {
+			b := ref[i]
 			if a == b {
 				continue
 			}
@@ -604,12 +606,12 @@ func verifyBin(u, want []float64, groups []binning.Group, tol float64) (int, boo
 				if a == b { // same infinity
 					continue
 				}
-				return int(r), false
+				return start + i, false
 			}
 			d := math.Abs(a - b)
 			scale := math.Max(math.Abs(a), math.Abs(b))
 			if d > tol && d > tol*scale {
-				return int(r), false
+				return start + i, false
 			}
 		}
 	}

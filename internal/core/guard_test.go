@@ -15,7 +15,7 @@ import (
 )
 
 // guardFramework trains a tiny model once; every guarded test shares it.
-func guardFramework(t *testing.T) *Framework {
+func guardFramework(t testing.TB) *Framework {
 	t.Helper()
 	cfg := testConfig()
 	td := NewTrainingData(cfg)

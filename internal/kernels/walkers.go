@@ -405,16 +405,26 @@ func reductionConflicts(steps int) int {
 // whatever the point's geometry, so a caller that already knows a launch's
 // accounting (core's replayed launches) reproduces the launch's output
 // bits by calling it alone.
+//
+// The matrix slices are taken once and each row's bounds read once (a row's
+// end is the next row's start). The loop order — groups, vectors, rows,
+// then k ascending — and the val[k]*v[c] product fix the output bits that
+// the golden digests and replayed launches depend on.
 func DotRows(a *sparse.CSR, vs, us [][]float64, groups []binning.Group) {
+	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
 	for _, g := range groups {
+		start, end := int(g.Start), int(g.Start)+int(g.Count)
 		for b, v := range vs {
-			u := us[b]
-			for r := g.Start; r < g.Start+g.Count; r++ {
+			u := us[b][start:end]
+			lo := rowPtr[start]
+			for r, hi := range rowPtr[start+1 : end+1] {
 				sum := 0.0
-				for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-					sum += a.Val[k] * v[a.ColIdx[k]]
+				cs, xs := colIdx[lo:hi], val[lo:hi]
+				for k, c := range cs {
+					sum += xs[k] * v[c]
 				}
 				u[r] = sum
+				lo = hi
 			}
 		}
 	}

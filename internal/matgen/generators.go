@@ -78,6 +78,37 @@ func Diagonal(rows int, seed int64) *sparse.CSR {
 	})
 }
 
+// Poisson2D generates the 5-point Laplacian on an n×n grid: 4 on the
+// diagonal, −1 to each grid neighbour. Unlike the other generators its
+// values are fixed, and it is SPD — the system iterative solvers expect.
+func Poisson2D(n int) *sparse.CSR {
+	a := &sparse.CSR{Rows: n * n, Cols: n * n, RowPtr: make([]int64, n*n+1)}
+	add := func(c int, v float64) {
+		a.ColIdx = append(a.ColIdx, int32(c))
+		a.Val = append(a.Val, v)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			r := i*n + j
+			if i > 0 {
+				add(r-n, -1)
+			}
+			if j > 0 {
+				add(r-1, -1)
+			}
+			add(r, 4)
+			if j < n-1 {
+				add(r+1, -1)
+			}
+			if i < n-1 {
+				add(r+n, -1)
+			}
+			a.RowPtr[r+1] = int64(len(a.ColIdx))
+		}
+	}
+	return a
+}
+
 // RandomUniform generates rows whose length is uniform in
 // [minLen, maxLen] with uniformly random column positions.
 func RandomUniform(rows, cols, minLen, maxLen int, seed int64) *sparse.CSR {

@@ -152,11 +152,14 @@ func (s *CGStepper) Step(ctx context.Context) (Status, error) {
 		return s.st, s.failed
 	}
 	alpha := s.rr / pap
+	// r·r accumulates as r is updated, i-ascending like dot(r, r): the same
+	// bits without another walk over r.
+	rrNew := 0.0
 	for i := range s.x {
 		s.x[i] += alpha * s.p[i]
 		s.r[i] -= alpha * s.ap[i]
+		rrNew += s.r[i] * s.r[i]
 	}
-	rrNew := dot(s.r, s.r)
 	beta := rrNew / s.rr
 	s.rr = rrNew
 	for i := range s.p {

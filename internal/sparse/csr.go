@@ -209,6 +209,53 @@ func (a *CSR) MulVec(v, u []float64) {
 	}
 }
 
+// MulVecChecked is MulVec with Validate folded into the same walk: it
+// computes u = A*v and checks every invariant Validate checks, reading
+// RowPtr and ColIdx once instead of twice. The bounds up front leave one
+// compare per row (RowPtr stays within [RowPtr[i], nnz], which given
+// RowPtr[0] == 0 and RowPtr[Rows] == nnz is exactly "non-decreasing") and
+// one unsigned compare per non-zero (a negative column wraps past Cols).
+// On any violation it returns a.Validate(), so the error is Validate's own
+// text, and u holds an unspecified partial product. Sums run in MulVec's
+// order, so a valid matrix gives MulVec's bits. It never panics on a
+// corrupt matrix; like MulVec it panics if a valid matrix meets
+// len(v) < Cols or len(u) < Rows.
+func (a *CSR) MulVecChecked(v, u []float64) error {
+	rows, cols := a.Rows, a.Cols
+	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
+	nnz := int64(len(colIdx))
+	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || rowPtr[0] != 0 ||
+		rowPtr[rows] != nnz || len(val) != len(colIdx) {
+		return a.Validate()
+	}
+	if len(v) < cols || len(u) < rows {
+		if err := a.Validate(); err != nil {
+			return err
+		}
+		a.MulVec(v, u) // panics with MulVec's message
+	}
+	v, u = v[:cols], u[:rows]
+	lo := int64(0)
+	for i := range u {
+		hi := rowPtr[i+1]
+		if uint64(hi-lo) > uint64(nnz-lo) {
+			return a.Validate()
+		}
+		cs, vs := colIdx[lo:hi], val[lo:hi]
+		sum := 0.0
+		for k, c := range cs {
+			j := int(c)
+			if uint(j) >= uint(len(v)) {
+				return a.Validate()
+			}
+			sum += v[j] * vs[k]
+		}
+		u[i] = sum
+		lo = hi
+	}
+	return nil
+}
+
 // MulVecTranspose computes u = A^T * v without materializing the
 // transpose: it scatters v[i]*row_i into u. Iterative solvers over
 // nonsymmetric systems (BiCG and friends) need both products per step, and

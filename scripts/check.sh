@@ -6,7 +6,10 @@
 # (SpMV and solver sessions) and the request scanner's number path (against
 # its reference), the request scanner's and the upload reader's allocation
 # gates, output verification against its reference, the error-response
-# golden and the one-error-writer gate, plus staticcheck and govulncheck.
+# golden and the one-error-writer gate, the warm request's two walks (the
+# fused validating reference against Validate, by test and fuzz smoke; the
+# execution-error golden; DotRows and the CG step against their
+# pre-change copies), plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -126,6 +129,19 @@ go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded' ./internal/server
 # verifyBin takes equal values first; its pre-shortcut copy is the oracle.
 echo "== output verification against its reference"
 go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
+
+# A warm request walks the matrix twice: the served DotRows and the reference
+# product, whose first vector also validates the matrix (MulVecChecked). The
+# fused check must equal Validate, error text and all, and which error wins
+# must not move; DotRows and the CG step keep their pre-change copies' bits.
+echo "== two walks per warm request"
+go test -count=1 -run 'TestMulVecCheckedMatchesValidate' ./internal/sparse
+go test -count=1 -run 'TestExecutePlanErrorsGolden' ./internal/core
+go test -count=1 -run 'TestDotRowsMatchesReference' ./internal/kernels
+go test -count=1 -run 'TestCGStepperBitsUnchanged' ./internal/solvers
+
+echo "== fuzz smoke (FuzzMulVecChecked, 10s)"
+go test -run='^$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 
 # The upload reader's memory contract, also as counts: a fixed handful of
 # allocations per file whatever its size (<= 32 at 34 k nonzeros, <= 64 at
