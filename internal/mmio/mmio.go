@@ -13,11 +13,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 	"unicode/utf8"
 
+	"spmvtune/internal/atof"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/sparse"
 )
@@ -211,11 +213,65 @@ func fields(dst [][]byte, line []byte) [][]byte {
 // read, so a header alone cannot claim memory.
 const maxPrealloc = 1 << 16
 
-// readCoordinate reads a coordinate file's size line and entries. Here and
-// in readArray every number goes through strconv as string(tok), a
-// conversion that does not allocate because strconv does not retain its
-// argument (a NumError clones it): accepted values and error texts are
-// exactly those of strconv on the token's string.
+// maxIndexDigits bounds the indices entry reads itself: 18 digits cannot
+// overflow a uint64, and the value must still fit an int.
+const maxIndexDigits = 18
+
+// index reads the unsigned decimal index at l[k:] — the value strconv.Atoi
+// gives the same digits — and returns the index after it.
+func index(l []byte, k int) (v, next int, ok bool) {
+	var u uint64
+	j := k
+	for ; j < len(l) && l[j]-'0' <= 9; j++ {
+		u = u*10 + uint64(l[j]-'0')
+	}
+	return int(u), j, j > k && j-k <= maxIndexDigits && u <= math.MaxInt
+}
+
+// blanks returns the index after the run of spaces and tabs at l[k:], and
+// whether there was one.
+func blanks(l []byte, k int) (next int, ok bool) {
+	j := k
+	for j < len(l) && (l[j] == ' ' || l[j] == '\t') {
+		j++
+	}
+	return j, j > k
+}
+
+// entry parses a coordinate entry line in one walk: two unsigned indices of
+// at most maxIndexDigits digits and, unless pattern, a value in strconv's
+// decimal grammar that atof converts, separated by spaces or tabs. Any other
+// line — a sign or a long index, a value strconv must convert (inf, nan,
+// hex, underscores, one Convert declines), another separator, an extra
+// token — reports false. The values are those strconv gives the same
+// tokens, so the caller's fields + strconv path decides every other line.
+func entry(l []byte, pattern bool) (i, j int, v float64, ok bool) {
+	i, k, ok := index(l, 0)
+	if !ok {
+		return 0, 0, 0, false
+	}
+	if k, ok = blanks(l, k); !ok {
+		return 0, 0, 0, false
+	}
+	if j, k, ok = index(l, k); !ok {
+		return 0, 0, 0, false
+	}
+	if pattern {
+		return i, j, 1, k == len(l)
+	}
+	if k, ok = blanks(l, k); !ok {
+		return 0, 0, 0, false
+	}
+	v, ok = atof.Parse(l[k:])
+	return i, j, v, ok
+}
+
+// readCoordinate reads a coordinate file's size line and entries. The size
+// line, every entry line entry declines and (in readArray) every value
+// atof declines go through fields and strconv as string(tok), a conversion
+// that does not allocate because strconv does not retain its argument (a
+// NumError clones it): accepted values and error texts are exactly those of
+// strconv on the token's string.
 func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
 	f := fields(nil, sizeLine)
 	if len(f) != 3 {
@@ -232,8 +288,9 @@ func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*
 	}
 	n := min(nnz, maxPrealloc)
 	c := &sparse.COO{Rows: rows, Cols: cols, RowIdx: make([]int32, 0, n), ColIdx: make([]int32, 0, n), Val: make([]float64, 0, n)}
+	pattern := h.Field == "pattern"
 	wantFields := 3
-	if h.Field == "pattern" {
+	if pattern {
 		wantFields = 2
 	}
 	seen := 0
@@ -245,23 +302,27 @@ func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*
 		if seen >= nnz {
 			return nil, badf("more than %d entries", nnz)
 		}
-		f = fields(f, l)
-		if len(f) < wantFields {
-			return nil, badf("bad entry line %q", l)
-		}
-		i, err := strconv.Atoi(string(f[0]))
-		if err != nil {
-			return nil, badf("bad row index in %q: %v", l, err)
-		}
-		j, err := strconv.Atoi(string(f[1]))
-		if err != nil {
-			return nil, badf("bad col index in %q: %v", l, err)
-		}
-		v := 1.0
-		if h.Field != "pattern" {
-			v, err = strconv.ParseFloat(string(f[2]), 64)
+		i, j, v, ok := entry(l, pattern)
+		if !ok {
+			f = fields(f, l)
+			if len(f) < wantFields {
+				return nil, badf("bad entry line %q", l)
+			}
+			var err error
+			i, err = strconv.Atoi(string(f[0]))
 			if err != nil {
-				return nil, badf("bad value in %q: %v", l, err)
+				return nil, badf("bad row index in %q: %v", l, err)
+			}
+			j, err = strconv.Atoi(string(f[1]))
+			if err != nil {
+				return nil, badf("bad col index in %q: %v", l, err)
+			}
+			v = 1.0
+			if !pattern {
+				v, err = strconv.ParseFloat(string(f[2]), 64)
+				if err != nil {
+					return nil, badf("bad value in %q: %v", l, err)
+				}
 			}
 		}
 		// Matrix Market is 1-based.
@@ -320,9 +381,12 @@ func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*spars
 		}
 		f = fields(f, l)
 		for _, tok := range f {
-			v, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
-				return nil, badf("bad array value %q: %v", tok, err)
+			v, ok := atof.Parse(tok)
+			if !ok {
+				var err error
+				if v, err = strconv.ParseFloat(string(tok), 64); err != nil {
+					return nil, badf("bad array value %q: %v", tok, err)
+				}
 			}
 			vals = append(vals, v)
 		}

@@ -253,7 +253,26 @@ func FuzzMTXDifferential(f *testing.F) {
 		coord + "2 2 3\n1 1 1\n",
 		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n5\n",
 		"%%MatrixMarket matrix array real general\n2 2\n1\n",
+		// Entry lines read in one walk and converted by atof, next to the
+		// lines that must still go through fields and strconv: a 20-digit
+		// mantissa with a nonzero tail (the mant+1 confirmation), signed and
+		// zero-padded indices, tabs, bare dots, subnormals, an overflow, an
+		// index out of range, a pattern line.
+		coord + "3 3 3\n1 1 14932.0000001344242266\n2 2 98765432109876543210e-20\n3 3 1.00000000000000011102230246251565404236316680908203125\n",
+		coord + "3 3 3\n+1 1 0.5\n007 3 -2.25\n3 +2 1\n",
+		coord + "3 3 3\n1\t1\t0.1\n2 \t 2\t\t-7e-3\n3\t 3 \t1E+2\n",
+		coord + "3 3 3\n1 1 1.\n2 2 .5\n3 3 -.5e1\n",
+		coord + "2 2 2\n1 1 4.9406564584124654e-324\n2 2 2.2250738585072009e-308\n",
+		coord + "2 2 2\n1 1 0.5\n2 2 -1e999\n",
+		"%%MatrixMarket matrix array real general\n1 2\n0.5 1e999\n",
+		coord + "2 2 2\n1 1 0.5\n3 1 0.25\n",
+		"%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2\t2\n",
 	}
+	var w bytes.Buffer
+	if err := Write(&w, awkwardValues()); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, w.String())
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
@@ -284,6 +303,23 @@ func FuzzMTXDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// awkwardValues is a 3x4 matrix whose values Write spells with 17
+// significant digits in every shape a conversion has an edge for: exact and
+// inexact decimals, negative zero, subnormals, the largest float64, a power
+// of ten past the exact range, and 2260941260385393.5, which Eisel–Lemire
+// cannot decide and strconv converts on its slow path.
+func awkwardValues() *sparse.CSR {
+	a, err := sparse.NewCSRFromRows(3, 4, [][]sparse.Entry{
+		{{Col: 0, Val: 0.1}, {Col: 1, Val: -1.0 / 3}, {Col: 3, Val: math.Copysign(0, -1)}},
+		{{Col: 1, Val: 1e-310}, {Col: 2, Val: math.SmallestNonzeroFloat64}, {Col: 3, Val: math.MaxFloat64}},
+		{{Col: 0, Val: 6.02214076e23}, {Col: 2, Val: 1e23}, {Col: 3, Val: 2260941260385393.5}},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 // sameCSR compares two matrices bit for bit.

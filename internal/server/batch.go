@@ -11,8 +11,8 @@ import (
 	"spmvtune/internal/plan"
 )
 
-// The batch coalescer fuses concurrent SpMV executions that share a
-// structural fingerprint into one guarded multi-vector (SpMM) launch.
+// The batch coalescer fuses concurrent SpMV executions against one stored
+// matrix into one guarded multi-vector (SpMM) launch.
 // SpMV is DRAM-bound: every single-vector launch re-streams the matrix
 // structure, so N concurrent requests against one matrix pay the dominant
 // memory cost N times. The fused launch streams the structure once and
@@ -21,8 +21,8 @@ import (
 // requests.
 //
 // Coalescing is opt-in via Config.BatchWindow: the first execution for a
-// fingerprint opens a batch and arms the window timer; same-fingerprint
-// arrivals join it until either the timer fires (trigger "window") or the
+// matrix entry opens a batch and arms the window timer; arrivals for the
+// same entry join it until either the timer fires (trigger "window") or the
 // batch reaches Config.MaxBatch (trigger "size", flushed inline by the
 // arrival that filled it). A window flush runs on the timer goroutine, so
 // waiters — parked stateless requests and session iterates holding their
@@ -49,9 +49,9 @@ type batchItem struct {
 	fallbacks int
 }
 
-// pendingBatch accumulates same-fingerprint items until a trigger fires.
-// The plan, guard options and trace binding are the opening item's: every
-// member shares the fingerprint, so any member's plan serves the batch
+// pendingBatch accumulates same-entry items until a trigger fires. The
+// plan, guard options and trace binding are the opening item's: every
+// member shares the matrix, so any member's plan serves the batch
 // (across a model hot-swap two plans may differ in version — the opener's
 // wins, exactly as it would for a multi-vector request body).
 type pendingBatch struct {
@@ -64,20 +64,22 @@ type pendingBatch struct {
 }
 
 // coalescer is the per-server batching state: one pending batch per
-// fingerprint, under one mutex (enqueue is O(1) append; all execution
-// happens outside the lock).
+// matrix entry, under one mutex (enqueue is O(1) append; all execution
+// happens outside the lock). The key is the entry, not its fingerprint: a
+// re-upload with other values is a new entry of the same fingerprint, and
+// one fused launch must not multiply by two value sets.
 type coalescer struct {
 	s       *Server
 	window  time.Duration
 	mu      sync.Mutex
-	pending map[string]*pendingBatch
+	pending map[*matrixEntry]*pendingBatch
 }
 
 func newCoalescer(s *Server, window time.Duration) *coalescer {
-	return &coalescer{s: s, window: window, pending: make(map[string]*pendingBatch)}
+	return &coalescer{s: s, window: window, pending: make(map[*matrixEntry]*pendingBatch)}
 }
 
-// enqueue adds one execution to the fingerprint's pending batch, opening
+// enqueue adds one execution to the entry's pending batch, opening
 // the batch (and arming its window timer) if none is pending. If this
 // item fills the batch to MaxBatch it flushes inline on the caller's
 // goroutine. The returned item completes via wait.
@@ -88,17 +90,16 @@ func (co *coalescer) enqueue(e *matrixEntry, p *plan.TuningPlan, opt core.GuardO
 		done: make(chan struct{}),
 	}
 	co.mu.Lock()
-	b := co.pending[e.Fingerprint]
+	b := co.pending[e]
 	if b == nil {
 		b = &pendingBatch{e: e, p: p, opt: opt, traceID: traceID}
-		co.pending[e.Fingerprint] = b
-		fp := e.Fingerprint
-		b.timer = time.AfterFunc(co.window, func() { co.flushWindow(fp, b) })
+		co.pending[e] = b
+		b.timer = time.AfterFunc(co.window, func() { co.flushWindow(b) })
 	}
 	b.items = append(b.items, it)
 	var full *pendingBatch
 	if len(b.items) >= co.s.cfg.MaxBatch {
-		delete(co.pending, e.Fingerprint)
+		delete(co.pending, e)
 		b.timer.Stop()
 		full = b
 	}
@@ -128,13 +129,13 @@ func (co *coalescer) wait(ctx context.Context, it *batchItem, u []float64) (degr
 // flushWindow is the timer path: flush the batch unless a size trigger
 // already took it (the map entry is the ownership token — whoever removes
 // it flushes).
-func (co *coalescer) flushWindow(fp string, b *pendingBatch) {
+func (co *coalescer) flushWindow(b *pendingBatch) {
 	co.mu.Lock()
-	if co.pending[fp] != b {
+	if co.pending[b.e] != b {
 		co.mu.Unlock()
 		return
 	}
-	delete(co.pending, fp)
+	delete(co.pending, b.e)
 	co.mu.Unlock()
 	co.flush(b, &co.s.m.batchFlushWindow)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,6 +38,46 @@ func warmPlan(t *testing.T, ts *httptest.Server, id string) *plan.TuningPlan {
 		t.Fatal(err)
 	}
 	return &p
+}
+
+// TestCoalescerKeepsEntriesApart: a matrix and its re-upload with other
+// values share a fingerprint but are two entries, and never one fused
+// launch — not even when together they would fill a batch.
+func TestCoalescerKeepsEntriesApart(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) {
+		c.BatchWindow = 10 * time.Millisecond
+		c.MaxBatch = 2
+	})
+	a := matgen.RoadNetwork(400, 9)
+	a2 := doubled(a)
+	fp := plan.Fingerprint(a)
+	entries := []*matrixEntry{{ID: fp[:matrixIDLen], Fingerprint: fp, A: a}, {ID: fp[:matrixIDLen], Fingerprint: fp, A: a2}}
+	ctx := context.Background()
+	p, _, _, err := s.planFor(ctx, entries[0], "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]float64, a.Cols)
+	for i := range v {
+		v[i] = 1 / float64(i+1)
+	}
+	items := make([]*batchItem, len(entries))
+	for k, e := range entries {
+		items[k] = s.co.enqueue(e, p, s.guardOpts(""), "", v)
+	}
+	for k, e := range entries {
+		u, want := make([]float64, a.Rows), make([]float64, a.Rows)
+		if _, _, err := s.co.wait(ctx, items[k], u); err != nil {
+			t.Fatal(err)
+		}
+		e.A.MulVec(v, want)
+		if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
+			t.Errorf("entry %d: row %d is %v, want its own values' %v", k, i, u[i], want[i])
+		}
+	}
+	if got := s.m.batchSizeCount.Load(); got != 2 {
+		t.Errorf("%d fused launches, want one per entry", got)
+	}
 }
 
 // The PR's acceptance criterion: N concurrent requests for one

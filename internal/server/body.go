@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"spmvtune/internal/atof"
 	"spmvtune/internal/errdefs"
 )
 
@@ -201,25 +202,20 @@ func (s *scanner) str() ([]byte, bool) {
 	return s.data[start:s.i], s.eat('"')
 }
 
-// pow10 holds the powers of ten a float64 represents exactly.
-var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
-
 // num scans one literal of the JSON number grammar,
 // -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?, converts it in the same walk, and
 // reports whether it has neither fraction nor exponent. The grammar is
 // checked here because strconv alone also accepts +1, .5, 1., 0x1p-2, 1_0
 // and Inf; bytes at the cursor that are not a number leave it in place.
 //
-// The walk accumulates the digits into a mantissa m — it stops adding them
-// once m reaches 2^53, so m < 2^53 means m holds them all — and a decimal
-// exponent e, whose exponent part saturates at 10^4. When m < 2^53, the
-// exponent part did not saturate and |e| <= 22, both float64(m) and 10^|e|
-// are exact, so the one multiplication or division by 10^|e| is correctly
-// rounded — the bits strconv.ParseFloat returns (Clinger's fast path, which
-// strconv itself takes first). The sign is applied last, so -0 stays -0.
-// Every other literal is converted by strconv.ParseFloat, and one it
-// rejects (1e999) is not a number here either, with the cursor after it.
+// The walk accumulates the digits into a mantissa m under atof.MantLimit —
+// the first 19 significant digits, a decimal exponent e and a truncation
+// flag, exactly as strconv's own scan does, the exponent part saturating
+// at 10^4 as there — and atof turns them into the bits strconv.ParseFloat
+// returns: atof.Short, inlined, for a short decimal such as -0.517, else
+// atof.Convert. A literal Convert declines is converted by
+// strconv.ParseFloat, and one it rejects (1e999) is not a number here
+// either, with the cursor after it.
 func (s *scanner) num() (f float64, integer, ok bool) {
 	d, i := s.data, s.i
 	neg := i < len(d) && d[i] == '-'
@@ -227,23 +223,27 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 		i++
 	}
 	var m uint64
+	e, trunc := 0, false // the decimal exponent of m; a nonzero digit was dropped
 	j := i
 	for ; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
-		if m < 1<<53 {
+		if m < atof.MantLimit {
 			m = m*10 + uint64(d[j]-'0')
+		} else {
+			e++
+			trunc = trunc || d[j] != '0'
 		}
 	}
 	if j == i || j > i+1 && d[i] == '0' {
 		return 0, false, false
 	}
 	i, integer = j, true
-	e := 0        // the decimal exponent of m
-	exact := true // false when the exponent part saturated
 	if i < len(d) && d[i] == '.' {
 		for j = i + 1; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
-			if m < 1<<53 {
+			if m < atof.MantLimit {
 				m = m*10 + uint64(d[j]-'0')
 				e--
+			} else if d[j] != '0' {
+				trunc = true
 			}
 		}
 		if j == i+1 {
@@ -266,7 +266,7 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 		if k == j {
 			return 0, false, false
 		}
-		if exact = x < 1e4; eneg {
+		if eneg {
 			x = -x
 		}
 		e += x
@@ -274,16 +274,10 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 	}
 	tok := d[s.i:i]
 	s.i = i
-	if exact && m < 1<<53 && -22 <= e && e <= 22 {
-		f = float64(m)
-		if e >= 0 {
-			f *= pow10[e]
-		} else {
-			f /= pow10[-e]
-		}
-		if neg {
-			f = -f
-		}
+	if f, ok = atof.Short(m, e, neg); ok {
+		return f, integer, true
+	}
+	if f, ok = atof.Convert(m, e, neg, trunc); ok {
 		return f, integer, true
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)

@@ -201,34 +201,42 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 			}
 		}
 	})
-	b.Run("scanner", func(b *testing.B) {
-		b.SetBytes(int64(len(body)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, stdlib, err := decodeSpMVRequest(body, 8); err != nil || stdlib {
-				b.Fatalf("stdlib=%v err=%v", stdlib, err)
+	// "scanner-f3" is every element with at most three decimals, the bytes
+	// spmvload sends: all take atof.Short. "scanner-full" is every element
+	// with 17 significant digits: none does, and all take Convert's
+	// Eisel–Lemire branch.
+	vector := func(elem func(dst []byte, i int) []byte) []byte {
+		body := []byte(`{"matrix":"0123456789abcdef","vector":[`)
+		for i := 0; i < 200000; i++ {
+			if i > 0 {
+				body = append(body, ',')
 			}
+			body = elem(body, i)
 		}
-	})
-	// Every element with 17 significant digits: no element takes num's exact
-	// fast path, so this times the strconv.ParseFloat path alone.
-	full := []byte(`{"matrix":"0123456789abcdef","vector":[`)
-	for i := 0; i < 200000; i++ {
-		if i > 0 {
-			full = append(full, ',')
-		}
-		full = strconv.AppendFloat(full, (float64(i%2000)-999.5)/1000, 'e', 16, 64)
+		return append(body, "]}"...)
 	}
-	full = append(full, "]}"...)
-	b.Run("scanner-full", func(b *testing.B) {
-		b.SetBytes(int64(len(full)))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, stdlib, err := decodeSpMVRequest(full, 8); err != nil || stdlib {
-				b.Fatalf("stdlib=%v err=%v", stdlib, err)
+	for _, bc := range []struct {
+		name string
+		body []byte
+	}{
+		{"scanner", body},
+		{"scanner-f3", vector(func(dst []byte, i int) []byte {
+			return strconv.AppendFloat(dst, float64(i%2000-1000)/1000, 'f', -1, 64)
+		})},
+		{"scanner-full", vector(func(dst []byte, i int) []byte {
+			return strconv.AppendFloat(dst, (float64(i%2000)-999.5)/1000, 'e', 16, 64)
+		})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, stdlib, err := decodeSpMVRequest(bc.body, 8); err != nil || stdlib {
+					b.Fatalf("stdlib=%v err=%v", stdlib, err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // TestDecodeScratchBounded: a vector of 2^20 elements, four times

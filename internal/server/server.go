@@ -27,6 +27,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -719,8 +720,12 @@ func vectorOutcome(rep *core.BatchReport, i int) (degraded bool, fallbacks int) 
 // handleUpload ingests a Matrix Market body. The parser is the hardened
 // limit-checked reader — a hostile header cannot OOM the daemon — and the
 // matrix ID is derived from the structural fingerprint, so re-uploading
-// the same structure is idempotent. The time from handler entry to the
-// built CSR is the upload's decode stage (spmvd_decode_seconds).
+// the same structure answers the same ID. Re-uploading it with other values
+// replaces the stored entry: later requests multiply by the latest upload's
+// values, while sessions already open keep the entry they resolved. Plans
+// stay valid, as they depend on the structure alone. The time from handler
+// entry to the built CSR is the upload's decode stage
+// (spmvd_decode_seconds).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -734,8 +739,20 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	fp := plan.Fingerprint(a)
 	id := fp[:matrixIDLen]
 
+	// The values are compared outside s.mu (a stored matrix is never
+	// mutated, only replaced). The stored entry stays only if it is the one
+	// compared and holds the same bits; otherwise this upload is the latest.
+	s.mu.RLock()
+	old := s.matrices[id]
+	s.mu.RUnlock()
+	same := old != nil && slices.EqualFunc(old.A.Val, a.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
+
 	s.mu.Lock()
-	if _, exists := s.matrices[id]; !exists {
+	if cur, exists := s.matrices[id]; exists && (cur != old || !same) {
+		s.matrices[id] = &matrixEntry{ID: id, Fingerprint: fp, A: a}
+	} else if !exists {
 		s.matrices[id] = &matrixEntry{ID: id, Fingerprint: fp, A: a}
 		s.order = append(s.order, id)
 		for len(s.order) > s.cfg.MaxMatrices {

@@ -426,6 +426,118 @@ func TestHealthzAndUploadIdempotent(t *testing.T) {
 	}
 }
 
+// doubled is a's structure with every value doubled: a re-upload under the
+// same matrix ID with other coefficients.
+func doubled(a *sparse.CSR) *sparse.CSR {
+	a2 := a.Clone()
+	for k := range a2.Val {
+		a2.Val[k] *= 2
+	}
+	return a2
+}
+
+// TestReuploadServesLatestValues: the matrix ID is the structure's, so
+// re-uploading a mesh with new coefficients answers the same ID — and every
+// later multiplication must use the new coefficients, with and without the
+// coalescer.
+func TestReuploadServesLatestValues(t *testing.T) {
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("batch-window=%v", window), func(t *testing.T) {
+			_, ts := newTestServer(t, func(c *Config) { c.BatchWindow = window })
+			a := matgen.RoadNetwork(400, 9)
+			a2 := doubled(a)
+			v := make([]float64, a.Cols)
+			for i := range v {
+				v[i] = 1 / float64(i+1)
+			}
+			vecJSON, _ := json.Marshal(v)
+			body := fmt.Sprintf(`{"matrix":%q,"vector":%s}`, uploadMatrix(t, ts, a), vecJSON)
+			for _, m := range []*sparse.CSR{a, a2, a} {
+				if id := uploadMatrix(t, ts, m); !strings.Contains(body, id) {
+					t.Fatalf("re-upload answered id %s", id)
+				}
+				resp, blob := postSpMV(t, ts, body)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("spmv status %d: %s", resp.StatusCode, blob)
+				}
+				var out spmvResponse
+				if err := json.Unmarshal(blob, &out); err != nil {
+					t.Fatal(err)
+				}
+				want := make([]float64, m.Rows)
+				m.MulVec(v, want)
+				if i := sparse.FirstVecDiff(want, out.Result, 1e-9); i >= 0 {
+					t.Fatalf("row %d: got %v, want the latest upload's %v", i, out.Result[i], want[i])
+				}
+			}
+			if got := scrapeMetric(t, ts, "spmvd_matrices_stored"); got != 1 {
+				t.Errorf("stored %d matrices, want 1", got)
+			}
+		})
+	}
+}
+
+// TestConcurrentReuploads races re-uploads of one structure with two value
+// sets against batched multiplications (run it under -race): every product
+// is A·v or 2A·v, never a blend, and one entry is stored.
+func TestConcurrentReuploads(t *testing.T) {
+	_, ts := newTestServer(t, func(c *Config) { c.BatchWindow = time.Millisecond })
+	a := matgen.RoadNetwork(200, 3)
+	a2 := doubled(a)
+	v := make([]float64, a.Cols)
+	for i := range v {
+		v[i] = 1 / float64(i+1)
+	}
+	want, want2 := make([]float64, a.Rows), make([]float64, a.Rows)
+	a.MulVec(v, want)
+	a2.MulVec(v, want2)
+	vecJSON, _ := json.Marshal(v)
+	body := fmt.Sprintf(`{"matrix":%q,"vector":%s}`, uploadMatrix(t, ts, a), vecJSON)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 8; k++ {
+				if g%2 == 0 {
+					var buf bytes.Buffer
+					if err := mmio.Write(&buf, []*sparse.CSR{a, a2}[k%2]); err != nil {
+						t.Error(err)
+						return
+					}
+					resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", &buf)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					continue
+				}
+				resp, err := http.Post(ts.URL+"/v1/spmv", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out spmvResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if sparse.FirstVecDiff(want, out.Result, 1e-9) >= 0 && sparse.FirstVecDiff(want2, out.Result, 1e-9) >= 0 {
+					t.Errorf("product is neither A·v nor 2A·v")
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := scrapeMetric(t, ts, "spmvd_matrices_stored"); got != 1 {
+		t.Errorf("stored %d matrices, want 1", got)
+	}
+}
+
 func TestMatrixCapacityEviction(t *testing.T) {
 	_, ts := newTestServer(t, func(c *Config) { c.MaxMatrices = 2 })
 	ids := make([]string, 3)

@@ -4,7 +4,8 @@
 # fuzz smokes on the Matrix Market
 # parser (alone and against its reference), the spmvd request decoders
 # (SpMV and solver sessions) and the request scanner's number path (against
-# its reference), the request scanner's and the upload reader's allocation
+# its reference), the decimal conversion both decoders share (against
+# strconv), the request scanner's and the upload reader's allocation
 # gates, output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's two walks (the
 # fused validating reference against Validate, by test and fuzz smoke; the
@@ -118,6 +119,11 @@ go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 # replaced (number_test.go): same verdict, cursor and bits.
 echo "== fuzz smoke (FuzzScanNumber, 10s)"
 go test -run='^$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
+
+# The decimal conversion both decoders share (internal/atof) against
+# strconv.ParseFloat: whatever it converts, strconv converts to the same bits.
+echo "== fuzz smoke (FuzzConvert, 10s)"
+go test -run='^$' -fuzz=FuzzConvert -fuzztime=10s ./internal/atof
 
 # The request scanner's memory contract, as counts a shared runner cannot
 # flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
