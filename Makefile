@@ -88,7 +88,7 @@ spmvbench:
 ## bench-parallel: sequential-vs-parallel tuning-search comparison. The two
 ## passes must produce identical labels; the wall-clock speedup is printed,
 ## not gated (every committed measurement is from a 1-CPU host — see
-## BENCH_PR5.json "search").
+## BENCH_PR10.json "search").
 bench-parallel:
 	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-parallel.json -workers 8
 
@@ -107,7 +107,7 @@ bench-tune:
 ## legacy labels exactly, the synthesized space must model a strictly lower
 ## best-achievable geomean than the pool across the corpus, and certified
 ## pruning must hold the synth pass's simulated cells within 4x the pool's
-## (see BENCH_PR9.json "synth" for the last committed measurement).
+## (see BENCH_PR10.json "synth" for the last committed measurement).
 bench-synth:
 	$(GO) run ./cmd/spmvbench -out /tmp/spmvbench-synth.json -max-synth-sims 4
 

@@ -2,8 +2,8 @@
 // matgen corpus and writes a machine-readable benchmark file — the perf
 // trajectory of the repo as data instead of anecdote:
 //
-//	spmvbench -out BENCH_PR5.json                      # measure
-//	spmvbench -out new.json -baseline BENCH_PR5.json   # measure + gate
+//	spmvbench -out BENCH_PR10.json                     # measure
+//	spmvbench -out new.json -baseline BENCH_PR10.json  # measure + gate
 //
 // Each case records modeled device cycles, a GFLOPS-equivalent derived
 // from the simulated clock, host ns/op, and a device-counter summary

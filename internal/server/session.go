@@ -335,7 +335,7 @@ func newStepper(req *SolveRequest, mul solvers.SpMVCtx, a *sparse.CSR) (solvers.
 	case solverJacobi:
 		return solvers.NewJacobiStepper(a, mul, req.B, x, req.Tol)
 	case solverGMRES:
-		return solvers.NewGMRESStepper(mul, req.B, x, req.Tol, req.Restart)
+		return solvers.NewGMRESStepper(mul, req.B, x, req.Tol, req.Restart, req.MaxIterations)
 	case solverPower:
 		if len(req.X0) == 0 {
 			for i := range x {

@@ -272,6 +272,51 @@ func TestSolveRunModeStreamsJSONL(t *testing.T) {
 	}
 }
 
+// TestGMRESSessionHonorsMaxIterations: a GMRES restart cycle stops at the
+// session's iteration budget, so a solve that needs more than
+// maxIterations ends done with exactly that many iterations — driven by
+// iterates or by mode "run", whether the budget ends mid-cycle or not.
+func TestGMRESSessionHonorsMaxIterations(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	a := spdBanded(t, 200, 5)
+	id := uploadMatrix(t, ts, a)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = float64(i%7) + 1
+	}
+	for _, restart := range []int{0, 5} {
+		body := fmt.Sprintf(`{"matrix":%q,"solver":"gmres","b":%s,"tol":1e-300,"maxIterations":7,"restart":%d`,
+			id, floatsJSON(b), restart)
+		t.Run(fmt.Sprintf("restart%d/iterate", restart), func(t *testing.T) {
+			sid, _ := createSession(t, ts, body+"}")
+			var st sessionStatus
+			for k := 0; k < 10 && !st.Done; k++ {
+				var code int
+				if code, st = iterate(t, ts, sid, `{"steps":5}`); code != http.StatusOK {
+					t.Fatalf("iterate: status %d", code)
+				}
+			}
+			if !st.Done || st.Converged || st.Iterations != 7 {
+				t.Errorf("done=%v converged=%v iterations=%d, want done after exactly 7", st.Done, st.Converged, st.Iterations)
+			}
+		})
+		t.Run(fmt.Sprintf("restart%d/run", restart), func(t *testing.T) {
+			resp, blob := doJSON(t, http.MethodPost, ts.URL+"/v1/solve", body+`,"mode":"run"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("run status %d: %s", resp.StatusCode, blob)
+			}
+			lines := strings.Split(strings.TrimSpace(string(blob)), "\n")
+			var final sessionStatus
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
+				t.Fatalf("bad final line: %v", err)
+			}
+			if !final.Done || final.Converged || final.Iterations != 7 {
+				t.Errorf("final line: done=%v converged=%v iterations=%d, want done after exactly 7", final.Done, final.Converged, final.Iterations)
+			}
+		})
+	}
+}
+
 // TestSpMVSessionResidentScratch: an spmv session answers per-iterate
 // products against the pinned plan, and its results match the matrix.
 func TestSpMVSessionResidentScratch(t *testing.T) {

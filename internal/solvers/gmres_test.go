@@ -1,6 +1,7 @@
 package solvers
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -38,7 +39,7 @@ func TestGMRESSolvesNonsymmetric(t *testing.T) {
 	a, b, xStar := nonsymSystem(3000, 1)
 	for _, restart := range []int{0, 10, 50} {
 		x := make([]float64, len(b))
-		res, err := GMRES(Default(a), b, x, 1e-10, restart, 0)
+		res, err := GMRESCtx(context.Background(), Default(a), b, x, 1e-10, restart, 0)
 		if err != nil {
 			t.Fatalf("restart=%d: %v", restart, err)
 		}
@@ -54,11 +55,11 @@ func TestGMRESSolvesNonsymmetric(t *testing.T) {
 func TestGMRESAgreesWithBiCGSTAB(t *testing.T) {
 	a, b, _ := nonsymSystem(800, 2)
 	xg := make([]float64, len(b))
-	if _, err := GMRES(Default(a), b, xg, 1e-11, 40, 0); err != nil {
+	if _, err := GMRESCtx(context.Background(), Default(a), b, xg, 1e-11, 40, 0); err != nil {
 		t.Fatal(err)
 	}
 	xb := make([]float64, len(b))
-	if _, err := BiCGSTAB(Default(a), b, xb, 1e-11, 0); err != nil {
+	if _, err := BiCGSTABCtx(context.Background(), Default(a), b, xb, 1e-11, 0); err != nil {
 		t.Fatal(err)
 	}
 	if d := maxAbsDiff(xg, xb); d > 1e-6 {
@@ -69,7 +70,7 @@ func TestGMRESAgreesWithBiCGSTAB(t *testing.T) {
 func TestGMRESIterationBudget(t *testing.T) {
 	a, b, _ := nonsymSystem(500, 3)
 	x := make([]float64, len(b))
-	_, err := GMRES(Default(a), b, x, 1e-14, 5, 3)
+	_, err := GMRESCtx(context.Background(), Default(a), b, x, 1e-14, 5, 3)
 	if !errors.Is(err, ErrNotConverged) {
 		t.Errorf("want ErrNotConverged, got %v", err)
 	}
@@ -79,7 +80,7 @@ func TestGMRESZeroRHS(t *testing.T) {
 	a, _, _ := nonsymSystem(100, 4)
 	b := make([]float64, 100)
 	x := make([]float64, 100)
-	res, err := GMRES(Default(a), b, x, 1e-12, 10, 0)
+	res, err := GMRESCtx(context.Background(), Default(a), b, x, 1e-12, 10, 0)
 	if err != nil || !res.Converged {
 		t.Fatalf("zero system: %v %+v", err, res)
 	}
@@ -95,7 +96,7 @@ func TestGMRESExactAtFullDimension(t *testing.T) {
 	// steps; verify on a tiny well-conditioned system.
 	a, b, xStar := nonsymSystem(40, 5)
 	x := make([]float64, len(b))
-	res, err := GMRES(Default(a), b, x, 1e-12, 40, 0)
+	res, err := GMRESCtx(context.Background(), Default(a), b, x, 1e-12, 40, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

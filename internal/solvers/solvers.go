@@ -1,10 +1,17 @@
-// Package solvers provides the iterative linear solvers that SpMV lives
-// inside ("SpMV is an important computational kernel in sparse linear
-// system solvers" — the paper's opening sentence): conjugate gradient for
-// SPD systems, BiCGSTAB for general square systems, Jacobi iteration for
-// diagonally dominant ones, and power iteration for dominant eigenpairs.
-// Every solver takes the SpMV as an injected function so the auto-tuned
-// backends (simulated-device or native CPU) plug in directly.
+// Package solvers provides the iterative solvers that SpMV lives inside
+// ("SpMV is an important computational kernel in sparse linear system
+// solvers" — the paper's opening sentence): conjugate gradient for SPD
+// systems, restarted GMRES and BiCGSTAB for general square systems, Jacobi
+// iteration for diagonally dominant ones, power iteration for dominant
+// eigenpairs, and PageRank.
+//
+// Every solver but BiCGSTAB is written once, as a Stepper (step.go): the
+// solve's state stays resident and each Step advances it one iteration,
+// multiplying through an injected executor. The serving layer drives the
+// steppers directly; the batch forms (CGCtx, JacobiCtx, GMRESCtx,
+// PowerIterationCtx) are the same steppers run to completion by run.
+// Steppers allocate their workspace at construction, so a Step allocates
+// nothing of its own.
 package solvers
 
 import (
@@ -25,12 +32,8 @@ func Default(a *sparse.CSR) SpMV {
 	return func(v, u []float64) { a.MulVec(v, u) }
 }
 
-// Result reports a solve's outcome.
-type Result struct {
-	Iterations int
-	Residual   float64 // final relative residual ||b-Ax|| / ||b||
-	Converged  bool
-}
+// Result reports a solve's outcome: a batch solve's final Status.
+type Result = Status
 
 // ErrNotConverged is wrapped by solver errors when the iteration budget
 // runs out.
@@ -41,9 +44,9 @@ var ErrNotConverged = errors.New("solvers: not converged")
 var ErrBreakdown = errors.New("solvers: breakdown")
 
 // checkCtx converts a done context into a typed cancellation error; every
-// *Ctx solver calls it once per iteration, so a deadline or cancel stops
-// the solve within one SpMV. The returned error matches
-// errdefs.ErrCanceled as well as the underlying context sentinel.
+// Step calls it before its products, so a deadline or cancel stops a solve
+// within one SpMV. The returned error matches errdefs.ErrCanceled as well
+// as the underlying context sentinel.
 func checkCtx(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -64,75 +67,85 @@ func dot(x, y []float64) float64 {
 
 func norm2(x []float64) float64 { return math.Sqrt(dot(x, x)) }
 
-// CG solves A x = b for SPD A using conjugate gradients with the given
-// SpMV backend. x is used as the initial guess and receives the solution.
-func CG(mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
-	return CGCtx(context.Background(), mul, b, x, tol, maxIter)
+// run steps s until it converges, fails (breakdown, cancellation), or has
+// completed maxIter iterations.
+func run(ctx context.Context, s Stepper, maxIter int) (Result, error) {
+	st := s.Status()
+	for !st.Converged && st.Iterations < maxIter {
+		var err error
+		if st, err = s.Step(ctx); err != nil {
+			return st, err
+		}
+	}
+	if !st.Converged {
+		return st, fmt.Errorf("%w after %d iterations (residual %g)", ErrNotConverged, st.Iterations, st.Residual)
+	}
+	return st, nil
 }
 
-// CGCtx is CG under a context: cancellation is checked once per iteration
-// and the solve returns early with an error matching errdefs.ErrCanceled
-// (x then holds the best iterate so far).
+// CGCtx solves A x = b for SPD A by conjugate gradients with the given
+// SpMV backend; maxIter <= 0 selects 10·n. x is the initial guess and
+// receives the solution. Cancellation is checked once per iteration and the
+// solve returns early with an error matching errdefs.ErrCanceled (x then
+// holds the best iterate so far).
 func CGCtx(ctx context.Context, mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
-	n := len(b)
 	if maxIter <= 0 {
-		maxIter = 10 * n
+		maxIter = 10 * len(b)
 	}
-	r := make([]float64, n)
-	mul(x, r) // r = A x0
-	for i := range r {
-		r[i] = b[i] - r[i]
+	s, err := NewCGStepper(Lift(mul), b, x, tol)
+	if err != nil {
+		return Result{}, err
 	}
-	p := append([]float64(nil), r...)
-	ap := make([]float64, n)
-	rr := dot(r, r)
-	bNorm := norm2(b)
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	res := Result{}
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		if math.Sqrt(rr) <= tol*bNorm {
-			res.Converged = true
-			break
-		}
-		if err := checkCtx(ctx); err != nil {
-			res.Residual = math.Sqrt(rr) / bNorm
-			return res, err
-		}
-		mul(p, ap)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			return res, fmt.Errorf("%w: p^T A p = %g (matrix not SPD?)", ErrBreakdown, pap)
-		}
-		alpha := rr / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rrNew := dot(r, r)
-		beta := rrNew / rr
-		rr = rrNew
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-	}
-	res.Residual = math.Sqrt(rr) / bNorm
-	if !res.Converged && res.Residual > tol {
-		return res, fmt.Errorf("%w after %d iterations (residual %g)", ErrNotConverged, res.Iterations, res.Residual)
-	}
-	res.Converged = true
-	return res, nil
+	return run(ctx, s, maxIter)
 }
 
-// BiCGSTAB solves A x = b for general square A.
-func BiCGSTAB(mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
-	return BiCGSTABCtx(context.Background(), mul, b, x, tol, maxIter)
+// JacobiCtx solves A x = b for strictly diagonally dominant A; maxIter <= 0
+// selects 10·n. It needs the matrix itself (for the diagonal), plus the
+// SpMV backend for the products. See CGCtx for the cancellation contract.
+func JacobiCtx(ctx context.Context, a *sparse.CSR, mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
+	if maxIter <= 0 {
+		maxIter = 10 * len(b)
+	}
+	s, err := NewJacobiStepper(a, Lift(mul), b, x, tol)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(ctx, s, maxIter)
 }
 
-// BiCGSTABCtx is BiCGSTAB under a context; see CGCtx for the cancellation
-// contract.
+// GMRESCtx solves A x = b for general square A with restarted GMRES(m);
+// restart <= 0 selects min(n, 30) and maxIter <= 0 selects 10·n Arnoldi
+// steps. Cancellation is checked once per Arnoldi step (one SpMV each); x
+// keeps the last restart's update.
+func GMRESCtx(ctx context.Context, mul SpMV, b, x []float64, tol float64, restart, maxIter int) (Result, error) {
+	s, err := NewGMRESStepper(Lift(mul), b, x, tol, restart, maxIter)
+	if err != nil {
+		return Result{}, err
+	}
+	return run(ctx, s, s.maxIter)
+}
+
+// PowerIterationCtx finds the dominant eigenvalue/eigenvector of A;
+// maxIter <= 0 selects 1000. x is the starting vector (must be nonzero) and
+// receives the eigenvector. See CGCtx for the cancellation contract.
+func PowerIterationCtx(ctx context.Context, mul SpMV, x []float64, tol float64, maxIter int) (lambda float64, res Result, err error) {
+	if maxIter <= 0 {
+		maxIter = 1000
+	}
+	s, err := NewPowerStepper(Lift(mul), x, tol)
+	if err != nil {
+		return 0, Result{}, err
+	}
+	res, err = run(ctx, s, maxIter)
+	return s.Lambda(), res, err
+}
+
+// BiCGSTABCtx solves A x = b for general square A; maxIter <= 0 selects
+// 10·n. It has no stepper form. See CGCtx for the cancellation contract.
 func BiCGSTABCtx(ctx context.Context, mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
+	if len(b) != len(x) {
+		return Result{}, fmt.Errorf("solvers: bicgstab: len(b)=%d != len(x)=%d", len(b), len(x))
+	}
 	n := len(b)
 	if maxIter <= 0 {
 		maxIter = 10 * n
@@ -205,97 +218,4 @@ func BiCGSTABCtx(ctx context.Context, mul SpMV, b, x []float64, tol float64, max
 	}
 	res.Residual = norm2(r) / bNorm
 	return res, fmt.Errorf("%w after %d iterations (residual %g)", ErrNotConverged, res.Iterations, res.Residual)
-}
-
-// Jacobi solves A x = b for strictly diagonally dominant A. It needs the
-// matrix itself (for the diagonal), plus the SpMV backend for the
-// off-diagonal products.
-func Jacobi(a *sparse.CSR, mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
-	return JacobiCtx(context.Background(), a, mul, b, x, tol, maxIter)
-}
-
-// JacobiCtx is Jacobi under a context; see CGCtx for the cancellation
-// contract.
-func JacobiCtx(ctx context.Context, a *sparse.CSR, mul SpMV, b, x []float64, tol float64, maxIter int) (Result, error) {
-	n := len(b)
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	diag := make([]float64, n)
-	for i := 0; i < a.Rows && i < n; i++ {
-		d := a.At(i, i)
-		if d == 0 {
-			return Result{}, fmt.Errorf("%w: zero diagonal at row %d", ErrBreakdown, i)
-		}
-		diag[i] = d
-	}
-	ax := make([]float64, n)
-	bNorm := norm2(b)
-	if bNorm == 0 {
-		bNorm = 1
-	}
-	res := Result{}
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		if err := checkCtx(ctx); err != nil {
-			return res, err
-		}
-		mul(x, ax)
-		rn := 0.0
-		for i := range x {
-			r := b[i] - ax[i]
-			rn += r * r
-			x[i] += r / diag[i]
-		}
-		res.Residual = math.Sqrt(rn) / bNorm
-		if res.Residual <= tol {
-			res.Converged = true
-			return res, nil
-		}
-	}
-	return res, fmt.Errorf("%w after %d iterations (residual %g)", ErrNotConverged, res.Iterations, res.Residual)
-}
-
-// PowerIteration finds the dominant eigenvalue/eigenvector of A. x is the
-// starting vector (must be nonzero) and receives the eigenvector.
-func PowerIteration(mul SpMV, x []float64, tol float64, maxIter int) (lambda float64, res Result, err error) {
-	return PowerIterationCtx(context.Background(), mul, x, tol, maxIter)
-}
-
-// PowerIterationCtx is PowerIteration under a context; see CGCtx for the
-// cancellation contract.
-func PowerIterationCtx(ctx context.Context, mul SpMV, x []float64, tol float64, maxIter int) (lambda float64, res Result, err error) {
-	n := len(x)
-	if maxIter <= 0 {
-		maxIter = 1000
-	}
-	nx := norm2(x)
-	if nx == 0 {
-		return 0, res, fmt.Errorf("%w: zero start vector", ErrBreakdown)
-	}
-	for i := range x {
-		x[i] /= nx
-	}
-	y := make([]float64, n)
-	prev := 0.0
-	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
-		if cerr := checkCtx(ctx); cerr != nil {
-			return lambda, res, cerr
-		}
-		mul(x, y)
-		lambda = dot(x, y)
-		ny := norm2(y)
-		if ny == 0 {
-			return 0, res, fmt.Errorf("%w: A annihilated the iterate", ErrBreakdown)
-		}
-		for i := range x {
-			x[i] = y[i] / ny
-		}
-		res.Residual = math.Abs(lambda - prev)
-		if res.Iterations > 0 && res.Residual <= tol*math.Max(1, math.Abs(lambda)) {
-			res.Converged = true
-			return lambda, res, nil
-		}
-		prev = lambda
-	}
-	return lambda, res, fmt.Errorf("%w after %d iterations", ErrNotConverged, res.Iterations)
 }

@@ -1,15 +1,14 @@
 package solvers
 
-// Resident stepper variants of the batch solvers. The batch API (CGCtx,
-// GMRESCtx, ...) runs a whole solve inside one call; a Stepper instead
-// holds the solve's state — iterate, residual recurrences, Krylov
-// workspace — resident between calls, advancing one iteration per Step.
-// This is the shape a serving layer needs: the expensive per-structure
-// work (tuning plan, scratch buffers) stays pinned across iterations
-// while each advance is one cheap, cancellable call. Every SpMV goes
-// through an injected SpMVCtx executor, so the auto-tuned guarded
-// execution path (or any other backend) plugs in directly and its errors
-// propagate out of Step instead of being swallowed.
+// The solvers as resident state machines. A Stepper holds a solve's state
+// — iterate, residual recurrences, Krylov workspace — between calls and
+// advances it one iteration per Step. This is the shape a serving layer
+// needs: the expensive per-structure work (tuning plan, scratch buffers)
+// stays pinned across iterations while each advance is one cheap,
+// cancellable call. Every SpMV goes through an injected SpMVCtx executor, so
+// the auto-tuned guarded execution path (or any other backend) plugs in
+// directly and its errors propagate out of Step instead of being swallowed.
+// The batch solvers are these steppers driven by run (solvers.go).
 //
 // Steppers allocate all workspace at construction: Step performs no
 // allocations of its own beyond what the injected executor does, so a
@@ -40,8 +39,10 @@ func Lift(mul SpMV) SpMVCtx {
 
 // Status is a point-in-time snapshot of a resident solve.
 type Status struct {
-	// Iterations performed so far (inner iterations for GMRES — one per
-	// SpMV, matching the batch solvers' counting).
+	// Iterations is the number of completed iterations: one per SpMV for
+	// Jacobi, power iteration and PageRank; one per SpMV after the initial
+	// residual product for CG; one per Arnoldi product (not counting the
+	// residual product at each restart) for GMRES.
 	Iterations int
 	// Residual is the current convergence measure: relative residual
 	// ||b-Ax||/||b|| for the linear solvers, eigenvalue drift for power
@@ -246,14 +247,17 @@ func (s *JacobiStepper) Step(ctx context.Context) (Status, error) {
 // ------------------------------------------------------------- GMRES ----
 
 // GMRESStepper is restarted GMRES(m) with resident state: one Step is one
-// restart cycle — up to restart Arnoldi steps (one SpMV each) followed by
-// the least-squares update of x. Status.Iterations counts inner Arnoldi
-// steps, matching GMRESCtx. All Krylov workspace is allocated once at
-// construction and reused across cycles.
+// restart cycle — the residual product, up to restart Arnoldi steps (one
+// SpMV each, never past the iteration budget) and the least-squares update
+// of x. Arnoldi builds an orthonormal Krylov basis and Givens rotations
+// triangularize the Hessenberg matrix as it grows. Status.Iterations counts
+// Arnoldi steps. All Krylov workspace is allocated once at construction and
+// reused across cycles.
 type GMRESStepper struct {
 	mul     SpMVCtx
 	b, x    []float64
 	restart int
+	maxIter int
 	tol     float64
 
 	r, w   []float64
@@ -268,8 +272,9 @@ type GMRESStepper struct {
 }
 
 // NewGMRESStepper prepares a GMRES solve of A x = b for general square A.
-// restart <= 0 selects min(n, 30).
-func NewGMRESStepper(mul SpMVCtx, b, x []float64, tol float64, restart int) (*GMRESStepper, error) {
+// restart <= 0 selects min(n, 30); maxIter is the budget of Arnoldi steps
+// over the whole solve, and <= 0 selects 10·n.
+func NewGMRESStepper(mul SpMVCtx, b, x []float64, tol float64, restart, maxIter int) (*GMRESStepper, error) {
 	if len(b) != len(x) {
 		return nil, fmt.Errorf("solvers: gmres: len(b)=%d != len(x)=%d", len(b), len(x))
 	}
@@ -280,8 +285,11 @@ func NewGMRESStepper(mul SpMVCtx, b, x []float64, tol float64, restart int) (*GM
 	if restart > n {
 		restart = n
 	}
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
 	s := &GMRESStepper{
-		mul: mul, b: b, x: x, tol: tol, restart: restart,
+		mul: mul, b: b, x: x, tol: tol, restart: restart, maxIter: maxIter,
 		r: make([]float64, n), w: make([]float64, n),
 		v:  make([][]float64, restart+1),
 		h:  make([][]float64, restart),
@@ -308,7 +316,7 @@ func (s *GMRESStepper) Step(ctx context.Context) (Status, error) {
 	if s.failed != nil {
 		return s.st, s.failed
 	}
-	if s.st.Converged {
+	if s.st.Converged || s.st.Iterations >= s.maxIter {
 		return s.st, nil
 	}
 	// r = b - A x.
@@ -333,7 +341,7 @@ func (s *GMRESStepper) Step(ctx context.Context) (Status, error) {
 	s.g[0] = beta
 
 	j := 0
-	for ; j < s.restart; j++ {
+	for ; j < s.restart && s.st.Iterations < s.maxIter; j++ {
 		if err := checkCtx(ctx); err != nil {
 			return s.st, err
 		}

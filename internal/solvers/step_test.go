@@ -27,7 +27,7 @@ func TestCGStepperMatchesBatchCG(t *testing.T) {
 	tol := 1e-10
 
 	xBatch := make([]float64, len(b))
-	res, err := CG(Default(a), b, xBatch, tol, 0)
+	res, err := CGCtx(context.Background(), Default(a), b, xBatch, tol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestJacobiStepperMatchesBatch(t *testing.T) {
 	tol := 1e-10
 
 	xBatch := make([]float64, len(b))
-	res, err := Jacobi(a, Default(a), b, xBatch, tol, 0)
+	res, err := JacobiCtx(context.Background(), a, Default(a), b, xBatch, tol, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestJacobiStepperZeroDiagonal(t *testing.T) {
 func TestGMRESStepperSolves(t *testing.T) {
 	a, b, xStar := spdSystem(800, 7, 3)
 	tol := 1e-10
-	s, err := NewGMRESStepper(Lift(Default(a)), b, make([]float64, len(b)), tol, 20)
+	s, err := NewGMRESStepper(Lift(Default(a)), b, make([]float64, len(b)), tol, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +186,30 @@ func TestGMRESStepperSolves(t *testing.T) {
 	}
 	if rel := norm2(r) / norm2(b); rel > 10*tol {
 		t.Errorf("true relative residual %g", rel)
+	}
+}
+
+// TestGMRESStepperBudget: the Arnoldi loop stops at the iteration budget
+// mid-cycle, and a Step with the budget spent multiplies nothing.
+func TestGMRESStepperBudget(t *testing.T) {
+	a, b, _ := nonsymSystem(300, 7)
+	products := 0
+	mul := func(ctx context.Context, v, u []float64) error {
+		products++
+		a.MulVec(v, u)
+		return nil
+	}
+	s, err := NewGMRESStepper(mul, b, make([]float64, len(b)), 1e-12, 30, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Step(context.Background())
+	if err != nil || st.Iterations != 7 || st.Converged || products != 8 {
+		t.Fatalf("first step: %+v err=%v after %d products, want 7 iterations from 8", st, err, products)
+	}
+	again, err := s.Step(context.Background())
+	if err != nil || again != st || products != 8 {
+		t.Errorf("step past the budget: %+v err=%v after %d products, want %+v from 8", again, err, products, st)
 	}
 }
 
@@ -251,23 +275,50 @@ func TestPageRankStepperRejectsBadDamping(t *testing.T) {
 	}
 }
 
-func TestCGStepperZeroAllocPerStep(t *testing.T) {
+// TestStepperZeroAllocPerStep holds every stepper to the package's promise:
+// a Step allocates nothing of its own. A negative tol never converges, so
+// every measured Step does its full work.
+func TestStepperZeroAllocPerStep(t *testing.T) {
 	a, b, _ := spdSystem(300, 5, 4)
-	mul := Default(a)
-	s, err := NewCGStepper(Lift(mul), b, make([]float64, len(b)), 1e-300)
-	if err != nil {
-		t.Fatal(err)
+	mul := Lift(Default(a))
+	n := len(b)
+	start := func() []float64 {
+		x := make([]float64, n)
+		ones(x)
+		return x
 	}
-	ctx := context.Background()
-	if _, err := s.Step(ctx); err != nil { // pay lazy init outside the measurement
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := s.Step(ctx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("CG step allocates %v times per run, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		new  func() (Stepper, error)
+	}{
+		{"cg", func() (Stepper, error) { return NewCGStepper(mul, b, make([]float64, n), -1) }},
+		{"jacobi", func() (Stepper, error) { return NewJacobiStepper(a, mul, b, make([]float64, n), -1) }},
+		{"gmres5", func() (Stepper, error) { return NewGMRESStepper(mul, b, make([]float64, n), -1, 5, 1<<30) }},
+		{"gmres30", func() (Stepper, error) { return NewGMRESStepper(mul, b, make([]float64, n), -1, 30, 1<<30) }},
+		{"power", func() (Stepper, error) { return NewPowerStepper(mul, start(), -1) }},
+		{"pagerank", func() (Stepper, error) { return NewPageRankStepper(mul, make([]float64, n), 0.85, -1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.new()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			if _, err := s.Step(ctx); err != nil { // pay lazy init outside the measurement
+				t.Fatal(err)
+			}
+			before := s.Status().Iterations
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := s.Step(ctx); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("Step allocates %v times per run, want 0", allocs)
+			}
+			if st := s.Status(); st.Converged || st.Iterations < before+51 {
+				t.Errorf("measured Steps did not all iterate: %d -> %+v", before, st)
+			}
+		})
 	}
 }

@@ -9,8 +9,9 @@
 # gates, output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's two walks (the
 # fused validating reference against Validate, by test and fuzz smoke; the
-# execution-error golden; DotRows and the CG step against their
-# pre-change copies), plus staticcheck and govulncheck.
+# execution-error golden; DotRows against its pre-change copy), the solver
+# trajectories golden, per-Step allocation and GMRES session budget gates,
+# plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -139,12 +140,19 @@ go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
 # A warm request walks the matrix twice: the served DotRows and the reference
 # product, whose first vector also validates the matrix (MulVecChecked). The
 # fused check must equal Validate, error text and all, and which error wins
-# must not move; DotRows and the CG step keep their pre-change copies' bits.
+# must not move; DotRows keeps its pre-change copy's bits.
 echo "== two walks per warm request"
 go test -count=1 -run 'TestMulVecCheckedMatchesValidate' ./internal/sparse
 go test -count=1 -run 'TestExecutePlanErrorsGolden' ./internal/core
 go test -count=1 -run 'TestDotRowsMatchesReference' ./internal/kernels
-go test -count=1 -run 'TestCGStepperBitsUnchanged' ./internal/solvers
+
+# Each batch solver is its stepper run to completion: the trajectories golden
+# pins iterations, residual bits, error text and the bits of x of every batch
+# solve; every stepper's Step allocates nothing; the CG step keeps its
+# pre-change copy's bits; and a GMRES session stops at its iteration budget.
+echo "== one implementation per solver"
+go test -count=1 -run 'TestSolverTrajectoriesGolden|ZeroAllocPerStep|TestCGStepperBitsUnchanged' ./internal/solvers
+go test -count=1 -run 'TestGMRESSessionHonorsMaxIterations' ./internal/server
 
 echo "== fuzz smoke (FuzzMulVecChecked, 10s)"
 go test -run='^$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse

@@ -25,29 +25,29 @@ func DefaultSpMV(a *Matrix) SpMV { return solvers.Default(a) }
 // SolveCG solves A x = b for symmetric positive-definite A by conjugate
 // gradients. x holds the initial guess and receives the solution.
 func SolveCG(mul SpMV, b, x []float64, tol float64, maxIter int) (SolveResult, error) {
-	return solvers.CG(mul, b, x, tol, maxIter)
+	return solvers.CGCtx(context.Background(), mul, b, x, tol, maxIter)
 }
 
 // SolveBiCGSTAB solves A x = b for general square A.
 func SolveBiCGSTAB(mul SpMV, b, x []float64, tol float64, maxIter int) (SolveResult, error) {
-	return solvers.BiCGSTAB(mul, b, x, tol, maxIter)
+	return solvers.BiCGSTABCtx(context.Background(), mul, b, x, tol, maxIter)
 }
 
 // SolveGMRES solves A x = b for general square A with restarted GMRES(m);
-// restart <= 0 selects 30.
+// restart <= 0 selects min(n, 30).
 func SolveGMRES(mul SpMV, b, x []float64, tol float64, restart, maxIter int) (SolveResult, error) {
-	return solvers.GMRES(mul, b, x, tol, restart, maxIter)
+	return solvers.GMRESCtx(context.Background(), mul, b, x, tol, restart, maxIter)
 }
 
 // SolveJacobi solves A x = b for strictly diagonally dominant A.
 func SolveJacobi(a *Matrix, mul SpMV, b, x []float64, tol float64, maxIter int) (SolveResult, error) {
-	return solvers.Jacobi(a, mul, b, x, tol, maxIter)
+	return solvers.JacobiCtx(context.Background(), a, mul, b, x, tol, maxIter)
 }
 
 // DominantEigen runs power iteration for the dominant eigenpair; x is the
 // starting vector and receives the eigenvector.
 func DominantEigen(mul SpMV, x []float64, tol float64, maxIter int) (float64, SolveResult, error) {
-	return solvers.PowerIteration(mul, x, tol, maxIter)
+	return solvers.PowerIterationCtx(context.Background(), mul, x, tol, maxIter)
 }
 
 // Context-aware solver variants: each checks cancellation once per

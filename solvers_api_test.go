@@ -1,6 +1,8 @@
 package spmvtune_test
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -99,6 +101,42 @@ func TestPublicSolvers(t *testing.T) {
 	}
 	if math.Abs(lambda-50) > 1e-6 {
 		t.Errorf("dominant eigenvalue %v, want 50", lambda)
+	}
+}
+
+// TestPublicSolversRejectLengthMismatch: an x whose length differs from b's
+// is an error from every linear solver, never an index panic.
+func TestPublicSolversRejectLengthMismatch(t *testing.T) {
+	a, b := spdSystem(50)
+	mul := spmvtune.DefaultSpMV(a)
+	ctx := context.Background()
+	solvers := []struct {
+		name  string
+		solve func(x []float64) (spmvtune.SolveResult, error)
+	}{
+		{"SolveCG", func(x []float64) (spmvtune.SolveResult, error) { return spmvtune.SolveCG(mul, b, x, 1e-10, 0) }},
+		{"SolveCGCtx", func(x []float64) (spmvtune.SolveResult, error) { return spmvtune.SolveCGCtx(ctx, mul, b, x, 1e-10, 0) }},
+		{"SolveGMRES", func(x []float64) (spmvtune.SolveResult, error) { return spmvtune.SolveGMRES(mul, b, x, 1e-10, 0, 0) }},
+		{"SolveGMRESCtx", func(x []float64) (spmvtune.SolveResult, error) {
+			return spmvtune.SolveGMRESCtx(ctx, mul, b, x, 1e-10, 0, 0)
+		}},
+		{"SolveJacobi", func(x []float64) (spmvtune.SolveResult, error) { return spmvtune.SolveJacobi(a, mul, b, x, 1e-10, 0) }},
+		{"SolveJacobiCtx", func(x []float64) (spmvtune.SolveResult, error) {
+			return spmvtune.SolveJacobiCtx(ctx, a, mul, b, x, 1e-10, 0)
+		}},
+		{"SolveBiCGSTAB", func(x []float64) (spmvtune.SolveResult, error) { return spmvtune.SolveBiCGSTAB(mul, b, x, 1e-10, 0) }},
+		{"SolveBiCGSTABCtx", func(x []float64) (spmvtune.SolveResult, error) {
+			return spmvtune.SolveBiCGSTABCtx(ctx, mul, b, x, 1e-10, 0)
+		}},
+	}
+	for _, s := range solvers {
+		for _, n := range []int{len(b) - 1, len(b) + 1} {
+			t.Run(fmt.Sprintf("%s/len%d", s.name, n), func(t *testing.T) {
+				if _, err := s.solve(make([]float64, n)); err == nil {
+					t.Errorf("len(x)=%d, len(b)=%d accepted", n, len(b))
+				}
+			})
+		}
 	}
 }
 
