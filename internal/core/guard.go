@@ -312,8 +312,9 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 // runBinBatchGuarded serves one bin for the B vector pairs on the given
 // device config (runBinsGuarded passes a sequential-clamped device when the
 // bins themselves run on a pool). One launch of width B walks the predicted
-// → Kernel-Serial chain with bounded retries, and its output is verified
-// per vector:
+// → Kernel-Serial chain with bounded retries, and a simulated launch's
+// output is verified per vector (a replayed one is the reference's own, see
+// binAttempt):
 //
 //   - every vector wrong is a kernel-level failure: the launch is retried,
 //     then the next chain link tried (at B = 1 this is the whole story);
@@ -375,9 +376,9 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 			fs := opt.Faults.Arm(binID, ln.kid, retry)
 			spanStart := opt.Trace.Now()
 			wallStart := time.Now()
-			st, ctr, replayed, err := fw.binAttempt(ctx, dev, a, vs, us, info, groups, fs, rs, opt.Counters, binID)
+			st, ctr, replayed, err := fw.binAttempt(ctx, dev, a, vs, us, wants, info, groups, fs, rs, opt.Counters, binID)
 			var failed []int
-			if err == nil {
+			if err == nil && !replayed { // a replayed bin was served from wants: nothing to verify
 				failRow := 0
 				for v := range us {
 					if row, ok := verifyBin(us[v], wants[v], groups, opt.Tolerance); !ok {
@@ -454,9 +455,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 	// the bin from it is exact, so no verification step is needed.
 	spanStart := opt.Trace.Now()
 	wallStart := time.Now()
-	for _, g := range groups {
-		copy(us[0][g.Start:int(g.Start)+int(g.Count)], wants[0][g.Start:int(g.Start)+int(g.Count)])
-	}
+	copyRows(us, wants, groups)
 	br.Attempts = append(br.Attempts, Attempt{Stage: StageCPUReference, Kernel: "reference"})
 	br.Final = StageCPUReference
 	rep.CPUServed++
@@ -472,6 +471,17 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 	emitBinSpan(opt, spanStart, &pr)
 	rep.Bins = append(rep.Bins, br)
 	return nil
+}
+
+// copyRows serves the rows covered by groups from the reference results:
+// us[b] receives wants[b]'s rows, for every vector.
+func copyRows(us, wants [][]float64, groups []binning.Group) {
+	for _, g := range groups {
+		start, end := int(g.Start), int(g.Start)+int(g.Count)
+		for b, u := range us {
+			copy(u[start:end], wants[b][start:end])
+		}
+	}
 }
 
 // binNNZ sums the stored non-zeros of the rows covered by groups.
@@ -520,9 +530,11 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 //
 // An unarmed attempt (fs == nil) inside a replay scope is a pure function of
 // its memo cell: the first one simulates and stores its accounting, later
-// ones take the stored numbers and compute the output with kernels.DotRows —
-// the functional half Kernel.Run itself runs, so the bytes are the simulated
-// launch's. An armed attempt never reads or writes the memo.
+// ones take the stored numbers and serve the bin's rows by copying them from
+// wants, the reference results (replayed == true: the caller has nothing to
+// verify). The matrix is then walked once per request, by the reference
+// product that also validated it. An armed attempt never reads or writes the
+// memo.
 //
 // A simulated launch routes through launchKernel, so dev.Workers selects the
 // executor (legacy single-accountant vs sharded) and faults fire under
@@ -530,7 +542,7 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 // launch (binID mod the width), modeling per-request corruption rather than a
 // whole-launch failure: the other vectors' outputs stay valid, which is what
 // per-vector verification and isolation rely on.
-func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
+func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
 	k kernels.Info, groups []binning.Group, fs *hsa.FaultState, rs *replayScope, collect bool, binID int) (st hsa.Stats, ctr *hsa.Counters, replayed bool, err error) {
 
 	defer func() {
@@ -550,7 +562,7 @@ func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.C
 	if memoize {
 		cell = rs.cell(binID, k.ID, len(vs))
 		if c, ok := rs.memo.Get(cell); ok {
-			kernels.DotRows(a, vs, us, groups)
+			copyRows(us, wants, groups)
 			fw.replayed.Add(1)
 			if collect {
 				// A copy scoped to this block: the escaping pointer is then

@@ -15,8 +15,9 @@ import (
 // values, and every launch starts from a cleared cache-tag array — so a
 // fault-free launch of a plan's bin reports bit-for-bit what the previous
 // one did. The first such launch simulates and stores its accounting; later
-// ones take the stored numbers and compute only the functional half
-// (kernels.DotRows). See DESIGN.md "Replayed launches".
+// ones take the stored numbers and copy their output rows from the
+// execution's reference product, so a warm request walks the matrix once.
+// See DESIGN.md "Replayed launches".
 
 // launchMemoCapacity bounds a Framework's replay memo (entries, FIFO
 // evicted; ~300 bytes each). A plan contributes one entry per (non-empty

@@ -130,6 +130,60 @@ func TestReplayEqualsSimulate(t *testing.T) {
 	}
 }
 
+// TestReplayServesReferenceBits: a replayed bin is served from the reference
+// product, so after a warm execution of a multi-bin plan every row of every
+// output — prefilled with a NaN sentinel, so a row no bin covers would show
+// — carries MulVec's bits for its own vector. The memo still supplies the
+// cold launches' accounting: every profile is Replayed, and Stats, Counters,
+// bin reports and profiles equal the cold run's.
+func TestReplayServesReferenceBits(t *testing.T) {
+	a := matgen.Mixed(600, 600, 50, []int{2, 60}, 7) // U=50: two bins of six groups
+	cfg := testConfig()
+	p := uniformPlan(cfg, a, kernels.SynthSpace().Infos[7].ID)
+	if len(p.Bins) < 2 {
+		t.Fatalf("plan has %d bins, want a multi-bin plan", len(p.Bins))
+	}
+	for _, ba := range p.Bins {
+		if ba.Groups < 2 {
+			t.Fatalf("bin %d has %d groups, want several", ba.Bin, ba.Groups)
+		}
+	}
+	ctx := context.Background()
+	opt := DefaultGuardOptions()
+	opt.Counters = true
+	for _, nb := range []int{1, 3, 8} {
+		fw := NewFramework(cfg, nil)
+		vs, _, wants := batchTestVectors(a, nb, 29)
+		exec := func() ([][]float64, *BatchReport) {
+			us := make([][]float64, nb)
+			for b := range us {
+				us[b] = make([]float64, a.Rows)
+				for r := range us[b] {
+					us[b][r] = math.NaN()
+				}
+			}
+			brep, err := fw.ExecutePlanBatchOpts(ctx, p, a, vs, us, opt)
+			if err != nil {
+				t.Fatalf("B=%d: %v", nb, err)
+			}
+			return us, brep
+		}
+		_, cold := exec()
+		us, warm := exec()
+		label := fmt.Sprintf("B=%d warm", nb)
+		assertBitsEqual(t, label, wants, us)
+		for _, pr := range warm.Shared.Profiles {
+			if !pr.Replayed {
+				t.Errorf("%s: bin %d simulated again", label, pr.Bin)
+			}
+		}
+		assertReportsEqual(t, label, cold.Shared, warm.Shared)
+		if warm.Isolated != 0 || warm.Shared.Degraded() {
+			t.Errorf("%s: clean warm run degraded: isolated=%d %v", label, warm.Isolated, warm.Shared)
+		}
+	}
+}
+
 // TestReplayConcurrentFirstRequests races 8 first requests of one plan on a
 // cold Framework (run under -race): whichever of them simulate store the
 // same bytes, so every request returns the cold reference result.
@@ -308,37 +362,48 @@ func TestReplayStalePlanNeverMemoized(t *testing.T) {
 	}
 }
 
-// TestExecutePlanWarmAllocs pins the warm serve path's allocations: the
-// report, its bin and profile slices and the rebuilt binning — a count set
-// by the number of bins — and no buffer proportional to the matrix's rows
-// (the reference slab is pooled, the launch replays).
+// TestExecutePlanWarmAllocs pins the warm serve path's allocations at
+// launch widths 1 and 8: the report, its bin and profile slices and the
+// rebuilt binning — a count set by the number of bins — and no buffer
+// proportional to the matrix's rows (the reference slab is pooled, and a
+// replayed bin is copied from it).
 func TestExecutePlanWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime instruments sync.Pool with allocations of its own")
 	}
+	// One P, as inside AllocsPerRun: the warm-up run then grows the pooled
+	// reference slab that every measured run gets back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a := matgen.Mixed(4000, 4000, 25, []int{2, 60}, 7)
 	fw := NewFramework(testConfig(), nil)
 	p := uniformPlan(fw.Cfg, a, 0)
-	v := randVec(a.Cols, 17)
-	u := make([]float64, a.Rows)
 	opt := DefaultGuardOptions()
-	run := func() {
-		if _, err := fw.ExecutePlanOpts(context.Background(), p, a, v, u, opt); err != nil {
-			t.Fatal(err)
+	for _, nb := range []int{1, 8} {
+		vs, us, _ := batchTestVectors(a, nb, 17)
+		run := func() {
+			var err error
+			if nb == 1 {
+				_, err = fw.ExecutePlanOpts(context.Background(), p, a, vs[0], us[0], opt)
+			} else {
+				_, err = fw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, opt)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	run()
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, run)
-	runtime.ReadMemStats(&after)
-	bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	t.Logf("warm ExecutePlanOpts: %.0f allocs, %d bytes per call (%d bins, %d rows)", allocs, bytesPerRun, len(p.Bins), a.Rows)
-	if limit := float64(24 + 10*len(p.Bins)); allocs > limit {
-		t.Errorf("warm ExecutePlanOpts allocates %.0f times at %d bins, want <= %.0f", allocs, len(p.Bins), limit)
-	}
-	if bytesPerRun >= uint64(8*a.Rows) {
-		t.Errorf("warm ExecutePlanOpts allocates %d bytes per call: a row-sized buffer (%d bytes) is back on the serve path", bytesPerRun, 8*a.Rows)
+		run()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, run)
+		runtime.ReadMemStats(&after)
+		bytesPerRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		t.Logf("warm execution B=%d: %.0f allocs, %d bytes per call (%d bins, %d rows)", nb, allocs, bytesPerRun, len(p.Bins), a.Rows)
+		if limit := float64(24 + 10*len(p.Bins)); allocs > limit {
+			t.Errorf("warm execution B=%d allocates %.0f times at %d bins, want <= %.0f", nb, allocs, len(p.Bins), limit)
+		}
+		if bytesPerRun >= uint64(8*a.Rows) {
+			t.Errorf("warm execution B=%d allocates %d bytes per call: a row-sized buffer (%d bytes) is back on the serve path", nb, bytesPerRun, 8*a.Rows)
+		}
 	}
 }

@@ -399,17 +399,14 @@ func reductionConflicts(steps int) int {
 	return n
 }
 
-// DotRows is the functional half of every launch: us[b][r] receives the
-// k-ascending dot product of row r of a with vs[b], for every vector pair
-// and every row covered by groups. Kernel.Run computes its results with it
-// whatever the point's geometry, so a caller that already knows a launch's
-// accounting (core's replayed launches) reproduces the launch's output
-// bits by calling it alone.
+// DotRows is Kernel.Run's output stage: us[b][r] receives the k-ascending
+// dot product of row r of a with vs[b], for every vector pair and every row
+// covered by groups, whatever the point's geometry.
 //
 // The matrix slices are taken once and each row's bounds read once (a row's
 // end is the next row's start). The loop order — groups, vectors, rows,
 // then k ascending — and the val[k]*v[c] product fix the output bits that
-// the golden digests and replayed launches depend on.
+// the golden digests pin.
 func DotRows(a *sparse.CSR, vs, us [][]float64, groups []binning.Group) {
 	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
 	for _, g := range groups {

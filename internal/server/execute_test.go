@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"spmvtune/internal/core"
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/matgen"
+	"spmvtune/internal/solvers"
 	"spmvtune/internal/sparse"
 )
 
@@ -117,6 +119,70 @@ func TestSessionEvidenceIsPerExecution(t *testing.T) {
 				t.Error("evidence of the clean second iterate says degraded:true: the session's sticky flag leaked into it")
 			}
 		})
+	}
+}
+
+// A fault armed on a warm session still reaches the verified fallback chain:
+// once clean CG iterates replay the plan's launches, a persistent NaN poison
+// on the plan's bins bypasses the replay memo, so the uncoalesced iterate
+// simulates, fails verification and is served down the chain — degraded,
+// with no launch replayed, and with an x that still matches CG run
+// in-process on MulVec.
+func TestWarmSessionFaultReachesVerifiedChain(t *testing.T) {
+	var faults atomic.Pointer[hsa.FaultPlan]
+	_, ts := newTestServer(t, func(c *Config) {
+		c.Framework = core.NewFramework(c.Framework.Cfg, c.Framework.Model())
+		c.Guard.Backoff = -1
+		c.FaultHook = func() *hsa.FaultPlan { return faults.Load() }
+	})
+	a := spdBanded(t, 200, 5)
+	id := uploadMatrix(t, ts, a)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = float64(i%7) + 1
+	}
+	sid, _ := createSession(t, ts, fmt.Sprintf(
+		`{"matrix":%q,"solver":"cg","b":%s,"tol":1e-300,"maxIterations":100}`, id, floatsJSON(b)))
+	for k := 0; k < 3; k++ {
+		if code, st := iterate(t, ts, sid, `{"steps":4}`); code != http.StatusOK || st.Degraded {
+			t.Fatalf("clean iterate %d: status %d, degraded=%v", k, code, st.Degraded)
+		}
+	}
+	replayed := scrapeMetric(t, ts, "spmvd_launch_replayed_total")
+	if replayed == 0 {
+		t.Fatal("clean iterates replayed no launch: the plan is not warm")
+	}
+
+	// Every bin is armed, so no launch of the iterate may take the memo.
+	fp := hsa.NewFaultPlan()
+	for _, ba := range warmPlan(t, ts, id).Bins {
+		fp.AddBinFault(ba.Bin, hsa.Fault{Class: hsa.FaultNaNPoison})
+	}
+	faults.Store(fp)
+	code, st := iterate(t, ts, sid, `{"steps":4}`)
+	if code != http.StatusOK || !st.Degraded {
+		t.Fatalf("faulted iterate: status %d, degraded=%v, want 200/true", code, st.Degraded)
+	}
+	if got := scrapeMetric(t, ts, "spmvd_launch_replayed_total"); got != replayed {
+		t.Errorf("%d launches replayed under the armed fault, want 0", got-replayed)
+	}
+
+	resp, blob := doJSON(t, http.MethodGet, ts.URL+"/v1/solve/"+sid, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET status %d: %s", resp.StatusCode, blob)
+	}
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.Rows)
+	// The unreachable tolerance makes the in-process solve end not-converged
+	// after the session's iteration count; its error says only that.
+	res, _ := solvers.CGCtx(context.Background(), func(v, u []float64) { a.MulVec(v, u) }, b, x, 1e-300, st.Iterations)
+	if res.Iterations != st.Iterations || st.Iterations != 16 {
+		t.Fatalf("iterations: session %d, in-process %d, want 16", st.Iterations, res.Iterations)
+	}
+	if i := sparse.FirstVecDiff(x, st.X, 1e-9); i >= 0 {
+		t.Errorf("x differs from in-process CG at row %d: %v vs %v", i, st.X[i], x[i])
 	}
 }
 

@@ -7,9 +7,10 @@
 # its reference), the decimal conversion both decoders share (against
 # strconv), the request scanner's and the upload reader's allocation
 # gates, output verification against its reference, the error-response
-# golden and the one-error-writer gate, the warm request's two walks (the
+# golden and the one-error-writer gate, the warm request's one walk (the
 # fused validating reference against Validate, by test and fuzz smoke; the
-# execution-error golden; DotRows against its pre-change copy), the solver
+# execution-error golden; DotRows against its pre-change copy; replayed bins
+# served from the reference and armed faults still verified), the solver
 # trajectories golden, per-Step allocation and GMRES session budget gates,
 # plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
@@ -137,14 +138,20 @@ go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded' ./internal/server
 echo "== output verification against its reference"
 go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
 
-# A warm request walks the matrix twice: the served DotRows and the reference
-# product, whose first vector also validates the matrix (MulVecChecked). The
-# fused check must equal Validate, error text and all, and which error wins
-# must not move; DotRows keeps its pre-change copy's bits.
-echo "== two walks per warm request"
+# A warm request walks the matrix once: the reference product, whose first
+# vector also validates the matrix (MulVecChecked), and whose rows every
+# replayed bin copies instead of recomputing and verifying them. The fused
+# check must equal Validate, error text and all, and which error wins must
+# not move; DotRows (a simulated launch's output) keeps its pre-change
+# copy's bits; a replayed bin serves the reference's bits at no extra
+# allocation, and a fault armed on a warm plan still simulates and reaches
+# the verified fallback chain.
+echo "== one walk per warm request"
 go test -count=1 -run 'TestMulVecCheckedMatchesValidate' ./internal/sparse
 go test -count=1 -run 'TestExecutePlanErrorsGolden' ./internal/core
 go test -count=1 -run 'TestDotRowsMatchesReference' ./internal/kernels
+go test -count=1 -run 'TestReplayServesReferenceBits|TestReplayEqualsSimulate|TestReplayArmedFaultsBypassMemo|TestExecutePlanWarmAllocs' ./internal/core
+go test -count=1 -run 'TestWarmSessionFaultReachesVerifiedChain' ./internal/server
 
 # Each batch solver is its stepper run to completion: the trajectories golden
 # pins iterations, residual bits, error text and the bits of x of every batch
