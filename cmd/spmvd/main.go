@@ -294,11 +294,8 @@ func obtainModel(path string, corpus int, cfg core.Config) (*core.Model, error) 
 	}
 	labeled := lap()
 	m := core.TrainModel(td, cfg, c50.DefaultOptions())
-	line := fmt.Sprintf("bootstrap: generated %d matrices in %.2fs, labeled in %.2fs, trained in %.2fs",
-		len(mats), generated, labeled, lap())
-	if cfg.SearchCache != nil {
-		line += fmt.Sprintf(" (cost cache %+v)", cfg.SearchCache.Stats())
-	}
-	log.Print(line)
+	// cfg.SearchCache is nil, so the labeling searches used the shared cache.
+	log.Printf("bootstrap: generated %d matrices in %.2fs, labeled in %.2fs, trained in %.2fs (cost cache %+v)",
+		len(mats), generated, labeled, lap(), core.SearchCacheStats())
 	return m, nil
 }

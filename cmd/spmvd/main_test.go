@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"testing"
 
 	"spmvtune/internal/core"
@@ -28,5 +32,19 @@ func TestPprofOnlyOnItsOwnListener(t *testing.T) {
 	http.DefaultServeMux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/pprof/", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("pprof listener: GET /debug/pprof/ = %d, want 200", rec.Code)
+	}
+}
+
+// TestBootstrapLogReportsCostCache: the bootstrap's summary line carries the
+// shared cost cache's counters, which its labeling searches filled.
+func TestBootstrapLogReportsCostCache(t *testing.T) {
+	var buf bytes.Buffer
+	log.SetOutput(&buf)
+	defer log.SetOutput(os.Stderr)
+	if _, err := obtainModel("", 2, core.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`bootstrap: .* \(cost cache \{Hits:\d+ Misses:[1-9]\d* Pruned:\d+`).Match(buf.Bytes()) {
+		t.Errorf("bootstrap log lacks the cost cache's counters:\n%s", buf.String())
 	}
 }

@@ -30,7 +30,8 @@ type BinLabel struct {
 	// analytic lower bound already exceeded the bin's tie window; for those
 	// entries KernelTimes holds that lower bound instead of a simulated
 	// time. Nil when every kernel was simulated (or replayed from cache).
-	// Pruning never changes KernelID or Seconds — see CheckSearchEquivalence.
+	// Pruning never changes KernelID or Seconds — the equivalence tests hold
+	// every search to that with CheckSearchEquivalence (search_equiv_test.go).
 	Pruned []bool
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -155,4 +157,60 @@ func BenchmarkBootstrapSearch(b *testing.B) {
 			Search(cfg, cm.A)
 		}
 	}
+}
+
+// CheckSearchEquivalence verifies that a cached/pruned search result carries
+// exactly the labels of a legacy exhaustive result on the same (config,
+// matrix): every decision field must match bit-for-bit, and every
+// KernelTimes entry must match except where tuned pruned the kernel — there
+// the recorded lower bound must be sound (<= the legacy simulated time) and
+// label-irrelevant (above the bin's tie window). It returns nil when the
+// two results are equivalent.
+func CheckSearchEquivalence(legacy, tuned SearchResult) error {
+	if legacy.BestU != tuned.BestU {
+		return fmt.Errorf("BestU: legacy %d, tuned %d", legacy.BestU, tuned.BestU)
+	}
+	if legacy.Seconds != tuned.Seconds {
+		return fmt.Errorf("Seconds: legacy %v, tuned %v", legacy.Seconds, tuned.Seconds)
+	}
+	if len(legacy.PerU) != len(tuned.PerU) {
+		return fmt.Errorf("PerU length: legacy %d, tuned %d", len(legacy.PerU), len(tuned.PerU))
+	}
+	for ui := range legacy.PerU {
+		lu, tu := legacy.PerU[ui], tuned.PerU[ui]
+		if lu.U != tu.U || lu.Seconds != tu.Seconds {
+			return fmt.Errorf("U=%d: (U, Seconds) legacy (%d, %v), tuned (%d, %v)", lu.U, lu.U, lu.Seconds, tu.U, tu.Seconds)
+		}
+		if len(lu.Bins) != len(tu.Bins) {
+			return fmt.Errorf("U=%d: bin count legacy %d, tuned %d", lu.U, len(lu.Bins), len(tu.Bins))
+		}
+		for bi := range lu.Bins {
+			lb, tb := lu.Bins[bi], tu.Bins[bi]
+			if lb.BinID != tb.BinID || lb.Rows != tb.Rows || lb.AvgLen != tb.AvgLen ||
+				lb.KernelID != tb.KernelID || lb.Seconds != tb.Seconds {
+				return fmt.Errorf("U=%d bin %d: label mismatch legacy %+v, tuned %+v", lu.U, lb.BinID, lb, tb)
+			}
+			if len(lb.KernelTimes) != len(tb.KernelTimes) {
+				return fmt.Errorf("U=%d bin %d: KernelTimes length legacy %d, tuned %d", lu.U, lb.BinID, len(lb.KernelTimes), len(tb.KernelTimes))
+			}
+			best := math.Inf(1)
+			for _, s := range tb.KernelTimes {
+				if s < best {
+					best = s
+				}
+			}
+			for kid := range lb.KernelTimes {
+				pruned := kid < len(tb.Pruned) && tb.Pruned[kid]
+				switch {
+				case !pruned && lb.KernelTimes[kid] != tb.KernelTimes[kid]:
+					return fmt.Errorf("U=%d bin %d kernel %d: time legacy %v, tuned %v", lu.U, lb.BinID, kid, lb.KernelTimes[kid], tb.KernelTimes[kid])
+				case pruned && tb.KernelTimes[kid] > lb.KernelTimes[kid]:
+					return fmt.Errorf("U=%d bin %d kernel %d: unsound lower bound %v > simulated %v", lu.U, lb.BinID, kid, tb.KernelTimes[kid], lb.KernelTimes[kid])
+				case pruned && tb.KernelTimes[kid] <= best*(1+tieEpsilon):
+					return fmt.Errorf("U=%d bin %d kernel %d: pruned bound %v inside tie window of %v", lu.U, lb.BinID, kid, tb.KernelTimes[kid], best)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -10,9 +10,9 @@
 # golden and the one-error-writer gate, the warm request's one walk (the
 # fused validating reference against Validate, by test and fuzz smoke; the
 # execution-error golden; DotRows against its pre-change copy; replayed bins
-# served from the reference and armed faults still verified), the solver
-# trajectories golden, per-Step allocation and GMRES session budget gates,
-# plus staticcheck and govulncheck.
+# served from the reference and armed faults still verified), the modeled
+# scoreboard golden, the solver trajectories golden, per-Step allocation and
+# GMRES session budget gates, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -66,6 +66,12 @@ go test -race -count=3 -run 'Replay' ./internal/core
 echo "== simulator bit-identity (golden digests + Gather reference)"
 go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices' ./internal/kernels
 go test -count=1 -run 'TestGatherMatchesReference' ./internal/hsa
+
+# The tuner's modeled scoreboard: every case's cycles, seconds and counters,
+# the legacy/pool/synth search counts and the fused batch numbers, pinned
+# exactly. It skips itself under -race too.
+echo "== modeled scoreboard golden"
+go test -count=1 -run 'TestModeledScoreboardGolden' ./internal/core
 
 # Every error path of the API — status, Content-Type, Retry-After and body
 # bytes — is pinned against the server before its request lifecycle was
