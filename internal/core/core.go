@@ -130,13 +130,14 @@ func SimulateKernel(dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Ker
 // matching errdefs.ErrCanceled (u is then partially written). Other kernel
 // panics propagate; Framework.ExecutePlanOpts is the contained path.
 func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (hsa.Stats, error) {
-	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, groups)
+	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, kernels.Kernel.Run, groups)
 }
 
-// simulateKernelCtx is SimulateKernelCtx at any launch width: us[b]
-// receives A times vs[b] for every b (see launchKernel).
+// simulateKernelCtx is SimulateKernelCtx at any launch width and with any
+// walk: under kernels.Kernel.Run, us[b] receives A times vs[b] for every b
+// (see launchKernel).
 func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group) (st hsa.Stats, err error) {
+	k kernels.Kernel, walk walk, groups []binning.Group) (st hsa.Stats, err error) {
 
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -147,7 +148,7 @@ func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, u
 			panic(rec)
 		}
 	}()
-	st, _ = launchKernel(ctx, dev, a, vs, us, k, groups, nil, false)
+	st, _ = launchKernel(ctx, dev, a, vs, us, k, walk, groups, nil, false)
 	return st, nil
 }
 

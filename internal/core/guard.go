@@ -574,7 +574,7 @@ func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.C
 		}
 	}
 	fw.simulated.Add(1)
-	st, ctr = launchKernel(ctx, dev, a, vs, us, k.Kernel, groups, fs, collect)
+	st, ctr = launchKernel(ctx, dev, a, vs, us, k.Kernel, kernels.Kernel.Run, groups, fs, collect)
 	if memoize {
 		c := launchCost{stats: st}
 		if ctr != nil {

@@ -12,6 +12,11 @@ import (
 	"spmvtune/internal/sparse"
 )
 
+// walk is how a launch drives its kernel: kernels.Kernel.Run writes the
+// product into us and charges the device, kernels.Kernel.Account only
+// charges it, for callers that read nothing but the cost.
+type walk = func(kernels.Kernel, *hsa.Run, *kernels.Input, []binning.Group)
+
 // launchKernel executes one kernel launch over the B vector pairs
 // (vs[b], us[b]) on the device — plain SpMV is the B=1 launch — routing
 // between the legacy single-accountant path (dev.Workers == 0 —
@@ -23,7 +28,7 @@ import (
 // gathers device performance counters, returned alongside the stats (nil
 // otherwise).
 func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
+	k kernels.Kernel, walk walk, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
 
 	if dev.Workers == 0 {
 		run := hsa.AcquireRun(dev)
@@ -35,7 +40,7 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][
 			run.EnableCounters()
 		}
 		in := kernels.AcquireBatchInput(run, a, vs, us)
-		k.Run(run, in, groups)
+		walk(k, run, in, groups)
 		st := run.Stats()
 		var ctr *hsa.Counters
 		// Gated on collect, not just the Counters() ok bit: the escaping
@@ -59,7 +64,7 @@ func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][
 		Fault:    fs,
 	}, func(shard int, r *hsa.Run) {
 		in := kernels.AcquireBatchInput(r, a, vs, us)
-		k.Run(r, in, parts[shard])
+		walk(k, r, in, parts[shard])
 		in.Release()
 	})
 }

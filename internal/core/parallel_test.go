@@ -15,6 +15,7 @@ import (
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/matgen"
 	"spmvtune/internal/plan"
+	"spmvtune/internal/plancache"
 )
 
 // bitsEqual compares float vectors bit-for-bit — the determinism contract
@@ -57,6 +58,42 @@ func TestSearchWorkerDeterminism(t *testing.T) {
 	cfg.Workers = 0
 	if got := Search(cfg, a); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Search (workers=0) differs from SearchCtx(workers=1)")
+	}
+}
+
+// TestSearchCostStatsWorkerDeterminism labels spmvd's bootstrap corpus on a
+// fresh private cost cache at Workers 1, 2 and 8. Not only the labels but
+// the cache's Hits, Misses and Pruned counts must be the same at every
+// worker count: two workers of one search never both simulate one cell key
+// (cellClaims), so no worker count pays duplicate simulations.
+func TestSearchCostStatsWorkerDeterminism(t *testing.T) {
+	mats := matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42})
+	var want []SearchResult
+	var wantStats plancache.CostStats
+	for _, w := range []int{1, 2, 8} {
+		cfg := DefaultConfig()
+		cfg.Workers = w
+		cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+		var got []SearchResult
+		for _, cm := range mats {
+			res, err := SearchCtx(context.Background(), cfg, cm.A)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, res)
+		}
+		st := cfg.SearchCache.Stats()
+		if w == 1 {
+			want, wantStats = got, st
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: labels differ from workers=1", w)
+		}
+		if st.Hits != wantStats.Hits || st.Misses != wantStats.Misses || st.Pruned != wantStats.Pruned {
+			t.Errorf("workers=%d: cost cache hits/misses/pruned %d/%d/%d, workers=1 %d/%d/%d",
+				w, st.Hits, st.Misses, st.Pruned, wantStats.Hits, wantStats.Misses, wantStats.Pruned)
+		}
 	}
 }
 

@@ -150,11 +150,16 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 	}
 	// The search times launches of Config.Vectors right-hand sides (plain
 	// SpMV at 0 or 1). Kernel cost depends only on structure, so every
-	// right-hand side can alias the same probe vector — and every output
-	// the same scratch slice, since all B results are identical.
+	// right-hand side can alias the same probe vector. The launches only
+	// charge the device (kernels.Kernel.Account) and write no output, so
+	// every output — across cells and workers — aliases one slice too; it
+	// is bound all the same, because its length lays out the launch's
+	// simulated memory.
 	vsProbe := make([][]float64, max(cfg.Vectors, 1))
+	usProbe := make([][]float64, len(vsProbe))
+	u := make([]float64, a.Rows)
 	for i := range vsProbe {
-		vsProbe[i] = v
+		vsProbe[i], usProbe[i] = v, u
 	}
 
 	// Stage 1 (sequential): bin the matrix per U and lay the result skeleton
@@ -185,7 +190,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 	// skip kernels whose certified lower bound cannot win. Nil = legacy path.
 	cl := newCostLayer(cfg, dev, a, sp)
 	searchSpaceCellsTotal.Add(int64(len(tasks)) * int64(len(list)))
-	scratch := sync.Pool{New: func() any { s := make([]float64, a.Rows); return &s }}
+	var claims cellClaims
 	errs := make([]error, len(tasks))
 	var stop atomic.Bool
 	forEachLimit(workers, len(tasks), func(i int) {
@@ -204,17 +209,14 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		if cl != nil {
 			key, geom = cl.cell(t.groups)
 			if cl.cache != nil {
+				if claims.claim(key) {
+					defer claims.release(key)
+				}
 				if mask, ok := cl.cache.Get(key, bl.KernelTimes); ok {
 					finishBinLabel(bl, mask)
 					return
 				}
 			}
-		}
-		up := scratch.Get().(*[]float64)
-		defer scratch.Put(up)
-		usProbe := make([][]float64, len(vsProbe))
-		for b := range usProbe {
-			usProbe[b] = *up
 		}
 		var mask uint64
 		order := list
@@ -235,7 +237,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 					continue
 				}
 			}
-			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, t.groups)
+			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, kernels.Kernel.Account, t.groups)
 			if err != nil {
 				errs[i] = err
 				stop.Store(true)
@@ -299,6 +301,43 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		res.Format, res.FormatSeconds = formats.AutoSelect(dev, a, res.Seconds)
 	}
 	return res, nil
+}
+
+// cellClaims orders the cells of one search that share a cost key. Two
+// bins under different Us often cover the same rows, and without an order
+// two workers could both miss on such a key and both simulate it, so the
+// cache's hit, miss and prune counts would depend on scheduling. With it
+// the first worker to claim a key simulates the cell; any other waits for
+// that worker and then replays the cache like a sequential search would.
+type cellClaims struct {
+	mu   sync.Mutex
+	busy map[plancache.CostKey]chan struct{}
+}
+
+// claim reports whether the caller owns key and must release it once the
+// cell is in the cache. When another worker owns key, claim waits for it
+// and reports false.
+func (c *cellClaims) claim(key plancache.CostKey) bool {
+	c.mu.Lock()
+	if done, ok := c.busy[key]; ok {
+		c.mu.Unlock()
+		<-done
+		return false
+	}
+	if c.busy == nil {
+		c.busy = make(map[plancache.CostKey]chan struct{})
+	}
+	c.busy[key] = make(chan struct{})
+	c.mu.Unlock()
+	return true
+}
+
+// release wakes the workers waiting on key. The key stays claimed: a later
+// cell with the same key finds the cache filled and does not wait.
+func (c *cellClaims) release(key plancache.CostKey) {
+	c.mu.Lock()
+	close(c.busy[key])
+	c.mu.Unlock()
 }
 
 // finishBinLabel derives the bin's label from a fully populated KernelTimes

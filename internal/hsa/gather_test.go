@@ -220,3 +220,128 @@ func TestGatherMatchesReference(t *testing.T) {
 		p.got.Release()
 	}
 }
+
+// runList draws one lane-run list of the given kind over a region of count
+// elements, as GatherRuns takes it.
+func runList(rng *rand.Rand, kind int, count int64, wf int) []LaneRun {
+	var runs []LaneRun
+	switch kind {
+	case 0: // no lanes at all: no runs, or only empty ones
+		for n := rng.Intn(4); n > 0; n-- {
+			runs = append(runs, LaneRun{Start: rng.Int63n(count), Count: -rng.Int63n(2)})
+		}
+	case 1: // ascending row runs, as a cooperative lock-step load builds them
+		for e := rng.Int63n(count); len(runs) < wf && e < count; e += rng.Int63n(60) {
+			n := min(1+rng.Int63n(16), count-e)
+			runs = append(runs, LaneRun{Start: e, Count: n})
+			e += n
+		}
+	case 2: // long runs, each crossing several segment boundaries
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			e := rng.Int63n(count)
+			runs = append(runs, LaneRun{Start: e, Count: min(1+rng.Int63n(int64(3*wf)), count-e)})
+		}
+	case 3: // later runs revisit segments earlier runs touched
+		base := rng.Int63n(count)
+		for n := 2 + rng.Intn(6); n > 0; n-- {
+			e := min(base+rng.Int63n(48), count-1)
+			runs = append(runs, LaneRun{Start: e, Count: min(1+rng.Int63n(24), count-e)})
+		}
+	case 4: // empty runs between live ones
+		for n := 2 + rng.Intn(6); n > 0; n-- {
+			e := rng.Int63n(count)
+			c := min(rng.Int63n(9), count-e)
+			if rng.Intn(2) == 0 {
+				c = 0
+			}
+			runs = append(runs, LaneRun{Start: e, Count: c})
+		}
+	case 5: // indices no region covers: below zero, across zero, past the last Alloc
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			c := 1 + rng.Int63n(40)
+			switch rng.Intn(4) {
+			case 0:
+				runs = append(runs, LaneRun{Start: -1 - rng.Int63n(1<<20), Count: c})
+			case 1:
+				runs = append(runs, LaneRun{Start: -rng.Int63n(c + 1), Count: c})
+			case 2:
+				runs = append(runs, LaneRun{Start: 1<<22 + rng.Int63n(1<<20), Count: c})
+			default:
+				e := rng.Int63n(count)
+				runs = append(runs, LaneRun{Start: e, Count: min(c, count-e)})
+			}
+		}
+	}
+	return runs
+}
+
+const runListKinds = 6
+
+// expandRuns lists the lanes of runs, run after run.
+func expandRuns(runs []LaneRun) []int64 {
+	var idx []int64
+	for _, lr := range runs {
+		for i := lr.Start; i < lr.Start+lr.Count; i++ {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// TestGatherRunsMatchesLaneGather drives seeded lane-run lists through
+// GatherRuns and the same lanes, expanded, through Gather: the same segments
+// in the same order, the same Stats and Counters bits after every
+// instruction, and a clean scratch between calls — on power-of-two and odd
+// segment sizes, segments narrower than an element, and a one-set cache.
+func TestGatherRunsMatchesLaneGather(t *testing.T) {
+	seg48 := DefaultConfig()
+	seg48.SegmentBytes = 48
+	seg96 := SmallConfig()
+	seg96.SegmentBytes = 96
+	seg6 := DefaultConfig()
+	seg6.SegmentBytes = 6
+	seg4 := SmallConfig()
+	seg4.SegmentBytes = 4
+	oneSet := DefaultConfig()
+	oneSet.CacheBytes = oneSet.SegmentBytes
+	for ci, cfg := range []Config{DefaultConfig(), SmallConfig(), seg48, seg96, seg6, seg4, oneSet} {
+		rng := rand.New(rand.NewSource(int64(200 + ci)))
+		p := newGatherPair(AcquireRun(cfg))
+		got, ref := p.got, p.ref
+		for i := 0; i < 3000; {
+			gg, rg := got.BeginWG(), ref.BeginWG()
+			for wf := 1 + rng.Intn(4); wf > 0; wf-- {
+				ga, ra := gg.WF(), rg.WF()
+				for k := rng.Intn(12); k > 0 && i < 3000; k-- {
+					ri := rng.Intn(len(p.regs))
+					kind := i % runListKinds
+					runs := runList(rng, kind, p.counts[ri], cfg.WavefrontSize)
+					idx := expandRuns(runs)
+					want := referenceSegments(cfg, p.regs[ri], idx)
+					before := got.stats.Transactions
+					ga.GatherRuns(p.regs[ri], runs)
+					ra.Gather(p.regs[ri], idx)
+					i++
+					if emitted := got.segScratch[:got.stats.Transactions-before]; !slices.Equal(emitted, want) {
+						t.Fatalf("device %d, list %d (kind %d, region %d) %v:\n charged segments %v\n want            %v", ci, i, kind, ri, runs, emitted, want)
+					}
+					if got.stats != ref.stats {
+						t.Fatalf("device %d, list %d (kind %d): stats %+v, want %+v", ci, i, kind, got.stats, ref.stats)
+					}
+					if *got.ctr != *ref.ctr {
+						t.Fatalf("device %d, list %d (kind %d): counters %+v, want %+v", ci, i, kind, *got.ctr, *ref.ctr)
+					}
+					if w := slices.IndexFunc(got.segSeen, func(x uint64) bool { return x != 0 }); w >= 0 {
+						t.Fatalf("device %d, list %d (kind %d): scratch word %d left dirty (%#x)", ci, i, kind, w, got.segSeen[w])
+					}
+				}
+			}
+			gg.End()
+			rg.End()
+		}
+		if g, r := got.Stats(), ref.Stats(); g != r {
+			t.Fatalf("device %d: final stats %+v, want %+v", ci, g, r)
+		}
+		got.Release()
+	}
+}

@@ -524,34 +524,98 @@ func (a *WFAcc) Gather(reg Region, idx []int64) {
 	seg, shift := r.cfg.SegmentBytes, r.segShift
 	prev := int64(math.MinInt64)
 	for _, i := range idx {
-		// The lane's segment: a shift on power-of-two segment sizes, the
-		// division otherwise (and below zero, where the two round apart).
-		addr := reg.base + i*reg.elemSize
-		s := addr >> (uint(shift) & 63)
-		if shift < 0 || addr < 0 {
-			s = addr / seg
-		}
+		s := segment(reg.base+i*reg.elemSize, seg, shift)
 		if s == prev {
 			continue
 		}
 		prev = s
-		if w := uint64(s) >> 6; w < uint64(len(seen)) {
-			bit := uint64(1) << (uint64(s) & 63)
-			if seen[w]&bit != 0 {
-				continue
-			}
-			seen[w] |= bit
-		} else if slices.Contains(segs, s) {
-			// A segment outside every region has no bit to mark.
+		if fresh(seen, segs, s) {
+			segs = append(segs, s)
+		}
+	}
+	r.charge(a, segs)
+}
+
+// LaneRun is Count consecutive element indices from Start: the lanes of one
+// row that a lock-step load reads side by side.
+type LaneRun struct{ Start, Count int64 }
+
+// GatherRuns charges one vector memory instruction whose lanes access the
+// elements of runs, run after run. It charges exactly what Gather charges
+// for the expanded lane list — the same segments in the same
+// first-occurrence order, the same Stats and Counters — but walks segments
+// instead of lanes: the lanes of a run touch every segment from its first
+// lane's to its last's whenever an element is no wider than a segment.
+func (a *WFAcc) GatherRuns(reg Region, runs []LaneRun) {
+	r := a.run
+	segs, seen := r.segScratch[:0], r.segSeen
+	seg, shift := r.cfg.SegmentBytes, r.segShift
+	lanes := int64(0)
+	for _, lr := range runs {
+		if lr.Count <= 0 {
 			continue
 		}
-		segs = append(segs, s)
+		lanes += lr.Count
+		if reg.elemSize > seg {
+			// Consecutive lanes may skip a segment: walk them one by one.
+			for i := lr.Start; i < lr.Start+lr.Count; i++ {
+				if s := segment(reg.base+i*reg.elemSize, seg, shift); fresh(seen, segs, s) {
+					segs = append(segs, s)
+				}
+			}
+			continue
+		}
+		first := segment(reg.base+lr.Start*reg.elemSize, seg, shift)
+		last := segment(reg.base+(lr.Start+lr.Count-1)*reg.elemSize, seg, shift)
+		for s := first; s <= last; s++ {
+			if fresh(seen, segs, s) {
+				segs = append(segs, s)
+			}
+		}
 	}
+	if lanes == 0 {
+		return
+	}
+	if ctr := r.ctr; ctr != nil {
+		ctr.recordMem(lanes, r.cfg.WavefrontSize)
+	}
+	r.charge(a, segs)
+}
+
+// segment returns the segment holding byte address addr: a shift on
+// power-of-two segment sizes (shift >= 0), the division otherwise — and
+// below zero, where the two round apart.
+func segment(addr, seg int64, shift int) int64 {
+	if shift < 0 || addr < 0 {
+		return addr / seg
+	}
+	return addr >> (uint(shift) & 63)
+}
+
+// fresh reports whether segment s is not yet one of the instruction's
+// segments segs, and marks it in seen (the Run's segSeen). A segment
+// outside every region has no bit to mark and is looked up in segs itself.
+func fresh(seen []uint64, segs []int64, s int64) bool {
+	if w := uint64(s) >> 6; w < uint64(len(seen)) {
+		bit := uint64(1) << (uint64(s) & 63)
+		if seen[w]&bit != 0 {
+			return false
+		}
+		seen[w] |= bit
+		return true
+	}
+	return !slices.Contains(segs, s)
+}
+
+// charge issues one transaction per segment of segs, in order, clears their
+// segSeen bits and adds the instruction's cost to the wavefront's pipe.
+func (r *Run) charge(a *WFAcc, segs []int64) {
 	r.segScratch = segs[:0]
+	seen := r.segSeen
 	cost := 0.0
 	for _, s := range segs {
 		if w := uint64(s) >> 6; w < uint64(len(seen)) {
-			seen[w] = 0 // only this call's bits are set in the word
+			seen[w] = 0 // only this instruction's bits are set in the word
 		}
 		cost += r.access(s)
 	}

@@ -140,6 +140,7 @@ type launchScratch struct {
 	rows   []int32
 	addrs  []int64
 	vAddrs []int64
+	runs   []hsa.LaneRun
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(launchScratch) }}
@@ -168,10 +169,18 @@ func (s *launchScratch) vAddrBuf(n int) []int64 {
 	return s.vAddrs[:0:n]
 }
 
+func (s *launchScratch) runBuf(n int) []hsa.LaneRun {
+	if cap(s.runs) < n {
+		s.runs = make([]hsa.LaneRun, n)
+	}
+	return s.runs[:0:n]
+}
+
 // Kernel is one SpMV implementation: the realization of a KernelParams
 // point on the device a launch runs on. Run processes exactly the rows
 // covered by groups for every vector pair bound to the Input, writing
-// Us[b][row] for each, and accounts device activity on run.
+// Us[b][row] for each, and accounts device activity on run; Account does
+// the accounting alone.
 type Kernel struct {
 	P KernelParams
 	// name is set for the paper's pool points, which keep their historical

@@ -150,15 +150,24 @@ func (k Kernel) PipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 }
 
 // Run executes the kernel over the rows covered by groups for every vector
-// pair bound to in.
+// pair bound to in: DotRows writes the product into in.Us and Account
+// charges the launch to run. The two are independent — the product is the
+// same whatever the point's geometry, the charges never read it — so a
+// caller that needs only the cost (the tuning search) calls Account alone.
 func (k Kernel) Run(run *hsa.Run, in *Input, groups []binning.Group) {
-	// Functional result, independent of the accounting below.
 	DotRows(in.A, in.Vs, in.Us, groups)
+	k.Account(run, in, groups)
+}
+
+// Account charges run with everything a launch of the kernel over the rows
+// covered by groups does on the device, for every vector pair bound to in,
+// and writes no output: the stats and counters are exactly Run's.
+func (k Kernel) Account(run *hsa.Run, in *Input, groups []binning.Group) {
 	g := k.geom(run.Config())
 	wfSize := run.Config().WavefrontSize
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	w := wavefront{in: in, x: g.x, size: wfSize, addrs: sc.addrBuf(wfSize), vAddrs: sc.vAddrBuf(wfSize)}
+	w := wavefront{in: in, x: g.x, size: wfSize, addrs: sc.addrBuf(wfSize), vAddrs: sc.vAddrBuf(wfSize), runs: sc.runBuf(wfSize)}
 	rows := sc.rowBuf(g.rowsPerWG)
 	it := rowIter{groups: groups}
 	for {
@@ -208,6 +217,7 @@ type wavefront struct {
 	slotLo, slotHi int
 	maxRowLen      int // longest covered row: the wavefront iterates until it is done
 	addrs, vAddrs  []int64
+	runs           []hsa.LaneRun
 }
 
 // begin positions w on the wavefront starting at work-item gidLo and
@@ -237,32 +247,56 @@ func (w *wavefront) begin(acc *hsa.WFAcc, gidLo int) bool {
 	return true
 }
 
-// load collects one lock-step load of the wavefront into w.addrs/w.vAddrs:
-// lane l of every covered row takes the row's element off+l, if the row is
-// that long. The addresses come out in work-item order (the direct-mapped
-// cache makes the hit/miss sequence order-sensitive), which slot by slot is
-// each row's lanes inside the wavefront up to the row's end; vAddrs holds
-// the matching entries of vector b's v slab. Reports whether any lane is
-// active.
+// loadSerial collects lock-step iteration t of the serial walk into
+// w.addrs/w.vAddrs: each work-item owns one row slot and takes the row's
+// element t, if the row is that long. The addresses come out in work-item
+// order (the direct-mapped cache makes the hit/miss sequence
+// order-sensitive); vAddrs holds the matching entries of vector 0's v slab.
+// They stay lane lists: a serial lane's run is one element long, where
+// Gather is cheaper than GatherRuns.
+func (w *wavefront) loadSerial(t int) {
+	a := w.in.A
+	addrs, vAddrs := w.addrs[:0], w.vAddrs[:0]
+	for _, r := range w.rows[w.slotLo : w.slotHi+1] {
+		if e := a.RowPtr[r] + int64(t); e < a.RowPtr[r+1] {
+			addrs = append(addrs, e)
+			vAddrs = append(vAddrs, int64(a.ColIdx[e]))
+		}
+	}
+	w.addrs, w.vAddrs = addrs, vAddrs
+}
+
+// load collects one lock-step load of a cooperative walk: lane l of every
+// covered row takes the row's element off+l, if the row is that long. In
+// work-item order, which slot by slot is each row's lanes inside the
+// wavefront up to the row's end, those elements form one run per row:
+// w.runs lists them for the structure gathers (hsa.WFAcc.GatherRuns charges
+// a run list exactly as Gather charges its lanes), and w.vAddrs holds the
+// matching entries of vector b's v slab, lane by lane. Reports whether any
+// lane is active.
 func (w *wavefront) load(off, b int) bool {
 	a := w.in.A
 	vBase := int64(b) * w.in.vStride
-	addrs, vAddrs := w.addrs[:0], w.vAddrs[:0]
+	runs, vAddrs := w.runs[:0], w.vAddrs[:0]
 	for slot := w.slotLo; slot <= w.slotHi; slot++ {
 		r := w.rows[slot]
 		gid0 := slot * w.x
 		first := a.RowPtr[r] + int64(off)
 		end := min(first+int64(min(w.x, w.gidLo+w.size-gid0)), a.RowPtr[r+1])
-		for e := first + int64(max(w.gidLo-gid0, 0)); e < end; e++ {
-			addrs = append(addrs, e)
-			vAddrs = append(vAddrs, int64(a.ColIdx[e])+vBase)
+		start := first + int64(max(w.gidLo-gid0, 0))
+		if start >= end {
+			continue
+		}
+		runs = append(runs, hsa.LaneRun{Start: start, Count: end - start})
+		for _, c := range a.ColIdx[start:end] {
+			vAddrs = append(vAddrs, int64(c)+vBase)
 		}
 	}
-	w.addrs, w.vAddrs = addrs, vAddrs
-	return len(addrs) > 0
+	w.runs, w.vAddrs = runs, vAddrs
+	return len(vAddrs) > 0
 }
 
-// gatherVectors charges, for the chunk w.load(_, 0) collected, every
+// gatherVectors charges, for the lanes w.vAddrs holds for vector 0, every
 // vector's v gather and multiply-accumulate.
 func (w *wavefront) gatherVectors() {
 	for b := range w.in.Vs {
@@ -299,7 +333,7 @@ func (w *wavefront) store() {
 // gather and multiply-accumulate.
 func (w *wavefront) walkSerial() {
 	for t := 0; t < w.maxRowLen; t++ {
-		w.load(t, 0)
+		w.loadSerial(t)
 		w.acc.Gather(w.in.RegColIdx, w.addrs)
 		w.acc.Gather(w.in.RegVal, w.addrs)
 		w.gatherVectors()
@@ -318,8 +352,8 @@ func (w *wavefront) walkWavefront() {
 	steps := (w.maxRowLen + w.x - 1) / w.x
 	for t := 0; t < steps; t++ {
 		if w.load(t*w.x, 0) {
-			w.acc.Gather(w.in.RegColIdx, w.addrs)
-			w.acc.Gather(w.in.RegVal, w.addrs)
+			w.acc.GatherRuns(w.in.RegColIdx, w.runs)
+			w.acc.GatherRuns(w.in.RegVal, w.runs)
 			w.gatherVectors()
 		}
 	}
@@ -347,8 +381,8 @@ func (w *wavefront) walkStaged(g geom) {
 			for t := 0; t < g.factor; t++ {
 				if w.load(round*g.chunk+t*w.x, b) {
 					if b == 0 {
-						acc.Gather(w.in.RegColIdx, w.addrs)
-						acc.Gather(w.in.RegVal, w.addrs)
+						acc.GatherRuns(w.in.RegColIdx, w.runs)
+						acc.GatherRuns(w.in.RegVal, w.runs)
 					}
 					acc.Gather(w.in.RegV, w.vAddrs)
 					acc.ALU(1) // product
@@ -401,7 +435,9 @@ func reductionConflicts(steps int) int {
 
 // DotRows is Kernel.Run's output stage: us[b][r] receives the k-ascending
 // dot product of row r of a with vs[b], for every vector pair and every row
-// covered by groups, whatever the point's geometry.
+// covered by groups, whatever the point's geometry. It charges nothing —
+// Kernel.Account does — and a launch whose product nobody reads (the tuning
+// search's) skips it.
 //
 // The matrix slices are taken once and each row's bounds read once (a row's
 // end is the next row's start). The loop order — groups, vectors, rows,

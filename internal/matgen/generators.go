@@ -12,7 +12,7 @@ package matgen
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"spmvtune/internal/sparse"
 )
@@ -26,7 +26,7 @@ func build(rows, cols int, seed int64, gen func(i int, rng *rand.Rand, dst []int
 	var scratch []int32
 	for i := 0; i < rows; i++ {
 		scratch = gen(i, rng, scratch[:0])
-		sort.Slice(scratch, func(x, y int) bool { return scratch[x] < scratch[y] })
+		slices.Sort(scratch)
 		// Dedup in place.
 		w := 0
 		for k, c := range scratch {
