@@ -111,6 +111,19 @@ func goldenTrajectories() map[string]string {
 			}
 			lambda, res, err := PowerIterationCtx(ctx, mul, x, tol, maxIter)
 			rows["power/"+sys.name+suffix] = goldenRow(res, err, x, &lambda)
+
+			// PageRank has no batch form: its stepper runs on the system's
+			// column-stochastic pattern under the default 1000-step budget.
+			budget := maxIter
+			if budget == 0 {
+				budget = 1000
+			}
+			x = make([]float64, n)
+			pr, err := NewPageRankStepper(Lift(Default(columnStochastic(a))), x, 0.85, tol)
+			if err == nil {
+				res, err = run(ctx, pr, budget)
+			}
+			rows["pagerank/"+sys.name+suffix] = goldenRow(res, err, x, nil)
 		}
 		for _, restart := range []int{0, 5, 50} {
 			x := make([]float64, n)
@@ -128,7 +141,7 @@ func goldenTrajectories() map[string]string {
 // TestSolverTrajectoriesGolden pins each batch solver's outcome — iteration
 // count, residual bits, convergence, error text, and the bits of x — on SPD,
 // nonsymmetric and breakdown systems, at the default and a 3-iteration
-// budget, and GMRES at restart 0, 5 and 50 plus a budget that ends mid-cycle.
+// budget, PageRank on each system's column-stochastic pattern, and GMRES at restart 0, 5 and 50 plus a budget that ends mid-cycle.
 // A failure means a trajectory moved: do not regenerate the table to make it
 // pass.
 func TestSolverTrajectoriesGolden(t *testing.T) {
@@ -200,6 +213,16 @@ var goldenWant = map[string]string{
 	"jacobi/nonsym/max3":      `iters=3 res=3fb4da00d91f20ab conv=false err="solvers: not converged after 3 iterations (residual 0.08145146656818507)" x=92368d986e214f99`,
 	"jacobi/spd":              `iters=58 res=3dd7d2ccc88ab17c conv=true err="<nil>" x=608385a63be220cc`,
 	"jacobi/spd/max3":         `iters=3 res=3fdbfd9912dee4d1 conv=false err="solvers: not converged after 3 iterations (residual 0.43735339014854185)" x=55869f8251eb89c9`,
+	"pagerank/antisym":        `iters=1 res=0000000000000000 conv=true err="<nil>" x=5073e61eafb5e090`,
+	"pagerank/antisym/max3":   `iters=1 res=0000000000000000 conv=true err="<nil>" x=5073e61eafb5e090`,
+	"pagerank/dominant":       `iters=1 res=0000000000000000 conv=true err="<nil>" x=8bc83832681abdc1`,
+	"pagerank/dominant/max3":  `iters=1 res=0000000000000000 conv=true err="<nil>" x=8bc83832681abdc1`,
+	"pagerank/nilpotent":      `iters=6 res=0000000000000000 conv=true err="<nil>" x=df18c939bb461da3`,
+	"pagerank/nilpotent/max3": `iters=3 res=3fbf71758e219652 conv=false err="solvers: not converged after 3 iterations (residual 0.12282499999999999)" x=ffb7fe60a35acdc4`,
+	"pagerank/nonsym":         `iters=105 res=3dd7b585a4000000 conv=true err="<nil>" x=df1100f2061b0348`,
+	"pagerank/nonsym/max3":    `iters=3 res=3f565c2af3508080 conv=false err="solvers: not converged after 3 iterations (residual 0.0013647479474983293)" x=8ac8d309dea547d9`,
+	"pagerank/spd":            `iters=73 res=3dd9ce8fa4000000 conv=true err="<nil>" x=53042f1573cabe2a`,
+	"pagerank/spd/max3":       `iters=3 res=3f28f8b701b6d9a0 conv=false err="solvers: not converged after 3 iterations (residual 0.00019051774948559714)" x=7be1180ee7ea204c`,
 	"power/antisym":           `iters=2 res=0000000000000000 conv=true err="<nil>" x=a1f1ebb5d1c6349c lambda=0000000000000000`,
 	"power/antisym/max3":      `iters=2 res=0000000000000000 conv=true err="<nil>" x=a1f1ebb5d1c6349c lambda=0000000000000000`,
 	"power/dominant":          `iters=12 res=3e38b39800000000 conv=true err="<nil>" x=144f5cb9d5d901f2 lambda=404dfffffffeb295`,
