@@ -42,30 +42,48 @@ func (d Decision) String() string {
 // background retrainer can hot-swap a promoted model while requests are in
 // flight: every decision loads the pointer exactly once and runs the whole
 // predict path against that snapshot, so no request ever observes a torn
-// mix of two models.
+// mix of two models. The snapshot carries the model's ModelVersion, hashed
+// once when the model is installed rather than on every plan.
 //
 // A Framework also owns the replay memo of plan execution (replay.go): a
 // fresh Framework is cold and simulates every launch once.
 type Framework struct {
 	Cfg   Config
-	model atomic.Pointer[Model]
+	model atomic.Pointer[installedModel]
 
 	launches            *plancache.Memo[launchCost]
 	simulated, replayed atomic.Int64
 }
 
+// installedModel is one model snapshot: the model and its ModelVersion.
+type installedModel struct {
+	m       *Model
+	version string
+}
+
+func install(m *Model) *installedModel {
+	return &installedModel{m: m, version: ModelVersion(m)}
+}
+
 // NewFramework builds a runtime framework around a trained model.
 func NewFramework(cfg Config, m *Model) *Framework {
 	fw := &Framework{Cfg: cfg, launches: plancache.NewMemo[launchCost](launchMemoCapacity, 16)}
-	if m != nil {
-		fw.model.Store(m)
-	}
+	fw.model.Store(install(m))
 	return fw
+}
+
+// installed loads the current snapshot; a Framework built without
+// NewFramework has no model.
+func (fw *Framework) installed() installedModel {
+	if im := fw.model.Load(); im != nil {
+		return *im
+	}
+	return installedModel{}
 }
 
 // Model returns the currently installed model (nil when none is set).
 func (fw *Framework) Model() *Model {
-	return fw.model.Load()
+	return fw.installed().m
 }
 
 // LaunchCounts reports how many launches of the guarded bin executor ran the
@@ -79,7 +97,10 @@ func (fw *Framework) LaunchCounts() (simulated, replayed int64) {
 // finish against it; new decisions see m. A nil m uninstalls the model
 // (the predict path then degrades to the serial fallback plan).
 func (fw *Framework) SwapModel(m *Model) *Model {
-	return fw.model.Swap(m)
+	if old := fw.model.Swap(install(m)); old != nil {
+		return old.m
+	}
+	return nil
 }
 
 // Decide runs the predict path: extract features, stage 1 chooses U, the

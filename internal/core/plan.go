@@ -84,10 +84,11 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 	// One atomic load for the whole plan: the recorded ModelVersion and the
 	// decisions below always come from the same model snapshot, even while
 	// a retrain promotion swaps the live pointer.
-	m := fw.Model()
+	cur := fw.installed()
+	m := cur.m
 	p := &plan.TuningPlan{
 		Fingerprint:  plan.Fingerprint(a),
-		ModelVersion: ModelVersion(m),
+		ModelVersion: cur.version,
 		Rows:         a.Rows,
 		Cols:         a.Cols,
 		NNZ:          a.NNZ(),

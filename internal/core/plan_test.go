@@ -197,3 +197,60 @@ func TestSaveLoadModelIdenticalPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanCarriesInstalledModelVersion: a plan records the version of the
+// model snapshot it was decided with, hashed when that model was installed;
+// plans made before and after a SwapModel each carry their own model's.
+func TestPlanCarriesInstalledModelVersion(t *testing.T) {
+	fw := guardFramework(t)
+	a, _, _ := guardMatrix()
+	cfg := testConfig()
+	td := NewTrainingData(cfg)
+	td.AddMatrix(cfg, matgen.RoadNetwork(400, 7))
+	m1, m2 := fw.Model(), TrainModel(td, cfg, c50.DefaultOptions())
+	v1, v2 := ModelVersion(m1), ModelVersion(m2)
+	if v1 == "" || v1 == v2 {
+		t.Fatalf("models not distinguishable: %q, %q", v1, v2)
+	}
+	version := func() string {
+		t.Helper()
+		p, err := fw.Plan(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.ModelVersion
+	}
+	if got := version(); got != v1 {
+		t.Errorf("before the swap: version %q, want %q", got, v1)
+	}
+	if old := fw.SwapModel(m2); old != m1 {
+		t.Errorf("SwapModel returned %p, want the first model %p", old, m1)
+	}
+	if got := version(); got != v2 {
+		t.Errorf("after the swap: version %q, want %q", got, v2)
+	}
+	if old := fw.SwapModel(nil); old != m2 {
+		t.Errorf("SwapModel(nil) returned %p, want the second model %p", old, m2)
+	}
+	if got := version(); got != "" {
+		t.Errorf("with no model: version %q, want empty", got)
+	}
+}
+
+// TestPlanAllocs bounds a plan's allocations. Plan makes 45 on this
+// matrix and model; hashing the model's trees on every plan, before the
+// version was computed at install, made it 58.
+func TestPlanAllocs(t *testing.T) {
+	fw := guardFramework(t)
+	a, _, _ := guardMatrix()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := fw.Plan(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const ceiling = 48
+	if allocs > ceiling {
+		t.Errorf("Plan allocates %v times, want <= %d", allocs, ceiling)
+	}
+}

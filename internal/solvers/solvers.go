@@ -58,6 +58,7 @@ func checkCtx(ctx context.Context) error {
 }
 
 func dot(x, y []float64) float64 {
+	y = y[:len(x)]
 	s := 0.0
 	for i := range x {
 		s += x[i] * y[i]
@@ -150,6 +151,7 @@ func BiCGSTABCtx(ctx context.Context, mul SpMV, b, x []float64, tol float64, max
 	if maxIter <= 0 {
 		maxIter = 10 * n
 	}
+	x = x[:n]
 	r := make([]float64, n)
 	mul(x, r)
 	for i := range r {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"spmvtune/internal/matgen"
 	"spmvtune/internal/sparse"
 )
 
@@ -164,6 +165,35 @@ func TestJacobiStepperZeroDiagonal(t *testing.T) {
 	}
 }
 
+// TestJacobiRejectsShapeMismatch: a right-hand side longer than the matrix
+// has rows used to be accepted, and the sweep divided by diagonal entries it
+// never read (x came back [0.25 0.25 0.25 +Inf +Inf]). Both the stepper
+// and the batch form refuse it up front, as they refuse len(b) != len(x).
+func TestJacobiRejectsShapeMismatch(t *testing.T) {
+	coo := &sparse.COO{Rows: 3, Cols: 3}
+	for i := 0; i < 3; i++ {
+		coo.Add(i, i, 4)
+	}
+	a, err := coo.ToCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := []float64{1, 1, 1, 1, 1}
+	const want = "solvers: jacobi: len(b)=5 != matrix 3x3"
+	if _, err := NewJacobiStepper(a, Lift(Default(a)), b, make([]float64, 5), 1e-10); err == nil || err.Error() != want {
+		t.Errorf("NewJacobiStepper: err = %v, want %q", err, want)
+	}
+	x := make([]float64, 5)
+	if _, err := JacobiCtx(context.Background(), a, Default(a), b, x, 1e-10, 0); err == nil || err.Error() != want {
+		t.Errorf("JacobiCtx: err = %v, want %q", err, want)
+	}
+	for i, v := range x {
+		if v != 0 {
+			t.Errorf("x[%d] = %v after a rejected solve, want the untouched 0", i, v)
+		}
+	}
+}
+
 func TestGMRESStepperSolves(t *testing.T) {
 	a, b, xStar := spdSystem(800, 7, 3)
 	tol := 1e-10
@@ -318,6 +348,52 @@ func TestStepperZeroAllocPerStep(t *testing.T) {
 			}
 			if st := s.Status(); st.Converged || st.Iterations < before+51 {
 				t.Errorf("measured Steps did not all iterate: %d -> %+v", before, st)
+			}
+		})
+	}
+}
+
+// BenchmarkStepperStep times one Step of each stepper on the 120x120
+// Poisson grid that bench/'s solve_iterate workload serves, multiplying
+// with the sequential reference. A negative tol never converges; the
+// stepper is rebuilt, off the clock, every 200 iterations so no run drifts
+// into underflow.
+func BenchmarkStepperStep(b *testing.B) {
+	a := matgen.Poisson2D(120)
+	mul := Lift(a.MulVec)
+	n := a.Rows
+	rhs := make([]float64, n)
+	ones(rhs)
+	start := func() []float64 {
+		x := make([]float64, n)
+		ones(x)
+		return x
+	}
+	for _, tc := range []struct {
+		name string
+		new  func() (Stepper, error)
+	}{
+		{"cg", func() (Stepper, error) { return NewCGStepper(mul, rhs, make([]float64, n), -1) }},
+		{"jacobi", func() (Stepper, error) { return NewJacobiStepper(a, mul, rhs, make([]float64, n), -1) }},
+		{"gmres30", func() (Stepper, error) { return NewGMRESStepper(mul, rhs, make([]float64, n), -1, 30, 1<<30) }},
+		{"power", func() (Stepper, error) { return NewPowerStepper(mul, start(), -1) }},
+		{"pagerank", func() (Stepper, error) { return NewPageRankStepper(mul, make([]float64, n), 0.85, -1) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			ctx := context.Background()
+			var s Stepper
+			for i := 0; i < b.N; i++ {
+				if s == nil || s.Status().Iterations >= 200 {
+					b.StopTimer()
+					var err error
+					if s, err = tc.new(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if _, err := s.Step(ctx); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

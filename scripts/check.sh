@@ -13,8 +13,9 @@
 # fused validating reference against Validate, by test and fuzz smoke; the
 # execution-error golden; DotRows against its pre-change copy; replayed bins
 # served from the reference and armed faults still verified), the modeled
-# scoreboard golden, the solver trajectories golden, per-Step allocation and
-# GMRES session budget gates, plus staticcheck and govulncheck.
+# scoreboard golden, the solver trajectories golden, every stepper's Step
+# against its frozen body, per-Step allocation and GMRES session budget
+# gates, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -165,10 +166,14 @@ go test -count=1 -run 'TestWarmSessionFaultReachesVerifiedChain' ./internal/serv
 
 # Each batch solver is its stepper run to completion: the trajectories golden
 # pins iterations, residual bits, error text and the bits of x of every batch
-# solve; every stepper's Step allocates nothing; the CG step keeps its
-# pre-change copy's bits; and a GMRES session stops at its iteration budget.
+# solve and PageRank run; every stepper's Step allocates nothing; every
+# stepper's Step keeps the bits of a frozen copy of its body (CG, Jacobi,
+# GMRES, power, PageRank); one Step of each stepper on the benchmark's
+# Poisson grid runs once as a benchmark smoke; and a GMRES session stops at
+# its iteration budget.
 echo "== one implementation per solver"
-go test -count=1 -run 'TestSolverTrajectoriesGolden|ZeroAllocPerStep|TestCGStepperBitsUnchanged' ./internal/solvers
+go test -count=1 -run 'TestSolverTrajectoriesGolden|ZeroAllocPerStep|TestCGStepperBitsUnchanged|TestStepperBitsUnchanged' ./internal/solvers
+go test -count=1 -run '^$' -bench 'BenchmarkStepperStep' -benchtime 1x ./internal/solvers
 go test -count=1 -run 'TestGMRESSessionHonorsMaxIterations' ./internal/server
 
 echo "== fuzz smoke (FuzzMulVecChecked, 10s)"
