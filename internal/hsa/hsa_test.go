@@ -31,6 +31,24 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDeviceFingerprintGolden pins Config.Fingerprint by exact value for the
+// two presets. The fingerprint keys the cost cache and the replay memo, so a
+// change here silently invalidates every cached cost; if this fails, the
+// digest moved — do not regenerate the constants.
+func TestDeviceFingerprintGolden(t *testing.T) {
+	for _, c := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{DefaultConfig(), 9217027703563729589},
+		{SmallConfig(), 15797010979868704808},
+	} {
+		if got := c.cfg.Fingerprint(); got != c.want {
+			t.Errorf("%s: Fingerprint() = %d, want %d", c.cfg.Name, got, c.want)
+		}
+	}
+}
+
 func TestNewRunPanicsOnBadConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
