@@ -247,7 +247,6 @@ func cmdRun(args []string) error {
 	tracePath := fs.String("trace", "", "write JSONL pipeline spans to this file ('-' for stdout); deterministic — identical runs emit identical bytes")
 	counters := fs.Bool("counters", false, "collect device performance counters and print per-bin execution profiles")
 	workers := fs.Int("workers", 1, "host goroutines serving independent bins in the guarded executor (1 = sequential; the result and report are identical for every value)")
-	deviceWorkers := fs.Int("device-workers", 0, "sharded ND-range executor workers per kernel launch (0 = legacy sequential simulator; >= 1 selects the sharded executor, whose modeled cycles are worker-count-invariant)")
 	searchStats := fs.Bool("search-stats", false, "run the exhaustive tuning search on the matrix and print cost-cache and parameter-space statistics (hits/misses/pruned cells, space size, synth wins, format pick) before executing")
 	space := fs.String("kernel-space", "", "kernel space the -search-stats search enumerates: 'pool' or '' = the paper's nine kernels, 'synth' = the synthesized parameter space")
 	fs.Parse(args)
@@ -260,7 +259,6 @@ func cmdRun(args []string) error {
 		return err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Device.Workers = *deviceWorkers
 	fw := core.NewFramework(cfg, m)
 	v := onesVec(a.Cols)
 	u := make([]float64, a.Rows)
@@ -355,7 +353,6 @@ func cmdCompare(args []string) error {
 	in := fs.String("in", "", "input Matrix Market file")
 	model := fs.String("model", "model.json", "trained model file")
 	timeout := fs.Duration("timeout", 0, "abort the comparison after this duration (0 = no limit)")
-	deviceWorkers := fs.Int("device-workers", 0, "sharded ND-range executor workers per kernel launch (0 = legacy sequential simulator; >= 1 selects the sharded executor, whose modeled cycles are worker-count-invariant)")
 	fs.Parse(args)
 	a, err := loadMatrix(*in)
 	if err != nil {
@@ -366,7 +363,6 @@ func cmdCompare(args []string) error {
 		return err
 	}
 	cfg := core.DefaultConfig()
-	cfg.Device.Workers = *deviceWorkers
 	fw := core.NewFramework(cfg, m)
 	v := onesVec(a.Cols)
 	u := make([]float64, a.Rows)

@@ -108,7 +108,7 @@ func Workloads(a *sparse.CSR, u int) []int64 {
 	if u < 1 {
 		u = 1
 	}
-	n := (a.Rows + u - 1) / u
+	n := virtualRows(a.Rows, u)
 	wl := make([]int64, n)
 	for i := 0; i < n; i++ {
 		lo := i * u
@@ -119,6 +119,16 @@ func Workloads(a *sparse.CSR, u int) []int64 {
 		wl[i] = a.RowPtr[hi] - a.RowPtr[lo]
 	}
 	return wl
+}
+
+// virtualRows returns ceil(rows/u), the number of virtual rows of U adjacent
+// rows, without the overflow of (rows+u-1)/u for u near math.MaxInt.
+func virtualRows(rows, u int) int {
+	n := rows / u
+	if rows%u != 0 {
+		n++
+	}
+	return n
 }
 
 // coarseBinID returns virtual row i's bin under the coarse scheme, reading
@@ -162,7 +172,7 @@ func (bn *Binner) Coarse(a *sparse.CSR, u, maxBins int) *Binning {
 	if maxBins <= 0 {
 		maxBins = DefaultMaxBins
 	}
-	n := (a.Rows + u - 1) / u
+	n := virtualRows(a.Rows, u)
 
 	if cap(bn.counts) < maxBins {
 		bn.counts = make([]int32, maxBins)

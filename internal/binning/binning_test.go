@@ -1,6 +1,7 @@
 package binning
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -94,6 +95,24 @@ func TestCoarseOverflowBin(t *testing.T) {
 	}
 	if len(b.Bins[9]) != 1 || b.Bins[9][0].Start != 0 {
 		t.Errorf("long row not in overflow bin: %v", b.Bins)
+	}
+}
+
+// A U near math.MaxInt must still yield one virtual row covering the whole
+// matrix: (rows+u-1)/u overflows there and used to leave no groups at all.
+func TestCoarseHugeU(t *testing.T) {
+	a := matgen.Poisson2D(10)
+	for _, u := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt / 2} {
+		b := Coarse(a, u, 100)
+		if err := b.Validate(); err != nil {
+			t.Fatalf("U=%d: %v", u, err)
+		}
+		if b.TotalRows() != a.Rows {
+			t.Fatalf("U=%d: binned %d rows of %d", u, b.TotalRows(), a.Rows)
+		}
+		if wl := Workloads(a, u); len(wl) != 1 || wl[0] != int64(a.NNZ()) {
+			t.Fatalf("U=%d: Workloads = %v, want [%d]", u, wl, a.NNZ())
+		}
 	}
 }
 

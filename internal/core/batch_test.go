@@ -28,9 +28,8 @@ func batchTestVectors(a *sparse.CSR, nb int, seed int64) ([][]float64, [][]float
 }
 
 // The guarded batch property: ExecutePlanBatchOpts over B vectors must produce
-// byte-identical outputs to B sequential ExecutePlan calls — across device
-// worker counts (legacy and sharded executors) and batch widths, on a
-// clean run with no degradation.
+// byte-identical outputs to B sequential ExecutePlan calls — across batch
+// widths, on a clean run with no degradation.
 func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 	fw := guardFramework(t)
 	mats := []*sparse.CSR{
@@ -42,44 +41,40 @@ func TestExecutePlanBatchByteIdenticalToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, devWorkers := range []int{0, 1, 2, 4} {
-			cfg := fw.Cfg
-			cfg.Device.Workers = devWorkers
-			bfw := NewFramework(cfg, fw.Model())
-			for _, nb := range []int{1, 2, 3, 8} {
-				vs, us, _ := batchTestVectors(a, nb, int64(mi*100+nb))
+		bfw := NewFramework(fw.Cfg, fw.Model())
+		for _, nb := range []int{1, 2, 3, 8} {
+			vs, us, _ := batchTestVectors(a, nb, int64(mi*100+nb))
 
-				seq := make([][]float64, nb)
-				for b := 0; b < nb; b++ {
-					seq[b] = make([]float64, a.Rows)
-					if _, err := bfw.ExecutePlanOpts(context.Background(), p, a, vs[b], seq[b], DefaultGuardOptions()); err != nil {
-						t.Fatalf("mat %d w=%d nb=%d: sequential: %v", mi, devWorkers, nb, err)
-					}
+			seq := make([][]float64, nb)
+			for b := 0; b < nb; b++ {
+				seq[b] = make([]float64, a.Rows)
+				if _, err := bfw.ExecutePlanOpts(context.Background(), p, a, vs[b], seq[b], DefaultGuardOptions()); err != nil {
+					t.Fatalf("mat %d nb=%d: sequential: %v", mi, nb, err)
 				}
+			}
 
-				rep, err := bfw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, DefaultGuardOptions())
-				if err != nil {
-					t.Fatalf("mat %d w=%d nb=%d: batch: %v", mi, devWorkers, nb, err)
+			rep, err := bfw.ExecutePlanBatchOpts(context.Background(), p, a, vs, us, DefaultGuardOptions())
+			if err != nil {
+				t.Fatalf("mat %d nb=%d: batch: %v", mi, nb, err)
+			}
+			if rep.Vectors != nb || rep.Isolated != 0 {
+				t.Errorf("mat %d nb=%d: report vectors=%d isolated=%d", mi, nb, rep.Vectors, rep.Isolated)
+			}
+			for b := 0; b < nb; b++ {
+				if rep.VectorDegraded(b) {
+					t.Errorf("mat %d nb=%d: clean batch reports vector %d degraded", mi, nb, b)
 				}
-				if rep.Vectors != nb || rep.Isolated != 0 {
-					t.Errorf("mat %d w=%d nb=%d: report vectors=%d isolated=%d", mi, devWorkers, nb, rep.Vectors, rep.Isolated)
-				}
-				for b := 0; b < nb; b++ {
-					if rep.VectorDegraded(b) {
-						t.Errorf("mat %d w=%d nb=%d: clean batch reports vector %d degraded", mi, devWorkers, nb, b)
+				for i := range seq[b] {
+					if us[b][i] != seq[b][i] {
+						t.Fatalf("mat %d nb=%d: vector %d differs at row %d: got %v want %v",
+							mi, nb, b, i, us[b][i], seq[b][i])
 					}
-					for i := range seq[b] {
-						if us[b][i] != seq[b][i] {
-							t.Fatalf("mat %d w=%d nb=%d: vector %d differs at row %d: got %v want %v",
-								mi, devWorkers, nb, b, i, us[b][i], seq[b][i])
-						}
-					}
 				}
-				if nb > 1 {
-					for _, pr := range rep.Shared.Profiles {
-						if pr.Vectors != nb {
-							t.Errorf("mat %d w=%d nb=%d: profile Vectors=%d", mi, devWorkers, nb, pr.Vectors)
-						}
+			}
+			if nb > 1 {
+				for _, pr := range rep.Shared.Profiles {
+					if pr.Vectors != nb {
+						t.Errorf("mat %d nb=%d: profile Vectors=%d", mi, nb, pr.Vectors)
 					}
 				}
 			}
@@ -148,9 +143,9 @@ func TestExecutePlanBatchIsolatesFaultedVector(t *testing.T) {
 	}
 }
 
-// Steady-state launches on the legacy executor must allocate nothing at any
-// width: runs, inputs and kernel scratch all come from pools — the
-// device-side half of the zero-alloc discipline.
+// Steady-state launches must allocate nothing at any width: runs, inputs and
+// kernel scratch all come from pools — the device-side half of the zero-alloc
+// discipline.
 func TestBatchLaunchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool operations")

@@ -53,8 +53,7 @@ type Config struct {
 	// identical for every value — candidate evaluations are independent and
 	// the canonical tie-breaking runs over results assembled in fixed
 	// (U, bin, kernel) order — so the knob only chooses how much host
-	// hardware tuning may occupy. Device-level launch parallelism is
-	// separate: see Device.Workers (hsa.Config).
+	// hardware tuning may occupy.
 	Workers int
 
 	// SearchCache holds simulated per-bin kernel costs keyed by content

@@ -92,9 +92,7 @@ type GuardOptions struct {
 	// merge in bin order, so on the success path u and the ExecReport are
 	// identical to a sequential run's (trace spans may interleave, and on
 	// an aborting error the parallel run may have served bins a sequential
-	// run would not have reached). Inner device launches are clamped to a
-	// sequential executor — the bin pool owns the host budget (see
-	// sequentialDevice).
+	// run would not have reached).
 	Workers int
 }
 
@@ -226,10 +224,6 @@ func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, vs, us, 
 
 	bins := b.NonEmpty()
 	workers := min(opt.Workers, len(bins))
-	dev := fw.Cfg.Device
-	if workers > 1 {
-		dev = sequentialDevice(dev)
-	}
 	type binResult struct {
 		rep      *ExecReport
 		isolated []*ExecReport
@@ -244,7 +238,7 @@ func (fw *Framework) runBinsGuarded(ctx context.Context, a *sparse.CSR, vs, us, 
 		res := &results[i]
 		res.rep = rep.child()
 		res.isolated = make([]*ExecReport, len(isolated))
-		res.err = fw.runBinBatchGuarded(ctx, dev, a, vs, us, wants, b, bins[i], kernelFor(bins[i]), rs, opt, res.rep, res.isolated)
+		res.err = fw.runBinBatchGuarded(ctx, a, vs, us, wants, b, bins[i], kernelFor(bins[i]), rs, opt, res.rep, res.isolated)
 		if res.err != nil {
 			aborted.Store(true)
 		}
@@ -309,12 +303,10 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 	return d, b, nil
 }
 
-// runBinBatchGuarded serves one bin for the B vector pairs on the given
-// device config (runBinsGuarded passes a sequential-clamped device when the
-// bins themselves run on a pool). One launch of width B walks the predicted
-// → Kernel-Serial chain with bounded retries, and a simulated launch's
-// output is verified per vector (a replayed one is the reference's own, see
-// binAttempt):
+// runBinBatchGuarded serves one bin for the B vector pairs. One launch of
+// width B walks the predicted → Kernel-Serial chain with bounded retries,
+// and a simulated launch's output is verified per vector (a replayed one is
+// the reference's own, see binAttempt):
 //
 //   - every vector wrong is a kernel-level failure: the launch is retried,
 //     then the next chain link tried (at B = 1 this is the whole story);
@@ -328,7 +320,7 @@ func (fw *Framework) decideGuarded(m *Model, a *sparse.CSR, tw *trace.Writer, tr
 //     the bin is copied from the reference result, which cannot fail.
 //
 // It returns a non-nil error only on cancellation.
-func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
+func (fw *Framework) runBinBatchGuarded(ctx context.Context, a *sparse.CSR, vs, us, wants [][]float64,
 	b *binning.Binning, binID, predictedKID int, rs *replayScope, opt GuardOptions, rep *ExecReport, isolated []*ExecReport) error {
 
 	nb := len(vs)
@@ -338,7 +330,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 		if isolated[v] == nil {
 			isolated[v] = rep.child()
 		}
-		return fw.runBinBatchGuarded(ctx, dev, a, vs[v:v+1], us[v:v+1], wants[v:v+1], b, binID, predictedKID, rs, opt, isolated[v], nil)
+		return fw.runBinBatchGuarded(ctx, a, vs[v:v+1], us[v:v+1], wants[v:v+1], b, binID, predictedKID, rs, opt, isolated[v], nil)
 	}
 
 	// The simulated chain: the predicted kernel, then Kernel-Serial unless
@@ -376,7 +368,7 @@ func (fw *Framework) runBinBatchGuarded(ctx context.Context, dev hsa.Config, a *
 			fs := opt.Faults.Arm(binID, ln.kid, retry)
 			spanStart := opt.Trace.Now()
 			wallStart := time.Now()
-			st, ctr, replayed, err := fw.binAttempt(ctx, dev, a, vs, us, wants, info, groups, fs, rs, opt.Counters, binID)
+			st, ctr, replayed, err := fw.binAttempt(ctx, a, vs, us, wants, info, groups, fs, rs, opt.Counters, binID)
 			var failed []int
 			if err == nil && !replayed { // a replayed bin was served from wants: nothing to verify
 				failRow := 0
@@ -536,13 +528,12 @@ func emitBinSpan(opt GuardOptions, start time.Time, pr *plan.ExecProfile) {
 // product that also validated it. An armed attempt never reads or writes the
 // memo.
 //
-// A simulated launch routes through launchKernel, so dev.Workers selects the
-// executor (legacy single-accountant vs sharded) and faults fire under
-// either. An armed silent-corruption fault poisons exactly one vector of the
-// launch (binID mod the width), modeling per-request corruption rather than a
-// whole-launch failure: the other vectors' outputs stay valid, which is what
-// per-vector verification and isolation rely on.
-func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us, wants [][]float64,
+// A simulated launch runs on fw.Cfg.Device through launchKernel. An armed
+// silent-corruption fault poisons exactly one vector of the launch (binID
+// mod the width), modeling per-request corruption rather than a whole-launch
+// failure: the other vectors' outputs stay valid, which is what per-vector
+// verification and isolation rely on.
+func (fw *Framework) binAttempt(ctx context.Context, a *sparse.CSR, vs, us, wants [][]float64,
 	k kernels.Info, groups []binning.Group, fs *hsa.FaultState, rs *replayScope, collect bool, binID int) (st hsa.Stats, ctr *hsa.Counters, replayed bool, err error) {
 
 	defer func() {
@@ -574,7 +565,7 @@ func (fw *Framework) binAttempt(ctx context.Context, dev hsa.Config, a *sparse.C
 		}
 	}
 	fw.simulated.Add(1)
-	st, ctr = launchKernel(ctx, dev, a, vs, us, k.Kernel, kernels.Kernel.Run, groups, fs, collect)
+	st, ctr = launchKernel(ctx, fw.Cfg.Device, a, vs, us, k.Kernel, kernels.Kernel.Run, groups, fs, collect)
 	if memoize {
 		c := launchCost{stats: st}
 		if ctr != nil {

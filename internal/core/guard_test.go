@@ -316,7 +316,7 @@ func TestVerificationFailureNamesVectorAndRow(t *testing.T) {
 	opt.Backoff = -1
 	rep := &ExecReport{}
 	isolated := make([]*ExecReport, nb)
-	if err := fw.runBinBatchGuarded(context.Background(), fw.Cfg.Device, a, vs, us, wants, bn, 0, 0, nil, opt, rep, isolated); err != nil {
+	if err := fw.runBinBatchGuarded(context.Background(), a, vs, us, wants, bn, 0, 0, nil, opt, rep, isolated); err != nil {
 		t.Fatal(err)
 	}
 	wantFused := "core: output verification failed for all 3 vectors, first at vector 0 row 7: " + ErrKernelFault.Error()

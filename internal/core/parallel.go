@@ -18,68 +18,39 @@ import (
 type walk = func(kernels.Kernel, *hsa.Run, *kernels.Input, []binning.Group)
 
 // launchKernel executes one kernel launch over the B vector pairs
-// (vs[b], us[b]) on the device — plain SpMV is the B=1 launch — routing
-// between the legacy single-accountant path (dev.Workers == 0 —
-// byte-compatible with the pre-parallel simulator) and the sharded ND-range
-// executor (dev.Workers >= 1 — worker-count-invariant, see hsa.RunSharded).
-// Faults and cancellation surface as panics on the calling goroutine in both
-// modes; callers that need containment wrap this in a recover (see
-// Framework.binAttempt and simulateKernelCtx). With collect set the launch
-// gathers device performance counters, returned alongside the stats (nil
-// otherwise).
+// (vs[b], us[b]) on the device — plain SpMV is the B=1 launch — on one
+// accountant: every work-group runs in order on the calling goroutine
+// against one shared cache-tag array. Faults and cancellation surface as
+// panics on the calling goroutine; callers that need containment wrap this
+// in a recover (see Framework.binAttempt and simulateKernelCtx). With
+// collect set the launch gathers device performance counters, returned
+// alongside the stats (nil otherwise).
 func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
 	k kernels.Kernel, walk walk, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
 
-	if dev.Workers == 0 {
-		run := hsa.AcquireRun(dev)
-		if ctx != nil {
-			run.SetContext(ctx)
-		}
-		run.InjectFaults(fs)
-		if collect {
-			run.EnableCounters()
-		}
-		in := kernels.AcquireBatchInput(run, a, vs, us)
-		walk(k, run, in, groups)
-		st := run.Stats()
-		var ctr *hsa.Counters
-		// Gated on collect, not just the Counters() ok bit: the escaping
-		// copy below is heap-allocated whenever its block runs, and the
-		// steady-state launch path must stay allocation-free.
-		if collect {
-			if c, ok := run.Counters(); ok {
-				ctr = &c
-			}
-		}
-		in.Release()
-		run.Release()
-		return st, ctr
+	run := hsa.AcquireRun(dev)
+	if ctx != nil {
+		run.SetContext(ctx)
 	}
-
-	parts := kernels.SplitGroups(groups, k.RowsPerWG(dev), dev.Shards())
-	return hsa.RunSharded(ctx, dev, hsa.ShardOptions{
-		Shards:   dev.Shards(),
-		Workers:  dev.Workers,
-		Counters: collect,
-		Fault:    fs,
-	}, func(shard int, r *hsa.Run) {
-		in := kernels.AcquireBatchInput(r, a, vs, us)
-		walk(k, r, in, parts[shard])
-		in.Release()
-	})
-}
-
-// sequentialDevice bounds a device config for use inside an outer host
-// worker pool: a launch that is itself one task of a fan-out must not spawn
-// its own shard workers on top (pool × pool oversubscribes the host). The
-// clamp preserves the executor semantics class — a sharded device stays
-// sharded (Workers 1 produces the same bits as any other value), the
-// legacy mode stays legacy — so results are unchanged, only host occupancy.
-func sequentialDevice(dev hsa.Config) hsa.Config {
-	if dev.Workers > 1 {
-		dev.Workers = 1
+	run.InjectFaults(fs)
+	if collect {
+		run.EnableCounters()
 	}
-	return dev
+	in := kernels.AcquireBatchInput(run, a, vs, us)
+	walk(k, run, in, groups)
+	st := run.Stats()
+	var ctr *hsa.Counters
+	// Gated on collect, not just the Counters() ok bit: the escaping copy
+	// below is heap-allocated whenever its block runs, and the steady-state
+	// launch path must stay allocation-free.
+	if collect {
+		if c, ok := run.Counters(); ok {
+			ctr = &c
+		}
+	}
+	in.Release()
+	run.Release()
+	return st, ctr
 }
 
 // resolveWorkers maps a worker knob to an effective pool size: <= 0 selects

@@ -9,10 +9,8 @@ import (
 	"sync"
 	"testing"
 
-	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/hsa"
-	"spmvtune/internal/kernels"
 	"spmvtune/internal/matgen"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/plancache"
@@ -296,37 +294,6 @@ func TestGuardedParallelFaults(t *testing.T) {
 		t.Fatal("faulted run at workers=4 reports no degradation")
 	}
 	assertReportsEqual(t, "faulted w=1 vs w=4", rep1, rep4)
-}
-
-// TestSimulateKernelShardedInvariance: the device-level sharded executor
-// is worker-count-invariant through the core routing layer too.
-func TestSimulateKernelShardedInvariance(t *testing.T) {
-	a := matgen.Mixed(600, 600, 30, []int{2, 70}, 23)
-	v := randVec(a.Cols, 29)
-	dev := testConfig().Device
-	k := kernels.Pool()[4].Kernel
-	groups := binning.Single(a).Bins[0]
-
-	results := map[int]hsa.Stats{}
-	outputs := map[int][]float64{}
-	for _, w := range []int{1, 2, 6} {
-		dev.Workers = w
-		u := make([]float64, a.Rows)
-		st, err := SimulateKernelCtx(context.Background(), dev, a, v, u, k, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[w] = st
-		outputs[w] = u
-	}
-	for _, w := range []int{2, 6} {
-		if results[w] != results[1] {
-			t.Errorf("device workers=%d stats differ from workers=1:\n %+v\n %+v", w, results[w], results[1])
-		}
-		if i := bitsEqual(outputs[1], outputs[w]); i != -1 {
-			t.Errorf("device workers=%d output differs at row %d", w, i)
-		}
-	}
 }
 
 // TestExecutePlanConcurrentStress: many goroutines executing the same

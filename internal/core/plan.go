@@ -112,7 +112,12 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 		p.Space = sp.Name
 	}
 	p.Features = fw.Cfg.FeatureVector(a)
+	// A coarse bin ID never exceeds NNZ/U, so a cap above NNZ+1 bins the
+	// matrix exactly as NNZ+1 does; record that, which plan.Validate accepts.
 	p.MaxBins = fw.Cfg.MaxBins
+	if p.MaxBins > binning.DefaultMaxBins && p.MaxBins-1 > p.NNZ {
+		p.MaxBins = p.NNZ + 1
+	}
 	assignBins(p, d, b, sp)
 	return p, nil
 }

@@ -3,9 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"spmvtune/internal/binning"
 	"spmvtune/internal/c50"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/matgen"
@@ -127,6 +130,79 @@ func TestExecutePlanStaleDegradesNotFails(t *testing.T) {
 	}
 	if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 		t.Errorf("degraded execution wrong at row %d", i)
+	}
+}
+
+// A decoded plan whose U is near math.MaxInt bins the whole matrix as one
+// virtual row. The ceiling division used to overflow there, leaving a
+// binning with no groups: no bin launched, and the call still succeeded
+// with u untouched.
+func TestHugeUPlanServesItsProduct(t *testing.T) {
+	fw := guardFramework(t)
+	a := matgen.Poisson2D(10)
+	p, err := fw.Plan(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Scheme, p.U, p.MaxBins = "coarse", math.MaxInt, 100
+	blob, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := plan.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := make([]float64, a.Cols)
+	for i := range v {
+		v[i] = 1
+	}
+	want := make([]float64, a.Rows)
+	a.MulVec(v, want)
+	u := make([]float64, a.Rows)
+	for i := range u {
+		u[i] = 12345
+	}
+	if _, err := fw.ExecutePlanOpts(context.Background(), dp, a, v, u, DefaultGuardOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
+		t.Fatalf("u[%d] = %v, want %v", i, u[i], want[i])
+	}
+}
+
+// Every plan Plan and SerialFallbackPlan write decodes, also under a
+// configured bin cap above plan.Validate's max(DefaultMaxBins, NNZ+1): Plan
+// records the bound instead, which bins the matrix identically.
+func TestWrittenPlansMeetMaxBinsBound(t *testing.T) {
+	base := guardFramework(t)
+	cfg := base.Cfg
+	cfg.MaxBins = 5000
+	fw := NewFramework(cfg, base.Model())
+	a := matgen.Poisson2D(10) // 460 non-zeros
+	p, err := fw.Plan(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Scheme != "coarse" || p.MaxBins != a.NNZ()+1 {
+		t.Fatalf("%s plan with MaxBins %d, want coarse with NNZ+1 = %d", p.Scheme, p.MaxBins, a.NNZ()+1)
+	}
+	for _, wp := range []*plan.TuningPlan{p, SerialFallbackPlan(a, plan.Fingerprint(a))} {
+		blob, err := wp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := plan.Decode(blob); err != nil {
+			t.Errorf("written %s plan rejected: %v", wp.Scheme, err)
+		}
+	}
+	b, err := p.Rebin(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binning.Coarse(a, p.U, cfg.MaxBins)
+	if !reflect.DeepEqual(want.Bins[:p.MaxBins], b.Bins) || want.NonEmpty()[len(want.NonEmpty())-1] >= p.MaxBins {
+		t.Fatal("the recorded cap bins the matrix differently from the configured one")
 	}
 }
 

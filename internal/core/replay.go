@@ -32,10 +32,9 @@ type launchCost struct {
 }
 
 // replayScope addresses the memo cells of one plan execution: prefix digests
-// everything the launches of the execution share — the device fingerprint
-// (Workers collapsed to the executor class), the plan's matrix fingerprint,
-// the binning parameters that turn the structure into row sets, and whether
-// counters are collected. A nil scope never replays (no plan, or a plan whose
+// everything the launches of the execution share — the device fingerprint,
+// the plan's matrix fingerprint, the binning parameters that turn the
+// structure into row sets, and whether counters are collected. A nil scope never replays (no plan, or a plan whose
 // binning could not be reconstructed).
 type replayScope struct {
 	memo   *plancache.Memo[launchCost]

@@ -56,11 +56,11 @@ func assertBatchReportsEqual(t *testing.T, label string, want, got *BatchReport)
 }
 
 // TestReplayEqualsSimulate is the replay contract: for every point of the
-// synthesized space, at every launch width, under both device executors and
-// with counters on and off, the 2nd and 3rd executions of a plan on one
-// Framework (replayed) return exactly what the 1st (simulated) did, and
-// what a cold Framework returns — outputs, Stats, Counters, bin reports and
-// profiles (wall time and the Replayed mark excepted).
+// synthesized space, at every launch width and with counters on and off,
+// the 2nd and 3rd executions of a plan on one Framework (replayed) return
+// exactly what the 1st (simulated) did, and what a cold Framework returns —
+// outputs, Stats, Counters, bin reports and profiles (wall time and the
+// Replayed mark excepted).
 func TestReplayEqualsSimulate(t *testing.T) {
 	mats := matgen.Corpus(matgen.CorpusOptions{N: 4, MinRows: 96, MaxRows: 320, Seed: 11})
 	points := kernels.SynthSpace().Infos
@@ -79,51 +79,48 @@ func TestReplayEqualsSimulate(t *testing.T) {
 	for _, cm := range mats {
 		a := cm.A
 		for _, info := range points {
-			for _, devWorkers := range []int{0, 1, 4} {
-				cfg := testConfig()
-				cfg.Device.Workers = devWorkers
-				p := uniformPlan(cfg, a, info.ID)
-				for _, nb := range []int{1, 3, 8} {
-					for _, counters := range []bool{false, true} {
-						label := fmt.Sprintf("%s %s dev-workers=%d B=%d counters=%v", cm.Name, info.Name, devWorkers, nb, counters)
-						opt := DefaultGuardOptions()
-						opt.Counters = counters
-						vs, _, _ := batchTestVectors(a, nb, 3)
-						exec := func(fw *Framework) ([][]float64, *BatchReport) {
-							us := make([][]float64, nb)
-							for b := range us {
-								us[b] = make([]float64, a.Rows)
-							}
-							brep, err := fw.ExecutePlanBatchOpts(ctx, p, a, vs, us, opt)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							return us, brep
+			cfg := testConfig()
+			p := uniformPlan(cfg, a, info.ID)
+			for _, nb := range []int{1, 3, 8} {
+				for _, counters := range []bool{false, true} {
+					label := fmt.Sprintf("%s %s B=%d counters=%v", cm.Name, info.Name, nb, counters)
+					opt := DefaultGuardOptions()
+					opt.Counters = counters
+					vs, _, _ := batchTestVectors(a, nb, 3)
+					exec := func(fw *Framework) ([][]float64, *BatchReport) {
+						us := make([][]float64, nb)
+						for b := range us {
+							us[b] = make([]float64, a.Rows)
 						}
-						fw := NewFramework(cfg, nil)
-						u1, r1 := exec(fw)
-						for _, pr := range r1.Shared.Profiles {
-							if pr.Replayed {
-								t.Fatalf("%s: first execution on a fresh framework replayed bin %d", label, pr.Bin)
-							}
+						brep, err := fw.ExecutePlanBatchOpts(ctx, p, a, vs, us, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
-						for run := 2; run <= 3; run++ {
-							u, r := exec(fw)
-							assertBitsEqual(t, fmt.Sprintf("%s run %d", label, run), u1, u)
-							assertBatchReportsEqual(t, fmt.Sprintf("%s run %d", label, run), r1, r)
-							for _, pr := range r.Shared.Profiles {
-								if !pr.Replayed {
-									t.Fatalf("%s run %d: bin %d simulated again", label, run, pr.Bin)
-								}
-							}
-						}
-						if sim, rep := fw.LaunchCounts(); sim != int64(len(p.Bins)) || rep != 2*sim {
-							t.Fatalf("%s: %d simulated / %d replayed launches, want %d / %d", label, sim, rep, len(p.Bins), 2*len(p.Bins))
-						}
-						uc, rc := exec(NewFramework(cfg, nil))
-						assertBitsEqual(t, label+" cold", u1, uc)
-						assertBatchReportsEqual(t, label+" cold", r1, rc)
+						return us, brep
 					}
+					fw := NewFramework(cfg, nil)
+					u1, r1 := exec(fw)
+					for _, pr := range r1.Shared.Profiles {
+						if pr.Replayed {
+							t.Fatalf("%s: first execution on a fresh framework replayed bin %d", label, pr.Bin)
+						}
+					}
+					for run := 2; run <= 3; run++ {
+						u, r := exec(fw)
+						assertBitsEqual(t, fmt.Sprintf("%s run %d", label, run), u1, u)
+						assertBatchReportsEqual(t, fmt.Sprintf("%s run %d", label, run), r1, r)
+						for _, pr := range r.Shared.Profiles {
+							if !pr.Replayed {
+								t.Fatalf("%s run %d: bin %d simulated again", label, run, pr.Bin)
+							}
+						}
+					}
+					if sim, rep := fw.LaunchCounts(); sim != int64(len(p.Bins)) || rep != 2*sim {
+						t.Fatalf("%s: %d simulated / %d replayed launches, want %d / %d", label, sim, rep, len(p.Bins), 2*len(p.Bins))
+					}
+					uc, rc := exec(NewFramework(cfg, nil))
+					assertBitsEqual(t, label+" cold", u1, uc)
+					assertBatchReportsEqual(t, label+" cold", r1, rc)
 				}
 			}
 		}

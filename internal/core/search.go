@@ -178,14 +178,9 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		res.PerU = append(res.PerU, ul)
 	}
 
-	// Stage 2: evaluate the cells on the worker pool. Inner device launches
-	// are clamped to a sequential executor when the outer pool is parallel —
-	// the fan-out owns the host budget (see sequentialDevice).
+	// Stage 2: evaluate the cells on the worker pool.
 	workers := resolveWorkers(cfg.Workers)
 	dev := cfg.Device
-	if workers > 1 {
-		dev = sequentialDevice(dev)
-	}
 	// The shared-computation layer (searchcost.go): replay cached cells and
 	// skip kernels whose certified lower bound cannot win. Nil = legacy path.
 	cl := newCostLayer(cfg, dev, a, sp)

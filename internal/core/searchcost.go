@@ -54,13 +54,12 @@ type costLayer struct {
 }
 
 // newCostLayer builds the shared layer for one search, or returns nil when
-// the config disables both the cache and the pruner. dev must be the device
-// the search will actually launch on (after any worker clamping); its
-// fingerprint collapses Workers to the executor class, so every worker
-// count shares one key space. sp is the kernel space the search enumerates:
-// its parameter fingerprint is part of every cell key, so entries from
-// spaces differing in any point — even one kernel's LDS tiling — can never
-// collide (a cached cell stores one KernelTimes vector per space layout).
+// the config disables both the cache and the pruner. dev is the device the
+// search launches on; its fingerprint heads every cell key. sp is the
+// kernel space the search enumerates: its parameter fingerprint is part of
+// every cell key, so entries from spaces differing in any point — even one
+// kernel's LDS tiling — can never collide (a cached cell stores one
+// KernelTimes vector per space layout).
 func newCostLayer(cfg Config, dev hsa.Config, a *sparse.CSR, sp *kernels.Space) *costLayer {
 	cache := cfg.SearchCache
 	if cache == nil {
@@ -107,9 +106,8 @@ type cellGeom struct {
 // single pass. The key digests the device fingerprint, the matrix structure
 // fingerprint, and the bin's coalesced [start, end) row ranges — everything
 // the simulated cost of a launch depends on. Group partition boundaries are
-// deliberately excluded: kernels consume rows through a flat row iterator
-// (and the sharded executor re-splits by work-group size), so two binnings
-// covering the same rows in the same order cost the same.
+// deliberately excluded: kernels consume rows through a flat row iterator,
+// so two binnings covering the same rows in the same order cost the same.
 func (cl *costLayer) cell(groups []binning.Group) (plancache.CostKey, cellGeom) {
 	h := sha256.New()
 	h.Write(cl.prefix)
@@ -163,9 +161,8 @@ func segRange(lo, hi, elem, segBytes int64, prev *int64) int64 {
 
 // lowerBound returns a certified lower bound, in seconds, on simulating one
 // kernel over a cell with geometry g: the simulator's Stats.Seconds is
-// always >= the returned value, in both the legacy and the sharded
-// executor. Three bounds are combined (DESIGN.md §10 derives each from the
-// simulator's charging rules):
+// always >= the returned value. Three bounds are combined (DESIGN.md §10
+// derives each from the simulator's charging rules):
 //
 //   - additive CU bound: every work-group charges its dispatch overhead to
 //     a compute unit, and every mandatory segment transaction costs at

@@ -56,34 +56,13 @@ type Config struct {
 	// cheaper than a host-synchronized launch, and the mechanism that lets
 	// per-bin kernels run back-to-back.
 	QueueDispatchCycles float64
-
-	// Workers selects the host-side execution mode of kernel launches that
-	// go through the parallel ND-range executor (RunSharded and the core
-	// simulate entry points):
-	//
-	//   - 0 (the default) keeps the legacy single-accountant path: every
-	//     work-group of a launch runs sequentially on one goroutine against
-	//     one shared cache-tag array, exactly as before this knob existed;
-	//   - >= 1 opts into the sharded executor: the ND-range is split into
-	//     Shards() deterministic shards (each with its own cache tags,
-	//     counter block and per-CU cycle accumulators) and at most Workers
-	//     host goroutines execute them, with 1 meaning a plain sequential
-	//     loop over the shards.
-	//
-	// The shard count is a function of the device alone — never of Workers
-	// — and shard results merge in fixed shard order, so every Workers >= 1
-	// value produces byte-identical results, Stats and Counters. Workers
-	// only decides how much host hardware the simulation may use.
-	Workers int
 }
 
 // Fingerprint digests every field of the config that the cost model reads,
 // for content-addressed caching of simulated results. Two configs with equal
-// fingerprints produce identical Stats for any launch. Workers is collapsed
-// to its executor class (0 = legacy single-accountant, 1 = sharded): the two
-// classes model the cache differently and so must not share cached costs,
-// while within the sharded class every Workers value is byte-identical by
-// contract. Name is cosmetic and excluded.
+// fingerprints produce identical Stats for any launch. Name is cosmetic and
+// excluded. The trailing zero word keeps the digest, and with it every
+// cost-cache and replay-memo key, equal to that of earlier builds.
 func (c Config) Fingerprint() uint64 {
 	h := uint64(14695981039346656037) // FNV-1a
 	mix := func(v uint64) {
@@ -111,19 +90,9 @@ func (c Config) Fingerprint() uint64 {
 	mixF(c.WGLaunchCycles)
 	mixF(c.KernelLaunchCycles)
 	mixF(c.QueueDispatchCycles)
-	if c.Workers >= 1 {
-		mix(1)
-	} else {
-		mix(0)
-	}
+	mix(0)
 	return h
 }
-
-// Shards returns the deterministic shard count of the parallel ND-range
-// executor for this device: one shard per modeled compute unit. Keeping the
-// count a pure function of the device (independent of Config.Workers and of
-// the host) is what makes sharded results worker-count-invariant.
-func (c Config) Shards() int { return c.NumCUs }
 
 // DefaultConfig models the paper's platform: an AMD A10-7850K Kaveri APU
 // GPU — 8 GCN compute units at 720 MHz, 4 SIMD pipes per CU, 64-lane

@@ -62,48 +62,11 @@ func (s Stats) String() string {
 // ExecCycles, Seconds) add, as do all activity counts. This is the right
 // merge for per-bin launches dispatched one after another (Figure 4 step 3)
 // — even when the host simulates those launches concurrently, the modeled
-// device still runs them in sequence. For launches that overlap on the
-// device use Merge.
+// device still runs them in sequence.
 func (s *Stats) Add(o Stats) {
 	s.Cycles += o.Cycles
 	s.ExecCycles += o.ExecCycles
 	s.Seconds += o.Seconds
-	s.CyclesALU += o.CyclesALU
-	s.CyclesLDS += o.CyclesLDS
-	s.CyclesMem += o.CyclesMem
-	s.CyclesBarrier += o.CyclesBarrier
-	s.ALUOps += o.ALUOps
-	s.LDSOps += o.LDSOps
-	s.Barriers += o.Barriers
-	s.Transactions += o.Transactions
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.DRAMBytes += o.DRAMBytes
-	s.WorkGroups += o.WorkGroups
-	s.Wavefronts += o.Wavefronts
-	if o.Vectors > s.Vectors {
-		s.Vectors = o.Vectors
-	}
-}
-
-// Merge accumulates another launch's stats under *parallel* composition:
-// the launches overlap on the device, so the combined makespan is the
-// maximum of the two (Cycles, ExecCycles, Seconds take the max), while all
-// activity counts — instruction counts, transactions, DRAM bytes, issue
-// cycle breakdowns — still add, since every instruction was really issued.
-// This is the merge for shard results of one parallel ND-range execution
-// and for any workload whose launches genuinely run concurrently; using Add
-// there would double-count the wall the device actually spent.
-func (s *Stats) Merge(o Stats) {
-	if o.Cycles > s.Cycles {
-		s.Cycles = o.Cycles
-	}
-	if o.ExecCycles > s.ExecCycles {
-		s.ExecCycles = o.ExecCycles
-	}
-	if o.Seconds > s.Seconds {
-		s.Seconds = o.Seconds
-	}
 	s.CyclesALU += o.CyclesALU
 	s.CyclesLDS += o.CyclesLDS
 	s.CyclesMem += o.CyclesMem

@@ -285,14 +285,6 @@ func (it *rowIter) take(dst []int32) []int32 {
 	return dst
 }
 
-func countRows(groups []binning.Group) int {
-	n := 0
-	for _, g := range groups {
-		n += int(g.Count)
-	}
-	return n
-}
-
 // log2ceil returns ceil(log2(n)) for n >= 1.
 func log2ceil(n int) int {
 	s := 0

@@ -269,3 +269,25 @@ func TestLog2Ceil(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsPerWG checks the per-kernel work-group packing the search's
+// certified lower bound counts work-groups with.
+func TestRowsPerWG(t *testing.T) {
+	cfg := hsa.DefaultConfig()
+	if got := (Kernel{P: KernelParams{TPR: 1}}).RowsPerWG(cfg); got != cfg.MaxWorkGroupSize {
+		t.Errorf("Serial: %d rows/WG, want %d", got, cfg.MaxWorkGroupSize)
+	}
+	if got := (Kernel{P: KernelParams{TPR: 4}}).RowsPerWG(cfg); got != cfg.MaxWorkGroupSize/4 {
+		t.Errorf("Subvector4: %d rows/WG, want %d", got, cfg.MaxWorkGroupSize/4)
+	}
+	if got := VectorKernel().RowsPerWG(cfg); got != 1 {
+		t.Errorf("Vector: %d rows/WG, want 1", got)
+	}
+	// Every kernel must report a positive packing, hostile params included.
+	infos := append(append([]Info{}, SynthSpace().Infos...), Info{Name: "hostile", Kernel: Kernel{P: KernelParams{TPR: 1 << 20, RowsPerWG: -3}}})
+	for _, info := range infos {
+		if got := info.Kernel.RowsPerWG(cfg); got < 1 {
+			t.Errorf("kernel %s: RowsPerWG = %d", info.Name, got)
+		}
+	}
+}

@@ -85,10 +85,7 @@ func (k Kernel) geom(cfg hsa.Config) geom {
 }
 
 // RowsPerWG returns how many rows the kernel packs into one work-group on
-// the device. The parallel ND-range executor aligns shard boundaries to
-// this packing so every shard dispatches exactly the work-groups the
-// unsharded launch would — same wavefront shapes, same instruction counts,
-// same divergence.
+// the device.
 func (k Kernel) RowsPerWG(cfg hsa.Config) int { return k.geom(cfg).rowsPerWG }
 
 // PipeFloor returns a certified lower bound, in device cycles, on the
@@ -96,11 +93,11 @@ func (k Kernel) RowsPerWG(cfg hsa.Config) int { return k.geom(cfg).rowsPerWG }
 // right-hand sides (values below 1 count as 1) covering rows whose longest
 // row has maxRowLen stored non-zeros. Soundness contract: the simulated
 // makespan of the launch (excluding kernel-launch overhead) is always >=
-// the returned value, in both the legacy and the sharded executor. The
-// bound sums only what the walker charges unconditionally on the wavefront
-// covering the longest row — the divergence floor the paper's kernel
-// trade-off hinges on — which lets the tuning search skip simulating
-// kernels that cannot possibly win a bin (see core's lower-bound pruning).
+// the returned value. The bound sums only what the walker charges
+// unconditionally on the wavefront covering the longest row — the
+// divergence floor the paper's kernel trade-off hinges on — which lets the
+// tuning search skip simulating kernels that cannot possibly win a bin (see
+// core's lower-bound pruning).
 func (k Kernel) PipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 	if maxRowLen <= 0 {
 		return 0

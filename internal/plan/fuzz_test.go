@@ -23,6 +23,7 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Add([]byte(`{"version":2,"space":"synth","scheme":"single","bins":[{"bin":0,"kernel":9,"params":{"tpr":2,"reduction":"warp"}}]}`))
 	f.Add([]byte(`{"version":2,"space":"synth","scheme":"single","bins":[{"bin":0,"kernel":9,"params":{"tpr":1048576,"reduction":"tree"}}]}`))
 	f.Add([]byte(`{"version":2,"space":"synth","scheme":"single","bins":[{"bin":0,"kernel":0,"params":{"tpr":64,"ldsFactor":8,"reduction":"seq"}}]}`))
+	f.Add([]byte(`{"scheme":"coarse","u":10,"maxBins":1099511627776,"rows":100,"cols":100,"nnz":460,"bins":[{"bin":0,"kernel":0}]}`))
 	f.Add([]byte(`{"version":99}`))
 	f.Add([]byte(`{"space":"synth"}`))
 	f.Add([]byte(`{`))

@@ -126,7 +126,10 @@ type TuningPlan struct {
 	Features     []float64 `json:"features,omitempty"`
 
 	// The decision: binning granularity, bin-count cap, binning scheme
-	// ("coarse" or "single") and the per-bin kernel assignments.
+	// ("coarse" or "single") and the per-bin kernel assignments. A coarse
+	// plan's MaxBins is at most max(binning.DefaultMaxBins, NNZ+1): a coarse
+	// bin ID never exceeds NNZ/U, so no larger cap changes the binning, and
+	// Validate rejects one because Rebin allocates per bin.
 	U       int             `json:"u"`
 	MaxBins int             `json:"maxBins"`
 	Scheme  string          `json:"scheme"`
@@ -224,6 +227,10 @@ func (p *TuningPlan) Validate() error {
 	if p.Scheme == "coarse" && (p.U < 1 || p.MaxBins < 1) {
 		return errdefs.Invalidf("plan: coarse scheme needs U>=1 and MaxBins>=1, got U=%d MaxBins=%d", p.U, p.MaxBins)
 	}
+	// MaxBins-1 > NNZ is MaxBins > NNZ+1 without overflowing a huge NNZ.
+	if p.Scheme == "coarse" && p.MaxBins > binning.DefaultMaxBins && p.MaxBins-1 > p.NNZ {
+		return errdefs.Invalidf("plan: MaxBins %d above max(%d, NNZ+1) for NNZ=%d", p.MaxBins, binning.DefaultMaxBins, p.NNZ)
+	}
 	seen := make(map[int]bool, len(p.Bins))
 	for _, b := range p.Bins {
 		if b.Bin < 0 {
@@ -271,9 +278,9 @@ func (p *TuningPlan) CheckMatrix(a *sparse.CSR) error {
 
 // Rebin reconstructs the binning layout on the target matrix. Binning is a
 // deterministic function of (structure, scheme, U, MaxBins), so the plan
-// stores only the parameters; the reconstruction is verified against the
-// recorded per-bin row counts and kernel coverage so a stale or corrupted
-// plan surfaces as a typed error instead of a wrong result.
+// stores only the parameters; the reconstruction is verified to give every
+// non-empty bin a kernel, so a stale or corrupted plan surfaces as a typed
+// error instead of a wrong result.
 func (p *TuningPlan) Rebin(a *sparse.CSR) (*binning.Binning, error) {
 	var b *binning.Binning
 	switch p.Scheme {

@@ -107,6 +107,7 @@ func TestDecodeRejectsMalformedPlans(t *testing.T) {
 		"dup bin":        `{"scheme":"coarse","u":10,"maxBins":10,"bins":[{"bin":1,"kernel":0},{"bin":1,"kernel":0}]}`,
 		"bad kernel":     `{"scheme":"coarse","u":10,"maxBins":10,"bins":[{"bin":1,"kernel":99}]}`,
 		"bin over cap":   `{"scheme":"coarse","u":10,"maxBins":10,"bins":[{"bin":10,"kernel":0}]}`,
+		"huge maxBins":   `{"scheme":"coarse","u":10,"maxBins":1099511627776,"rows":100,"cols":100,"nnz":460}`,
 	}
 	for name, blob := range cases {
 		if _, err := Decode([]byte(blob)); err == nil {

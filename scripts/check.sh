@@ -6,9 +6,9 @@
 # (SpMV and solver sessions) and the request scanner's number path (against
 # its reference), the decimal conversion both decoders share (against
 # strconv), the request scanner's and the upload reader's allocation
-# gates, the simulator's bit-identity (golden digests, both gathers against
-# their references, the search's accounting-only launch against the full
-# one), output verification against its reference, the error-response
+# gates, the simulator's bit-identity (golden digests, the device
+# fingerprint golden, both gathers against their references, the search's
+# accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
 # fused validating reference against Validate, by test and fuzz smoke; the
 # execution-error golden; DotRows against its pre-change copy; replayed bins
@@ -64,13 +64,15 @@ go test -race -count=3 -run 'Replay' ./internal/core
 
 # The simulator's host cost may change, its modeled behaviour may not: the
 # two golden digests pin every stat, counter and output bit (they skip
-# themselves under -race, so the run above never executes them). The
-# differential tests hold Gather to the quadratic reference dedup, the run
-# gather to Gather over the expanded lanes, and the tuning search's
-# accounting-only launch (Kernel.Account) to Kernel.Run's stats and counters.
-echo "== simulator bit-identity (golden digests + gather and accounting references)"
+# themselves under -race, so the run above never executes them), and the
+# device fingerprint golden pins the key of every cached cost and replayed
+# launch. The differential tests hold Gather to the quadratic reference
+# dedup, the run gather to Gather over the expanded lanes, and the tuning
+# search's accounting-only launch (Kernel.Account) to Kernel.Run's stats and
+# counters.
+echo "== simulator bit-identity (golden digests + device fingerprint + gather and accounting references)"
 go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices|TestAccountMatchesRun' ./internal/kernels
-go test -count=1 -run 'TestGatherMatchesReference|TestGatherRunsMatchesLaneGather' ./internal/hsa
+go test -count=1 -run 'TestGatherMatchesReference|TestGatherRunsMatchesLaneGather|TestDeviceFingerprintGolden' ./internal/hsa
 
 # The tuner's modeled scoreboard: every case's cycles, seconds and counters,
 # the legacy/pool/synth search counts and the fused batch numbers, pinned
