@@ -159,10 +159,10 @@ func TestBatchLaunchZeroAlloc(t *testing.T) {
 		for _, info := range kernels.Pool() {
 			k := info.Kernel
 			for i := 0; i < 3; i++ { // warm the pools
-				launchKernel(context.Background(), dev, a, vs, us, k, kernels.Kernel.Run, groups, nil, false)
+				launchKernel(context.Background(), dev, a, vs, us, k, kernels.Kernel.Run, groups, nil, false, 0)
 			}
 			if n := testing.AllocsPerRun(10, func() {
-				launchKernel(context.Background(), dev, a, vs, us, k, kernels.Kernel.Run, groups, nil, false)
+				launchKernel(context.Background(), dev, a, vs, us, k, kernels.Kernel.Run, groups, nil, false, 0)
 			}); n != 0 {
 				t.Errorf("%s B=%d: launch allocates %v/op in steady state, want 0", info.Name, nb, n)
 			}

@@ -65,10 +65,10 @@ type Config struct {
 	SearchCache        *plancache.CostCache
 	DisableSearchCache bool
 
-	// DisableSearchPrune turns off the analytic lower-bound pruning that
-	// skips simulating kernels which provably cannot win their bin. Pruning
-	// never changes labels (the bound is certified against the simulator's
-	// cost model); the knob exists for equivalence testing and diagnostics.
+	// DisableSearchPrune turns off the pruning that skips or cuts short
+	// kernels which provably cannot win their bin, and cached cells holding
+	// such bounds then miss. Pruning never changes labels (the bounds are
+	// certified against the simulator); the knob is for equivalence tests.
 	DisableSearchPrune bool
 
 	// Vectors is the number of dense right-hand sides the tuning search
@@ -129,14 +129,14 @@ func SimulateKernel(dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Ker
 // matching errdefs.ErrCanceled (u is then partially written). Other kernel
 // panics propagate; Framework.ExecutePlanOpts is the contained path.
 func SimulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, k kernels.Kernel, groups []binning.Group) (hsa.Stats, error) {
-	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, kernels.Kernel.Run, groups)
+	return simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, k, kernels.Kernel.Run, groups, 0)
 }
 
-// simulateKernelCtx is SimulateKernelCtx at any launch width and with any
-// walk: under kernels.Kernel.Run, us[b] receives A times vs[b] for every b
-// (see launchKernel).
+// simulateKernelCtx is SimulateKernelCtx at any launch width, with any walk
+// and cutoff: under kernels.Kernel.Run, us[b] receives A times vs[b] for
+// every b (see launchKernel).
 func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, walk walk, groups []binning.Group) (st hsa.Stats, err error) {
+	k kernels.Kernel, walk walk, groups []binning.Group, cutoff float64) (st hsa.Stats, err error) {
 
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -147,7 +147,7 @@ func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, u
 			panic(rec)
 		}
 	}()
-	st, _ = launchKernel(ctx, dev, a, vs, us, k, walk, groups, nil, false)
+	st, _ = launchKernel(ctx, dev, a, vs, us, k, walk, groups, nil, false, cutoff)
 	return st, nil
 }
 

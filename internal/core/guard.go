@@ -565,7 +565,7 @@ func (fw *Framework) binAttempt(ctx context.Context, a *sparse.CSR, vs, us, want
 		}
 	}
 	fw.simulated.Add(1)
-	st, ctr = launchKernel(ctx, fw.Cfg.Device, a, vs, us, k.Kernel, kernels.Kernel.Run, groups, fs, collect)
+	st, ctr = launchKernel(ctx, fw.Cfg.Device, a, vs, us, k.Kernel, kernels.Kernel.Run, groups, fs, collect, 0)
 	if memoize {
 		c := launchCost{stats: st}
 		if ctr != nil {

@@ -24,11 +24,13 @@ type walk = func(kernels.Kernel, *hsa.Run, *kernels.Input, []binning.Group)
 // panics on the calling goroutine; callers that need containment wrap this
 // in a recover (see Framework.binAttempt and simulateKernelCtx). With
 // collect set the launch gathers device performance counters, returned
-// alongside the stats (nil otherwise).
+// alongside the stats (nil otherwise). A launch with a cutoff above 0 stops
+// exactly when its returned Seconds exceeds it (hsa.Run.SetCutoff).
 func launchKernel(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, us [][]float64,
-	k kernels.Kernel, walk walk, groups []binning.Group, fs *hsa.FaultState, collect bool) (hsa.Stats, *hsa.Counters) {
+	k kernels.Kernel, walk walk, groups []binning.Group, fs *hsa.FaultState, collect bool, cutoff float64) (hsa.Stats, *hsa.Counters) {
 
 	run := hsa.AcquireRun(dev)
+	run.SetCutoff(cutoff)
 	if ctx != nil {
 		run.SetContext(ctx)
 	}

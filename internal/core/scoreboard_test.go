@@ -97,7 +97,7 @@ var modeledScoreboardGolden = scoreboard{
 		{Name: "blockfem-0008", Family: "blockfem", Rows: 944, Cols: 944, NNZ: 73905, U: 1000, Bins: 1, Cycles: 31180, Seconds: 4.330555555555556e-05, ActiveLaneRatio: 0.7824332389518099, LoadImbalance: 1.2002830856334041, MemInstrs: 4503, LDSReads: 1140, LDSWrites: 2660, LDSBankConflicts: 1520, BarrierWaits: 760, Degraded: false},
 		{Name: "road-0009", Family: "road", Rows: 1922, Cols: 1922, NNZ: 4539, U: 1000, Bins: 1, Cycles: 4060, Seconds: 5.638888888888889e-06, ActiveLaneRatio: 0.5484194810543658, LoadImbalance: 1.1062057476051645, MemInstrs: 607, LDSReads: 183, LDSWrites: 427, LDSBankConflicts: 244, BarrierWaits: 122, Degraded: false},
 	},
-	Search: scoreSearch{LegacySims: 4059, PoolHits: 111, PoolMisses: 340, PoolPruned: 356, PoolSims: 2704, SynthHits: 111, SynthMisses: 340, SynthPruned: 1626, SynthSims: 10614, PoolGeoSeconds: 1.4071723465565624e-05, SynthGeoSeconds: 1.350180487095182e-05, CycleRatio: 0.9594990197179166, SynthWins: 4},
+	Search: scoreSearch{LegacySims: 4059, PoolHits: 111, PoolMisses: 340, PoolPruned: 2027, PoolSims: 1033, SynthHits: 111, SynthMisses: 340, SynthPruned: 8358, SynthSims: 3882, PoolGeoSeconds: 1.4071723465565624e-05, SynthGeoSeconds: 1.350180487095182e-05, CycleRatio: 0.9594990197179166, SynthWins: 4},
 	Batch:  scoreBatch{Vectors: 8, UnbatchedCycles: 1.428928e+06, BatchedCycles: 414652, Identical: true, Isolated: 0},
 }
 

@@ -26,10 +26,12 @@ type BinLabel struct {
 	Seconds     float64   // best kernel's simulated time
 	KernelTimes []float64 // simulated seconds per kernel ID (space order)
 
-	// Pruned marks kernels the search skipped because their certified
-	// analytic lower bound already exceeded the bin's tie window; for those
-	// entries KernelTimes holds that lower bound instead of a simulated
-	// time. Nil when every kernel was simulated (or replayed from cache).
+	// Pruned marks kernels the search proved cannot win the bin: their
+	// certified analytic lower bound already exceeded the bin's tie window,
+	// or their launch was cut short once its partial cost did. For those
+	// entries KernelTimes holds that lower bound (the analytic one, or the
+	// partial launch's Seconds) instead of a full simulated time. Nil when
+	// every kernel was simulated in full (or replayed from cache).
 	// Pruning never changes KernelID or Seconds — the equivalence tests hold
 	// every search to that with CheckSearchEquivalence (search_equiv_test.go).
 	Pruned []bool
@@ -136,14 +138,6 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		return SearchResult{}, err
 	}
 	list := sp.Infos
-	// The synthesized space simulates candidates in ascending-lower-bound
-	// order (a pure function of device, structure and bin, so the
-	// trajectory is deterministic at every worker count): the likely winner
-	// runs first, which maximizes how many of the remaining points the
-	// certified bound can prune. The pool space keeps the fixed ID-order
-	// walk so its cache contents and pruned sets stay byte-identical to the
-	// pre-synthesis search.
-	boundOrdered := sp.Size() > len(kernels.Pool())
 	v := make([]float64, a.Cols)
 	for i := range v {
 		v[i] = 1
@@ -207,7 +201,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 				if claims.claim(key) {
 					defer claims.release(key)
 				}
-				if mask, ok := cl.cache.Get(key, bl.KernelTimes); ok {
+				if mask, ok := cl.cache.Get(key, bl.KernelTimes, cl.prune); ok {
 					finishBinLabel(bl, mask)
 					return
 				}
@@ -215,30 +209,36 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		}
 		var mask uint64
 		order := list
-		if boundOrdered && cl != nil && cl.prune {
-			order = cl.boundOrder(list, geom)
+		if cl != nil && cl.prune {
+			order = evalOrder(list, geom)
 		}
 		best := math.Inf(1) // best simulated time so far, in evaluation order
 		for _, info := range order {
+			// A kernel provably outside the tie window of a faster simulated
+			// kernel can neither win the bin nor be picked by the tie-break:
+			// skip it when its certified floor is, else cut its launch short
+			// once its partial cost is. The slot then holds that lower bound.
+			// Order, bounds and cutoffs are pure functions of the cell.
+			cutoff := 0.0
 			if cl != nil && cl.prune {
-				// A kernel whose certified floor is already outside the tie
-				// window of a faster simulated kernel can neither win the bin
-				// nor be picked by the canonical tie-break: skip it and record
-				// the bound. The trajectory is deterministic — fixed ID order,
-				// bounds that are pure functions of (device, structure, bin).
-				if lb := cl.lowerBound(info, geom); lb > best*(1+tieEpsilon) {
+				cutoff = best * (1 + tieEpsilon) // +Inf until a kernel ran
+				if lb := cl.lowerBound(info, geom); lb > cutoff {
 					bl.KernelTimes[info.ID] = lb
 					mask |= 1 << info.ID
 					continue
 				}
 			}
-			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, kernels.Kernel.Account, t.groups)
+			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, kernels.Kernel.Account, t.groups, cutoff)
 			if err != nil {
 				errs[i] = err
 				stop.Store(true)
 				return
 			}
 			bl.KernelTimes[info.ID] = st.Seconds
+			if cutoff > 0 && st.Seconds > cutoff { // the launch stopped
+				mask |= 1 << info.ID
+				continue
+			}
 			if st.Seconds < best {
 				best = st.Seconds
 			}
@@ -280,7 +280,7 @@ func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, er
 		}
 	}
 
-	if boundOrdered {
+	if sp.Size() > len(kernels.Pool()) {
 		// The extra dimensions of the synthesized space: count how many
 		// best-U bins a non-pool point won (the headline the /metrics
 		// family spmvd_search_synth_wins_total aggregates), and evaluate

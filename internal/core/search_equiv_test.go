@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 
+	"spmvtune/internal/binning"
+	"spmvtune/internal/hsa"
+	"spmvtune/internal/kernels"
 	"spmvtune/internal/matgen"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
@@ -108,6 +111,116 @@ func TestSearchDefaultsMatchLegacy(t *testing.T) {
 	tuned := Search(DefaultConfig(), a)
 	if err := CheckSearchEquivalence(legacy, tuned); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPruneOffSearchIgnoresCachedBounds fills a private cost cache with a
+// pruning search, whose entries hold lower bounds for pruned and cut-short
+// kernels, then searches the same matrix with pruning off on that cache:
+// every KernelTimes entry must be a full simulated time, so the result must
+// equal the legacy path's exactly.
+func TestPruneOffSearchIgnoresCachedBounds(t *testing.T) {
+	for name, a := range equivCorpus() {
+		t.Run(name, func(t *testing.T) {
+			legacyCfg := DefaultConfig()
+			legacyCfg.DisableSearchCache = true
+			legacyCfg.DisableSearchPrune = true
+			legacy := Search(legacyCfg, a)
+
+			cfg := DefaultConfig()
+			cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+			if err := CheckSearchEquivalence(legacy, Search(cfg, a)); err != nil {
+				t.Fatalf("pruning search: %v", err)
+			}
+			cfg.DisableSearchPrune = true
+			if got := Search(cfg, a); !reflect.DeepEqual(legacy, got) {
+				t.Fatal("prune-off search on a pruning search's cache differs from legacy")
+			}
+		})
+	}
+}
+
+// TestLaunchCutoffSound holds the search's in-launch cutoff to its
+// contract on every pool and synthesized point over the cells the search
+// labels on equivCorpus, on two devices at widths 1 and 8: a stopped launch
+// reports Seconds above its cutoff and at most the uncut launch's, a launch
+// that is not stopped charges exactly the uncut launch's Stats, and a zero
+// cutoff is no cutoff at all, counters included.
+func TestLaunchCutoffSound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine and deterministic: the race detector finds nothing here")
+	}
+	type launch struct {
+		st      hsa.Stats
+		ctr     hsa.Counters
+		stopped bool
+	}
+	// account launches k over groups, arming the cutoff when arm is set.
+	account := func(dev hsa.Config, k kernels.Kernel, a *sparse.CSR, vs, us [][]float64, groups []binning.Group, arm bool, cutoff float64) launch {
+		run := hsa.AcquireRun(dev)
+		defer run.Release()
+		run.EnableCounters()
+		if arm {
+			run.SetCutoff(cutoff)
+		}
+		in := kernels.AcquireBatchInput(run, a, vs, us)
+		defer in.Release()
+		k.Account(run, in, groups)
+		ctr, _ := run.Counters()
+		return launch{run.Stats(), ctr, run.Stopped()}
+	}
+	for name, a := range equivCorpus() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			stops := 0
+			// The search's cells, one per cost key: cells covering the same rows
+			// launch the same work-groups.
+			var cells [][]binning.Group
+			seen := map[plancache.CostKey]bool{}
+			cl := newCostLayer(DefaultConfig(), hsa.DefaultConfig(), a, kernels.SynthSpace())
+			for _, u := range binning.Granularities() {
+				b := binning.Coarse(a, u, binning.DefaultMaxBins)
+				for _, id := range b.NonEmpty() {
+					if k, _ := cl.cell(b.Bins[id]); !seen[k] {
+						seen[k] = true
+						cells = append(cells, b.Bins[id])
+					}
+				}
+			}
+			for di, dev := range []hsa.Config{hsa.DefaultConfig(), hsa.SmallConfig()} {
+				for _, nb := range []int{1, 8} {
+					vs, us := make([][]float64, nb), make([][]float64, nb)
+					for i := range vs {
+						vs[i], us[i] = make([]float64, a.Cols), make([]float64, a.Rows)
+					}
+					for ci, groups := range cells {
+						for _, info := range kernels.SynthSpace().Infos {
+							none := account(dev, info.Kernel, a, vs, us, groups, false, 0)
+							where := fmt.Sprintf("device %d cell %d B=%d %s", di, ci, nb, info.Name)
+							if zero := account(dev, info.Kernel, a, vs, us, groups, true, 0); zero != none {
+								t.Fatalf("%s: cutoff 0 differs from no cutoff", where)
+							}
+							for _, f := range []float64{0.5, 0.9, 1.0, 1.1} {
+								cutoff := f * none.st.Seconds
+								got := account(dev, info.Kernel, a, vs, us, groups, true, cutoff)
+								switch {
+								case got.stopped && !(got.st.Seconds > cutoff && got.st.Seconds <= none.st.Seconds):
+									t.Fatalf("%s cutoff %gx: stopped at %v s, want in (%v, %v]", where, f, got.st.Seconds, cutoff, none.st.Seconds)
+								case !got.stopped && got.st != none.st:
+									t.Fatalf("%s cutoff %gx: launch not stopped but stats %+v, uncut %+v", where, f, got.st, none.st)
+								}
+								if got.stopped {
+									stops++
+								}
+							}
+						}
+					}
+				}
+			}
+			if stops == 0 {
+				t.Fatal("no launch stopped (test is vacuous)")
+			}
+		})
 	}
 }
 

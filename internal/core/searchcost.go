@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/hsa"
@@ -15,8 +17,9 @@ import (
 
 // This file is the shared-computation layer under the exhaustive search:
 // a content-addressed cost cache that replays previously simulated
-// (device, matrix-structure, row-range) cells, and an analytic lower-bound
-// pruner that skips simulating kernels which provably cannot win their bin.
+// (device, matrix-structure, row-range) cells, and a pruner that skips
+// simulating (by an analytic lower bound) or cuts short (by a cutoff on the
+// launch's partial cost) kernels which provably cannot win their bin.
 // Both preserve byte-identical search labels — the cache stores simulator
 // outputs keyed by everything the cost model reads, and the pruning bound
 // is certified against the simulator's charging rules (see DESIGN.md §10).
@@ -93,11 +96,12 @@ func newCostLayer(cfg Config, dev hsa.Config, a *sparse.CSR, sp *kernels.Space) 
 	return cl
 }
 
-// cellGeom is the geometry of one (U, bin) cell that the lower bounds read:
-// row count, longest row, and the certified floor on distinct cache
-// segments the kernels must touch.
+// cellGeom is the geometry of one (U, bin) cell that the lower bounds and
+// the evaluation order read: row count, nonzero count, longest row, and the
+// certified floor on distinct cache segments the kernels must touch.
 type cellGeom struct {
 	rows   int
+	nnz    int64
 	maxLen int
 	segs   int64
 }
@@ -131,6 +135,7 @@ func (cl *costLayer) cell(groups []binning.Group) (plancache.CostKey, cellGeom) 
 			}
 		}
 		lo, hi := cl.a.RowPtr[start], cl.a.RowPtr[end]
+		g.nnz += hi - lo
 		if hi > lo {
 			g.segs += segRange(lo, hi, 8, segBytes, &prev8) // val (float64)
 			g.segs += segRange(lo, hi, 4, segBytes, &prev4) // colidx (int32)
@@ -192,25 +197,22 @@ func (cl *costLayer) lowerBound(info kernels.Info, g cellGeom) float64 {
 	return (lb + d.KernelLaunchCycles) / d.ClockHz
 }
 
-// boundOrder returns the space's kernels sorted by ascending certified
-// lower bound for the cell (ties broken by ID). Bounds are pure functions
-// of (device, structure, bin geometry), so the order — and with it the
-// pruning trajectory — is deterministic at every worker count. Simulating
-// the lowest-bound candidate first makes the best-so-far time tight
-// early, which is what lets the prune discard most of a large space.
-func (cl *costLayer) boundOrder(list []kernels.Info, g cellGeom) []kernels.Info {
-	type cand struct {
-		lb   float64
-		info kernels.Info
+// evalOrder returns the space's kernels in the order a pruning search
+// simulates them on a cell: by the distance |log2 TPR - floor(log2 mean row
+// length)| between a kernel's threads per row and the cell's rows, ties by
+// ID. The winning kernel follows row length (the paper's Figure 2), so the
+// likely winner runs first and the tie window is tight before the costly
+// mismatches run. It is integer arithmetic, a pure function of the cell on
+// every platform.
+func evalOrder(list []kernels.Info, g cellGeom) []kernels.Info {
+	logLen := bits.Len64(uint64(g.nnz/int64(g.rows))) - 1
+	dist := func(info kernels.Info) int {
+		d := bits.Len(uint(info.Kernel.P.TPR)) - 1 - logLen
+		return max(d, -d)
 	}
-	cands := make([]cand, len(list))
-	for i, info := range list {
-		cands[i] = cand{lb: cl.lowerBound(info, g), info: info}
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].lb < cands[j].lb })
-	out := make([]kernels.Info, len(list))
-	for i, c := range cands {
-		out[i] = c.info
-	}
+	out := slices.Clone(list)
+	slices.SortFunc(out, func(x, y kernels.Info) int {
+		return cmp.Or(cmp.Compare(dist(x), dist(y)), cmp.Compare(x.ID, y.ID))
+	})
 	return out
 }

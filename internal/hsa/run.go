@@ -127,6 +127,11 @@ type Run struct {
 	// expired launch aborts instead of running to completion.
 	fault *FaultState
 	ctx   context.Context
+
+	// cutoff (seconds, 0 = none) stops the launch once its partial Seconds
+	// exceeds it; maxCU is the running most loaded CU that check reads.
+	cutoff, maxCU float64
+	stopped       bool
 }
 
 // InjectFaults arms the given fault state on this launch. A fault firing
@@ -148,6 +153,15 @@ func (r *Run) SetVectors(b int) {
 		r.stats.Vectors = b
 	}
 }
+
+// SetCutoff arms a cutoff in seconds (0 = none) before the first work-group:
+// once the partial Seconds exceeds it after a work-group, the run is Stopped.
+// Stats' inputs only grow, so that value bounds the full launch's from below.
+func (r *Run) SetCutoff(seconds float64) { r.cutoff = seconds }
+
+// Stopped reports whether the launch crossed its cutoff; its walker must
+// dispatch no further work-group, and Stats then holds the partial launch.
+func (r *Run) Stopped() bool { return r.stopped }
 
 // cancelCheckStride balances poll cost against abort latency: work-groups
 // cost hundreds of modeled cycles, so checking every 64 dispatches keeps
@@ -233,6 +247,7 @@ func (r *Run) reset(cfg Config) {
 	r.ctr = nil
 	r.fault = nil
 	r.ctx = nil
+	r.cutoff, r.maxCU, r.stopped = 0, 0, false
 	r.segShift = -1
 	if seg := cfg.SegmentBytes; seg&(seg-1) == 0 {
 		r.segShift = bits.TrailingZeros64(uint64(seg))
@@ -364,6 +379,13 @@ func (g *WG) End() {
 		r.faultAbort(FaultCycleBudget,
 			fmt.Sprintf("compute unit exceeded %.0f cycle budget", f.cycleBudget))
 	}
+	if r.cutoff > 0 {
+		if c := r.cuCycles[r.nextCU]; c > r.maxCU {
+			r.maxCU = c
+		}
+		_, _, sec := r.times(r.maxCU)
+		r.stopped = sec > r.cutoff
+	}
 	r.nextCU = (r.nextCU + 1) % len(r.cuCycles)
 	if r.ctx != nil && r.stats.WorkGroups%cancelCheckStride == 0 {
 		if err := r.ctx.Err(); err != nil {
@@ -377,20 +399,25 @@ func (g *WG) End() {
 // plus the kernel launch overhead.
 func (r *Run) Stats() Stats {
 	s := r.stats
-	makespan := 0.0
+	busiest := 0.0
 	for _, c := range r.cuCycles {
-		if c > makespan {
-			makespan = c
+		if c > busiest {
+			busiest = c
 		}
 	}
-	bw := float64(s.DRAMBytes) / r.cfg.DRAMBytesPerCycle
-	if bw > makespan {
-		makespan = bw
-	}
-	s.ExecCycles = makespan
-	s.Cycles = makespan + r.cfg.KernelLaunchCycles
-	s.Seconds = s.Cycles / r.cfg.ClockHz
+	s.ExecCycles, s.Cycles, s.Seconds = r.times(busiest)
 	return s
+}
+
+// times returns the makespan, cycles and seconds of the launch so far
+// given its most loaded compute unit's cycles: Stats and the cutoff share it.
+func (r *Run) times(busiest float64) (exec, cycles, seconds float64) {
+	exec = busiest
+	if bw := float64(r.stats.DRAMBytes) / r.cfg.DRAMBytesPerCycle; bw > exec {
+		exec = bw
+	}
+	cycles = exec + r.cfg.KernelLaunchCycles
+	return exec, cycles, cycles / r.cfg.ClockHz
 }
 
 // WFAcc accounts the instructions of one wavefront. All costs are charged

@@ -158,7 +158,8 @@ func (k Kernel) Run(run *hsa.Run, in *Input, groups []binning.Group) {
 
 // Account charges run with everything a launch of the kernel over the rows
 // covered by groups does on the device, for every vector pair bound to in,
-// and writes no output: the stats and counters are exactly Run's.
+// and writes no output: the stats and counters are exactly Run's. It stops
+// after the work-group that crosses the run's cutoff (hsa.Run.SetCutoff).
 func (k Kernel) Account(run *hsa.Run, in *Input, groups []binning.Group) {
 	g := k.geom(run.Config())
 	wfSize := run.Config().WavefrontSize
@@ -198,6 +199,9 @@ func (k Kernel) Account(run *hsa.Run, in *Input, groups []binning.Group) {
 			}
 		}
 		wg.End()
+		if run.Stopped() {
+			return
+		}
 	}
 }
 

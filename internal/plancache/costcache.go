@@ -50,14 +50,14 @@ func (o CostCacheOptions) withDefaults() CostCacheOptions {
 type CostStats struct {
 	Hits      int64 // bin cells whose whole kernel-pool profile was replayed
 	Misses    int64 // bin cells that had to simulate (then filled the cache)
-	Pruned    int64 // individual simulations skipped by the lower-bound prune
+	Pruned    int64 // individual simulations skipped or cut short by the prune
 	Entries   int64 // resident entries
 	Evictions int64 // FIFO capacity evictions
 }
 
 type costEntry struct {
 	times  []float64 // simulated seconds per kernel ID (lower bound where pruned)
-	pruned uint64    // bitmask over kernel IDs whose slot holds a lower bound
+	pruned uint64    // bitmask over kernel IDs whose slot holds a lower bound (see core.BinLabel.Pruned)
 }
 
 // Memo is a sharded, size-bounded map from content signatures to values
@@ -158,10 +158,12 @@ func NewCostCache(opts CostCacheOptions) *CostCache {
 
 // Get returns the cached kernel-pool profile for k by copying it into
 // times (which must be at least as long as the stored profile), plus the
-// pruned-kernel bitmask. A miss leaves times untouched.
-func (c *CostCache) Get(k CostKey, times []float64) (pruned uint64, ok bool) {
+// pruned-kernel bitmask. Unless bounds is set, an entry with pruned slots
+// is a miss, for a caller that needs every full simulated time (it then
+// Puts the exact profile over it). A miss leaves times untouched.
+func (c *CostCache) Get(k CostKey, times []float64, bounds bool) (pruned uint64, ok bool) {
 	e, ok := c.memo.Get(k)
-	if !ok {
+	if !ok || (e.pruned != 0 && !bounds) {
 		c.misses.Add(1)
 		return 0, false
 	}
@@ -175,7 +177,7 @@ func (c *CostCache) Put(k CostKey, times []float64, pruned uint64) {
 	c.memo.Put(k, costEntry{times: append([]float64(nil), times...), pruned: pruned})
 }
 
-// AddPruned counts n simulations skipped by the analytic lower-bound prune.
+// AddPruned counts n simulations the search's prune skipped or cut short.
 // The counter lives here so one stats snapshot covers the whole shared-
 // computation layer (memoization and pruning both skip simulations).
 func (c *CostCache) AddPruned(n int64) { c.pruned.Add(n) }

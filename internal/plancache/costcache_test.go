@@ -11,11 +11,11 @@ func TestCostCacheGetPut(t *testing.T) {
 	c := NewCostCache(CostCacheOptions{Capacity: 64, Shards: 4})
 	times := []float64{1, 2, 3}
 	out := make([]float64, 3)
-	if _, ok := c.Get(costKey(1), out); ok {
+	if _, ok := c.Get(costKey(1), out, true); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(costKey(1), times, 0b101)
-	mask, ok := c.Get(costKey(1), out)
+	mask, ok := c.Get(costKey(1), out, true)
 	if !ok {
 		t.Fatal("miss after Put")
 	}
@@ -29,12 +29,22 @@ func TestCostCacheGetPut(t *testing.T) {
 	}
 	// The stored profile must be a copy, not an alias.
 	times[0] = 99
-	if _, _ = c.Get(costKey(1), out); out[0] != 1 {
+	if _, _ = c.Get(costKey(1), out, true); out[0] != 1 {
 		t.Fatalf("cache aliases caller slice: out[0] = %v", out[0])
 	}
+	// A caller that needs exact times misses on an entry holding bounds,
+	// and hits once an exact profile replaced it.
+	clear(out)
+	if _, ok := c.Get(costKey(1), out, false); ok || out[0] != 0 {
+		t.Fatalf("exact Get replayed a bound-holding entry (out = %v)", out)
+	}
+	c.Put(costKey(1), times, 0)
+	if mask, ok := c.Get(costKey(1), out, false); !ok || mask != 0 || out[0] != 99 {
+		t.Fatalf("exact Get after exact Put: mask %b ok %v out %v", mask, ok, out)
+	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 2 hits / 1 miss / 1 entry", st)
+	if st.Hits != 3 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 3 hits / 2 misses / 1 entry", st)
 	}
 }
 
@@ -55,12 +65,12 @@ func TestCostCacheEviction(t *testing.T) {
 	}
 	out := make([]float64, 1)
 	for i := uint64(0); i < 2; i++ {
-		if _, ok := c.Get(costKey(i), out); ok {
+		if _, ok := c.Get(costKey(i), out, true); ok {
 			t.Fatalf("key %d survived FIFO eviction", i)
 		}
 	}
 	for i := uint64(2); i < 6; i++ {
-		if _, ok := c.Get(costKey(i), out); !ok {
+		if _, ok := c.Get(costKey(i), out, true); !ok {
 			t.Fatalf("key %d evicted out of FIFO order", i)
 		}
 		if out[0] != float64(i) {
@@ -81,7 +91,7 @@ func TestCostCachePurge(t *testing.T) {
 	// The cache must keep working after a purge.
 	c.Put(costKey(1), []float64{7}, 0)
 	out := make([]float64, 1)
-	if _, ok := c.Get(costKey(1), out); !ok || out[0] != 7 {
+	if _, ok := c.Get(costKey(1), out, true); !ok || out[0] != 7 {
 		t.Fatalf("post-purge Get = (%v, ok=%v)", out[0], ok)
 	}
 }
@@ -98,7 +108,7 @@ func TestCostCacheConcurrent(t *testing.T) {
 			out := make([]float64, 2)
 			for i := uint64(0); i < 200; i++ {
 				k := costKey(i % 50)
-				if _, ok := c.Get(k, out); !ok {
+				if _, ok := c.Get(k, out, true); !ok {
 					c.Put(k, []float64{float64(i % 50), 1}, uint64(i%50)&3)
 				}
 			}

@@ -13,7 +13,9 @@
 # fused validating reference against Validate, by test and fuzz smoke; the
 # execution-error golden; DotRows against its pre-change copy; replayed bins
 # served from the reference and armed faults still verified), the modeled
-# scoreboard golden, the solver trajectories golden, every stepper's Step
+# scoreboard golden, the tuning search's equivalence to the legacy pass
+# (cost cache, analytic prune and launch cutoff, worker-invariant cache
+# counts), the solver trajectories golden, every stepper's Step
 # against its frozen body, per-Step allocation and GMRES session budget
 # gates, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
@@ -79,6 +81,16 @@ go test -count=1 -run 'TestGatherMatchesReference|TestGatherRunsMatchesLaneGathe
 # exactly. It skips itself under -race too.
 echo "== modeled scoreboard golden"
 go test -count=1 -run 'TestModeledScoreboardGolden' ./internal/core
+
+# The tuning search's cost layer may skip, replay or cut short simulations,
+# never move a label: cached, pruned and batched searches against the legacy
+# exhaustive pass, in both kernel spaces; cache counts at every worker count;
+# the launch cutoff's bounds against uncut launches; and a prune-off search
+# that must not replay the bounds a pruning search cached. Without -race
+# (the sweep above runs most of these slowly, and the cutoff test skips
+# under it).
+echo "== search equivalence"
+go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds' ./internal/core
 
 # Every error path of the API — status, Content-Type, Retry-After and body
 # bytes — is pinned against the server before its request lifecycle was
