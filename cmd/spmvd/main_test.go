@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -46,5 +47,20 @@ func TestBootstrapLogReportsCostCache(t *testing.T) {
 	}
 	if !regexp.MustCompile(`bootstrap: .* \(cost cache \{Hits:\d+ Misses:[1-9]\d* Pruned:\d+`).Match(buf.Bytes()) {
 		t.Errorf("bootstrap log lacks the cost cache's counters:\n%s", buf.String())
+	}
+}
+
+// TestBootstrapModelVersion pins the model a bootstrapping daemon trains on
+// its default 24-matrix corpus: host-side speedups of corpus generation or
+// labelling must not move it. Never regenerate the constant.
+func TestBootstrapModelVersion(t *testing.T) {
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	m, err := obtainModel("", 24, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := core.ModelVersion(m), "ef446644505c477b"; got != want {
+		t.Errorf("bootstrap model version %s, want %s", got, want)
 	}
 }
