@@ -257,4 +257,33 @@ func TestPublicAPITrainPipelineErrors(t *testing.T) {
 	if _, _, err := spmvtune.TrainPipeline(cfg, bad); err == nil {
 		t.Error("zero corpus accepted")
 	}
+	for _, rows := range [][2]int{{-1, 768}, {-8, -4}, {768, 256}} {
+		bad = apiTrainOptions()
+		bad.MinRows, bad.MaxRows = rows[0], rows[1]
+		if _, _, err := spmvtune.TrainPipeline(cfg, bad); err == nil {
+			t.Errorf("corpus rows [%d, %d] accepted", rows[0], rows[1])
+		}
+	}
+}
+
+// TestTrainPipelineZeroBoundsTakeDefaults: zero corpus row bounds select the
+// default corpus's bounds instead of generating empty matrices, so they
+// train exactly the model the explicit defaults train.
+func TestTrainPipelineZeroBoundsTakeDefaults(t *testing.T) {
+	cfg := spmvtune.DefaultConfig()
+	explicit := spmvtune.DefaultTrainOptions()
+	explicit.CorpusSize = 4
+	zero := explicit
+	zero.MinRows, zero.MaxRows = 0, 0
+	var versions []string
+	for _, opts := range []spmvtune.TrainOptions{explicit, zero} {
+		m, _, err := spmvtune.TrainPipeline(cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		versions = append(versions, spmvtune.ModelVersion(m))
+	}
+	if versions[0] != versions[1] {
+		t.Errorf("zero bounds trained model %s, explicit defaults %s", versions[1], versions[0])
+	}
 }

@@ -286,12 +286,7 @@ func obtainModel(path string, corpus int, cfg core.Config) (*core.Model, error) 
 	mats := matgen.Corpus(matgen.CorpusOptions{N: corpus, MinRows: 256, MaxRows: 2048, Seed: 42})
 	generated := lap()
 	td := core.NewTrainingData(cfg)
-	for i, cm := range mats {
-		td.AddMatrix(cfg, cm.A)
-		if (i+1)%10 == 0 || i+1 == len(mats) {
-			log.Printf("labeled %d/%d", i+1, len(mats))
-		}
-	}
+	td.AddMatrices(cfg, matgen.Matrices(mats))
 	labeled := lap()
 	m := core.TrainModel(td, cfg, c50.DefaultOptions())
 	// cfg.SearchCache is nil, so the labeling searches used the shared cache.

@@ -171,8 +171,8 @@ func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	out := fs.String("out", "model.json", "output model file")
 	corpus := fs.Int("corpus", 240, "synthetic corpus size")
-	minRows := fs.Int("minrows", 512, "smallest corpus matrix")
-	maxRows := fs.Int("maxrows", 8192, "largest corpus matrix")
+	minRows := fs.Int("minrows", 512, "smallest corpus matrix (0 = 512)")
+	maxRows := fs.Int("maxrows", 8192, "largest corpus matrix (0 = 8192)")
 	seed := fs.Int64("seed", 42, "corpus seed")
 	workers := fs.Int("workers", 0, "host goroutines for the exhaustive tuning search (0 = GOMAXPROCS, 1 = sequential; labels are identical for every value)")
 	space := fs.String("kernel-space", "", "kernel space the search enumerates and the model predicts over: 'pool' or '' = the paper's nine kernels, 'synth' = the synthesized parameter space")
@@ -184,14 +184,14 @@ func cmdTrain(args []string) error {
 	if _, err := cfg.Space(); err != nil {
 		return err
 	}
-	mats := matgen.Corpus(matgen.CorpusOptions{N: *corpus, MinRows: *minRows, MaxRows: *maxRows, Seed: *seed})
-	td := core.NewTrainingData(cfg)
-	for i, cm := range mats {
-		td.AddMatrix(cfg, cm.A)
-		if (i+1)%20 == 0 {
-			fmt.Printf("labeled %d/%d\n", i+1, len(mats))
-		}
+	co, err := matgen.CorpusOptions{N: *corpus, MinRows: *minRows, MaxRows: *maxRows, Seed: *seed}.WithDefaultBounds()
+	if err != nil {
+		return err
 	}
+	mats := matgen.Corpus(co)
+	td := core.NewTrainingData(cfg)
+	td.AddMatrices(cfg, matgen.Matrices(mats))
+	fmt.Printf("labeled %d matrices\n", len(mats))
 	td.Finalize()
 	tr1, te1 := td.Stage1.Split(0.75, *seed)
 	tr2, te2 := td.Stage2.Split(0.75, *seed)

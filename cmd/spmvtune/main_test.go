@@ -95,6 +95,17 @@ func TestCmdTrainPredictRunCompare(t *testing.T) {
 	}
 }
 
+// TestCmdTrainRejectsBadRowBounds: negative or inverted corpus row bounds
+// fail before any labelling instead of training on empty matrices.
+func TestCmdTrainRejectsBadRowBounds(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "model.json")
+	for _, rows := range [][]string{{"-minrows", "-1"}, {"-minrows", "900", "-maxrows", "300"}} {
+		if err := cmdTrain(append([]string{"-out", out, "-corpus", "4"}, rows...)); err == nil {
+			t.Errorf("train %v accepted", rows)
+		}
+	}
+}
+
 // captureStdout runs fn with os.Stdout redirected to a pipe and returns
 // everything written.
 func captureStdout(t *testing.T, fn func()) string {

@@ -14,6 +14,7 @@ import (
 	"spmvtune/internal/matgen"
 	"spmvtune/internal/plan"
 	"spmvtune/internal/plancache"
+	"spmvtune/internal/sparse"
 )
 
 // bitsEqual compares float vectors bit-for-bit — the determinism contract
@@ -62,8 +63,9 @@ func TestSearchWorkerDeterminism(t *testing.T) {
 // TestSearchCostStatsWorkerDeterminism labels spmvd's bootstrap corpus on a
 // fresh private cost cache at Workers 1, 2 and 8. Not only the labels but
 // the cache's Hits, Misses and Pruned counts must be the same at every
-// worker count: two workers of one search never both simulate one cell key
-// (cellClaims), so no worker count pays duplicate simulations.
+// worker count: a search schedules each cell key once, its first cell
+// simulating and the others replaying the cache right after on the same
+// worker, so no worker count pays duplicate simulations.
 func TestSearchCostStatsWorkerDeterminism(t *testing.T) {
 	mats := matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42})
 	var want []SearchResult
@@ -92,6 +94,75 @@ func TestSearchCostStatsWorkerDeterminism(t *testing.T) {
 			t.Errorf("workers=%d: cost cache hits/misses/pruned %d/%d/%d, workers=1 %d/%d/%d",
 				w, st.Hits, st.Misses, st.Pruned, wantStats.Hits, wantStats.Misses, wantStats.Pruned)
 		}
+	}
+}
+
+// TestSearchAllWorkerDeterminism: one batch search over spmvd's bootstrap
+// corpus plus a structure repeated across matrices, a matrix with empty
+// rows and a 0-row matrix labels every matrix exactly as a per-matrix
+// Search does, and leaves the cost cache with the same Hits, Misses and
+// Pruned counts, in both kernel spaces at Workers 1, 2 and 8. A canceled
+// batch returns ErrCanceled and no results. Under -race the synthesized
+// space labels only the four added matrices (the whole batch takes minutes
+// there); scripts/check.sh runs the full batch without -race.
+func TestSearchAllWorkerDeterminism(t *testing.T) {
+	mats := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42}))
+	holes := matgen.Mixed(600, 600, 30, []int{3, 40}, 5)
+	entries := make([][]sparse.Entry, holes.Rows)
+	for i := range entries {
+		if i%3 != 0 {
+			cols, vals := holes.Row(i)
+			for k, c := range cols {
+				entries[i] = append(entries[i], sparse.Entry{Col: int(c), Val: vals[k]})
+			}
+		}
+	}
+	holey, err := sparse.NewCSRFromRows(holes.Rows, holes.Cols, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mats = append(mats, mats[3], mats[3].Clone(), holey, &sparse.CSR{Cols: 4, RowPtr: []int64{0}})
+
+	for _, space := range []string{"pool", "synth"} {
+		batch := mats
+		if raceEnabled && space == "synth" {
+			batch = mats[len(mats)-4:]
+		}
+		fresh := func(workers int) Config {
+			cfg := DefaultConfig()
+			cfg.KernelSpace = space
+			cfg.Workers = workers
+			cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+			return cfg
+		}
+		ref := fresh(1)
+		var want []SearchResult
+		for _, a := range batch {
+			want = append(want, Search(ref, a))
+		}
+		wantStats := ref.SearchCache.Stats()
+		for _, w := range []int{1, 2, 8} {
+			cfg := fresh(w)
+			got, err := SearchAll(context.Background(), cfg, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: SearchAll labels differ from per-matrix Search", space, w)
+			}
+			st := cfg.SearchCache.Stats()
+			if st.Hits != wantStats.Hits || st.Misses != wantStats.Misses || st.Pruned != wantStats.Pruned {
+				t.Errorf("%s workers=%d: cost cache hits/misses/pruned %d/%d/%d, per-matrix Search %d/%d/%d",
+					space, w, st.Hits, st.Misses, st.Pruned, wantStats.Hits, wantStats.Misses, wantStats.Pruned)
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := SearchAll(ctx, DefaultConfig(), mats)
+	if !errors.Is(err, errdefs.ErrCanceled) || res != nil {
+		t.Errorf("canceled SearchAll returned %d results and %v, want none and ErrCanceled", len(res), err)
 	}
 }
 

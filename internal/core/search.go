@@ -1,14 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sync"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
 	"spmvtune/internal/formats"
+	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plancache"
 	"spmvtune/internal/sparse"
@@ -113,226 +116,223 @@ func Search(cfg Config, a *sparse.CSR) SearchResult {
 	return res
 }
 
-// searchTask is one independent cell of the exhaustive search: the full
-// kernel pool evaluated on one (U, bin) pair, writing one BinLabel slot.
+// searchTask is one cell of the search: the kernel space on one (U, bin) of
+// matrix mi, into one BinLabel slot; key and geom are zero without a cost layer.
 type searchTask struct {
-	ui, bi int
-	groups []binning.Group
+	mi, ui, bi int
+	groups     []binning.Group
+	key        plancache.CostKey
+	geom       cellGeom
 }
 
-// SearchCtx is Search under a context and the Config.Workers host pool.
-// The search fans its (U, bin) cells — each evaluating the whole kernel
-// pool on one bin — over at most resolveWorkers(cfg.Workers) goroutines.
-// The result is byte-identical for every worker count: cells are
-// independent (each writes only its own preallocated slot), and the
-// cross-cell reductions — per-U sums and the canonical tie-breaks — run
-// sequentially over the slots in fixed (U, bin, kernel) order afterwards.
-// Cancellation is polled per cell and inside each simulated launch; on
-// expiry an error matching errdefs.ErrCanceled is returned.
+// searchInput is one matrix of a search with its cost layer and probes.
+type searchInput struct {
+	a      *sparse.CSR
+	cl     *costLayer
+	vs, us [][]float64
+}
+
+// SearchCtx is Search under a context and the Config.Workers host pool:
+// the one-matrix call of SearchAll.
 func SearchCtx(ctx context.Context, cfg Config, a *sparse.CSR) (SearchResult, error) {
+	res, err := SearchAll(ctx, cfg, []*sparse.CSR{a})
+	if err != nil {
+		return SearchResult{}, err
+	}
+	return res[0], nil
+}
+
+// SearchAll labels a batch of matrices on one pool of at most
+// resolveWorkers(cfg.Workers) goroutines, fanning the (U, bin) cells of
+// every matrix over it. Cells sharing a cost key form one group, scheduled
+// once, largest nonzero count first: its first cell in canonical order
+// simulates, the others then replay the cost cache on the same worker. So
+// results, and the cache's counts, equal those of searching the matrices
+// one by one in order at every worker count; the per-U sums and canonical
+// tie-breaks run sequentially afterwards. Cancellation is polled per cell
+// and inside each launch; on expiry an error matching errdefs.ErrCanceled
+// is returned.
+func SearchAll(ctx context.Context, cfg Config, mats []*sparse.CSR) ([]SearchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sp, err := cfg.Space()
 	if err != nil {
-		return SearchResult{}, err
+		return nil, err
 	}
 	list := sp.Infos
-	v := make([]float64, a.Cols)
-	for i := range v {
-		v[i] = 1
-	}
-	// The search times launches of Config.Vectors right-hand sides (plain
-	// SpMV at 0 or 1). Kernel cost depends only on structure, so every
-	// right-hand side can alias the same probe vector. The launches only
-	// charge the device (kernels.Kernel.Account) and write no output, so
-	// every output — across cells and workers — aliases one slice too; it
-	// is bound all the same, because its length lays out the launch's
-	// simulated memory.
-	vsProbe := make([][]float64, max(cfg.Vectors, 1))
-	usProbe := make([][]float64, len(vsProbe))
-	u := make([]float64, a.Rows)
-	for i := range vsProbe {
-		vsProbe[i], usProbe[i] = v, u
-	}
 
-	// Stage 1 (sequential): bin the matrix per U and lay the result skeleton
-	// out in canonical order, one task per non-empty (U, bin) cell.
-	res := SearchResult{Seconds: math.Inf(1)}
+	// Stage 1 (sequential): bin each matrix per U and lay its result out in
+	// canonical order, one task per non-empty (U, bin) cell, keyed and grouped.
+	results := make([]SearchResult, len(mats))
+	inputs := make([]searchInput, len(mats))
 	var tasks []searchTask
-	for _, unit := range cfg.Us {
-		b := binning.Coarse(a, unit, cfg.MaxBins)
-		ul := ULabel{U: unit}
-		for _, binID := range b.NonEmpty() {
-			ul.Bins = append(ul.Bins, BinLabel{BinID: binID, Rows: b.NumRows(binID), KernelID: -1,
-				AvgLen:      binAvgRowLen(a, b.Bins[binID]),
-				KernelTimes: make([]float64, len(list)), Seconds: math.Inf(1)})
-			tasks = append(tasks, searchTask{ui: len(res.PerU), bi: len(ul.Bins) - 1, groups: b.Bins[binID]})
+	var cells [][]int // task indices of each scheduled group, owner first
+	owner := map[plancache.CostKey]int{}
+	for mi, a := range mats {
+		// Every right-hand side of the Config.Vectors-wide launches aliases
+		// one all-ones probe (cost depends on structure only), and every
+		// output one slice: Account writes none, but its length lays out
+		// the launch's simulated memory.
+		in := &inputs[mi]
+		in.a = a
+		in.cl = newCostLayer(cfg, cfg.Device, a, sp)
+		v := make([]float64, a.Cols)
+		for i := range v {
+			v[i] = 1
 		}
-		res.PerU = append(res.PerU, ul)
+		u := make([]float64, a.Rows)
+		for range max(cfg.Vectors, 1) {
+			in.vs, in.us = append(in.vs, v), append(in.us, u)
+		}
+		res := &results[mi]
+		res.Seconds = math.Inf(1)
+		for _, unit := range cfg.Us {
+			b := binning.Coarse(a, unit, cfg.MaxBins)
+			ul := ULabel{U: unit}
+			for _, binID := range b.NonEmpty() {
+				ul.Bins = append(ul.Bins, BinLabel{BinID: binID, Rows: b.NumRows(binID), KernelID: -1,
+					AvgLen:      binAvgRowLen(a, b.Bins[binID]),
+					KernelTimes: make([]float64, len(list)), Seconds: math.Inf(1)})
+				t := searchTask{mi: mi, ui: len(res.PerU), bi: len(ul.Bins) - 1, groups: b.Bins[binID]}
+				if in.cl != nil {
+					t.key, t.geom = in.cl.cell(t.groups)
+				}
+				g, dup := owner[t.key]
+				if !dup || in.cl == nil { // without a cost layer no cell has a key
+					g = len(cells)
+					cells = append(cells, nil)
+					owner[t.key] = g
+				}
+				cells[g] = append(cells[g], len(tasks))
+				tasks = append(tasks, t)
+			}
+			res.PerU = append(res.PerU, ul)
+		}
 	}
+	slices.SortStableFunc(cells, func(x, y []int) int {
+		return cmp.Compare(tasks[y[0]].geom.nnz, tasks[x[0]].geom.nnz)
+	})
 
-	// Stage 2: evaluate the cells on the worker pool.
-	workers := resolveWorkers(cfg.Workers)
-	dev := cfg.Device
-	// The shared-computation layer (searchcost.go): replay cached cells and
-	// skip kernels whose certified lower bound cannot win. Nil = legacy path.
-	cl := newCostLayer(cfg, dev, a, sp)
+	// Stage 2: evaluate the groups on the worker pool.
 	searchSpaceCellsTotal.Add(int64(len(tasks)) * int64(len(list)))
-	var claims cellClaims
-	errs := make([]error, len(tasks))
+	errs := make([]error, len(cells))
 	var stop atomic.Bool
-	forEachLimit(workers, len(tasks), func(i int) {
-		if stop.Load() {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			errs[i] = errdefs.Canceled(err)
-			stop.Store(true)
-			return
-		}
-		t := tasks[i]
-		bl := &res.PerU[t.ui].Bins[t.bi]
-		var key plancache.CostKey
-		var geom cellGeom
-		if cl != nil {
-			key, geom = cl.cell(t.groups)
-			if cl.cache != nil {
-				if claims.claim(key) {
-					defer claims.release(key)
-				}
-				if mask, ok := cl.cache.Get(key, bl.KernelTimes, cl.prune); ok {
-					finishBinLabel(bl, mask)
-					return
-				}
+	forEachLimit(resolveWorkers(cfg.Workers), len(cells), func(g int) {
+		for _, ti := range cells[g] {
+			if stop.Load() {
+				return
 			}
-		}
-		var mask uint64
-		order := list
-		if cl != nil && cl.prune {
-			order = evalOrder(list, geom)
-		}
-		best := math.Inf(1) // best simulated time so far, in evaluation order
-		for _, info := range order {
-			// A kernel provably outside the tie window of a faster simulated
-			// kernel can neither win the bin nor be picked by the tie-break:
-			// skip it when its certified floor is, else cut its launch short
-			// once its partial cost is. The slot then holds that lower bound.
-			// Order, bounds and cutoffs are pure functions of the cell.
-			cutoff := 0.0
-			if cl != nil && cl.prune {
-				cutoff = best * (1 + tieEpsilon) // +Inf until a kernel ran
-				if lb := cl.lowerBound(info, geom); lb > cutoff {
-					bl.KernelTimes[info.ID] = lb
-					mask |= 1 << info.ID
-					continue
-				}
-			}
-			st, err := simulateKernelCtx(ctx, dev, a, vsProbe, usProbe, info.Kernel, kernels.Kernel.Account, t.groups, cutoff)
-			if err != nil {
-				errs[i] = err
+			t := tasks[ti]
+			if err := inputs[t.mi].evalCell(ctx, cfg.Device, list, t, &results[t.mi].PerU[t.ui].Bins[t.bi]); err != nil {
+				errs[g] = err
 				stop.Store(true)
 				return
 			}
-			bl.KernelTimes[info.ID] = st.Seconds
-			if cutoff > 0 && st.Seconds > cutoff { // the launch stopped
-				mask |= 1 << info.ID
-				continue
-			}
-			if st.Seconds < best {
-				best = st.Seconds
-			}
 		}
-		if cl != nil && cl.cache != nil {
-			cl.cache.Put(key, bl.KernelTimes, mask)
-			if mask != 0 {
-				n := int64(0)
-				for m := mask; m != 0; m &= m - 1 {
-					n++
-				}
-				cl.cache.AddPruned(n)
-			}
-		}
-		finishBinLabel(bl, mask)
 	})
 	for _, err := range errs {
 		if err != nil {
-			return SearchResult{}, err
+			return nil, err
 		}
 	}
 
-	// Stage 3 (sequential): reduce in canonical order — per-U sums, then the
-	// smallest granularity within the tie slack.
-	for ui := range res.PerU {
-		ul := &res.PerU[ui]
-		for _, bl := range ul.Bins {
-			ul.Seconds += bl.Seconds
-		}
-		if ul.Seconds < res.Seconds {
-			res.Seconds = ul.Seconds
-		}
-	}
-	for _, ul := range res.PerU {
-		if ul.Seconds <= res.Seconds*(1+tieEpsilon) {
-			res.BestU = ul.U
-			res.Seconds = ul.Seconds
-			break
-		}
-	}
-
-	if sp.Size() > len(kernels.Pool()) {
-		// The extra dimensions of the synthesized space: count how many
-		// best-U bins a non-pool point won (the headline the /metrics
-		// family spmvd_search_synth_wins_total aggregates), and evaluate
-		// the storage-format alternatives against the binned CSR optimum.
-		poolSize := len(kernels.Pool())
-		wins := int64(0)
-		for _, bl := range res.BestBins() {
-			if bl.KernelID >= poolSize {
-				wins++
+	// Stage 3 (sequential): reduce each matrix in canonical order — per-U
+	// sums, then the smallest granularity within the tie slack.
+	for mi := range results {
+		res := &results[mi]
+		for ui := range res.PerU {
+			ul := &res.PerU[ui]
+			for _, bl := range ul.Bins {
+				ul.Seconds += bl.Seconds
+			}
+			if ul.Seconds < res.Seconds {
+				res.Seconds = ul.Seconds
 			}
 		}
-		searchSynthWinsTotal.Add(wins)
-		res.Format, res.FormatSeconds = formats.AutoSelect(dev, a, res.Seconds)
+		for _, ul := range res.PerU {
+			if ul.Seconds <= res.Seconds*(1+tieEpsilon) {
+				res.BestU = ul.U
+				res.Seconds = ul.Seconds
+				break
+			}
+		}
+
+		if sp.Size() > len(kernels.Pool()) {
+			// The extra dimensions of the synthesized space: count how many
+			// best-U bins a non-pool point won (the headline the /metrics
+			// family spmvd_search_synth_wins_total aggregates), and evaluate
+			// the storage-format alternatives against the binned CSR optimum.
+			poolSize := len(kernels.Pool())
+			wins := int64(0)
+			for _, bl := range res.BestBins() {
+				if bl.KernelID >= poolSize {
+					wins++
+				}
+			}
+			searchSynthWinsTotal.Add(wins)
+			res.Format, res.FormatSeconds = formats.AutoSelect(cfg.Device, mats[mi], res.Seconds)
+		}
 	}
-	return res, nil
+	return results, nil
 }
 
-// cellClaims orders the cells of one search that share a cost key. Two
-// bins under different Us often cover the same rows, and without an order
-// two workers could both miss on such a key and both simulate it, so the
-// cache's hit, miss and prune counts would depend on scheduling. With it
-// the first worker to claim a key simulates the cell; any other waits for
-// that worker and then replays the cache like a sequential search would.
-type cellClaims struct {
-	mu   sync.Mutex
-	busy map[plancache.CostKey]chan struct{}
-}
-
-// claim reports whether the caller owns key and must release it once the
-// cell is in the cache. When another worker owns key, claim waits for it
-// and reports false.
-func (c *cellClaims) claim(key plancache.CostKey) bool {
-	c.mu.Lock()
-	if done, ok := c.busy[key]; ok {
-		c.mu.Unlock()
-		<-done
-		return false
+// evalCell fills one cell's BinLabel: it replays the cell from the cost
+// cache when present, else simulates the kernels of list on it (pruning
+// those that provably cannot win) and stores the profile in the cache.
+func (in *searchInput) evalCell(ctx context.Context, dev hsa.Config, list []kernels.Info, t searchTask, bl *BinLabel) error {
+	if err := ctx.Err(); err != nil {
+		return errdefs.Canceled(err)
 	}
-	if c.busy == nil {
-		c.busy = make(map[plancache.CostKey]chan struct{})
+	cl := in.cl
+	if cl != nil && cl.cache != nil {
+		if mask, ok := cl.cache.Get(t.key, bl.KernelTimes, cl.prune); ok {
+			finishBinLabel(bl, mask)
+			return nil
+		}
 	}
-	c.busy[key] = make(chan struct{})
-	c.mu.Unlock()
-	return true
-}
-
-// release wakes the workers waiting on key. The key stays claimed: a later
-// cell with the same key finds the cache filled and does not wait.
-func (c *cellClaims) release(key plancache.CostKey) {
-	c.mu.Lock()
-	close(c.busy[key])
-	c.mu.Unlock()
+	var mask uint64
+	order := list
+	if cl != nil && cl.prune {
+		order = evalOrder(list, t.geom)
+	}
+	best := math.Inf(1) // best simulated time so far, in evaluation order
+	for _, info := range order {
+		// A kernel provably outside the tie window of a faster simulated
+		// kernel can neither win the bin nor be picked by the tie-break:
+		// skip it when its certified floor is, else cut its launch short
+		// once its partial cost is. The slot then holds that lower bound.
+		// Order, bounds and cutoffs are pure functions of the cell.
+		cutoff := 0.0
+		if cl != nil && cl.prune {
+			cutoff = best * (1 + tieEpsilon) // +Inf until a kernel ran
+			if lb := cl.lowerBound(info, t.geom); lb > cutoff {
+				bl.KernelTimes[info.ID] = lb
+				mask |= 1 << info.ID
+				continue
+			}
+		}
+		st, err := simulateKernelCtx(ctx, dev, in.a, in.vs, in.us, info.Kernel, kernels.Kernel.Account, t.groups, cutoff)
+		if err != nil {
+			return err
+		}
+		bl.KernelTimes[info.ID] = st.Seconds
+		if cutoff > 0 && st.Seconds > cutoff { // the launch stopped
+			mask |= 1 << info.ID
+			continue
+		}
+		if st.Seconds < best {
+			best = st.Seconds
+		}
+	}
+	if cl != nil && cl.cache != nil {
+		cl.cache.Put(t.key, bl.KernelTimes, mask)
+		if mask != 0 {
+			cl.cache.AddPruned(int64(bits.OnesCount64(mask)))
+		}
+	}
+	finishBinLabel(bl, mask)
+	return nil
 }
 
 // finishBinLabel derives the bin's label from a fully populated KernelTimes

@@ -272,6 +272,20 @@ func BenchmarkBootstrapSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkBootstrapLabel is BenchmarkBootstrapSearch through the batch
+// path spmvd's bootstrap takes: one AddMatrices call labels the whole
+// corpus on one search pool.
+func BenchmarkBootstrapLabel(b *testing.B) {
+	mats := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42}))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := DefaultConfig()
+		cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+		NewTrainingData(cfg).AddMatrices(cfg, mats)
+	}
+}
+
 // CheckSearchEquivalence verifies that a cached/pruned search result carries
 // exactly the labels of a legacy exhaustive result on the same (config,
 // matrix): every decision field must match bit-for-bit, and every

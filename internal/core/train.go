@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -90,7 +91,7 @@ func NewTrainingData(cfg Config) *TrainingData {
 	// vector additionally carries the row-length histogram.
 	sp, err := cfg.Space()
 	if err != nil {
-		// Config misuse, like AddMatrix-after-Finalize: the CLI validates
+		// Config misuse, like AddMatrices-after-Finalize: the CLI validates
 		// -kernel-space long before training data is allocated.
 		panic(err)
 	}
@@ -106,13 +107,25 @@ func NewTrainingData(cfg Config) *TrainingData {
 }
 
 // AddMatrix labels one matrix by exhaustive search and records the raw
-// result; Finalize turns the accumulated records into training samples.
+// result: the one-matrix call of AddMatrices.
 func (td *TrainingData) AddMatrix(cfg Config, a *sparse.CSR) SearchResult {
+	return td.AddMatrices(cfg, []*sparse.CSR{a})[0]
+}
+
+// AddMatrices labels a batch of matrices in one exhaustive search
+// (SearchAll) and records the raw results in batch order; Finalize turns
+// the accumulated records into training samples.
+func (td *TrainingData) AddMatrices(cfg Config, mats []*sparse.CSR) []SearchResult {
 	if td.finalized {
-		panic("core: AddMatrix after Finalize")
+		panic("core: AddMatrices after Finalize")
 	}
-	res := Search(cfg, a)
-	td.raw = append(td.raw, rawLabel{vec: cfg.FeatureVector(a), res: res})
+	res, err := SearchAll(context.Background(), cfg, mats)
+	if err != nil { // an unknown kernel space: config misuse, as in NewTrainingData
+		panic(err)
+	}
+	for i, a := range mats {
+		td.raw = append(td.raw, rawLabel{vec: cfg.FeatureVector(a), res: res[i]})
+	}
 	return res
 }
 

@@ -86,12 +86,8 @@ func (o *Options) EnsureModel() (*core.Model, TrainStats, error) {
 	})
 	td := core.NewTrainingData(cfg)
 	start := time.Now()
-	for i, cm := range corpus {
-		td.AddMatrix(cfg, cm.A)
-		if (i+1)%20 == 0 {
-			fmt.Fprintf(o.Out, "# labeled %d/%d corpus matrices (%.1fs)\n", i+1, len(corpus), time.Since(start).Seconds())
-		}
-	}
+	td.AddMatrices(cfg, matgen.Matrices(corpus))
+	fmt.Fprintf(o.Out, "# labeled %d corpus matrices (%.1fs)\n", len(corpus), time.Since(start).Seconds())
 	td.Finalize()
 	tr1, te1 := td.Stage1.Split(0.75, o.Seed)
 	tr2, te2 := td.Stage2.Split(0.75, o.Seed)

@@ -6,7 +6,6 @@ import (
 	"spmvtune/internal/c50"
 	"spmvtune/internal/core"
 	"spmvtune/internal/matgen"
-	"spmvtune/internal/sparse"
 )
 
 // FeatureCmpResult compares the Table I attribute set with the paper's
@@ -26,17 +25,12 @@ func FeatureCmp(o *Options) (FeatureCmpResult, error) {
 	o.Defaults()
 	var res FeatureCmpResult
 
-	corpus := matgen.Corpus(matgen.CorpusOptions{N: o.CorpusN, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed})
-	var fresh []*sparse.CSR
-	for _, cm := range matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}) {
-		fresh = append(fresh, cm.A)
-	}
+	corpus := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: o.CorpusN, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed}))
+	fresh := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
 
 	train := func(cfg core.Config) (float64, float64, core.Regret) {
 		td := core.NewTrainingData(cfg)
-		for _, cm := range corpus {
-			td.AddMatrix(cfg, cm.A)
-		}
+		td.AddMatrices(cfg, corpus)
 		td.Finalize()
 		tr1, te1 := td.Stage1.Split(0.75, o.Seed)
 		tr2, te2 := td.Stage2.Split(0.75, o.Seed)

@@ -407,10 +407,7 @@ func MLErr(o *Options) (TrainStats, error) {
 	fmt.Fprintf(o.Out, "stage1 error=%.1f%% stage2 error=%.1f%% (labeling took %.1fs)\n",
 		100*ts.Stage1Error, 100*ts.Stage2Error, ts.LabelSeconds)
 
-	var fresh []*sparse.CSR
-	for _, cm := range matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}) {
-		fresh = append(fresh, cm.A)
-	}
+	fresh := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
 	reg := core.EvaluateRegret(o.config(), model, fresh)
 	fmt.Fprintf(o.Out, "prediction regret on %d fresh matrices: geo-mean %.3fx, worst %.2fx, %.0f%% within 1.10x of oracle\n",
 		reg.N, reg.GeoMean, reg.Worst, 100*reg.WithinX)

@@ -1,8 +1,13 @@
 package matgen
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"spmvtune/internal/sparse"
 )
@@ -31,11 +36,34 @@ type CorpusMatrix struct {
 	A      *sparse.CSR
 }
 
+// WithDefaultBounds returns o with a zero MinRows or MaxRows taken from
+// DefaultCorpusOptions. Negative or inverted bounds, from which Corpus
+// would build empty matrices or panic, are an error.
+func (o CorpusOptions) WithDefaultBounds() (CorpusOptions, error) {
+	d := DefaultCorpusOptions()
+	o.MinRows, o.MaxRows = cmp.Or(o.MinRows, d.MinRows), cmp.Or(o.MaxRows, d.MaxRows)
+	if o.MinRows < 0 || o.MaxRows < o.MinRows {
+		return o, fmt.Errorf("matgen: corpus rows [%d, %d] invalid: need 0 <= min <= max", o.MinRows, o.MaxRows)
+	}
+	return o, nil
+}
+
+// Matrices returns the corpus members' matrices in corpus order.
+func Matrices(c []CorpusMatrix) []*sparse.CSR {
+	out := make([]*sparse.CSR, len(c))
+	for i, cm := range c {
+		out[i] = cm.A
+	}
+	return out
+}
+
 // Corpus generates opts.N matrices cycling through the generator families
 // with randomized parameters. The mix is weighted toward short-row matrices
 // to match the UF-collection histogram (Figure 5: ~98.7% of rows have ≤100
 // non-zeros), while still covering medium and long-row regimes so that
-// every kernel in the pool is optimal somewhere.
+// every kernel in the pool is optimal somewhere. Every parameter is drawn
+// from the master seed in corpus order first; the matrices are then built
+// on a GOMAXPROCS pool, so the output does not depend on the pool.
 func Corpus(opts CorpusOptions) []CorpusMatrix {
 	if opts.N <= 0 {
 		return nil
@@ -48,34 +76,39 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 		return opts.MinRows + rng.Intn(opts.MaxRows-opts.MinRows)
 	}
 	out := make([]CorpusMatrix, 0, opts.N)
-	add := func(family string, a *sparse.CSR) {
-		out = append(out, CorpusMatrix{
-			Name:   fmt.Sprintf("%s-%04d", family, len(out)),
-			Family: family,
-			A:      a,
-		})
+	var builds []func() *sparse.CSR
+	var nnz []int // estimated, to order the builds
+	add := func(family string, estNNZ int, build func() *sparse.CSR) {
+		out = append(out, CorpusMatrix{Name: fmt.Sprintf("%s-%04d", family, len(out)), Family: family})
+		builds, nnz = append(builds, build), append(nnz, estNNZ)
 	}
 	// Family weights: index into this slice selects the family; short-row
-	// families dominate, matching Figure 5.
+	// families dominate, matching Figure 5. Each case draws its parameters
+	// in the order the generator call lists them.
 	for len(out) < opts.N {
 		seed := rng.Int63()
 		switch rng.Intn(10) {
 		case 0, 1:
-			add("banded", Banded(rows(), 3+rng.Intn(12), seed))
+			m, band := rows(), 3+rng.Intn(12)
+			add("banded", m*band, func() *sparse.CSR { return Banded(m, band, seed) })
 		case 2:
-			add("road", RoadNetwork(rows(), seed))
+			m := rows()
+			add("road", m*3, func() *sparse.CSR { return RoadNetwork(m, seed) })
 		case 3, 4:
 			m := rows()
 			n := m / (1 + rng.Intn(4))
 			if n < 32 {
 				n = 32
 			}
-			add("bipartite", Bipartite(m, n, 1+rng.Intn(6), seed))
+			rowLen := 1 + rng.Intn(6)
+			add("bipartite", m*rowLen, func() *sparse.CSR { return Bipartite(m, n, rowLen, seed) })
 		case 5:
-			add("powerlaw", PowerLaw(rows(), 2+rng.Intn(8), 1.6+rng.Float64(), 512, seed))
+			m, avg, alpha := rows(), 2+rng.Intn(8), 1.6+rng.Float64()
+			add("powerlaw", m*avg, func() *sparse.CSR { return PowerLaw(m, avg, alpha, 512, seed) })
 		case 6:
 			m := rows()
-			add("uniform", RandomUniform(m, m, 1+rng.Intn(8), 8+rng.Intn(40), seed))
+			lo, hi := 1+rng.Intn(8), 8+rng.Intn(40)
+			add("uniform", m*(lo+hi)/2, func() *sparse.CSR { return RandomUniform(m, m, lo, hi, seed) })
 		case 7:
 			// Medium rows: 20-120 nnz per row.
 			m := rows() / 2
@@ -83,7 +116,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 				m = 256
 			}
 			w := 20 + rng.Intn(100)
-			add("blockfem", BlockFEM(m, w, w/4, seed))
+			add("blockfem", m*w, func() *sparse.CSR { return BlockFEM(m, w, w/4, seed) })
 		case 8:
 			// Long rows: 150-600 nnz per row. Half the samples keep the
 			// full row count so the model sees long-row bins that are also
@@ -96,7 +129,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 				m = 128
 			}
 			w := 150 + rng.Intn(450)
-			add("blockfem-long", BlockFEM(m, w, w/5, seed))
+			add("blockfem-long", m*w, func() *sparse.CSR { return BlockFEM(m, w, w/5, seed) })
 		case 9:
 			// Mixed regions. Half mild (short + medium rows), half extreme
 			// (short + very long rows) — the latter are the inputs where
@@ -108,8 +141,27 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 			if rng.Intn(2) == 0 {
 				lens = []int{1 + rng.Intn(4), 150 + rng.Intn(500)}
 			}
-			add("mixed", Mixed(m, m, region, lens, seed))
+			add("mixed", m*slices.Max(lens)/len(lens), func() *sparse.CSR { return Mixed(m, m, region, lens, seed) })
 		}
 	}
+	// Build largest estimate first, so the biggest builds do not start last
+	// and run alone.
+	order := make([]int, len(out))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(nnz[y], nnz[x]) })
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(order)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
+				out[order[k]].A = builds[order[k]]()
+			}
+		}()
+	}
+	wg.Wait()
 	return out
 }

@@ -147,12 +147,7 @@ func (c Config) withDefaults() Config {
 // matgen sweep, seeded differently from spmvd's bootstrap-training corpus
 // so the gate never scores a candidate on its own training matrices.
 func DefaultHoldout() []*sparse.CSR {
-	mats := matgen.Corpus(matgen.CorpusOptions{N: 8, MinRows: 200, MaxRows: 900, Seed: 7})
-	out := make([]*sparse.CSR, len(mats))
-	for i, cm := range mats {
-		out[i] = cm.A
-	}
-	return out
+	return matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 8, MinRows: 200, MaxRows: 900, Seed: 7}))
 }
 
 // Stats is a snapshot of the service counters.

@@ -15,7 +15,8 @@
 # served from the reference and armed faults still verified), the modeled
 # scoreboard golden, the tuning search's equivalence to the legacy pass
 # (cost cache, analytic prune and launch cutoff, worker-invariant cache
-# counts), the solver trajectories golden, every stepper's Step
+# counts, the batch search against per-matrix searches) and the training
+# corpus digests, the solver trajectories golden, every stepper's Step
 # against its frozen body, per-Step allocation and GMRES session budget
 # gates, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
@@ -85,12 +86,15 @@ go test -count=1 -run 'TestModeledScoreboardGolden' ./internal/core
 # The tuning search's cost layer may skip, replay or cut short simulations,
 # never move a label: cached, pruned and batched searches against the legacy
 # exhaustive pass, in both kernel spaces; cache counts at every worker count;
-# the launch cutoff's bounds against uncut launches; and a prune-off search
-# that must not replay the bounds a pruning search cached. Without -race
-# (the sweep above runs most of these slowly, and the cutoff test skips
-# under it).
+# a batch search (SearchAll) against per-matrix searches, labels and cache
+# counts; the launch cutoff's bounds against uncut launches; a prune-off
+# search that must not replay the bounds a pruning search cached; and the
+# digests of the corpora the searches label, which the parallel corpus
+# build must not move. Without -race (the sweep above runs most of these
+# slowly, and the cutoff test skips under it).
 echo "== search equivalence"
-go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds' ./internal/core
+go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestSearchAllWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds' ./internal/core
+go test -count=1 -run 'TestCorpusDigestGolden' ./internal/matgen
 
 # Every error path of the API — status, Content-Type, Retry-After and body
 # bytes — is pinned against the server before its request lifecycle was

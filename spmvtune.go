@@ -208,8 +208,8 @@ func VecApproxEqual(x, y []float64, tol float64) bool { return sparse.VecApproxE
 // TrainOptions configures the offline training pipeline.
 type TrainOptions struct {
 	CorpusSize    int   // number of synthetic corpus matrices
-	MinRows       int   // smallest corpus matrix
-	MaxRows       int   // largest corpus matrix
+	MinRows       int   // smallest corpus matrix (0 = the default corpus's)
+	MaxRows       int   // largest corpus matrix (0 = the default corpus's)
 	Seed          int64 // corpus seed
 	TrainFraction float64
 	Tree          TreeOptions
@@ -249,9 +249,13 @@ func TrainPipeline(cfg Config, opts TrainOptions) (*Model, TrainReport, error) {
 	if opts.TrainFraction <= 0 || opts.TrainFraction > 1 {
 		opts.TrainFraction = 0.75
 	}
-	corpus := matgen.Corpus(matgen.CorpusOptions{
+	co, err := matgen.CorpusOptions{
 		N: opts.CorpusSize, MinRows: opts.MinRows, MaxRows: opts.MaxRows, Seed: opts.Seed,
-	})
+	}.WithDefaultBounds()
+	if err != nil {
+		return nil, TrainReport{}, err
+	}
+	corpus := matgen.Corpus(co)
 	td := core.NewTrainingData(cfg)
 	for i, cm := range corpus {
 		td.AddMatrix(cfg, cm.A)
