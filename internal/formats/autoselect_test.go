@@ -1,6 +1,7 @@
 package formats
 
 import (
+	"maps"
 	"testing"
 
 	"spmvtune/internal/hsa"
@@ -81,5 +82,35 @@ func TestAutoSelectSkipsRejectedELL(t *testing.T) {
 	}
 	if pick == "ell" {
 		t.Fatal("rejected ELL picked")
+	}
+}
+
+// TestAutoSelectGolden pins what AutoSelect returns for the first six
+// matrices of spmvd's bootstrap corpus: the pick and every candidate's
+// modeled seconds, by exact equality. The CSR anchor of 20 µs sits among
+// the format times, so CSR, ELL and HYB each win somewhere. Never
+// regenerate the constants.
+func TestAutoSelectGolden(t *testing.T) {
+	want := []struct {
+		format  string
+		seconds map[string]float64
+	}{
+		{"csr", map[string]float64{"csr": 2e-05, "ell": 4.585555555555555e-05, "hyb": 4.168888888888889e-05}},
+		{"hyb", map[string]float64{"csr": 2e-05, "hyb": 1.1755555555555556e-05}},
+		{"csr", map[string]float64{"csr": 2e-05, "ell": 9.473888888888889e-05, "hyb": 6.471111111111111e-05}},
+		{"ell", map[string]float64{"csr": 2e-05, "ell": 5.05e-06, "hyb": 1.0233333333333332e-05}},
+		{"hyb", map[string]float64{"csr": 2e-05, "hyb": 1.683888888888889e-05}},
+		{"csr", map[string]float64{"csr": 2e-05, "ell": 6.508333333333333e-05, "hyb": 5.827222222222222e-05}},
+	}
+	corpus := matgen.Corpus(matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42})[:6]
+	for i, cm := range corpus {
+		pick, seconds := AutoSelect(hsa.DefaultConfig(), cm.A, 20e-6)
+		if i >= len(want) {
+			t.Errorf("%s: no golden", cm.Name)
+			continue
+		}
+		if pick != want[i].format || !maps.Equal(seconds, want[i].seconds) {
+			t.Errorf("%s: AutoSelect = %q %v, want %q %v", cm.Name, pick, seconds, want[i].format, want[i].seconds)
+		}
 	}
 }
