@@ -283,7 +283,8 @@ func obtainModel(path string, corpus int, cfg core.Config) (*core.Model, error) 
 		mark = mark.Add(d)
 		return d.Seconds()
 	}
-	mats := matgen.Corpus(matgen.CorpusOptions{N: corpus, MinRows: 256, MaxRows: 2048, Seed: 42})
+	// Labelling reads structure only, so the corpus carries no values.
+	mats := matgen.ValueFreeCorpus(matgen.CorpusOptions{N: corpus, MinRows: 256, MaxRows: 2048, Seed: 42})
 	generated := lap()
 	td := core.NewTrainingData(cfg)
 	td.AddMatrices(cfg, matgen.Matrices(mats))

@@ -188,7 +188,7 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	mats := matgen.Corpus(co)
+	mats := matgen.ValueFreeCorpus(co)
 	td := core.NewTrainingData(cfg)
 	td.AddMatrices(cfg, matgen.Matrices(mats))
 	fmt.Printf("labeled %d matrices\n", len(mats))

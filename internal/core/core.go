@@ -159,6 +159,12 @@ func simulateKernelCtx(ctx context.Context, dev hsa.Config, a *sparse.CSR, vs, u
 // honored between bin launches and inside each launch; a nil ctx never
 // cancels.
 func SimulateBinned(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int) (hsa.Stats, error) {
+	return simulateBinned(ctx, dev, a, v, u, b, kernelByBin, kernels.Kernel.Run)
+}
+
+// simulateBinned is SimulateBinned under any walk: kernels.Kernel.Account
+// charges the same launches and writes nothing to u.
+func simulateBinned(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []float64, b *binning.Binning, kernelByBin map[int]int, walk walk) (hsa.Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -175,7 +181,7 @@ func SimulateBinned(ctx context.Context, dev hsa.Config, a *sparse.CSR, v, u []f
 		if !ok {
 			return total, fmt.Errorf("core: unknown kernel id %d for bin %d", kid, binID)
 		}
-		st, err := SimulateKernelCtx(ctx, dev, a, v, u, info.Kernel, b.Bins[binID])
+		st, err := simulateKernelCtx(ctx, dev, a, [][]float64{v}, [][]float64{u}, info.Kernel, walk, b.Bins[binID], 0)
 		if err != nil {
 			return total, err
 		}

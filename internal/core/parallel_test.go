@@ -166,6 +166,77 @@ func TestSearchAllWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestSearchIgnoresValues: the tuning search, the feature vectors and the
+// plan fingerprint read structure only, so value-free copies of the
+// bootstrap corpus, a matrix with every third row empty and a 0x4 matrix
+// get exactly what the valued matrices get — SearchAll results in both
+// kernel spaces, with equal cost cache counts. Each side searches on a
+// fresh cache: a shared one is keyed by structure and would replay the
+// valued side's costs to the value-free side.
+func TestSearchIgnoresValues(t *testing.T) {
+	opts := matgen.CorpusOptions{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42}
+	valued, free := matgen.Matrices(matgen.Corpus(opts)), matgen.Matrices(matgen.ValueFreeCorpus(opts))
+	holes := matgen.Mixed(600, 600, 30, []int{3, 40}, 5)
+	entries := make([][]sparse.Entry, holes.Rows)
+	for i := range entries {
+		if i%3 != 0 {
+			cols, vals := holes.Row(i)
+			for k, c := range cols {
+				entries[i] = append(entries[i], sparse.Entry{Col: int(c), Val: vals[k]})
+			}
+		}
+	}
+	holey, err := sparse.NewCSRFromRows(holes.Rows, holes.Cols, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []*sparse.CSR{holey, {Cols: 4, RowPtr: []int64{0}}} {
+		valued = append(valued, a)
+		free = append(free, &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx})
+	}
+
+	for i, a := range valued {
+		for _, cfg := range []Config{{}, {ExtendedFeatures: true}} {
+			if got, want := cfg.FeatureVector(free[i]), cfg.FeatureVector(a); !reflect.DeepEqual(got, want) {
+				t.Errorf("matrix %d extended=%v: value-free features %v, valued %v", i, cfg.ExtendedFeatures, got, want)
+			}
+		}
+		if got, want := plan.Fingerprint(free[i]), plan.Fingerprint(a); got != want {
+			t.Errorf("matrix %d: value-free fingerprint %s, valued %s", i, got, want)
+		}
+	}
+
+	for _, space := range []string{"pool", "synth"} {
+		v, f := valued, free
+		if raceEnabled && space == "synth" {
+			v, f = v[len(v)-3:], f[len(f)-3:]
+		}
+		search := func(mats []*sparse.CSR) ([]SearchResult, plancache.CostStats) {
+			cfg := DefaultConfig()
+			cfg.KernelSpace = space
+			cfg.SearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
+			res, err := SearchAll(context.Background(), cfg, mats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, cfg.SearchCache.Stats()
+		}
+		want, wantStats := search(v)
+		got, gotStats := search(f)
+		if !reflect.DeepEqual(got, want) {
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("%s: matrix %d value-free search %+v, valued %+v", space, i, got[i], want[i])
+					break
+				}
+			}
+		}
+		if gotStats != wantStats {
+			t.Errorf("%s: value-free cost cache %+v, valued %+v", space, gotStats, wantStats)
+		}
+	}
+}
+
 func TestSearchCtxCancellation(t *testing.T) {
 	cfg := testConfig()
 	a := matgen.Mixed(400, 400, 20, []int{2, 50}, 22)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"spmvtune/internal/kernels"
 	"spmvtune/internal/sparse"
 )
 
@@ -20,9 +21,12 @@ type Regret struct {
 }
 
 // EvaluateRegret runs the model's decision and the oracle's best decision
-// for every matrix and compares simulated times. A nil model has no
-// decision to evaluate and reports infinite regret — the promotion gate
-// then treats any trainable candidate as an improvement over it.
+// for every matrix and compares simulated times, charged from structure
+// alone (value-free matrices score like their valued originals). A matrix
+// the oracle runs in no time (0 rows) has no ratio: it is skipped and not
+// counted in N. A nil model has no decision to evaluate and reports
+// infinite regret — the promotion gate then treats any trainable candidate
+// as an improvement over it.
 func EvaluateRegret(cfg Config, m *Model, mats []*sparse.CSR) Regret {
 	r := Regret{Worst: 1}
 	if len(mats) == 0 {
@@ -36,11 +40,15 @@ func EvaluateRegret(cfg Config, m *Model, mats []*sparse.CSR) Regret {
 	within := 0
 	for _, a := range mats {
 		res := Search(cfg, a)
+		if !(res.Seconds > 0) || math.IsInf(res.Seconds, 0) {
+			continue
+		}
 
+		// Charged under Account, as the search is: nobody reads v or out.
 		d, b := fw.Decide(a)
 		v := make([]float64, a.Cols)
 		out := make([]float64, a.Rows)
-		st, err := SimulateBinned(context.Background(), cfg.Device, a, v, out, b, d.KernelByBin)
+		st, err := simulateBinned(context.Background(), cfg.Device, a, v, out, b, d.KernelByBin, kernels.Kernel.Account)
 		if err != nil {
 			continue
 		}

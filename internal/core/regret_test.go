@@ -46,3 +46,26 @@ func TestEvaluateRegret(t *testing.T) {
 		t.Errorf("empty evaluation: %+v", empty)
 	}
 }
+
+// TestEvaluateRegretSkipsZeroTimeMatrices: a 0-row matrix takes the model
+// and the oracle no time, so it has no ratio. Alone it is not counted, and
+// beside a real matrix it leaves that matrix's regret as it is.
+func TestEvaluateRegretSkipsZeroTimeMatrices(t *testing.T) {
+	cfg := testConfig()
+	td := NewTrainingData(cfg)
+	td.AddMatrices(cfg, matgen.Matrices(matgen.ValueFreeCorpus(matgen.CorpusOptions{N: 8, MinRows: 256, MaxRows: 768, Seed: 31})))
+	m := TrainModel(td, cfg, c50.DefaultOptions())
+
+	empty := &sparse.CSR{Cols: 4, RowPtr: []int64{0}}
+	if r := EvaluateRegret(cfg, m, []*sparse.CSR{empty}); r.N != 0 {
+		t.Errorf("0-row matrix alone: %+v, want N 0", r)
+	}
+	real := matgen.Mixed(600, 600, 30, []int{2, 50}, 73)
+	want := EvaluateRegret(cfg, m, []*sparse.CSR{real})
+	if want.N != 1 {
+		t.Fatalf("real matrix alone: %+v, want N 1", want)
+	}
+	if got := EvaluateRegret(cfg, m, []*sparse.CSR{empty, real, empty}); got != want {
+		t.Errorf("with 0-row matrices beside it: %+v, alone %+v", got, want)
+	}
+}

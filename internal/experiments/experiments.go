@@ -81,7 +81,7 @@ func (o *Options) EnsureModel() (*core.Model, TrainStats, error) {
 		return o.Model, TrainStats{}, nil
 	}
 	cfg := o.config()
-	corpus := matgen.Corpus(matgen.CorpusOptions{
+	corpus := matgen.ValueFreeCorpus(matgen.CorpusOptions{
 		N: o.CorpusN, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed,
 	})
 	td := core.NewTrainingData(cfg)

@@ -25,8 +25,8 @@ func FeatureCmp(o *Options) (FeatureCmpResult, error) {
 	o.Defaults()
 	var res FeatureCmpResult
 
-	corpus := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: o.CorpusN, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed}))
-	fresh := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
+	corpus := matgen.Matrices(matgen.ValueFreeCorpus(matgen.CorpusOptions{N: o.CorpusN, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed}))
+	fresh := matgen.Matrices(matgen.ValueFreeCorpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
 
 	train := func(cfg core.Config) (float64, float64, core.Regret) {
 		td := core.NewTrainingData(cfg)

@@ -128,7 +128,7 @@ func Fig5(o *Options) (Fig5Result, error) {
 	o.Defaults()
 	bounds := []int{2, 4, 8, 16, 32, 64, 100, 256, 1024}
 	res := Fig5Result{Bounds: bounds, Counts: make([]int64, len(bounds)+1)}
-	corpus := matgen.Corpus(matgen.CorpusOptions{N: o.CorpusN * 2, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed})
+	corpus := matgen.ValueFreeCorpus(matgen.CorpusOptions{N: o.CorpusN * 2, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed})
 	res.CorpusSize = len(corpus)
 	for _, cm := range corpus {
 		h := sparse.RowLengthHistogram(cm.A, bounds)
@@ -407,7 +407,7 @@ func MLErr(o *Options) (TrainStats, error) {
 	fmt.Fprintf(o.Out, "stage1 error=%.1f%% stage2 error=%.1f%% (labeling took %.1fs)\n",
 		100*ts.Stage1Error, 100*ts.Stage2Error, ts.LabelSeconds)
 
-	fresh := matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
+	fresh := matgen.Matrices(matgen.ValueFreeCorpus(matgen.CorpusOptions{N: 16, MinRows: o.MinRows, MaxRows: o.MaxRows, Seed: o.Seed + 1}))
 	reg := core.EvaluateRegret(o.config(), model, fresh)
 	fmt.Fprintf(o.Out, "prediction regret on %d fresh matrices: geo-mean %.3fx, worst %.2fx, %.0f%% within 1.10x of oracle\n",
 		reg.N, reg.GeoMean, reg.Worst, 100*reg.WithinX)

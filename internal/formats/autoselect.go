@@ -13,12 +13,14 @@ import (
 const TieEpsilon = 0.08
 
 // AutoSelect evaluates the storage-format dimension of the tuning search:
-// the device ELL and HYB kernels are simulated over the whole matrix (with
-// the deterministic all-ones probe vector — format cost, like kernel cost,
-// depends only on structure) and compared against csrSeconds, the modeled
-// time of the best binned CSR configuration. It returns the winning format
-// name and the modeled seconds per candidate. Formats that reject the
-// matrix (ELL padding blow-up) are simply absent from the map.
+// the device ELL and HYB kernels are simulated over the whole matrix and
+// compared against csrSeconds, the modeled time of the best binned CSR
+// configuration. Format cost, like kernel cost, depends only on structure,
+// so the launches run on a's value-free view: they are charged and compute
+// no product, and a value-free a is scored like its valued original. It
+// returns the winning format name and the modeled seconds per candidate.
+// Formats that reject the matrix (ELL padding blow-up) are simply absent
+// from the map.
 //
 // The choice is conservative by construction: "csr" unless an alternative
 // is strictly faster. Conversion cost is deliberately excluded — the
@@ -26,11 +28,9 @@ const TieEpsilon = 0.08
 // workload's many multiplies — so a non-CSR pick means "conversion would
 // pay at steady state", not "convert for one SpMV".
 func AutoSelect(dev hsa.Config, a *sparse.CSR, csrSeconds float64) (string, map[string]float64) {
-	v := make([]float64, a.Cols)
-	for i := range v {
-		v[i] = 1
-	}
-	u := make([]float64, a.Rows)
+	a = &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx}
+	// Unread by value-free launches; their lengths size the vector regions.
+	v, u := make([]float64, a.Cols), make([]float64, a.Rows)
 
 	seconds := map[string]float64{"csr": csrSeconds}
 	if e, err := ELLFromCSR(a); err == nil {

@@ -11,7 +11,8 @@ import (
 // reduction, and one lane per distinct row commits the partial to u with
 // an atomic add. u is zeroed first (COO kernels accumulate).
 //
-// The triplets must be sorted row-major (COO.SortRowMajor).
+// The triplets must be sorted row-major (COO.SortRowMajor). Value-free
+// triplets (Val nil) are charged alone, leaving u as it is.
 func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats {
 	run := hsa.NewRun(dev)
 	regRow := run.Alloc(4, int64(c.NNZ()))
@@ -20,8 +21,8 @@ func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats 
 	regV := run.Alloc(8, int64(len(v)))
 	regU := run.Alloc(8, int64(len(u)))
 
-	for i := 0; i < c.Rows && i < len(u); i++ {
-		u[i] = 0
+	if c.Val != nil {
+		clear(u[:min(c.Rows, len(u))])
 	}
 
 	wfSize := dev.WavefrontSize
@@ -51,7 +52,9 @@ func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats 
 			prevRow := int32(-1)
 			for k := lo; k < hi; k++ {
 				vAddrs = append(vAddrs, int64(c.ColIdx[k]))
-				u[c.RowIdx[k]] += c.Val[k] * v[c.ColIdx[k]]
+				if c.Val != nil {
+					u[c.RowIdx[k]] += c.Val[k] * v[c.ColIdx[k]]
+				}
 				if c.RowIdx[k] != prevRow {
 					prevRow = c.RowIdx[k]
 					uAddrs = append(uAddrs, int64(prevRow))

@@ -36,7 +36,8 @@ const MaxELLExpansion = 20
 
 // ELLFromCSR converts a CSR matrix to ELLPACK. It fails if the padded size
 // would exceed MaxELLExpansion times the stored non-zeros (the failure mode
-// that makes ELL unusable for power-law matrices).
+// that makes ELL unusable for power-law matrices). A value-free matrix
+// (Val nil) converts to a value-free ELL.
 func ELLFromCSR(a *sparse.CSR) (*ELL, error) {
 	st := sparse.ComputeRowStats(a)
 	width := st.Max
@@ -45,19 +46,35 @@ func ELLFromCSR(a *sparse.CSR) (*ELL, error) {
 		return nil, fmt.Errorf("formats: ELL width %d would expand %d nnz to %d slots (> %dx)",
 			width, a.NNZ(), padded, MaxELLExpansion)
 	}
-	e := &ELL{Rows: a.Rows, Cols: a.Cols, Width: width,
-		ColIdx: make([]int32, padded), Val: make([]float64, padded)}
-	for i := range e.ColIdx {
-		e.ColIdx[i] = PadCol
-	}
+	e := newELL(a, width)
 	for r := 0; r < a.Rows; r++ {
-		cols, vals := a.Row(r)
-		for t, c := range cols {
-			e.ColIdx[t*a.Rows+r] = c
-			e.Val[t*a.Rows+r] = vals[t]
+		for t, k := 0, a.RowPtr[r]; k < a.RowPtr[r+1]; t, k = t+1, k+1 {
+			e.set(t, r, a, k)
 		}
 	}
 	return e, nil
+}
+
+// newELL returns a's ELL form at the given width with every slot padding,
+// holding values only if a does.
+func newELL(a *sparse.CSR, width int) *ELL {
+	padded := a.Rows * width
+	e := &ELL{Rows: a.Rows, Cols: a.Cols, Width: width, ColIdx: make([]int32, padded)}
+	if a.Val != nil {
+		e.Val = make([]float64, padded)
+	}
+	for i := range e.ColIdx {
+		e.ColIdx[i] = PadCol
+	}
+	return e
+}
+
+// set stores a's entry k in slot t of row r.
+func (e *ELL) set(t, r int, a *sparse.CSR, k int64) {
+	e.ColIdx[t*e.Rows+r] = a.ColIdx[k]
+	if e.Val != nil {
+		e.Val[t*e.Rows+r] = a.Val[k]
+	}
 }
 
 // MulVec computes u = E*v sequentially.
@@ -97,10 +114,12 @@ func (e *ELL) ToCSR() *sparse.CSR {
 // device simulator: iteration t loads slot t of 64 consecutive rows — a
 // fully coalesced stream — but every wavefront iterates the full Width,
 // which is exactly the padding waste that kills ELL on skewed matrices.
+// A value-free ELL is charged alone: u is left as it is, and v and u only
+// give the vector regions their lengths.
 func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 	run := hsa.NewRun(dev)
 	regCol := run.Alloc(4, int64(len(e.ColIdx)))
-	regVal := run.Alloc(8, int64(len(e.Val)))
+	regVal := run.Alloc(8, int64(len(e.ColIdx)))
 	regV := run.Alloc(8, int64(len(v)))
 	regU := run.Alloc(8, int64(len(u)))
 
@@ -119,8 +138,8 @@ func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 				hi = e.Rows
 			}
 			acc := g.WF()
-			for r := lo; r < hi; r++ {
-				u[r] = 0
+			if e.Val != nil {
+				clear(u[lo:hi])
 			}
 			for t := 0; t < e.Width; t++ {
 				// Coalesced slot loads across the wavefront's rows.
@@ -133,7 +152,9 @@ func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 						continue
 					}
 					vAddrs = append(vAddrs, int64(c))
-					u[r] += e.Val[t*e.Rows+r] * v[c]
+					if e.Val != nil {
+						u[r] += e.Val[t*e.Rows+r] * v[c]
+					}
 				}
 				acc.Gather(regV, vAddrs)
 				acc.ALU(2)
@@ -248,7 +269,8 @@ type HYB struct {
 }
 
 // HYBFromCSR splits a CSR matrix at the given ELL width; width <= 0 uses
-// the mean row length rounded up (the standard heuristic).
+// the mean row length rounded up (the standard heuristic). A value-free
+// matrix splits into value-free parts.
 func HYBFromCSR(a *sparse.CSR, width int) *HYB {
 	if width <= 0 {
 		st := sparse.ComputeRowStats(a)
@@ -257,21 +279,18 @@ func HYBFromCSR(a *sparse.CSR, width int) *HYB {
 			width = 1
 		}
 	}
-	padded := a.Rows * width
-	ell := &ELL{Rows: a.Rows, Cols: a.Cols, Width: width,
-		ColIdx: make([]int32, padded), Val: make([]float64, padded)}
-	for i := range ell.ColIdx {
-		ell.ColIdx[i] = PadCol
-	}
+	ell := newELL(a, width)
 	coo := &sparse.COO{Rows: a.Rows, Cols: a.Cols}
 	for r := 0; r < a.Rows; r++ {
-		cols, vals := a.Row(r)
-		for t := range cols {
+		for t, k := 0, a.RowPtr[r]; k < a.RowPtr[r+1]; t, k = t+1, k+1 {
 			if t < width {
-				ell.ColIdx[t*a.Rows+r] = cols[t]
-				ell.Val[t*a.Rows+r] = vals[t]
-			} else {
-				coo.Add(r, int(cols[t]), vals[t])
+				ell.set(t, r, a, k)
+				continue
+			}
+			coo.RowIdx = append(coo.RowIdx, int32(r))
+			coo.ColIdx = append(coo.ColIdx, a.ColIdx[k])
+			if a.Val != nil {
+				coo.Val = append(coo.Val, a.Val[k])
 			}
 		}
 	}

@@ -100,7 +100,9 @@ func (in *Input) bind(run *hsa.Run, a *sparse.CSR, vs, us [][]float64) {
 	}
 	in.RegRowPtr = run.Alloc(8, int64(len(a.RowPtr)))
 	in.RegColIdx = run.Alloc(4, int64(len(a.ColIdx)))
-	in.RegVal = run.Alloc(8, int64(len(a.Val)))
+	// Sized from ColIdx, like every structure read: a value-free matrix
+	// must lay out the regions after RegVal where a valued one does.
+	in.RegVal = run.Alloc(8, int64(len(a.ColIdx)))
 	in.RegV = run.Alloc(8, in.vStride*int64(len(vs)))
 	in.RegU = run.Alloc(8, in.uStride*int64(len(us)))
 	in.RegBin = run.Alloc(4, int64(a.Rows)+1)

@@ -64,7 +64,17 @@ func Matrices(c []CorpusMatrix) []*sparse.CSR {
 // every kernel in the pool is optimal somewhere. Every parameter is drawn
 // from the master seed in corpus order first; the matrices are then built
 // on a GOMAXPROCS pool, so the output does not depend on the pool.
-func Corpus(opts CorpusOptions) []CorpusMatrix {
+func Corpus(opts CorpusOptions) []CorpusMatrix { return corpus(opts, true) }
+
+// ValueFreeCorpus is Corpus without the values: the same members with the
+// same Name, Family, RowPtr and ColIdx, each with Val nil. The tuning
+// search, features, plan fingerprints and regret evaluation read structure
+// only, so a corpus that is only labelled or scored needs nothing more, and
+// never holding the values keeps their memory out of the peak.
+func ValueFreeCorpus(opts CorpusOptions) []CorpusMatrix { return corpus(opts, false) }
+
+// corpus builds Corpus's members, storing values only when vals is set.
+func corpus(opts CorpusOptions, vals bool) []CorpusMatrix {
 	if opts.N <= 0 {
 		return nil
 	}
@@ -76,9 +86,9 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 		return opts.MinRows + rng.Intn(opts.MaxRows-opts.MinRows)
 	}
 	out := make([]CorpusMatrix, 0, opts.N)
-	var builds []func() *sparse.CSR
+	var builds []func() rowGen
 	var nnz []int // estimated, to order the builds
-	add := func(family string, estNNZ int, build func() *sparse.CSR) {
+	add := func(family string, estNNZ int, build func() rowGen) {
 		out = append(out, CorpusMatrix{Name: fmt.Sprintf("%s-%04d", family, len(out)), Family: family})
 		builds, nnz = append(builds, build), append(nnz, estNNZ)
 	}
@@ -90,10 +100,10 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 		switch rng.Intn(10) {
 		case 0, 1:
 			m, band := rows(), 3+rng.Intn(12)
-			add("banded", m*band, func() *sparse.CSR { return Banded(m, band, seed) })
+			add("banded", m*band, func() rowGen { return banded(m, band, seed) })
 		case 2:
 			m := rows()
-			add("road", m*3, func() *sparse.CSR { return RoadNetwork(m, seed) })
+			add("road", m*3, func() rowGen { return roadNetwork(m, seed) })
 		case 3, 4:
 			m := rows()
 			n := m / (1 + rng.Intn(4))
@@ -101,14 +111,14 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 				n = 32
 			}
 			rowLen := 1 + rng.Intn(6)
-			add("bipartite", m*rowLen, func() *sparse.CSR { return Bipartite(m, n, rowLen, seed) })
+			add("bipartite", m*rowLen, func() rowGen { return bipartite(m, n, rowLen, seed) })
 		case 5:
 			m, avg, alpha := rows(), 2+rng.Intn(8), 1.6+rng.Float64()
-			add("powerlaw", m*avg, func() *sparse.CSR { return PowerLaw(m, avg, alpha, 512, seed) })
+			add("powerlaw", m*avg, func() rowGen { return powerLaw(m, avg, alpha, 512, seed) })
 		case 6:
 			m := rows()
 			lo, hi := 1+rng.Intn(8), 8+rng.Intn(40)
-			add("uniform", m*(lo+hi)/2, func() *sparse.CSR { return RandomUniform(m, m, lo, hi, seed) })
+			add("uniform", m*(lo+hi)/2, func() rowGen { return randomUniform(m, m, lo, hi, seed) })
 		case 7:
 			// Medium rows: 20-120 nnz per row.
 			m := rows() / 2
@@ -116,7 +126,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 				m = 256
 			}
 			w := 20 + rng.Intn(100)
-			add("blockfem", m*w, func() *sparse.CSR { return BlockFEM(m, w, w/4, seed) })
+			add("blockfem", m*w, func() rowGen { return blockFEM(m, w, w/4, seed) })
 		case 8:
 			// Long rows: 150-600 nnz per row. Half the samples keep the
 			// full row count so the model sees long-row bins that are also
@@ -129,7 +139,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 				m = 128
 			}
 			w := 150 + rng.Intn(450)
-			add("blockfem-long", m*w, func() *sparse.CSR { return BlockFEM(m, w, w/5, seed) })
+			add("blockfem-long", m*w, func() rowGen { return blockFEM(m, w, w/5, seed) })
 		case 9:
 			// Mixed regions. Half mild (short + medium rows), half extreme
 			// (short + very long rows) — the latter are the inputs where
@@ -141,7 +151,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 			if rng.Intn(2) == 0 {
 				lens = []int{1 + rng.Intn(4), 150 + rng.Intn(500)}
 			}
-			add("mixed", m*slices.Max(lens)/len(lens), func() *sparse.CSR { return Mixed(m, m, region, lens, seed) })
+			add("mixed", m*slices.Max(lens)/len(lens), func() rowGen { return mixed(m, m, region, lens, seed) })
 		}
 	}
 	// Build largest estimate first, so the biggest builds do not start last
@@ -158,7 +168,7 @@ func Corpus(opts CorpusOptions) []CorpusMatrix {
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < len(order); k = int(next.Add(1)) - 1 {
-				out[order[k]].A = builds[order[k]]()
+				out[order[k]].A = builds[order[k]]().build(vals)
 			}
 		}()
 	}

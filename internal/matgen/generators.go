@@ -17,15 +17,26 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// build assembles a CSR matrix from a per-row generator. gen must append
-// the column indices of row i to dst and return it; duplicates are removed
-// and rows are sorted here. Values are drawn from N(0,1) deterministically.
-func build(rows, cols int, seed int64, gen func(i int, rng *rand.Rand, dst []int32) []int32) *sparse.CSR {
-	rng := rand.New(rand.NewSource(seed))
-	a := &sparse.CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+// rowGen describes a matrix row by row: row must append the column indices
+// of row i to dst and return it, drawing any randomness from rng.
+type rowGen struct {
+	rows, cols int
+	seed       int64
+	row        func(i int, rng *rand.Rand, dst []int32) []int32
+}
+
+// build assembles the CSR matrix g describes: each row's duplicates are
+// removed and its columns sorted here, then one N(0,1) value per entry is
+// drawn from the row's rng. The values are stored only when vals is set;
+// they are drawn either way, so the rng reaches the next row in the same
+// state and ColIdx does not depend on vals. Without vals Val is nil: a
+// value-free matrix for the readers that need structure only.
+func (g rowGen) build(vals bool) *sparse.CSR {
+	rng := rand.New(rand.NewSource(g.seed))
+	a := &sparse.CSR{Rows: g.rows, Cols: g.cols, RowPtr: make([]int64, g.rows+1)}
 	var scratch []int32
-	for i := 0; i < rows; i++ {
-		scratch = gen(i, rng, scratch[:0])
+	for i := 0; i < g.rows; i++ {
+		scratch = g.row(i, rng, scratch[:0])
 		slices.Sort(scratch)
 		// Dedup in place.
 		w := 0
@@ -38,7 +49,9 @@ func build(rows, cols int, seed int64, gen func(i int, rng *rand.Rand, dst []int
 		}
 		for _, c := range scratch[:w] {
 			a.ColIdx = append(a.ColIdx, c)
-			a.Val = append(a.Val, rng.NormFloat64())
+			if v := rng.NormFloat64(); vals {
+				a.Val = append(a.Val, v)
+			}
 		}
 		a.RowPtr[i+1] = int64(len(a.ColIdx))
 	}
@@ -59,23 +72,28 @@ func clampCol(c, cols int) int32 {
 // entries centered on the diagonal (a 1-D FEM/stencil pattern, as in
 // apache1 or cryg10000). Row lengths are nearly uniform.
 func Banded(rows, band int, seed int64) *sparse.CSR {
+	return banded(rows, band, seed).build(true)
+}
+
+// banded is Banded's row generator.
+func banded(rows, band int, seed int64) rowGen {
 	if band < 1 {
 		band = 1
 	}
 	half := band / 2
-	return build(rows, rows, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, rows, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
 		for d := -half; d <= band-half-1; d++ {
 			dst = append(dst, clampCol(i+d, rows))
 		}
 		return dst
-	})
+	}}
 }
 
 // Diagonal generates the identity pattern with random values.
 func Diagonal(rows int, seed int64) *sparse.CSR {
-	return build(rows, rows, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, rows, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
 		return append(dst, int32(i))
-	})
+	}}.build(true)
 }
 
 // Poisson2D generates the 5-point Laplacian on an n×n grid: 4 on the
@@ -112,13 +130,18 @@ func Poisson2D(n int) *sparse.CSR {
 // RandomUniform generates rows whose length is uniform in
 // [minLen, maxLen] with uniformly random column positions.
 func RandomUniform(rows, cols, minLen, maxLen int, seed int64) *sparse.CSR {
+	return randomUniform(rows, cols, minLen, maxLen, seed).build(true)
+}
+
+// randomUniform is RandomUniform's row generator.
+func randomUniform(rows, cols, minLen, maxLen int, seed int64) rowGen {
 	if minLen < 0 {
 		minLen = 0
 	}
 	if maxLen < minLen {
 		maxLen = minLen
 	}
-	return build(rows, cols, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, cols, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
 		l := minLen + rng.Intn(maxLen-minLen+1)
 		if l > cols {
 			l = cols
@@ -127,7 +150,7 @@ func RandomUniform(rows, cols, minLen, maxLen int, seed int64) *sparse.CSR {
 			dst = append(dst, int32(rng.Intn(cols)))
 		}
 		return dst
-	})
+	}}
 }
 
 // PowerLaw generates a scale-free-like square matrix: row lengths follow a
@@ -135,6 +158,11 @@ func RandomUniform(rows, cols, minLen, maxLen int, seed int64) *sparse.CSR {
 // alpha (~1.8) yields a heavy tail of very long rows among a mass of short
 // ones — the shape of web/social graphs such as dictionary28.
 func PowerLaw(rows, avgTarget int, alpha float64, maxLen int, seed int64) *sparse.CSR {
+	return powerLaw(rows, avgTarget, alpha, maxLen, seed).build(true)
+}
+
+// powerLaw is PowerLaw's row generator.
+func powerLaw(rows, avgTarget int, alpha float64, maxLen int, seed int64) rowGen {
 	if maxLen < 1 {
 		maxLen = 1
 	}
@@ -168,7 +196,7 @@ func PowerLaw(rows, avgTarget int, alpha float64, maxLen int, seed int64) *spars
 	if sum > 0 && avgTarget > 0 {
 		scale = float64(avgTarget) * pilots / float64(sum)
 	}
-	return build(rows, rows, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, rows, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
 		l := int(float64(sample(rng)) * scale)
 		if l < 1 {
 			l = 1
@@ -180,14 +208,19 @@ func PowerLaw(rows, avgTarget int, alpha float64, maxLen int, seed int64) *spars
 			dst = append(dst, int32(rng.Intn(rows)))
 		}
 		return dst
-	})
+	}}
 }
 
 // RoadNetwork generates a square matrix shaped like a planar road graph
 // (europe_osm, roadNet-CA): degree mostly 1–4, neighbors close to the
 // diagonal (strong locality after the natural node ordering).
 func RoadNetwork(rows int, seed int64) *sparse.CSR {
-	return build(rows, rows, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
+	return roadNetwork(rows, seed).build(true)
+}
+
+// roadNetwork is RoadNetwork's row generator.
+func roadNetwork(rows int, seed int64) rowGen {
+	return rowGen{rows, rows, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
 		deg := 1 + rng.Intn(4) // 1..4
 		for k := 0; k < deg; k++ {
 			// Mostly local links, occasional longer hop.
@@ -205,17 +238,22 @@ func RoadNetwork(rows int, seed int64) *sparse.CSR {
 			dst = append(dst, clampCol(i+off, rows))
 		}
 		return dst
-	})
+	}}
 }
 
 // Bipartite generates a rectangular combinatorial matrix (ch7-9-b3,
 // shar_te2-b2, D6-6): every row has exactly rowLen uniformly random columns
 // out of cols. Row lengths are constant and short.
 func Bipartite(rows, cols, rowLen int, seed int64) *sparse.CSR {
+	return bipartite(rows, cols, rowLen, seed).build(true)
+}
+
+// bipartite is Bipartite's row generator.
+func bipartite(rows, cols, rowLen int, seed int64) rowGen {
 	if rowLen > cols {
 		rowLen = cols
 	}
-	return build(rows, cols, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, cols, seed, func(_ int, rng *rand.Rand, dst []int32) []int32 {
 		for len(dst) < rowLen {
 			c := int32(rng.Intn(cols))
 			dup := false
@@ -230,7 +268,7 @@ func Bipartite(rows, cols, rowLen int, seed int64) *sparse.CSR {
 			}
 		}
 		return dst
-	})
+	}}
 }
 
 // BlockFEM generates a square matrix of overlapping dense diagonal blocks:
@@ -238,10 +276,15 @@ func Bipartite(rows, cols, rowLen int, seed int64) *sparse.CSR {
 // of width ≈ blockWidth (crankseg_2, pkustk14, pcrystk02, Ga3As3H12).
 // jitter adds ±jitter random variation to the per-row width.
 func BlockFEM(rows, blockWidth, jitter int, seed int64) *sparse.CSR {
+	return blockFEM(rows, blockWidth, jitter, seed).build(true)
+}
+
+// blockFEM is BlockFEM's row generator.
+func blockFEM(rows, blockWidth, jitter int, seed int64) rowGen {
 	if blockWidth < 1 {
 		blockWidth = 1
 	}
-	return build(rows, rows, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, rows, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
 		w := blockWidth
 		if jitter > 0 {
 			w += rng.Intn(2*jitter+1) - jitter
@@ -254,7 +297,7 @@ func BlockFEM(rows, blockWidth, jitter int, seed int64) *sparse.CSR {
 			dst = append(dst, clampCol(start+d, rows))
 		}
 		return dst
-	})
+	}}
 }
 
 // Mixed concatenates regions with different per-row lengths: lens[r] gives
@@ -262,13 +305,18 @@ func BlockFEM(rows, blockWidth, jitter int, seed int64) *sparse.CSR {
 // rows are exhausted. This produces exactly the "short rows followed by
 // medium rows" scenarios of Section III-B.
 func Mixed(rows, cols, regionRows int, lens []int, seed int64) *sparse.CSR {
+	return mixed(rows, cols, regionRows, lens, seed).build(true)
+}
+
+// mixed is Mixed's row generator.
+func mixed(rows, cols, regionRows int, lens []int, seed int64) rowGen {
 	if regionRows < 1 {
 		regionRows = 1
 	}
 	if len(lens) == 0 {
 		lens = []int{1}
 	}
-	return build(rows, cols, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, cols, seed, func(i int, rng *rand.Rand, dst []int32) []int32 {
 		l := lens[(i/regionRows)%len(lens)]
 		if l > cols {
 			l = cols
@@ -277,15 +325,15 @@ func Mixed(rows, cols, regionRows int, lens []int, seed int64) *sparse.CSR {
 			dst = append(dst, int32(rng.Intn(cols)))
 		}
 		return dst
-	})
+	}}
 }
 
 // SingleNNZRows generates the Figure 8 overhead workload: rows rows, each
 // with exactly one non-zero (on the diagonal position modulo cols).
 func SingleNNZRows(rows, cols int, seed int64) *sparse.CSR {
-	return build(rows, cols, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
+	return rowGen{rows, cols, seed, func(i int, _ *rand.Rand, dst []int32) []int32 {
 		return append(dst, int32(i%cols))
-	})
+	}}.build(true)
 }
 
 // QuasiDense generates rows of length near cols*density with uniform

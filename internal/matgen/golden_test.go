@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -54,6 +55,32 @@ func TestCorpusDigestGolden(t *testing.T) {
 	} {
 		if got := corpusDigest(Corpus(tc.opts)); got != tc.want {
 			t.Errorf("%s corpus digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestValueFreeCorpusMatchesCorpus: for the three corpora
+// TestCorpusDigestGolden pins, ValueFreeCorpus returns Corpus's members
+// with the same Name, Family, shape, RowPtr and ColIdx, and no values.
+func TestValueFreeCorpusMatchesCorpus(t *testing.T) {
+	for _, opts := range []CorpusOptions{
+		{N: 24, MinRows: 256, MaxRows: 2048, Seed: 42},
+		{N: 8, MinRows: 200, MaxRows: 900, Seed: 7},
+		{N: 30, MinRows: 128, MaxRows: 512, Seed: 1},
+	} {
+		want, got := Corpus(opts), ValueFreeCorpus(opts)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d members, Corpus has %d", opts.Seed, len(got), len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.Name != w.Name || g.Family != w.Family || g.A.Rows != w.A.Rows || g.A.Cols != w.A.Cols ||
+				!slices.Equal(g.A.RowPtr, w.A.RowPtr) || !slices.Equal(g.A.ColIdx, w.A.ColIdx) {
+				t.Errorf("seed %d member %d (%s): structure differs from Corpus's %s", opts.Seed, i, g.Name, w.Name)
+			}
+			if g.A.Val != nil {
+				t.Errorf("seed %d member %d (%s): %d values, want nil", opts.Seed, i, g.Name, len(g.A.Val))
+			}
 		}
 	}
 }

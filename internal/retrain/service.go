@@ -145,9 +145,10 @@ func (c Config) withDefaults() Config {
 
 // DefaultHoldout is the built-in regret corpus: a small deterministic
 // matgen sweep, seeded differently from spmvd's bootstrap-training corpus
-// so the gate never scores a candidate on its own training matrices.
+// so the gate never scores a candidate on its own training matrices. The
+// gate's regret reads structure only, so the matrices carry no values.
 func DefaultHoldout() []*sparse.CSR {
-	return matgen.Matrices(matgen.Corpus(matgen.CorpusOptions{N: 8, MinRows: 200, MaxRows: 900, Seed: 7}))
+	return matgen.Matrices(matgen.ValueFreeCorpus(matgen.CorpusOptions{N: 8, MinRows: 200, MaxRows: 900, Seed: 7}))
 }
 
 // Stats is a snapshot of the service counters.

@@ -14,8 +14,9 @@ type COO struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored triplets (duplicates counted).
-func (c *COO) NNZ() int { return len(c.Val) }
+// NNZ returns the number of stored triplets (duplicates counted), counted
+// from the structure as CSR.NNZ is.
+func (c *COO) NNZ() int { return len(c.ColIdx) }
 
 // Add appends a triplet. Bounds are checked at ToCSR/Validate time so that
 // bulk assembly stays cheap.

@@ -33,6 +33,10 @@ func invalidf(format string, args ...any) error {
 //   - len(RowPtr) == Rows+1, RowPtr[0] == 0, RowPtr non-decreasing
 //   - RowPtr[Rows] == len(ColIdx) == len(Val)
 //   - 0 <= ColIdx[k] < Cols for all k
+//
+// A value-free matrix (Val nil, as matgen.ValueFreeCorpus builds) fails
+// Validate and has no product; it serves the readers that need structure
+// only: features, binning, plan fingerprints and the tuning search.
 type CSR struct {
 	Rows   int
 	Cols   int
@@ -41,8 +45,9 @@ type CSR struct {
 	Val    []float64
 }
 
-// NNZ returns the number of stored non-zero entries.
-func (a *CSR) NNZ() int { return len(a.Val) }
+// NNZ returns the number of stored non-zero entries, counted from the
+// structure so a value-free matrix reports the same count.
+func (a *CSR) NNZ() int { return len(a.ColIdx) }
 
 // RowLen returns the number of stored entries in row i.
 func (a *CSR) RowLen(i int) int { return int(a.RowPtr[i+1] - a.RowPtr[i]) }

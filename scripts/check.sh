@@ -16,7 +16,9 @@
 # scoreboard golden, the tuning search's equivalence to the legacy pass
 # (cost cache, analytic prune and launch cutoff, worker-invariant cache
 # counts, the batch search against per-matrix searches) and the training
-# corpus digests, the solver trajectories golden, every stepper's Step
+# corpus digests, the structure-only labelling path (value-free corpora
+# against valued ones, the search on both, the bootstrap's allocation
+# budget, the holdout regret and format-selection goldens), the solver trajectories golden, every stepper's Step
 # against its frozen body, per-Step allocation and GMRES session budget
 # gates, plus staticcheck and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
@@ -90,11 +92,19 @@ go test -count=1 -run 'TestModeledScoreboardGolden' ./internal/core
 # counts; the launch cutoff's bounds against uncut launches; a prune-off
 # search that must not replay the bounds a pruning search cached; and the
 # digests of the corpora the searches label, which the parallel corpus
-# build must not move. Without -race (the sweep above runs most of these
-# slowly, and the cutoff test skips under it).
+# build must not move. The search reads structure only: value-free corpora
+# must equal the valued ones but for Val, the search, features and plan
+# fingerprint of a value-free copy must equal the valued matrix's, regret
+# must skip matrices the oracle runs in no time, and the bootstrap (pinned
+# model versions, pool and synth) must stay within its allocation budget,
+# with the holdout regret and AutoSelect's picks pinned. Without -race (the
+# sweep above runs most of these slowly, and the cutoff test and the
+# allocation budget skip under it).
 echo "== search equivalence"
-go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestSearchAllWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds' ./internal/core
-go test -count=1 -run 'TestCorpusDigestGolden' ./internal/matgen
+go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestSearchAllWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds|TestSearchIgnoresValues|TestEvaluateRegretSkipsZeroTimeMatrices' ./internal/core
+go test -count=1 -run 'TestCorpusDigestGolden|TestValueFreeCorpusMatchesCorpus' ./internal/matgen
+go test -count=1 -run 'TestAutoSelectGolden' ./internal/formats
+go test -count=1 -run 'TestBootstrapModelVersion|TestHoldoutRegretGolden|TestBootstrapAllocBudget' ./cmd/spmvd
 
 # Every error path of the API — status, Content-Type, Retry-After and body
 # bytes — is pinned against the server before its request lifecycle was

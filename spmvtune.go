@@ -255,7 +255,7 @@ func TrainPipeline(cfg Config, opts TrainOptions) (*Model, TrainReport, error) {
 	if err != nil {
 		return nil, TrainReport{}, err
 	}
-	corpus := matgen.Corpus(co)
+	corpus := matgen.ValueFreeCorpus(co)
 	td := core.NewTrainingData(cfg)
 	for i, cm := range corpus {
 		td.AddMatrix(cfg, cm.A)
