@@ -79,7 +79,9 @@ func TestReadHeaderCannotClaimMemory(t *testing.T) {
 // the reference reader and with Read, in two spellings: "g17" is the body
 // Write emits (and spmvd receives), every value %.17g, so every conversion
 // is an Eisel–Lemire one; "f3" writes the same entries with three decimals,
-// which take the exact-float branch.
+// which take the exact-float branch. "g17-60000" is the g17 body of the
+// 60 000-row matrix, about 85 pieces. Read spreads the pieces over
+// GOMAXPROCS goroutines, so compare it across -cpu values.
 func BenchmarkReadMatrixMarket(b *testing.B) {
 	a := matgen.PowerLaw(6000, 6, 2.1, 800, 1)
 	var f3 bytes.Buffer
@@ -96,6 +98,7 @@ func BenchmarkReadMatrixMarket(b *testing.B) {
 	}{
 		{"g17", uploadBody(b, 6000)},
 		{"f3", f3.Bytes()},
+		{"g17-60000", uploadBody(b, 60000)},
 	} {
 		for _, bc := range []struct {
 			name string

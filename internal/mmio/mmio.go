@@ -15,8 +15,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode/utf8"
 
 	"spmvtune/internal/atof"
@@ -101,12 +104,27 @@ func Read(r io.Reader) (*sparse.CSR, error) {
 	return ReadWithLimits(r, DefaultLimits())
 }
 
+// pieceSize is the size of the pieces a coordinate file's entry lines are
+// cut into, each parsed on its own while the rest of the stream is read.
+// It is the scanner's initial buffer: a larger one buys no speed on a
+// 1 MB upload and costs the daemon resident memory (DESIGN.md "The upload
+// path").
+const pieceSize = 64 << 10
+
 // ReadWithLimits parses a Matrix Market stream, rejecting files whose
 // declared dimensions or entry counts exceed lim before allocating for
 // them. Malformed input errors match errdefs.ErrInvalidMatrix.
 func ReadWithLimits(r io.Reader, lim Limits) (*sparse.CSR, error) {
+	return readWithLimits(r, lim, pieceSize)
+}
+
+// readWithLimits is ReadWithLimits cutting entry lines into pieces of the
+// given size.
+func readWithLimits(r io.Reader, lim Limits, piece int) (*sparse.CSR, error) {
+	sp := &splitter{piece: piece}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 0, max(pieceSize, piece)), 1<<22)
+	sc.Split(sp.split)
 
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
@@ -127,7 +145,7 @@ func ReadWithLimits(r io.Reader, lim Limits) (*sparse.CSR, error) {
 	// scanner's buffer, so it is parsed before the next Scan.
 	var sizeLine []byte
 	for sc.Scan() {
-		if l := entryLine(sc); l != nil {
+		if l := entryLine(sc.Bytes()); l != nil {
 			sizeLine = l
 			break
 		}
@@ -142,7 +160,37 @@ func ReadWithLimits(r io.Reader, lim Limits) (*sparse.CSR, error) {
 	if h.Format == "array" {
 		return readArray(sc, h, sizeLine, lim)
 	}
-	return readCoordinate(sc, h, sizeLine, lim)
+	return readCoordinate(sc, sp, h, sizeLine, lim)
+}
+
+// splitter cuts the scanner's input into lines, as bufio.ScanLines does,
+// until pieces is set, and from then on into pieces: the first piece bytes
+// up to their last newline (or, when they hold none, up to the first one
+// after), so the partial line after it starts the next piece. At the end of
+// input the rest is cut the same way, and what remains is the last piece.
+type splitter struct {
+	piece  int
+	pieces bool
+	last   bool // the token just returned is the input's last
+}
+
+func (s *splitter) split(data []byte, atEOF bool) (int, []byte, error) {
+	if !s.pieces {
+		return bufio.ScanLines(data, atEOF)
+	}
+	if len(data) >= s.piece {
+		if i := bytes.LastIndexByte(data[:s.piece], '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		if i := bytes.IndexByte(data[s.piece:], '\n'); i >= 0 {
+			return s.piece + i + 1, data[:s.piece+i+1], nil
+		}
+	}
+	if !atEOF || len(data) == 0 {
+		return 0, nil, nil
+	}
+	s.last = true
+	return len(data), data, nil
 }
 
 // scanErr classifies scanner failures: an over-long line is malformed
@@ -154,11 +202,10 @@ func scanErr(err error) error {
 	return err
 }
 
-// entryLine returns the scanner's current line with surrounding whitespace
-// trimmed, or nil for a blank or comment line. The bytes alias the
-// scanner's buffer and are valid until the next Scan.
-func entryLine(sc *bufio.Scanner) []byte {
-	l := bytes.TrimSpace(sc.Bytes())
+// entryLine returns line with surrounding whitespace trimmed, or nil for a
+// blank or comment line. The bytes alias line.
+func entryLine(line []byte) []byte {
+	l := bytes.TrimSpace(line)
 	if len(l) == 0 || l[0] == '%' {
 		return nil
 	}
@@ -272,8 +319,9 @@ func entry(l []byte, pattern bool) (i, j int, v float64, ok bool) {
 // that does not allocate because strconv does not retain its argument (a
 // NumError clones it): accepted values and error texts are exactly those of
 // strconv on the token's string.
-func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
-	f := fields(nil, sizeLine)
+func readCoordinate(sc *bufio.Scanner, sp *splitter, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
+	var toks [3][]byte
+	f := fields(toks[:0], sizeLine)
 	if len(f) != 3 {
 		return nil, badf("bad coordinate size line %q", sizeLine)
 	}
@@ -286,71 +334,240 @@ func readCoordinate(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*
 	if err := lim.check(rows, cols, nnz); err != nil {
 		return nil, err
 	}
-	n := min(nnz, maxPrealloc)
-	c := &sparse.COO{Rows: rows, Cols: cols, RowIdx: make([]int32, 0, n), ColIdx: make([]int32, 0, n), Val: make([]float64, 0, n)}
-	pattern := h.Field == "pattern"
+	sp.pieces = true
+	return readEntries(coordinate{rows: rows, cols: cols, nnz: nnz, pattern: h.Field == "pattern", symmetry: h.Symmetry}, sc, sp)
+}
+
+// coordinate is a coordinate file's declared shape and symmetry: what
+// parsing any piece of its entry lines needs.
+type coordinate struct {
+	rows, cols, nnz int
+	pattern         bool
+	symmetry        string
+}
+
+// parser is the state one goroutine parses pieces with: the triplet storage
+// every piece it parses appends to, its copy of the piece, and its token
+// scratch.
+type parser struct {
+	c   sparse.COO
+	buf []byte
+	f   [][]byte
+}
+
+// result is what parsing a piece left: its triplets, at [lo, hi) of parser
+// w's storage, and the number of entry lines it read before its first bad
+// one, and that line's error.
+type result struct {
+	w, lo, hi, good int
+	err             error
+	done            bool
+}
+
+// pieces is what the goroutines parsing one file's entry lines share. Each
+// takes the next piece from the scanner under mu and parses it outside.
+type pieces struct {
+	cd coordinate
+	sc *bufio.Scanner
+	sp *splitter
+	ps []parser // one per goroutine that may run
+
+	mu      sync.Mutex
+	started int        // goroutines started, the caller's included
+	rs      []result   // by piece, in stream order
+	rs0     [16]result // rs's first backing array, allocated with s
+	t       tally
+	done    bool // nothing is left to read, or t decided an error
+	wg      sync.WaitGroup
+}
+
+// readEntries parses the entry lines sc yields in pieces, on up to
+// GOMAXPROCS goroutines, and builds the CSR. The pieces are accounted in
+// stream order, so the error returned is the one the line-by-line reader
+// met first, and assembled in stream order, so the matrix has its bits.
+func readEntries(cd coordinate, sc *bufio.Scanner, sp *splitter) (*sparse.CSR, error) {
+	procs := runtime.GOMAXPROCS(0)
+	s := &pieces{cd: cd, sc: sc, sp: sp, ps: make([]parser, procs), started: 1, t: tally{nnz: cd.nnz}}
+	s.rs = s.rs0[:0]
+	// The parsers share the sequential reader's preallocation, and grow
+	// only with the triplets they store.
+	n := min(cd.nnz, maxPrealloc)
+	ij, val := make([]int32, 2*n), make([]float64, n)
+	for k := range s.ps {
+		lo, hi := k*n/procs, (k+1)*n/procs
+		s.ps[k].c = sparse.COO{RowIdx: ij[lo:lo:hi], ColIdx: ij[n+lo : n+lo : n+hi], Val: val[lo:lo:hi]}
+	}
+	s.run(0)
+	s.wg.Wait()
+
+	if s.t.advance(s.rs) {
+		return nil, s.t.err
+	}
+	if err := sc.Err(); err != nil {
+		return nil, scanErr(err)
+	}
+	if s.t.seen != cd.nnz {
+		return nil, badf("truncated input: got %d entries, header promised %d", s.t.seen, cd.nnz)
+	}
+	var views [16]sparse.COO
+	parts := slices.Grow(views[:0], len(s.rs))
+	for _, r := range s.rs {
+		c := &s.ps[r.w].c
+		parts = append(parts, sparse.COO{RowIdx: c.RowIdx[r.lo:r.hi], ColIdx: c.ColIdx[r.lo:r.hi], Val: c.Val[r.lo:r.hi]})
+	}
+	return sparse.PartsToCSR(cd.rows, cd.cols, parts)
+}
+
+// run parses pieces with parser w until none is left. Reading a piece that
+// is not the input's last starts another goroutine while fewer than
+// GOMAXPROCS run, so a file that is one piece is parsed on the caller's
+// goroutine, in the scanner's buffer; once another goroutine runs, each
+// parses its own copy of the piece it read.
+func (s *pieces) run(w int) {
+	p := &s.ps[w]
+	s.mu.Lock()
+	for !s.done && s.sc.Scan() {
+		tok := s.sc.Bytes()
+		if !s.sp.last && s.started < len(s.ps) {
+			s.wg.Add(1)
+			go s.work(s.started)
+			s.started++
+		}
+		if s.started > 1 {
+			if cap(p.buf) < len(tok) {
+				p.buf = make([]byte, 0, max(s.sp.piece, len(tok)))
+			}
+			p.buf = append(p.buf[:0], tok...)
+			tok = p.buf
+		}
+		seq := len(s.rs)
+		s.rs = append(s.rs, result{})
+		s.mu.Unlock()
+
+		lo := len(p.c.Val)
+		good, err := s.cd.parse(p, tok)
+
+		s.mu.Lock()
+		s.rs[seq] = result{w: w, lo: lo, hi: len(p.c.Val), good: good, err: err, done: true}
+		s.done = s.t.advance(s.rs)
+	}
+	s.done = true
+	s.mu.Unlock()
+}
+
+// work is run on a goroutine of its own.
+func (s *pieces) work(w int) {
+	defer s.wg.Done()
+	s.run(w)
+}
+
+// tally accounts parsed pieces in stream order against the declared entry
+// count.
+type tally struct {
+	nnz  int
+	seen int   // entry lines in the pieces accounted
+	next int   // the first piece not accounted
+	err  error // the error the pieces accounted decide
+}
+
+// advance accounts the pieces of rs from t.next up to the first not yet
+// parsed and reports whether they decide an error: the line-by-line reader
+// refused the line after the nnz-th entry line as one too many before
+// reading it, and otherwise stopped at the first bad line.
+func (t *tally) advance(rs []result) bool {
+	for ; t.err == nil && t.next < len(rs) && rs[t.next].done; t.next++ {
+		r := &rs[t.next]
+		switch {
+		case r.err != nil && t.seen+r.good >= t.nnz, r.err == nil && t.seen+r.good > t.nnz:
+			t.err = badf("more than %d entries", t.nnz)
+		case r.err != nil:
+			t.err = r.err
+		}
+		t.seen += r.good
+	}
+	return t.err != nil
+}
+
+// parse appends the triplets of piece's entry lines to p's storage, reading
+// each line as the line-by-line reader did but for the count against the
+// header, which needs the pieces before this one. It returns how many entry
+// lines it read before the first bad one, and that line's error.
+func (cd *coordinate) parse(p *parser, piece []byte) (good int, err error) {
 	wantFields := 3
-	if pattern {
+	if cd.pattern {
 		wantFields = 2
 	}
-	seen := 0
-	for sc.Scan() {
-		l := entryLine(sc)
+	for len(piece) > 0 {
+		line := piece
+		if k := bytes.IndexByte(piece, '\n'); k >= 0 {
+			line, piece = piece[:k], piece[k+1:]
+		} else {
+			piece = nil
+		}
+		l := entryLine(line)
 		if l == nil {
 			continue
 		}
-		if seen >= nnz {
-			return nil, badf("more than %d entries", nnz)
-		}
-		i, j, v, ok := entry(l, pattern)
+		i, j, v, ok := entry(l, cd.pattern)
 		if !ok {
-			f = fields(f, l)
-			if len(f) < wantFields {
-				return nil, badf("bad entry line %q", l)
+			p.f = fields(p.f, l)
+			if len(p.f) < wantFields {
+				return good, badf("bad entry line %q", l)
 			}
 			var err error
-			i, err = strconv.Atoi(string(f[0]))
+			i, err = strconv.Atoi(string(p.f[0]))
 			if err != nil {
-				return nil, badf("bad row index in %q: %v", l, err)
+				return good, badf("bad row index in %q: %v", l, err)
 			}
-			j, err = strconv.Atoi(string(f[1]))
+			j, err = strconv.Atoi(string(p.f[1]))
 			if err != nil {
-				return nil, badf("bad col index in %q: %v", l, err)
+				return good, badf("bad col index in %q: %v", l, err)
 			}
 			v = 1.0
-			if !pattern {
-				v, err = strconv.ParseFloat(string(f[2]), 64)
+			if !cd.pattern {
+				v, err = strconv.ParseFloat(string(p.f[2]), 64)
 				if err != nil {
-					return nil, badf("bad value in %q: %v", l, err)
+					return good, badf("bad value in %q: %v", l, err)
 				}
 			}
 		}
 		// Matrix Market is 1-based.
 		i--
 		j--
-		if i < 0 || i >= rows || j < 0 || j >= cols {
-			return nil, badf("index (%d,%d) out of range %dx%d", i+1, j+1, rows, cols)
+		if i < 0 || i >= cd.rows || j < 0 || j >= cd.cols {
+			return good, badf("index (%d,%d) out of range %dx%d", i+1, j+1, cd.rows, cd.cols)
 		}
-		c.Add(i, j, v)
-		switch h.Symmetry {
+		p.add(i, j, v)
+		switch cd.symmetry {
 		case "symmetric":
 			if i != j {
-				c.Add(j, i, v)
+				p.add(j, i, v)
 			}
 		case "skew-symmetric":
 			if i != j {
-				c.Add(j, i, -v)
+				p.add(j, i, -v)
 			}
 		}
-		seen++
+		good++
 	}
-	if err := sc.Err(); err != nil {
-		return nil, scanErr(err)
+	return good, nil
+}
+
+// add appends a triplet to p's storage, doubling it when full.
+func (p *parser) add(i, j int, v float64) {
+	if n := len(p.c.Val); n == cap(p.c.Val) {
+		p.reserve(max(2*n, 1<<10))
 	}
-	if seen != nnz {
-		return nil, badf("truncated input: got %d entries, header promised %d", seen, nnz)
-	}
-	return c.ToCSR()
+	p.c.Add(i, j, v)
+}
+
+// reserve moves p's triplets to storage for n, the row and column indices
+// in one allocation.
+func (p *parser) reserve(n int) {
+	ij := make([]int32, 2*n)
+	p.c.RowIdx = append(ij[:0:n], p.c.RowIdx...)
+	p.c.ColIdx = append(ij[n:n:2*n], p.c.ColIdx...)
+	p.c.Val = append(make([]float64, 0, n), p.c.Val...)
 }
 
 func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {
@@ -375,7 +592,7 @@ func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*spars
 	// Array format is column-major dense.
 	vals := make([]float64, 0, min(rows*cols, maxPrealloc))
 	for sc.Scan() {
-		l := entryLine(sc)
+		l := entryLine(sc.Bytes())
 		if l == nil {
 			continue
 		}

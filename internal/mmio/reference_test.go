@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -212,9 +213,10 @@ func referenceArray(sc *bufio.Scanner, h Header, sizeLine string, lim Limits) (*
 }
 
 // FuzzMTXDifferential holds ReadWithLimits to referenceRead: on any input,
-// under FuzzReadMTX's tight limits and under DefaultLimits, both return the
-// same matrix bit for bit, or errors with the same text and the same
-// ErrInvalidMatrix classification.
+// under FuzzReadMTX's tight limits and under DefaultLimits, and with the
+// entry lines cut into pieces of 7 B, 64 B and the default size, both
+// return the same matrix bit for bit, or errors with the same text and the
+// same ErrInvalidMatrix classification.
 func FuzzMTXDifferential(f *testing.F) {
 	const coord = "%%MatrixMarket matrix coordinate real general\n"
 	seeds := []string{
@@ -284,25 +286,32 @@ func FuzzMTXDifferential(f *testing.F) {
 			if lim == DefaultLimits() && claimsMuchMemory(data) {
 				continue
 			}
-			got, gotErr := ReadWithLimits(bytes.NewReader(data), lim)
 			want, wantErr := referenceRead(bytes.NewReader(data), lim)
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("limits %+v: reader err %v, reference err %v\ninput: %q", lim, gotErr, wantErr, truncate(data))
-			}
-			if wantErr != nil {
-				if gotErr.Error() != wantErr.Error() {
-					t.Fatalf("limits %+v: error texts differ\nreader:    %s\nreference: %s\ninput: %q", lim, gotErr, wantErr, truncate(data))
+			for _, piece := range []int{7, 64, pieceSize} {
+				got, gotErr := readWithLimits(bytes.NewReader(data), lim, piece)
+				if msg := differs(got, gotErr, want, wantErr); msg != "" {
+					t.Fatalf("limits %+v, %d B pieces: %s\ninput: %q", lim, piece, msg, truncate(data))
 				}
-				if errors.Is(gotErr, errdefs.ErrInvalidMatrix) != errors.Is(wantErr, errdefs.ErrInvalidMatrix) {
-					t.Fatalf("limits %+v: %v classified differently from the reference", lim, gotErr)
-				}
-				continue
-			}
-			if !sameCSR(got, want) {
-				t.Fatalf("limits %+v: matrices differ\ninput: %q", lim, truncate(data))
 			}
 		}
 	})
+}
+
+// differs says how a read's outcome differs from the reference's: in
+// whether it failed, in the error's text or classification, or in the
+// matrix's bits; "" when it does not.
+func differs(got *sparse.CSR, gotErr error, want *sparse.CSR, wantErr error) string {
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		return fmt.Sprintf("reader err %v, reference err %v", gotErr, wantErr)
+	case wantErr != nil && gotErr.Error() != wantErr.Error():
+		return fmt.Sprintf("error texts differ\nreader:    %s\nreference: %s", gotErr, wantErr)
+	case wantErr != nil && errors.Is(gotErr, errdefs.ErrInvalidMatrix) != errors.Is(wantErr, errdefs.ErrInvalidMatrix):
+		return fmt.Sprintf("%v classified differently from the reference", gotErr)
+	case wantErr == nil && !sameCSR(got, want):
+		return "matrices differ"
+	}
+	return ""
 }
 
 // awkwardValues is a 3x4 matrix whose values Write spells with 17

@@ -29,10 +29,10 @@ var bodyPool sync.Pool // of *[]byte
 // without one the limited ReadAll grows as it goes. An oversized body is
 // reported as *http.MaxBytesError either way.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
-	limit, n := s.cfg.MaxBodyBytes, r.ContentLength
-	if n > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+	if err := s.declaredTooLarge(r); err != nil {
+		return nil, err
 	}
+	limit, n := s.cfg.MaxBodyBytes, r.ContentLength
 	if n <= 0 {
 		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 		return &b, err
@@ -48,6 +48,15 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, erro
 		return nil, err
 	}
 	return buf, nil
+}
+
+// declaredTooLarge refuses a body whose declared Content-Length exceeds
+// MaxBodyBytes, as *http.MaxBytesError, before a byte of it is read.
+func (s *Server) declaredTooLarge(r *http.Request) error {
+	if r.ContentLength > s.cfg.MaxBodyBytes {
+		return &http.MaxBytesError{Limit: s.cfg.MaxBodyBytes}
+	}
+	return nil
 }
 
 // readRequest is a JSON endpoint's way from handler entry to a validated

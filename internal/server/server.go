@@ -723,11 +723,17 @@ func vectorOutcome(rep *core.BatchReport, i int) (degraded bool, fallbacks int) 
 // the same structure answers the same ID. Re-uploading it with other values
 // replaces the stored entry: later requests multiply by the latest upload's
 // values, while sessions already open keep the entry they resolved. Plans
-// stay valid, as they depend on the structure alone. The time from handler
+// stay valid, as they depend on the structure alone. A body declared past
+// MaxBodyBytes is refused unread, as the JSON endpoints refuse one; an
+// undeclared one is parsed until the limit trips. The time from handler
 // entry to the built CSR is the upload's decode stage
 // (spmvd_decode_seconds).
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	if err := s.declaredTooLarge(r); err != nil {
+		s.writeError(w, tooLarge(err))
+		return
+	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	a, err := mmio.ReadWithLimits(body, s.cfg.Limits)
 	if err != nil {

@@ -370,6 +370,67 @@ func TestRequestValidationErrors(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes read from it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestUploadDeclaredTooLargeIsNotRead: an upload whose Content-Length
+// exceeds MaxBodyBytes gets the 413 every oversized body gets without a
+// byte of it being read, as on the JSON endpoints; the same body undeclared
+// is read until the limit trips.
+func TestUploadDeclaredTooLargeIsNotRead(t *testing.T) {
+	s, _ := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 64 })
+	var mtx bytes.Buffer
+	if err := mmio.Write(&mtx, matgen.Banded(100, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for _, declared := range []bool{true, false} {
+		body := &countingReader{r: bytes.NewReader(mtx.Bytes())}
+		req := httptest.NewRequest("POST", "/v1/matrices", body)
+		req.ContentLength = -1
+		if declared {
+			req.ContentLength = int64(mtx.Len())
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		want := `{"detail":"body exceeds 64 bytes","error":"invalid"}` + "\n"
+		if rec.Code != http.StatusRequestEntityTooLarge || rec.Body.String() != want {
+			t.Errorf("declared %v: status %d body %s, want 413 %s", declared, rec.Code, rec.Body, want)
+		}
+		if declared && body.n != 0 {
+			t.Errorf("declared oversized upload: %d bytes read, want 0", body.n)
+		}
+		if !declared && body.n <= 64 {
+			t.Errorf("undeclared oversized upload: %d bytes read, want the limit's worth and more", body.n)
+		}
+	}
+
+	// Undeclared and many pieces long: the limit trips on whichever
+	// goroutine reads past it, and the answer is still the one 413.
+	_, ts := newTestServer(t, func(c *Config) { c.MaxBodyBytes = 300 << 10 })
+	mtx.Reset()
+	if err := mmio.Write(&mtx, matgen.PowerLaw(6000, 6, 2.1, 800, 1)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/matrices", "text/plain", io.MultiReader(&mtx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"detail":"body exceeds 307200 bytes","error":"invalid"}` + "\n"; resp.StatusCode != http.StatusRequestEntityTooLarge || string(blob) != want {
+		t.Errorf("undeclared upload of %d bytes: status %d body %s, want 413 %s", mtx.Len(), resp.StatusCode, blob, want)
+	}
+}
+
 // TestQueueBackpressure saturates a 1-worker, 1-deep queue and checks that
 // overflow requests get 429 with the overloaded class.
 func TestQueueBackpressure(t *testing.T) {

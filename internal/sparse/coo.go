@@ -27,16 +27,20 @@ func (c *COO) Add(i, j int, v float64) {
 }
 
 // Validate checks lengths and index bounds.
-func (c *COO) Validate() error {
+func (c *COO) Validate() error { return c.validate(c.Rows, c.Cols, 0) }
+
+// validate is Validate for c as a part of a rows×cols triplet list whose
+// first base triplets precede it: an error names the list's index.
+func (c *COO) validate(rows, cols, base int) error {
 	if len(c.RowIdx) != len(c.ColIdx) || len(c.RowIdx) != len(c.Val) {
 		return invalidf("COO slice lengths differ: %d/%d/%d", len(c.RowIdx), len(c.ColIdx), len(c.Val))
 	}
 	for k := range c.RowIdx {
-		if c.RowIdx[k] < 0 || int(c.RowIdx[k]) >= c.Rows {
-			return invalidf("COO row index %d out of range at %d", c.RowIdx[k], k)
+		if c.RowIdx[k] < 0 || int(c.RowIdx[k]) >= rows {
+			return invalidf("COO row index %d out of range at %d", c.RowIdx[k], base+k)
 		}
-		if c.ColIdx[k] < 0 || int(c.ColIdx[k]) >= c.Cols {
-			return invalidf("COO col index %d out of range at %d", c.ColIdx[k], k)
+		if c.ColIdx[k] < 0 || int(c.ColIdx[k]) >= cols {
+			return invalidf("COO col index %d out of range at %d", c.ColIdx[k], base+k)
 		}
 	}
 	return nil
@@ -45,41 +49,85 @@ func (c *COO) Validate() error {
 // ToCSR converts the triplets to CSR, summing duplicate (i,j) entries and
 // sorting each row by column index.
 func (c *COO) ToCSR() (*CSR, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
+	return PartsToCSR(c.Rows, c.Cols, []COO{*c})
+}
+
+// PartsToCSR converts one rows×cols triplet list held as consecutive parts
+// (their own Rows and Cols are not read) to CSR, exactly as ToCSR converts
+// the concatenated list: a counting sort that walks the parts in order, so
+// each row's triplets keep the list's order, then SortRows and
+// sumDuplicates. The result has the same bits, and an error the same text,
+// its triplet index counted across parts.
+//
+// A list already in row order, as every Matrix Market writer emits one, is
+// its own counting sort, so it is copied; and when every row is strictly
+// increasing there is nothing to sort and no duplicate to sum.
+func PartsToCSR(rows, cols int, parts []COO) (*CSR, error) {
+	nnz := 0
+	for k := range parts {
+		if err := parts[k].validate(rows, cols, nnz); err != nil {
+			return nil, err
+		}
+		nnz += parts[k].NNZ()
 	}
-	a := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int64, c.Rows+1)}
-	for _, r := range c.RowIdx {
-		a.RowPtr[r+1]++
+	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	// inOrder: the list is row-major; distinct: then each row's columns
+	// also strictly increase.
+	inOrder, distinct := true, true
+	lastRow, lastCol := int32(0), int32(-1)
+	for k := range parts {
+		p := &parts[k]
+		for t, r := range p.RowIdx {
+			a.RowPtr[r+1]++
+			c := p.ColIdx[t]
+			if r < lastRow {
+				inOrder = false
+			} else if r == lastRow && c <= lastCol {
+				distinct = false
+			}
+			lastRow, lastCol = r, c
+		}
 	}
-	for i := 0; i < c.Rows; i++ {
+	for i := 0; i < rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
-	a.ColIdx = make([]int32, c.NNZ())
-	a.Val = make([]float64, c.NNZ())
-	next := make([]int64, c.Rows)
-	copy(next, a.RowPtr[:c.Rows])
-	for k := range c.RowIdx {
-		r := c.RowIdx[k]
-		p := next[r]
-		next[r]++
-		a.ColIdx[p] = c.ColIdx[k]
-		a.Val[p] = c.Val[k]
+	a.ColIdx = make([]int32, nnz)
+	a.Val = make([]float64, nnz)
+	if inOrder {
+		d := 0
+		for k := range parts {
+			copy(a.ColIdx[d:], parts[k].ColIdx)
+			d += copy(a.Val[d:], parts[k].Val)
+		}
+	} else {
+		// RowPtr[r] is row r's next free slot during the scatter, which
+		// leaves it at row r's end, where RowPtr[r+1] belongs.
+		for k := range parts {
+			p := &parts[k]
+			for t, r := range p.RowIdx {
+				d := a.RowPtr[r]
+				a.RowPtr[r]++
+				a.ColIdx[d] = p.ColIdx[t]
+				a.Val[d] = p.Val[t]
+			}
+		}
+		copy(a.RowPtr[1:], a.RowPtr[:rows])
+		a.RowPtr[0] = 0
 	}
-	a.SortRows()
-	a.sumDuplicates()
+	if !(inOrder && distinct) && !a.sortRows() {
+		a.sumDuplicates()
+	}
 	return a, nil
 }
 
 // sumDuplicates merges consecutive equal column indices in each (sorted)
-// row, compacting the storage in place.
+// row, compacting the storage and RowPtr in place.
 func (a *CSR) sumDuplicates() {
-	w := int64(0)
-	newPtr := make([]int64, len(a.RowPtr))
+	w, lo := int64(0), int64(0)
 	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		start, hi := w, a.RowPtr[i+1]
 		for k := lo; k < hi; k++ {
-			if w > newPtr[i] && a.ColIdx[w-1] == a.ColIdx[k] {
+			if w > start && a.ColIdx[w-1] == a.ColIdx[k] {
 				a.Val[w-1] += a.Val[k]
 				continue
 			}
@@ -87,9 +135,9 @@ func (a *CSR) sumDuplicates() {
 			a.Val[w] = a.Val[k]
 			w++
 		}
-		newPtr[i+1] = w
+		a.RowPtr[i+1] = w
+		lo = hi
 	}
-	copy(a.RowPtr, newPtr)
 	a.ColIdx = a.ColIdx[:w]
 	a.Val = a.Val[:w]
 }

@@ -113,17 +113,24 @@ func strictlyIncreasing(cols []int32) bool {
 // sort could move anything in it. Every other row goes through sort.Sort,
 // whose order among equal columns decides the order sumDuplicates adds them
 // in.
-func (a *CSR) SortRows() {
-	var row csrRowSorter
-	sorter := sort.Interface(&row) // boxed once per call, not per row
+func (a *CSR) SortRows() { a.sortRows() }
+
+// sortRows is SortRows, reporting whether every row was strictly increasing
+// already, so that no row holds a duplicate column.
+func (a *CSR) sortRows() (distinct bool) {
+	var row *csrRowSorter // allocated for the first row to sort, not per row
 	for i := 0; i < a.Rows; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		if strictlyIncreasing(a.ColIdx[lo:hi]) {
 			continue
 		}
-		row = csrRowSorter{cols: a.ColIdx[lo:hi], vals: a.Val[lo:hi]}
-		sort.Sort(sorter)
+		if row == nil {
+			row = new(csrRowSorter)
+		}
+		*row = csrRowSorter{cols: a.ColIdx[lo:hi], vals: a.Val[lo:hi]}
+		sort.Sort(row)
 	}
+	return row == nil
 }
 
 type csrRowSorter struct {

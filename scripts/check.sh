@@ -2,11 +2,12 @@
 # Full verification gate: formatting, vet, build, race-enabled tests, the
 # nested bench/ module's vet and tests, a 1-iteration benchmark smoke, short
 # fuzz smokes on the Matrix Market
-# parser (alone and against its reference), the spmvd request decoders
+# parser (alone, and against its reference with the entry lines cut into
+# pieces of 7 B, 64 B and the default size), the spmvd request decoders
 # (SpMV and solver sessions) and the request scanner's number path (against
 # its reference), the decimal conversion both decoders share (against
 # strconv), the request scanner's and the upload reader's allocation
-# gates, the simulator's bit-identity (golden digests, the device
+# gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
 # fingerprint golden, both gathers against their references, the search's
 # accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
@@ -210,9 +211,12 @@ go test -run='^$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 # The upload reader's memory contract, also as counts: a fixed handful of
 # allocations per file whatever its size (<= 32 at 34 k nonzeros, <= 64 at
 # 340 k), and a header declaring 2^30 entries claims < 2 MiB before the
-# truncation is found. A result JSON cannot carry is a 400, not an empty 200.
+# truncation is found. The reader parses pieces on GOMAXPROCS goroutines, so
+# the gate runs at 1, 2 and 4 (testing.AllocsPerRun pins GOMAXPROCS to 1;
+# TestReadAllocsAtGOMAXPROCS counts at the -cpu value). A result JSON cannot
+# carry is a 400, not an empty 200.
 echo "== upload allocation gate + non-finite results"
-go test -count=1 -run 'TestReadAllocs|TestReadHeaderCannotClaimMemory' ./internal/mmio
+go test -count=1 -cpu 1,2,4 -run 'TestReadAllocs|TestReadHeaderCannotClaimMemory' ./internal/mmio
 go test -count=1 -run 'TestNonFiniteResultIsAnError' ./internal/server
 
 echo "== staticcheck"
