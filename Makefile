@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzConvert -fuzztime=10s ./internal/atof
+	$(GO) test -run='^$$' -fuzz=FuzzAppendFloat -fuzztime=10s ./internal/atof
 	$(GO) test -run='^$$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 

@@ -1,7 +1,10 @@
-// Package atof converts decimal literals to float64 with the bits
-// strconv.ParseFloat returns, from a mantissa and exponent a caller has
-// already accumulated while checking its own grammar — so a decoder walks a
-// number's bytes once, not once to tokenize and again inside strconv.
+// Package atof converts between decimal text and float64 both ways, with
+// strconv's bits and bytes. Parse and Convert turn decimal literals into
+// the float64 strconv.ParseFloat returns, from a mantissa and exponent a
+// caller has already accumulated while checking its own grammar — so a
+// decoder walks a number's bytes once, not once to tokenize and again
+// inside strconv. AppendFloat writes a float64 as encoding/json does, with
+// strconv's shortest digits (ftoa.go).
 //
 // The conversion is strconv's optimized path (atof64 with optimize set):
 // exact float64 arithmetic first, then the Eisel–Lemire algorithm. Where

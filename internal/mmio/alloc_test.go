@@ -75,6 +75,45 @@ func TestReadHeaderCannotClaimMemory(t *testing.T) {
 	}
 }
 
+// TestReadBlankLinesCannotClaimMemory: a body of blank or comment lines
+// stores nothing, so it may make the reader allocate no more than entry
+// lines of the same bytes would store. The densest, "1 2 1\n" in a
+// symmetric file, store two 16-byte triplets per 6 bytes, and storage grows
+// to at most twice what is reserved; past that only the size-line
+// preallocation and the scanner's buffers count. Under a header declaring
+// few entries the reservations stop at what it declares.
+func TestReadBlankLinesCannotClaimMemory(t *testing.T) {
+	const bodyBytes = 4 << 20
+	for _, tc := range []struct {
+		symmetry, line string
+		nnz            int
+		max            uint64
+	}{
+		{"symmetric", "\n", 1 << 30, 2*2*16*bodyBytes/6 + 2<<20},
+		{"symmetric", "%\n", 1 << 30, 2*2*16*bodyBytes/6 + 2<<20},
+		{"general", "\n", 1 << 30, 2*16*bodyBytes/6 + 2<<20},
+		{"symmetric", "\n", 1000, 2 << 20},
+	} {
+		header := fmt.Sprintf("%%%%MatrixMarket matrix coordinate real %s\n1000 1000 %d\n", tc.symmetry, tc.nnz)
+		data := append([]byte(header), bytes.Repeat([]byte(tc.line), bodyBytes/len(tc.line))...)
+		size := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for try := 0; try < 3; try++ {
+			runtime.ReadMemStats(&before)
+			_, err := Read(bytes.NewReader(data))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), "truncated input") {
+				t.Fatalf("error %v, want truncated input", err)
+			}
+			size = min(size, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%s, %q lines, %d declared: %d bytes for a %d-byte body", tc.symmetry, tc.line, tc.nnz, size, len(data))
+		if size > tc.max {
+			t.Errorf("%s, %q lines, %d declared: refused after allocating %d bytes, want <= %d", tc.symmetry, tc.line, tc.nnz, size, tc.max)
+		}
+	}
+}
+
 // BenchmarkReadMatrixMarket reads the cold_upload workload's matrix with
 // the reference reader and with Read, in two spellings: "g17" is the body
 // Write emits (and spmvd receives), every value %.17g, so every conversion

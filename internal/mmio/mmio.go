@@ -256,7 +256,7 @@ func fields(dst [][]byte, line []byte) [][]byte {
 }
 
 // maxPrealloc caps the entries a size line can make the reader allocate
-// ahead of the data: beyond it the slices grow only with entries actually
+// ahead of the data: beyond it storage is reserved only for lines actually
 // read, so a header alone cannot claim memory.
 const maxPrealloc = 1 << 16
 
@@ -346,22 +346,26 @@ type coordinate struct {
 	symmetry        string
 }
 
-// parser is the state one goroutine parses pieces with: the triplet storage
-// every piece it parses appends to, its copy of the piece, and its token
+// parser is the state one goroutine parses pieces with: the triplet range
+// reserved for the piece it parses, its copy of the piece, and its token
 // scratch.
 type parser struct {
 	c   sparse.COO
-	buf []byte
+	buf *[]byte
 	f   [][]byte
 }
 
-// result is what parsing a piece left: its triplets, at [lo, hi) of parser
-// w's storage, and the number of entry lines it read before its first bad
-// one, and that line's error.
+// pieceBufs recycles parsers' piece copies of the default size, so a read
+// on several goroutines allocates no more than one on the caller's.
+var pieceBufs sync.Pool // of *[]byte
+
+// result is what parsing a piece left: its triplets, and the number of
+// entry lines it read before its first bad one, and that line's error.
 type result struct {
-	w, lo, hi, good int
-	err             error
-	done            bool
+	c    sparse.COO
+	good int
+	err  error
+	done bool
 }
 
 // pieces is what the goroutines parsing one file's entry lines share. Each
@@ -371,6 +375,13 @@ type pieces struct {
 	sc *bufio.Scanner
 	sp *splitter
 	ps []parser // one per goroutine that may run
+
+	// free is the unreserved rest of the triplet storage: the shared
+	// preallocation first, then segments allocated as pieces need them.
+	// grown is the capacity allocated so far, reserved the part of it
+	// handed to pieces.
+	free            sparse.COO
+	grown, reserved int
 
 	mu      sync.Mutex
 	started int        // goroutines started, the caller's included
@@ -386,17 +397,9 @@ type pieces struct {
 // stream order, so the error returned is the one the line-by-line reader
 // met first, and assembled in stream order, so the matrix has its bits.
 func readEntries(cd coordinate, sc *bufio.Scanner, sp *splitter) (*sparse.CSR, error) {
-	procs := runtime.GOMAXPROCS(0)
-	s := &pieces{cd: cd, sc: sc, sp: sp, ps: make([]parser, procs), started: 1, t: tally{nnz: cd.nnz}}
+	s := &pieces{cd: cd, sc: sc, sp: sp, ps: make([]parser, runtime.GOMAXPROCS(0)), started: 1, t: tally{nnz: cd.nnz}}
 	s.rs = s.rs0[:0]
-	// The parsers share the sequential reader's preallocation, and grow
-	// only with the triplets they store.
-	n := min(cd.nnz, maxPrealloc)
-	ij, val := make([]int32, 2*n), make([]float64, n)
-	for k := range s.ps {
-		lo, hi := k*n/procs, (k+1)*n/procs
-		s.ps[k].c = sparse.COO{RowIdx: ij[lo:lo:hi], ColIdx: ij[n+lo : n+lo : n+hi], Val: val[lo:lo:hi]}
-	}
+	s.grow(min(cd.perLine()*cd.nnz, maxPrealloc))
 	s.run(0)
 	s.wg.Wait()
 
@@ -412,10 +415,62 @@ func readEntries(cd coordinate, sc *bufio.Scanner, sp *splitter) (*sparse.CSR, e
 	var views [16]sparse.COO
 	parts := slices.Grow(views[:0], len(s.rs))
 	for _, r := range s.rs {
-		c := &s.ps[r.w].c
-		parts = append(parts, sparse.COO{RowIdx: c.RowIdx[r.lo:r.hi], ColIdx: c.ColIdx[r.lo:r.hi], Val: c.Val[r.lo:r.hi]})
+		parts = append(parts, r.c)
 	}
 	return sparse.PartsToCSR(cd.rows, cd.cols, parts)
+}
+
+// perLine is the most triplets one entry line stores.
+func (cd *coordinate) perLine() int {
+	if cd.symmetry == "general" {
+		return 1
+	}
+	return 2
+}
+
+// maxEntries bounds the entry lines piece holds: every one but an
+// unterminated last one ends in a newline, and none is shorter than two
+// one-digit indices and, but in a pattern file, a one-digit value, each
+// followed by a byte. So blank and comment lines, which store nothing,
+// reserve no more than the densest entry lines of the same bytes store.
+func (cd *coordinate) maxEntries(piece []byte) int {
+	n := bytes.Count(piece, []byte{'\n'})
+	if piece[len(piece)-1] != '\n' {
+		n++
+	}
+	shortest := 6 // "1 1 1\n"
+	if cd.pattern {
+		shortest = 4 // "1 1\n"
+	}
+	return min(n, len(piece)/shortest+1)
+}
+
+// reserve takes storage for n triplets from s.free, but never more than
+// the header declares still to come: a piece that then stores more than
+// its range holds, because blank or comment lines before it reserved what
+// they did not store, appends past the range into storage of its own. When
+// s.free is too small it is first replaced by a new segment: at least n,
+// and as large as the storage allocated so far unless the header declares
+// fewer triplets still to come, so a file past the preallocation takes a
+// logarithmic number of segments. Storage is never moved once reserved.
+func (s *pieces) reserve(n int) sparse.COO {
+	n = min(n, max(0, s.cd.perLine()*s.cd.nnz-s.reserved))
+	if cap(s.free.Val) < n {
+		s.grow(max(n, min(s.grown, s.cd.perLine()*s.cd.nnz-s.reserved)))
+	}
+	f := &s.free
+	c := sparse.COO{RowIdx: f.RowIdx[:0:n], ColIdx: f.ColIdx[:0:n], Val: f.Val[:0:n]}
+	f.RowIdx, f.ColIdx, f.Val = f.RowIdx[n:n], f.ColIdx[n:n], f.Val[n:n]
+	s.reserved += n
+	return c
+}
+
+// grow replaces s.free by a new segment for n triplets, the row and column
+// indices in one allocation.
+func (s *pieces) grow(n int) {
+	ij := make([]int32, 2*n)
+	s.free = sparse.COO{RowIdx: ij[:0:n], ColIdx: ij[n : n : 2*n], Val: make([]float64, 0, n)}
+	s.grown += n
 }
 
 // run parses pieces with parser w until none is left. Reading a piece that
@@ -434,25 +489,32 @@ func (s *pieces) run(w int) {
 			s.started++
 		}
 		if s.started > 1 {
-			if cap(p.buf) < len(tok) {
-				p.buf = make([]byte, 0, max(s.sp.piece, len(tok)))
+			if p.buf == nil {
+				p.buf, _ = pieceBufs.Get().(*[]byte)
 			}
-			p.buf = append(p.buf[:0], tok...)
-			tok = p.buf
+			if p.buf == nil || cap(*p.buf) < len(tok) {
+				b := make([]byte, 0, max(s.sp.piece, len(tok)))
+				p.buf = &b
+			}
+			*p.buf = append((*p.buf)[:0], tok...)
+			tok = *p.buf
 		}
+		p.c = s.reserve(s.cd.perLine() * s.cd.maxEntries(tok))
 		seq := len(s.rs)
 		s.rs = append(s.rs, result{})
 		s.mu.Unlock()
 
-		lo := len(p.c.Val)
 		good, err := s.cd.parse(p, tok)
 
 		s.mu.Lock()
-		s.rs[seq] = result{w: w, lo: lo, hi: len(p.c.Val), good: good, err: err, done: true}
+		s.rs[seq] = result{c: p.c, good: good, err: err, done: true}
 		s.done = s.t.advance(s.rs)
 	}
 	s.done = true
 	s.mu.Unlock()
+	if p.buf != nil && cap(*p.buf) == pieceSize {
+		pieceBufs.Put(p.buf)
+	}
 }
 
 // work is run on a goroutine of its own.
@@ -537,37 +599,20 @@ func (cd *coordinate) parse(p *parser, piece []byte) (good int, err error) {
 		if i < 0 || i >= cd.rows || j < 0 || j >= cd.cols {
 			return good, badf("index (%d,%d) out of range %dx%d", i+1, j+1, cd.rows, cd.cols)
 		}
-		p.add(i, j, v)
+		p.c.Add(i, j, v)
 		switch cd.symmetry {
 		case "symmetric":
 			if i != j {
-				p.add(j, i, v)
+				p.c.Add(j, i, v)
 			}
 		case "skew-symmetric":
 			if i != j {
-				p.add(j, i, -v)
+				p.c.Add(j, i, -v)
 			}
 		}
 		good++
 	}
 	return good, nil
-}
-
-// add appends a triplet to p's storage, doubling it when full.
-func (p *parser) add(i, j int, v float64) {
-	if n := len(p.c.Val); n == cap(p.c.Val) {
-		p.reserve(max(2*n, 1<<10))
-	}
-	p.c.Add(i, j, v)
-}
-
-// reserve moves p's triplets to storage for n, the row and column indices
-// in one allocation.
-func (p *parser) reserve(n int) {
-	ij := make([]int32, 2*n)
-	p.c.RowIdx = append(ij[:0:n], p.c.RowIdx...)
-	p.c.ColIdx = append(ij[n:n:2*n], p.c.ColIdx...)
-	p.c.Val = append(make([]float64, 0, n), p.c.Val...)
 }
 
 func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {

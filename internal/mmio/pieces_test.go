@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 )
 
@@ -130,11 +132,42 @@ func TestReadPiecesReaderFails(t *testing.T) {
 	}
 }
 
+// TestReadPiecesPastDeclaredReservation: blank and comment lines reserve
+// storage they do not fill, and no piece reserves past what the header
+// still declares, so the pieces after them get less than their entries
+// need and append past their ranges. The matrix must still be the
+// reference's, bit for bit, at every piece size and GOMAXPROCS.
+func TestReadPiecesPastDeclaredReservation(t *testing.T) {
+	var entries [][3]float64
+	for i := 2; i <= 40; i++ {
+		entries = append(entries, [3]float64{float64(i), float64(i - 1), float64(i) / 3}, [3]float64{float64(i), float64(i), -float64(i)})
+	}
+	for _, symmetry := range []string{"general", "symmetric", "skew-symmetric"} {
+		body := coordinateBody(symmetry, 40, 40, entries)
+		k := bytes.IndexByte(body[len("%%"):], '\n') + len("%%") + 1
+		k += bytes.IndexByte(body[k:], '\n') + 1 // past the size line
+		data := append(append(slices.Clip(body[:k]), bytes.Repeat([]byte("\n% comment\n\n"), 50)...), body[k:]...)
+		want, wantErr := referenceRead(bytes.NewReader(data), DefaultLimits())
+		if wantErr != nil {
+			t.Fatal(wantErr)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			for _, piece := range []int{7, 64, pieceSize} {
+				withProcs(procs, func() {
+					got, err := readWithLimits(bytes.NewReader(data), DefaultLimits(), piece)
+					if msg := differs(got, err, want, nil); msg != "" {
+						t.Errorf("%s, GOMAXPROCS %d, %d B pieces: %s", symmetry, procs, piece, msg)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestReadAllocsAtGOMAXPROCS is TestReadAllocs at the GOMAXPROCS the test
 // runs with (testing.AllocsPerRun pins it to 1), under the same bounds:
-// the goroutines a read starts add their start, their copy of a piece and a
-// doubling of their storage past the shared preallocation, never an
-// allocation per piece or per line.
+// the goroutines a read starts add their start and at most a buffer for
+// their copy of a piece, never an allocation per piece or per line.
 func TestReadAllocsAtGOMAXPROCS(t *testing.T) {
 	for _, tc := range []struct {
 		rows, max int
@@ -142,26 +175,60 @@ func TestReadAllocsAtGOMAXPROCS(t *testing.T) {
 		{6000, 32},
 		{60000, 64},
 	} {
-		data := uploadBody(t, tc.rows)
-		r := bytes.NewReader(data)
-		read := func() {
-			r.Reset(data)
-			if _, err := Read(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		read()
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for k := 0; k < runs; k++ {
-			read()
-		}
-		runtime.ReadMemStats(&after)
-		allocs := (after.Mallocs - before.Mallocs) / runs
+		allocs, _ := readCost(t, uploadBody(t, tc.rows))
 		t.Logf("GOMAXPROCS %d, %d rows: %d allocations", runtime.GOMAXPROCS(0), tc.rows, allocs)
 		if allocs > uint64(tc.max) {
 			t.Errorf("GOMAXPROCS %d, %d rows: %d allocations per read, want <= %d", runtime.GOMAXPROCS(0), tc.rows, allocs, tc.max)
 		}
 	}
+}
+
+// TestReadBytesAtGOMAXPROCS: the bytes a read allocates at the GOMAXPROCS
+// the test runs with are within 5 % of those at GOMAXPROCS 1. Each piece
+// reserves its triplets from shared storage when it is taken, so a
+// goroutine's share never runs out and is copied, and the goroutines'
+// piece copies come from a pool. A collection empties that pool, which
+// the next reads refill; the gate is on what a read itself allocates, so no
+// collection runs while it measures but the one readCost starts with. It
+// skips under -race, whose sync.Pool drops a share of what it is given
+// whatever the collector does; scripts/check.sh runs it without.
+func TestReadBytesAtGOMAXPROCS(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled piece copies at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, rows := range []int{6000, 60000} {
+		data := uploadBody(t, rows)
+		procs := runtime.GOMAXPROCS(1)
+		_, one := readCost(t, data)
+		runtime.GOMAXPROCS(procs)
+		_, got := readCost(t, data)
+		t.Logf("%d rows: %d B per read at GOMAXPROCS %d, %d at 1", rows, got, procs, one)
+		if float64(got) > 1.05*float64(one) {
+			t.Errorf("%d rows: %d B per read at GOMAXPROCS %d, want <= 1.05 x %d (GOMAXPROCS 1)", rows, got, procs, one)
+		}
+	}
+}
+
+// readCost is the mean allocations and bytes of a warm Read of data at the
+// current GOMAXPROCS, after a collection of what earlier reads left.
+func readCost(t *testing.T, data []byte) (allocs, bytesPerRead uint64) {
+	t.Helper()
+	runtime.GC()
+	r := bytes.NewReader(data)
+	read := func() {
+		r.Reset(data)
+		if _, err := Read(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 }

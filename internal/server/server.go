@@ -19,7 +19,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -473,24 +472,20 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.writeJSON(w, status, body)
 }
 
-// jsonPool recycles response buffers (see writeJSON).
-var jsonPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // writeJSON encodes v, then sends it with status in one Write. Encoding
 // comes first because it can fail — a product or residual that is NaN or
 // ±Inf has no JSON form — and a failure must still be able to answer with
 // an error status instead of a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := jsonPool.Get().(*bytes.Buffer)
-	defer jsonPool.Put(buf)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	buf, err := encodeResponse(v)
+	defer respPool.Put(buf)
+	if err != nil {
 		s.writeError(w, nonFinite(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client is gone
+	_, _ = w.Write(*buf) // a failed write means the client is gone
 }
 
 // nonFinite classes a response the encoder refused: the only values in the

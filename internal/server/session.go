@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -447,15 +445,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *session) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	var line bytes.Buffer
-	enc := json.NewEncoder(&line)
 	send := func(v any) bool {
-		line.Reset()
-		if err := enc.Encode(v); err != nil {
+		line, err := encodeResponse(v)
+		defer respPool.Put(line)
+		if err != nil {
 			s.writeError(w, nonFinite(err))
 			return false
 		}
-		_, _ = w.Write(line.Bytes()) // a gone client cancels ctx, which ends the loop
+		_, _ = w.Write(*line) // a gone client cancels ctx, which ends the loop
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}

@@ -6,8 +6,9 @@
 # pieces of 7 B, 64 B and the default size), the spmvd request decoders
 # (SpMV and solver sessions) and the request scanner's number path (against
 # its reference), the decimal conversion both decoders share (against
-# strconv), the request scanner's and the upload reader's allocation
-# gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
+# strconv) and the response float formatter (against encoding/json), the
+# request scanner's, the response encoder's and the upload reader's
+# allocation gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
 # fingerprint golden, both gathers against their references, the search's
 # accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
@@ -21,7 +22,8 @@
 # against valued ones, the search on both, the bootstrap's allocation
 # budget, the holdout regret and format-selection goldens), the solver trajectories golden, every stepper's Step
 # against its frozen body, per-Step allocation and GMRES session budget
-# gates, plus staticcheck and govulncheck.
+# gates, the size caps on DESIGN.md and the verify skill, plus staticcheck
+# and govulncheck.
 # Run via `make check` or directly. Fails on the first broken step.
 #
 # staticcheck and govulncheck are skipped with a notice when the binaries
@@ -52,6 +54,19 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+# The two documents every change edits stay legible only if they stop
+# growing: each may not pass its cap in bytes.
+echo "== document size caps"
+size_cap() {
+    size=$(wc -c < "$1")
+    if [ "$size" -gt "$2" ]; then
+        echo "$1 is $size bytes, over its cap of $2" >&2
+        exit 1
+    fi
+}
+size_cap DESIGN.md 90059
+size_cap .claude/skills/verify/SKILL.md 19712
 
 echo "== go vet"
 go vet ./...
@@ -167,12 +182,18 @@ go test -run='^$' -fuzz=FuzzScanNumber -fuzztime=10s ./internal/server
 echo "== fuzz smoke (FuzzConvert, 10s)"
 go test -run='^$' -fuzz=FuzzConvert -fuzztime=10s ./internal/atof
 
+# The response float formatter (atof.AppendFloat) against json.Marshal:
+# the same bytes for every float64 bit pattern.
+echo "== fuzz smoke (FuzzAppendFloat, 10s)"
+go test -run='^$' -fuzz=FuzzAppendFloat -fuzztime=10s ./internal/atof
+
 # The request scanner's memory contract, as counts a shared runner cannot
 # flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
 # bytes, a megabyte of commas is rejected having allocated < 64 KiB, and a
-# vector past maxScratch leaves no scratch above it in the pool.
-echo "== decode allocation gate"
-go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded' ./internal/server
+# vector past maxScratch leaves no scratch above it in the pool. The
+# response side: a warm 8 x 4000 spmv response encodes with 0 allocations.
+echo "== decode + encode allocation gate"
+go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs' ./internal/server
 
 # verifyBin takes equal values first; its pre-shortcut copy is the oracle.
 echo "== output verification against its reference"
@@ -210,13 +231,15 @@ go test -run='^$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 
 # The upload reader's memory contract, also as counts: a fixed handful of
 # allocations per file whatever its size (<= 32 at 34 k nonzeros, <= 64 at
-# 340 k), and a header declaring 2^30 entries claims < 2 MiB before the
-# truncation is found. The reader parses pieces on GOMAXPROCS goroutines, so
-# the gate runs at 1, 2 and 4 (testing.AllocsPerRun pins GOMAXPROCS to 1;
-# TestReadAllocsAtGOMAXPROCS counts at the -cpu value). A result JSON cannot
+# 340 k), a header declaring 2^30 entries claims < 2 MiB before the
+# truncation is found, and blank or comment lines reserve no more than entry
+# lines of as many bytes store. The reader parses pieces on GOMAXPROCS
+# goroutines, so the gate runs at 1, 2 and 4 (testing.AllocsPerRun pins
+# GOMAXPROCS to 1; TestReadAllocsAtGOMAXPROCS counts at the -cpu value),
+# and a read's bytes at the -cpu value stay within 5 % of those at 1. A result JSON cannot
 # carry is a 400, not an empty 200.
 echo "== upload allocation gate + non-finite results"
-go test -count=1 -cpu 1,2,4 -run 'TestReadAllocs|TestReadHeaderCannotClaimMemory' ./internal/mmio
+go test -count=1 -cpu 1,2,4 -run 'TestReadAllocs|CannotClaimMemory|TestReadBytesAtGOMAXPROCS' ./internal/mmio
 go test -count=1 -run 'TestNonFiniteResultIsAnError' ./internal/server
 
 echo "== staticcheck"
