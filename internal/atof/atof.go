@@ -65,12 +65,21 @@ func Convert(mant uint64, exp10 int, neg, trunc bool) (f float64, ok bool) {
 // ok=false means only that the caller must call Convert.
 func Short(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if k := uint(-exp10); mant>>52 == 0 && k < uint(len(float64pow10)) {
-		if f = float64(mant) / float64pow10[k]; neg {
-			f = -f
-		}
-		return f, true
+		f = float64(int64(mant)) / float64pow10[k] // int64: no unsigned fix-up
+		return math.Float64frombits(math.Float64bits(f) | b2u(neg)<<63), true
 	}
 	return 0, false
+}
+
+// b2u is 1 for true and 0 for false. The conversions here apply a sign as
+// a bit instead of branching on it: a branch on the sign of randomly signed
+// numbers mispredicts on every other one.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // float64pow10 holds the powers of ten a float64 represents exactly.
@@ -86,17 +95,15 @@ func scaleUp(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 		return 0, false
 	}
 	f = float64(mant)
-	if neg {
-		f = -f
-	}
 	if exp10 > 22 {
 		f *= float64pow10[exp10-22]
 		exp10 = 22
 	}
-	if f > 1e15 || f < -1e15 {
+	if f > 1e15 {
 		return 0, false
 	}
-	return f * float64pow10[exp10], true
+	// IEEE rounding is symmetric: the sign can come last.
+	return math.Float64frombits(math.Float64bits(f*float64pow10[exp10]) | b2u(neg)<<63), true
 }
 
 const (
@@ -145,10 +152,7 @@ var pow10 = func() (t [maxExp10 - minExp10 + 1][2]uint64) {
 func eiselLemire(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 	// Exp10 Range.
 	if mant == 0 {
-		if neg {
-			f = math.Copysign(0, -1)
-		}
-		return f, true
+		return math.Float64frombits(b2u(neg) << 63), true
 	}
 	if exp10 < minExp10 || maxExp10 < exp10 {
 		return 0, false
@@ -199,11 +203,7 @@ func eiselLemire(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 	if retExp2-1 >= 0x7FF-1 {
 		return 0, false
 	}
-	b := retExp2<<52 | retMant&(1<<52-1)
-	if neg {
-		b |= 1 << 63
-	}
-	return math.Float64frombits(b), true
+	return math.Float64frombits(b2u(neg)<<63 | retExp2<<52 | retMant&(1<<52-1)), true
 }
 
 // Parse converts b when all of it is one literal of strconv's decimal
@@ -212,11 +212,11 @@ func eiselLemire(mant uint64, exp10 int, neg bool) (f float64, ok bool) {
 // hex, underscores, a byte after the literal, or a value Convert declines —
 // reports false, and the caller hands b to strconv.ParseFloat.
 func Parse(b []byte) (f float64, ok bool) {
-	i := 0
-	neg := len(b) > 0 && b[0] == '-'
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		i++
+	if len(b) == 0 {
+		return 0, false
 	}
+	neg := b[0] == '-'
+	i := int(b2u(neg) | b2u(b[0] == '+'))
 	start := i
 	i, m, e, trunc := digits(b, i, 0)
 	nd := i - start
@@ -234,9 +234,10 @@ func Parse(b []byte) (f float64, ok bool) {
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
-		eneg := i < len(b) && b[i] == '-'
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
+		eneg := 0
+		if i < len(b) {
+			eneg = int(b2u(b[i] == '-'))
+			i += eneg | int(b2u(b[i] == '+'))
 		}
 		if i == len(b) || b[i]-'0' > 9 {
 			return 0, false
@@ -247,10 +248,7 @@ func Parse(b []byte) (f float64, ok bool) {
 				x = x*10 + int(b[i]-'0')
 			}
 		}
-		if eneg {
-			x = -x
-		}
-		e += x
+		e += x ^ -eneg + eneg // -x when eneg
 	}
 	if i != len(b) {
 		return 0, false

@@ -44,6 +44,7 @@ func FuzzConvert(f *testing.F) {
 		"0.1000000000000000055511151231257827021181583404541015625",
 		"7.4109846876186982e-323", "1e23", "8.41e21", "1_0", "0x1p-2", "inf", "NaN",
 		"12345678:", "1234567/9", "99999999.99999999e-8", "1e00000000000000000022",
+		"+-1", "-+1", "--1", "-", "+", "1e+-1", "1e-+1",
 	} {
 		f.Add([]byte(seed))
 	}

@@ -23,18 +23,18 @@ func AppendFloat(dst []byte, f float64) []byte {
 	if b<<1 >= 0x7FF<<53 {
 		return strconv.AppendFloat(dst, f, 'g', -1, 64)
 	}
-	// The longest form, -0.0000012345678901234567, is 25 bytes; out has 32
-	// so the digit words can be stored whole.
+	// The longest form, -0.0000012345678901234567, is 25 bytes; out has 48
+	// so the digit words can be stored whole and the tail after the point
+	// moved as three words.
 	n0 := len(dst)
-	if cap(dst)-n0 < 32 {
-		dst = append(dst, make([]byte, 32)...)[:n0]
+	if cap(dst)-n0 < 48 {
+		dst = append(dst, make([]byte, 48)...)[:n0]
 	}
-	out := dst[n0 : n0+32]
-	i := 0
-	if b>>63 != 0 {
-		out[0] = '-'
-		i = 1
-	}
+	out := dst[n0 : n0+48]
+	// The sign is written always and kept by starting past it or not: a
+	// branch on it mispredicts on every other float of a signed vector.
+	out[0] = '-'
+	i := int(b >> 63)
 	if b<<1 == 0 {
 		out[i] = '0'
 		return dst[:n0+i+1]
@@ -69,27 +69,32 @@ func AppendFloat(dst []byte, f float64) []byte {
 		out[i] = byte('0' + x%10)
 		return dst[:n0+i+1]
 	}
+	// 0.000ddd and dd.ddd are one layout: pre '0' bytes (at most 6, as
+	// |f| >= 1e-6), the digits, and the point put in after max(point, 1)
+	// bytes.
 	const zeros = 0x3030303030303030
-	if point <= 0 {
-		// 0.000ddd: -point <= 5 zeros, as |f| >= 1e-6.
-		binary.LittleEndian.PutUint64(out[i:], zeros)
-		out[i+1] = '.'
-		return dst[:n0+i+2-point+digits17(out[i+2-point:], d, size)]
-	}
-	n := digits17(out[i:], d, size)
-	switch {
-	case point < n:
-		copy(out[i+point+1:], out[i+point:i+n])
-		out[i+point] = '.'
-		i += n + 1
-	default:
+	binary.LittleEndian.PutUint64(out[i:], zeros)
+	pre := max(1-point, 0)
+	n := digits17(out[i+pre:], d, size)
+	if point >= n {
 		// ddd000: point <= 21, as |f| < 1e21.
 		for k := i + n; k < i+point; k += 8 {
 			binary.LittleEndian.PutUint64(out[k:], zeros)
 		}
-		i += point
+		return dst[:n0+i+point]
 	}
-	return dst[:n0+i]
+	// Move the <= 24 bytes from the point's place up one, as whole words,
+	// and put the point into the gap.
+	p := i + pre + point
+	t := out[p : p+25]
+	w0 := binary.LittleEndian.Uint64(t[0:])
+	w1 := binary.LittleEndian.Uint64(t[8:])
+	w2 := binary.LittleEndian.Uint64(t[16:])
+	binary.LittleEndian.PutUint64(t[1:], w0)
+	binary.LittleEndian.PutUint64(t[9:], w1)
+	binary.LittleEndian.PutUint64(t[17:], w2)
+	t[0] = '.'
+	return dst[:n0+i+pre+n+1]
 }
 
 // shortest returns the shortest decimal d·10^e that rounds to the positive
@@ -138,31 +143,24 @@ func shortest(b uint64) (d uint64, e int) {
 	vbl := rop(g1, g0, cbl<<h)
 	vbr := rop(g1, g0, cbr<<h)
 
-	// One digit fewer: at most one multiple of 10^(k+1) fits the interval.
+	// One digit fewer: at most one multiple of 10^(k+1) fits the interval,
+	// sp or sp+10, and is the answer when exactly one does. Otherwise one or
+	// both of s and t = s+1 fit: the one that does, or when both do the
+	// nearer, ties to even. The choice is made with 0/1 arithmetic, not
+	// branches, which would mispredict on digits that are as good as random.
 	s := vb >> 2
 	sp := s / 10 * 10
-	upin := vbl+out <= sp<<2
-	wpin := (sp+10)<<2+out <= vbr
-	if upin != wpin {
-		if upin {
-			return sp, k
-		}
-		return sp + 10, k
-	}
-	// Otherwise one or both of s and s+1 fit: the nearer, ties to even.
 	t := s + 1
-	uin := vbl+out <= s<<2
-	win := t<<2+out <= vbr
-	if uin != win {
-		if uin {
-			return s, k
-		}
-		return t, k
-	}
-	if cmp := int64(vb - (s+t)<<1); cmp < 0 || cmp == 0 && s&1 == 0 {
-		return s, k
-	}
-	return t, k
+	upin := b2u(vbl+out <= sp<<2)
+	wpin := b2u((sp+10)<<2+out <= vbr)
+	uin := b2u(vbl+out <= s<<2)
+	win := b2u(t<<2+out <= vbr)
+	cmp := int64(vb - (s+t)<<1)
+	toS := b2u(cmp < 0) | b2u(cmp == 0)&^s // s is nearer, or as near and even
+	one := uin ^ win                       // exactly one of s and t fits
+	long := s + (one&win | (one^1)&(toS^1))
+	short := upin ^ wpin
+	return long + -short&(sp+10*wpin-long), k // sp+10*wpin when short
 }
 
 // rop is g·cp / 2^127 rounded to odd, for g = g1·2^63 + g0, computed as

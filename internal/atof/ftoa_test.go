@@ -1,7 +1,9 @@
 package atof
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -71,6 +73,40 @@ func TestAppendFloatEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for i := 0; i < 1e6; i++ {
 		checkAppend(t, math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestAppendFloatLayouts holds AppendFloat to json.Marshal at every place
+// json's 'f' notation can put the decimal point, point = -5 … 21 for
+// 0.digits·10^point, with 1 to 17 digits and either sign, and one ulp either
+// side of each. The point falls before, inside and after the digits, so the
+// tail AppendFloat moves to make room for it is exercised at point = 0, 1,
+// n-1 and n, and behind six leading zeros at point = -5.
+func TestAppendFloatLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for point := -5; point <= 21; point++ {
+		for n := 1; n <= 17; n++ {
+			for draw := 0; draw < 4; draw++ {
+				// n digits, the first and last nonzero; all nines on the
+				// last draw, where rounding to fewer digits carries.
+				digits := bytes.Repeat([]byte{'9'}, n)
+				if draw < 3 {
+					for k := range digits {
+						digits[k] = byte('0' + rng.Intn(10))
+					}
+					digits[0] = byte('1' + rng.Intn(9))
+					digits[n-1] = max(digits[n-1], '1')
+				}
+				f, err := strconv.ParseFloat(fmt.Sprintf("0.%se%d", digits, point), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range []float64{f, math.Nextafter(f, 0), math.Nextafter(f, math.Inf(1))} {
+					checkAppend(t, g)
+					checkAppend(t, -g)
+				}
+			}
+		}
 	}
 }
 
@@ -199,25 +235,39 @@ func resultLike(n int) []float64 {
 }
 
 // BenchmarkAppendFloat formats 4000 result-like floats with AppendFloat
-// and with the strconv call encoding/json makes, in ns/float.
+// and with the strconv call encoding/json makes, in ns/float. Result-like
+// floats are signed at random; "atof-positive" formats their magnitudes and
+// "atof-one-layout" magnitudes moved into [1, 2), so that every float has
+// the same sign and the same point position and no branch on either can
+// mispredict.
 func BenchmarkAppendFloat(b *testing.B) {
 	fs := resultLike(4000)
+	positive := make([]float64, len(fs))
+	oneLayout := make([]float64, len(fs))
+	for i, f := range fs {
+		positive[i] = math.Abs(f)
+		oneLayout[i] = 1 + math.Mod(math.Abs(f), 1)
+	}
+	atof := AppendFloat
 	for _, bc := range []struct {
 		name string
+		fs   []float64
 		app  func([]byte, float64) []byte
 	}{
-		{"atof", AppendFloat},
-		{"strconv", func(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'f', -1, 64) }},
+		{"atof", fs, atof},
+		{"atof-positive", positive, atof},
+		{"atof-one-layout", oneLayout, atof},
+		{"strconv", fs, func(dst []byte, f float64) []byte { return strconv.AppendFloat(dst, f, 'f', -1, 64) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			buf := make([]byte, 0, 32*len(fs))
+			buf := make([]byte, 0, 32*len(bc.fs))
 			for i := 0; i < b.N; i++ {
 				buf = buf[:0]
-				for _, f := range fs {
+				for _, f := range bc.fs {
 					buf = bc.app(buf, f)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(fs)), "ns/float")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bc.fs)), "ns/float")
 		})
 	}
 }

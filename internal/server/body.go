@@ -227,14 +227,17 @@ func (s *scanner) str() ([]byte, bool) {
 // either, with the cursor after it.
 func (s *scanner) num() (f float64, integer, ok bool) {
 	d, i := s.data, s.i
-	neg := i < len(d) && d[i] == '-'
-	if neg {
-		i++
+	if i >= len(d) {
+		return 0, false, false
 	}
+	// The sign is taken without a branch: spmvd's vectors are signed at
+	// random, and a branch on the sign mispredicts on every other element.
+	neg := is(d[i], '-')
+	i += neg
 	var m uint64
 	e, trunc := 0, false // the decimal exponent of m; a nonzero digit was dropped
 	j := i
-	for ; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
+	for ; j < len(d) && d[j]-'0' <= 9; j++ {
 		if m < atof.MantLimit {
 			m = m*10 + uint64(d[j]-'0')
 		} else {
@@ -247,7 +250,7 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 	}
 	i, integer = j, true
 	if i < len(d) && d[i] == '.' {
-		for j = i + 1; j < len(d) && '0' <= d[j] && d[j] <= '9'; j++ {
+		for j = i + 1; j < len(d) && d[j]-'0' <= 9; j++ {
 			if m < atof.MantLimit {
 				m = m*10 + uint64(d[j]-'0')
 				e--
@@ -262,12 +265,13 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 	}
 	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
 		j = i + 1
-		eneg := j < len(d) && d[j] == '-'
-		if j < len(d) && (d[j] == '+' || d[j] == '-') {
-			j++
+		eneg := 0
+		if j < len(d) {
+			eneg = is(d[j], '-')
+			j += eneg | is(d[j], '+')
 		}
 		k, x := j, 0
-		for ; k < len(d) && '0' <= d[k] && d[k] <= '9'; k++ {
+		for ; k < len(d) && d[k]-'0' <= 9; k++ {
 			if x < 1e4 {
 				x = x*10 + int(d[k]-'0')
 			}
@@ -275,22 +279,24 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 		if k == j {
 			return 0, false, false
 		}
-		if eneg {
-			x = -x
-		}
-		e += x
+		e += x ^ -eneg + eneg // -x when eneg
 		i, integer = k, false
 	}
 	tok := d[s.i:i]
 	s.i = i
-	if f, ok = atof.Short(m, e, neg); ok {
+	if f, ok = atof.Short(m, e, neg != 0); ok {
 		return f, integer, true
 	}
-	if f, ok = atof.Convert(m, e, neg, trunc); ok {
+	if f, ok = atof.Convert(m, e, neg != 0, trunc); ok {
 		return f, integer, true
 	}
 	f, err := strconv.ParseFloat(string(tok), 64)
 	return f, integer, err == nil
+}
+
+// is is 1 when c == x and 0 otherwise, computed without a branch.
+func is(c, x byte) int {
+	return int(uint64(int(c^x)-1) >> 63)
 }
 
 // value scans one value of dst's kind into *dst.

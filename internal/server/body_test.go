@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"runtime"
@@ -112,16 +113,24 @@ func TestDecodeLeavesScannerMidway(t *testing.T) {
 }
 
 // benchBody renders an SpMV body the way the benchmark's load generator
-// does: strconv.AppendFloat(x, 'f', -1, 64) elements, negatives, and every
-// seventh value with 17 significant digits.
-func benchBody(n int) ([]byte, []float64) {
+// does: values drawn as its randVec draws them, k/1000 for a seeded uniform
+// k in [-1000, 1000), so signs come at random and a branch on one
+// mispredicts as it does in the daemon; every seventh value moved to 17
+// significant digits; each written by strconv.AppendFloat(x, 'f', -1, 64).
+// positive takes the values' magnitudes, the one-sign body a change to the
+// sign's handling must not lose on.
+func benchBody(n int, positive bool) ([]byte, []float64) {
+	rng := rand.New(rand.NewSource(1))
 	v := make([]float64, n)
 	body := []byte(`{"matrix":"0123456789abcdef","vector":[`)
 	for i := range v {
-		v[i] = float64(i%2000-1000) / 1000
+		v[i] = float64(rng.Intn(2000)-1000) / 1000
 		if i%7 == 0 {
 			v[i] += 1e-17 * float64(i+1)
 			v[i] = math.Nextafter(v[i], 2)
+		}
+		if positive {
+			v[i] = math.Abs(v[i])
 		}
 		if i > 0 {
 			body = append(body, ',')
@@ -152,7 +161,7 @@ func allocated(f func()) (size, mallocs uint64) {
 // and 1.25 x 8n bytes — counts, so a loaded runner cannot flake it.
 func TestDecodeAllocs(t *testing.T) {
 	const n = 20000
-	body, want := benchBody(n)
+	body, want := benchBody(n, false)
 	var req *SpMVRequest
 	size, mallocs := allocated(func() {
 		var stdlib bool
@@ -191,7 +200,8 @@ func TestDecodeAllocsAheadOfValidation(t *testing.T) {
 // BenchmarkDecodeSpMV decodes the spmv_codec workload's body — 200 000
 // numbers, 1.28 MB — through encoding/json alone and through the decoder.
 func BenchmarkDecodeSpMV(b *testing.B) {
-	body, _ := benchBody(200000)
+	body, _ := benchBody(200000, false)
+	positive, _ := benchBody(200000, true)
 	b.Run("stdlib", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
@@ -201,6 +211,7 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 			}
 		}
 	})
+	// "scanner-positive" is the same values without their signs.
 	// "scanner-f3" is every element with at most three decimals, the bytes
 	// spmvload sends: all take atof.Short. "scanner-full" is every element
 	// with 17 significant digits: none does, and all take Convert's
@@ -215,16 +226,18 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 		}
 		return append(body, "]}"...)
 	}
+	rng := rand.New(rand.NewSource(1))
 	for _, bc := range []struct {
 		name string
 		body []byte
 	}{
 		{"scanner", body},
+		{"scanner-positive", positive},
 		{"scanner-f3", vector(func(dst []byte, i int) []byte {
-			return strconv.AppendFloat(dst, float64(i%2000-1000)/1000, 'f', -1, 64)
+			return strconv.AppendFloat(dst, float64(rng.Intn(2000)-1000)/1000, 'f', -1, 64)
 		})},
 		{"scanner-full", vector(func(dst []byte, i int) []byte {
-			return strconv.AppendFloat(dst, (float64(i%2000)-999.5)/1000, 'e', 16, 64)
+			return strconv.AppendFloat(dst, (rng.Float64()*2-1)*0.9995, 'e', 16, 64)
 		})},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -243,7 +256,7 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 // maxScratch, decodes to the encoded bits, and its scratch is not given back
 // to the pool — one huge body cannot pin memory.
 func TestDecodeScratchBounded(t *testing.T) {
-	body, want := benchBody(1 << 20)
+	body, want := benchBody(1<<20, false)
 	req, stdlib, err := decodeSpMVRequest(body, 8)
 	if err != nil || stdlib {
 		t.Fatalf("stdlib=%v err=%v", stdlib, err)

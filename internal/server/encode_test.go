@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"spmvtune/internal/mmio"
 )
 
 // encodingJSON is what writeJSON sent before the response appenders: v
@@ -156,6 +158,60 @@ func TestRunStreamMatchesEncodingJSON(t *testing.T) {
 	}
 	if final := lines[len(lines)-1]; !strings.Contains(final, `"x":[`) || !strings.Contains(final, `\u003c`) {
 		t.Errorf("final line %q: want the solution and the escaped trace ID", final)
+	}
+}
+
+// TestResponsesCarryContentLength: a body writeJSON sends — an upload's,
+// an spmv result's, a session's and an error's — declares its length, so
+// net/http does not frame it as chunked, while a mode-run stream, flushed
+// line by line, stays chunked. The spmv and session bodies are larger than
+// net/http's 2 KiB buffer, past which it would otherwise chunk them.
+func TestResponsesCarryContentLength(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	a := spdBanded(t, 512, 3)
+	check := func(name string, resp *http.Response, blob []byte, status int) {
+		t.Helper()
+		if resp.StatusCode != status {
+			t.Fatalf("%s: status %d, want %d: %.200s", name, resp.StatusCode, status, blob)
+		}
+		if resp.ContentLength != int64(len(blob)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v, for a body of %d bytes",
+				name, resp.ContentLength, resp.TransferEncoding, len(blob))
+		}
+	}
+	var mtx bytes.Buffer
+	if err := mmio.Write(&mtx, a); err != nil {
+		t.Fatal(err)
+	}
+	resp, blob := doJSON(t, http.MethodPost, ts.URL+"/v1/matrices", mtx.String())
+	check("upload", resp, blob, http.StatusCreated)
+	var up struct{ ID string }
+	if err := json.Unmarshal(blob, &up); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	v := make([]float64, a.Cols)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	resp, blob = doJSON(t, http.MethodPost, ts.URL+"/v1/spmv", fmt.Sprintf(`{"matrix":%q,"vector":%s}`, up.ID, floatsJSON(v)))
+	check("spmv", resp, blob, http.StatusOK)
+	solve := fmt.Sprintf(`{"matrix":%q,"solver":"cg","b":%s`, up.ID, floatsJSON(v))
+	sid, _ := createSession(t, ts, solve+"}")
+	if code, _ := iterate(t, ts, sid, `{"steps":2}`); code != http.StatusOK {
+		t.Fatalf("iterate: status %d", code)
+	}
+	resp, blob = doJSON(t, http.MethodGet, ts.URL+"/v1/solve/"+sid, "")
+	check("session", resp, blob, http.StatusOK)
+	if len(blob) < 2<<10 {
+		t.Errorf("session body of %d bytes fits net/http's buffer, which sizes it anyway", len(blob))
+	}
+	resp, blob = doJSON(t, http.MethodGet, ts.URL+"/v1/plans/0123456789abcdef", "")
+	check("error", resp, blob, http.StatusNotFound)
+	resp, blob = doJSON(t, http.MethodPost, ts.URL+"/v1/solve", solve+`,"mode":"run"}`)
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != -1 || len(resp.TransferEncoding) == 0 {
+		t.Errorf("mode-run stream: status %d, Content-Length %d, Transfer-Encoding %v; want a chunked 200",
+			resp.StatusCode, resp.ContentLength, resp.TransferEncoding)
 	}
 }
 

@@ -126,8 +126,9 @@ func checkNumAgainstReference(t *testing.T, data []byte) {
 // FuzzScanNumber holds the one-walk number path to the two-walk one it
 // replaced: for any input of at most 4 KiB, num and referenceFloat agree on
 // acceptance, cursor and Float64bits, and vector and referenceVector return
-// identical slices or both fail — on the input as given and wrapped in
-// brackets as a one-element array.
+// identical slices or both fail — on the input as given, wrapped in
+// brackets as a one-element array, and as the first of nine elements, so
+// that the literal ends well before the data does.
 func FuzzScanNumber(f *testing.F) {
 	for _, seed := range []string{
 		"0", "-0", "-0.000", "00", "-", "1.", ".5", "+1", "1e", "1E+0", "1e-07",
@@ -138,6 +139,7 @@ func FuzzScanNumber(f *testing.F) {
 		"4.9406564584124654e-324", "2.2250738585072011e-308", "1.7976931348623157e308",
 		"1e00000000000000000022", "0.0000000001e10", "9007199254740992e-22", "-0.517",
 		"[1,-0.5,2e3]", "[ 1 , 2 ]", "[]", "[1,]", "[,]", "[1 2]", "[-0.000,1e999]",
+		"--1", "-+1", "1e+-1", "1e-+1", "-e1",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -147,13 +149,15 @@ func FuzzScanNumber(f *testing.F) {
 		}
 		checkNumAgainstReference(t, data)
 		checkNumAgainstReference(t, []byte("["+string(data)+"]"))
+		checkNumAgainstReference(t, []byte("["+string(data)+",0,0,0,0,0,0,0,0]"))
 	})
 }
 
 // TestNumMatchesReference is FuzzScanNumber's check on 10^5 seeded tokens of
 // the shapes that matter — mantissas of 1 to 25 digits with leading and
 // trailing zeros, with and without a fraction and an exponent near the fast
-// path's edges — so plain `go test` exercises both sides of every branch.
+// path's edges — so plain `go test` exercises both sides of every branch;
+// each alone and followed by more elements, as FuzzScanNumber checks them.
 func TestNumMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	digitRun := func(n int) string {
@@ -181,5 +185,6 @@ func TestNumMatchesReference(t *testing.T) {
 			tok += []string{"e", "E", "e+", "e-", "E-"}[rng.Intn(5)] + strconv.Itoa(rng.Intn(60))
 		}
 		checkNumAgainstReference(t, []byte(tok))
+		checkNumAgainstReference(t, []byte("["+tok+",0,0,0,0,0,0,0,0]"))
 	}
 }

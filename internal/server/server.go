@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -475,7 +476,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // writeJSON encodes v, then sends it with status in one Write. Encoding
 // comes first because it can fail — a product or residual that is NaN or
 // ±Inf has no JSON form — and a failure must still be able to answer with
-// an error status instead of a 200 with an empty body.
+// an error status instead of a 200 with an empty body. The encoded length
+// is then known, and sent as Content-Length: net/http would otherwise frame
+// a body past its 2 KiB buffer as chunked.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := encodeResponse(v)
 	defer respPool.Put(buf)
@@ -484,6 +487,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
 	w.WriteHeader(status)
 	_, _ = w.Write(*buf) // a failed write means the client is gone
 }

@@ -8,7 +8,8 @@
 # its reference), the decimal conversion both decoders share (against
 # strconv) and the response float formatter (against encoding/json), the
 # request scanner's, the response encoder's and the upload reader's
-# allocation gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
+# codec byte identity (formatter layouts and edges, scanner and reader
+# against their references), their allocation gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
 # fingerprint golden, both gathers against their references, the search's
 # accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
@@ -171,6 +172,17 @@ go test -run='^$' -fuzz=FuzzHTTPSolve -fuzztime=10s ./internal/server
 
 echo "== fuzz smoke (FuzzPlanDecode, 10s)"
 go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
+
+# The number codecs take signs and decimal points without branches; their
+# output may not move: the response formatter against json.Marshal at
+# every decimal-point position of 'f' notation and on its edges, with its
+# Schubfach table, the request scanner's number path against its reference,
+# and the upload reader against its reference. Without -race, which the
+# sweep above runs them under, slowly.
+echo "== codec byte identity"
+go test -count=1 -run 'TestAppendFloatLayouts|TestAppendFloatEdges|TestSchubfachTable' ./internal/atof
+go test -count=1 -run 'TestNumMatchesReference' ./internal/server
+go test -count=1 -run 'TestReadPiecesMatchReference' ./internal/mmio
 
 # The request scanner's one-walk number path against the two-walk one it
 # replaced (number_test.go): same verdict, cursor and bits.
