@@ -7,6 +7,12 @@ import (
 	"strconv"
 )
 
+// MaxLen is the longest text AppendFloat appends for a finite float:
+// -0.0000012345678901234567, a sign, the six zeros 'f' notation keeps for
+// |f| down to 1e-6, a point and 17 digits. The longest 'e' form,
+// -2.2250738585072014e-308, is one byte shorter.
+const MaxLen = 25
+
 // AppendFloat appends f as encoding/json writes a float64: strconv's
 // shortest round-trip digits, in 'f' notation when 1e-6 <= |f| < 1e21 and
 // in 'e' notation otherwise, with a negative exponent's leading zero

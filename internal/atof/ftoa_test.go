@@ -24,16 +24,22 @@ func checkAppend(t *testing.T, f float64) {
 	}
 }
 
-// FuzzAppendFloat holds AppendFloat to json.Marshal on any float64 bits.
+// FuzzAppendFloat holds AppendFloat to json.Marshal on any float64 bits,
+// and its length to MaxLen.
 func FuzzAppendFloat(f *testing.F) {
 	for _, seed := range []uint64{0, 1, 2, 3, 1 << 52, 1<<52 - 1, 0x7FEFFFFFFFFFFFFF,
 		math.Float64bits(1e-6), math.Float64bits(1e21), math.Float64bits(1<<50 + 0.25),
-		math.Float64bits(0.1), math.Float64bits(-123.456), math.Float64bits(1 << 53)} {
+		math.Float64bits(0.1), math.Float64bits(-123.456), math.Float64bits(1 << 53),
+		math.Float64bits(1.2345678901234567e-6), math.Float64bits(2.2250738585072014e-308)} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b uint64) {
-		checkAppend(t, math.Float64frombits(b))
-		checkAppend(t, -math.Float64frombits(b))
+		for _, f := range []float64{math.Float64frombits(b), -math.Float64frombits(b)} {
+			checkAppend(t, f)
+			if n := len(AppendFloat(nil, f)); n > MaxLen {
+				t.Fatalf("AppendFloat(%#x) is %d bytes, MaxLen %d", math.Float64bits(f), n, MaxLen)
+			}
+		}
 	})
 }
 

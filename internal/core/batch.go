@@ -92,16 +92,13 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 
 	// Per-vector verification oracles (and terminal CPU fallbacks), carved
 	// from a pooled slab: the fallback copies out of them and nothing
-	// retains them past the bin loop. Vector 0's product also validates a,
-	// so validation costs no walk of its own.
+	// retains them past the bin loop. One checked walk computes them all
+	// and validates a, so validation costs no walk of its own.
 	ref := refPool.Get().(*refSlab)
 	defer refPool.Put(ref)
 	wants := ref.carve(len(vs), a.Rows)
-	if err := a.MulVecChecked(vs[0], wants[0]); err != nil {
+	if err := a.MulVecsChecked(vs, wants, &ref.x); err != nil {
 		return brep, err
-	}
-	for b := 1; b < len(vs); b++ {
-		a.MulVec(vs[b], wants[b])
 	}
 
 	// Execution routes bin→kernel lookups through the plan's allocation-free
@@ -150,10 +147,12 @@ func checkLaunch(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us 
 	return nil
 }
 
-// refSlab is the pooled backing store of one execution's reference results.
+// refSlab is the pooled backing store of one execution's reference results
+// and of the interleaved vectors their walk reads.
 type refSlab struct {
 	buf   []float64
 	wants [][]float64
+	x     []float64
 }
 
 var refPool = sync.Pool{New: func() any { return new(refSlab) }}

@@ -24,8 +24,8 @@ func spmmTestVectors(a *sparse.CSR, nb int, seed int64) ([][]float64, [][]float6
 }
 
 // SpMM over the NNZ partitioner must produce byte-identical outputs to
-// per-vector MulVec at every worker count (whole rows per worker keeps the
-// accumulation order fixed).
+// per-vector MulVec at every worker count and vector count (whole rows per
+// worker keeps the accumulation order fixed).
 func TestSpMMByteIdenticalToMulVec(t *testing.T) {
 	mats := []*sparse.CSR{
 		sparse.Figure1(),
@@ -36,7 +36,7 @@ func TestSpMMByteIdenticalToMulVec(t *testing.T) {
 	}
 	ws := new(SpMMWorkspace)
 	for mi, a := range mats {
-		for _, nb := range []int{1, 3, 8, 11} {
+		for _, nb := range []int{1, 3, 4, 8, 11, 17} {
 			vs, us := spmmTestVectors(a, nb, int64(mi+1))
 			want := make([][]float64, nb)
 			for b := range want {
@@ -63,57 +63,14 @@ func TestSpMMByteIdenticalToMulVec(t *testing.T) {
 	}
 }
 
-// SpMMMerge must match per-vector MulVecMerge byte-identically at the same
-// worker count (the merge partitioner's cut-row accumulation order is part
-// of the contract).
-func TestSpMMMergeByteIdenticalToMulVecMerge(t *testing.T) {
-	mats := []*sparse.CSR{
-		matgen.PowerLaw(300, 4, 1.6, 200, 9), // skewed: spans cut the hub rows
-		matgen.Mixed(222, 222, 12, []int{2, 80}, 5),
-		matgen.SingleNNZRows(129, 30, 2),
-	}
-	ws := new(SpMMWorkspace)
-	for mi, a := range mats {
-		for _, nb := range []int{1, 2, 9} {
-			vs, us := spmmTestVectors(a, nb, int64(mi+21))
-			for _, w := range []int{1, 2, 4} {
-				want := make([][]float64, nb)
-				for b := range want {
-					want[b] = make([]float64, a.Rows)
-					MulVecMerge(a, vs[b], want[b], w)
-				}
-				for b := range us {
-					clear(us[b])
-				}
-				if err := SpMMMerge(a, vs, us, w, ws); err != nil {
-					t.Fatalf("mat %d nb=%d w=%d: %v", mi, nb, w, err)
-				}
-				for b := range want {
-					for i := range want[b] {
-						if us[b][i] != want[b][i] {
-							t.Fatalf("mat %d nb=%d w=%d: vector %d row %d: got %v want %v",
-								mi, nb, w, b, i, us[b][i], want[b][i])
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// The blocked single-worker SpMM path must allocate nothing in steady
-// state with a warmed workspace — the CPU side of the batch zero-alloc
-// discipline.
+// The single-worker SpMM path must allocate nothing in steady state with a
+// warmed workspace — the CPU side of the batch zero-alloc discipline.
 func TestSpMMZeroAlloc(t *testing.T) {
 	a := matgen.Mixed(500, 500, 15, []int{2, 60}, 11)
 	vs, us := spmmTestVectors(a, 8, 31)
 	ws := new(SpMMWorkspace)
-	// Warm both partitioners' workspace buffers.
 	for i := 0; i < 3; i++ {
 		if err := SpMM(a, vs, us, 1, ws); err != nil {
-			t.Fatal(err)
-		}
-		if err := SpMMMerge(a, vs, us, 1, ws); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -125,11 +82,29 @@ func TestSpMMZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("SpMM workers=1 allocates %v/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(10, func() {
-		if err := SpMMMerge(a, vs, us, 1, ws); err != nil {
-			t.Fatal(err)
+}
+
+// A corrupt matrix is Validate's error at every worker count, whichever
+// worker's rows hold the fault.
+func TestSpMMCorruptMatrix(t *testing.T) {
+	good := matgen.Banded(300, 5, 2)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*sparse.CSR)
+	}{
+		{"column past Cols", func(a *sparse.CSR) { a.ColIdx[len(a.ColIdx)-3] = int32(a.Cols) }},
+		{"negative column", func(a *sparse.CSR) { a.ColIdx[2] = -1 }},
+		{"decreasing rowptr", func(a *sparse.CSR) { a.RowPtr[150] = a.RowPtr[149] - 1 }},
+		{"short rowptr", func(a *sparse.CSR) { a.RowPtr = a.RowPtr[:10] }},
+	} {
+		a := good.Clone()
+		tc.mutate(a)
+		want := a.Validate()
+		vs, us := spmmTestVectors(good, 5, 3)
+		for _, w := range []int{1, 2, 4} {
+			if err := SpMM(a, vs, us, w, nil); err == nil || err.Error() != want.Error() {
+				t.Errorf("%s w=%d: SpMM = %v, Validate = %v", tc.name, w, err, want)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("SpMMMerge workers=1 allocates %v/op, want 0", n)
 	}
 }

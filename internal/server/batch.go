@@ -36,9 +36,10 @@ import (
 // failure (cancellation, invalid plan) fails every waiter.
 
 // batchItem is one execution's share of a pending fused launch. The item
-// owns private copies of its vector and result buffer: a waiter that
-// abandons the batch (client disconnect) must not leave the flush writing
-// into caller-owned memory.
+// owns a private copy of its vector and its own result buffer: a waiter
+// that abandons the batch (client disconnect) must not leave the flush
+// reading or writing caller-owned memory. A waiter that sees the flush
+// done may take u as its result (Server.multiply).
 type batchItem struct {
 	v []float64
 	u []float64
@@ -110,16 +111,16 @@ func (co *coalescer) enqueue(e *matrixEntry, p *plan.TuningPlan, opt core.GuardO
 	return it
 }
 
-// wait blocks until the item's batch flushed (copying the result into u)
-// or ctx expires. An abandoned item still executes with its batch — its
-// private buffers make that harmless — the waiter just stops caring.
-func (co *coalescer) wait(ctx context.Context, it *batchItem, u []float64) (degraded bool, fallbacks int, err error) {
+// wait blocks until the item's batch flushed, after which it.u holds the
+// result and belongs to the waiter, or ctx expires. An abandoned item still
+// executes with its batch — its private buffers make that harmless — the
+// waiter just stops caring.
+func (co *coalescer) wait(ctx context.Context, it *batchItem) (degraded bool, fallbacks int, err error) {
 	select {
 	case <-it.done:
 		if it.err != nil {
 			return false, 0, it.err
 		}
-		copy(u, it.u)
 		return it.degraded, it.fallbacks, nil
 	case <-ctx.Done():
 		return false, 0, errdefs.Canceled(ctx.Err())

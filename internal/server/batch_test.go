@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,10 +68,10 @@ func TestCoalescerKeepsEntriesApart(t *testing.T) {
 		items[k] = s.co.enqueue(e, p, s.guardOpts(""), "", v)
 	}
 	for k, e := range entries {
-		u, want := make([]float64, a.Rows), make([]float64, a.Rows)
-		if _, _, err := s.co.wait(ctx, items[k], u); err != nil {
+		if _, _, err := s.co.wait(ctx, items[k]); err != nil {
 			t.Fatal(err)
 		}
+		u, want := items[k].u, make([]float64, a.Rows)
 		e.A.MulVec(v, want)
 		if i := sparse.FirstVecDiff(want, u, 1e-9); i >= 0 {
 			t.Errorf("entry %d: row %d is %v, want its own values' %v", k, i, u[i], want[i])
@@ -458,5 +460,67 @@ func TestBatchCoalescerFusesSessionIterate(t *testing.T) {
 	}
 	if got := scrapeMetric(t, ts, "spmvd_session_iterations_total"); got != 1 {
 		t.Errorf("session iterations = %d, want 1", got)
+	}
+}
+
+// discardResponse is a ResponseWriter that keeps the status and drops the
+// body, so a test's allocation count holds the server's own.
+type discardResponse struct {
+	header http.Header
+	status int
+}
+
+func (w *discardResponse) Header() http.Header         { return w.header }
+func (w *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardResponse) WriteHeader(status int)      { w.status = status }
+
+// TestCoalescedRequestResultBuffers is the gate on a warm B = 8 coalesced
+// request's result buffers (scripts/check.sh): each of its vectors gets one
+// row-sized buffer — the batch item's, which the response serves — not a
+// second one for a copy. The matrix is tall and narrow, so the request's
+// own vectors are small against its results, and the allocation count is
+// read in bytes. It skips under -race, whose sync.Pool drops the pooled
+// reference slab and response buffer at random.
+func TestCoalescedRequestResultBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random")
+	}
+	const nb = 8
+	s, ts := newTestServer(t, func(c *Config) {
+		c.BatchWindow = time.Minute // the size trigger flushes every request's batch
+		c.MaxBatch = nb
+	})
+	a := matgen.RandomUniform(16384, 4, 1, 4, 5)
+	id := uploadMatrix(t, ts, a)
+	warmPlan(t, ts, id)
+	var body strings.Builder
+	fmt.Fprintf(&body, `{"matrix":%q,"vectors":[`, id)
+	for b := 0; b < nb; b++ {
+		if b > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, "[%d,0.5,-1.25,3]", b+1)
+	}
+	body.WriteString("]}")
+	serve := func() {
+		w := &discardResponse{header: make(http.Header)}
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/spmv", strings.NewReader(body.String())))
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d", w.status)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	serve() // warm the pooled reference slab and response buffer
+	const runs = 4
+	size, _ := allocated(func() {
+		for i := 0; i < runs; i++ {
+			serve()
+		}
+	})
+	buffers := size / runs / uint64(8*a.Rows)
+	t.Logf("warm B=%d request: %d bytes, %d row-sized buffers' worth", nb, size/runs, buffers)
+	if buffers > nb {
+		t.Errorf("a warm B=%d coalesced request allocates %d row-sized buffers' worth, want <= %d", nb, buffers, nb)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -67,6 +68,11 @@ func (r spmvResponse) appendJSON(b []byte) ([]byte, error) {
 		}
 	}
 	if len(r.Results) > 0 {
+		n := 0
+		for _, v := range r.Results {
+			n += floatsLen(v)
+		}
+		b = slices.Grow(b, n+len(`,"results":[]`))
 		b = append(b, `,"results":[`...)
 		for i, v := range r.Results {
 			if i > 0 {
@@ -145,11 +151,18 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendFloats appends v as a JSON array, null when v is nil.
+// floatsLen bounds the text appendFloats appends for a finite v: each
+// float's longest text and its comma, and the brackets.
+func floatsLen(v []float64) int { return (atof.MaxLen+1)*len(v) + 2 }
+
+// appendFloats appends v as a JSON array, null when v is nil. It reserves
+// floatsLen(v) up front: a response buffer the GC took from respPool would
+// otherwise regrow by doubling, float by float.
 func appendFloats(b []byte, v []float64) ([]byte, error) {
 	if v == nil {
 		return append(b, "null"...), nil
 	}
+	b = slices.Grow(b, floatsLen(v))
 	b = append(b, '[')
 	for i, f := range v {
 		if i > 0 {

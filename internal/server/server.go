@@ -672,6 +672,10 @@ func (s *Server) execute(ctx context.Context, e *matrixEntry, p *plan.TuningPlan
 // so a stateless waiter holding its slot would starve the requests its
 // batch waits to fuse with (at -workers 1, B could never exceed 1). A
 // session iterate passes nil and keeps its slot across its multiplies.
+// A nil us[i] is given a result buffer of its own — with a coalescer, the
+// batch item's, which the flush wrote and nothing else holds once it is
+// done — so a stateless request allocates one buffer per vector; a
+// non-nil us[i] (a session's stepper buffer) receives a copy.
 func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPlan, traceID string, vs, us [][]float64, park func()) (degraded bool, fallbacks int, err error) {
 	if s.cfg.ExecHook != nil {
 		s.cfg.ExecHook()
@@ -680,6 +684,9 @@ func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPla
 	add := func(d bool, f int) { degraded, fallbacks = degraded || d, fallbacks+f }
 	if s.co == nil {
 		for i := range vs {
+			if us[i] == nil {
+				us[i] = make([]float64, e.A.Rows)
+			}
 			rep, err := s.execute(ctx, e, p, opt, traceID, vs[i:i+1], us[i:i+1])
 			if err != nil {
 				return false, 0, err
@@ -696,9 +703,14 @@ func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPla
 		park()
 	}
 	for i, it := range items {
-		d, f, err := s.co.wait(ctx, it, us[i])
+		d, f, err := s.co.wait(ctx, it)
 		if err != nil {
 			return false, 0, err
+		}
+		if us[i] == nil {
+			us[i] = it.u
+		} else {
+			copy(us[i], it.u)
 		}
 		add(d, f)
 	}
@@ -845,9 +857,6 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := spmvResponse{Matrix: e.ID, Plan: p.Fingerprint, U: p.U, CacheHit: cacheHit, TraceID: traceID}
 	resp.Results = make([][]float64, len(vecs))
-	for i := range resp.Results {
-		resp.Results[i] = make([]float64, e.A.Rows)
-	}
 	degraded, fallbacks, err := s.multiply(ctx, e, p, traceID, vecs, resp.Results, park)
 	if err != nil {
 		s.writeError(w, err)

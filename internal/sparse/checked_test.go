@@ -221,9 +221,55 @@ func fuzzBytes(a *CSR) []byte {
 	return b
 }
 
-// FuzzMulVecChecked: on any decoded CSR, MulVecChecked never panics (short
-// vector on a valid matrix excepted, as in MulVec), returns exactly
-// Validate's error, and on a valid matrix reproduces MulVec's bits.
+// checkMulVecsAgainstValidate holds MulVecsChecked at width nb to
+// checkAgainstValidate's specification, with rotations of v as the vectors.
+func checkMulVecsAgainstValidate(t *testing.T, a *CSR, v []float64, rows, nb int) {
+	t.Helper()
+	want := a.Validate()
+	vs, us := make([][]float64, nb), make([][]float64, nb)
+	for b := range vs {
+		r := 0
+		if len(v) > 0 {
+			r = b % len(v)
+		}
+		vs[b] = append(append([]float64(nil), v[r:]...), v[:r]...)
+		us[b] = make([]float64, rows)
+	}
+	var err error
+	var scratch []float64
+	panicked := func() (p bool) {
+		defer func() { p = recover() != nil }()
+		err = a.MulVecsChecked(vs, us, &scratch)
+		return false
+	}()
+	switch {
+	case want == nil && len(v) < a.Cols:
+		if !panicked {
+			t.Fatalf("B=%d: valid matrix with len(v)=%d < Cols=%d did not panic", nb, len(v), a.Cols)
+		}
+		return
+	case panicked:
+		t.Fatalf("B=%d: MulVecsChecked panicked (Validate: %v)", nb, want)
+	case (err == nil) != (want == nil) || err != nil && err.Error() != want.Error():
+		t.Fatalf("B=%d: MulVecsChecked = %v, Validate = %v", nb, err, want)
+	case err != nil:
+		return
+	}
+	ref := make([]float64, rows)
+	for b := range vs {
+		a.MulVec(vs[b], ref)
+		for i := range ref {
+			if math.Float64bits(us[b][i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("B=%d: vector %d row %d: MulVecsChecked %v, MulVec %v", nb, b, i, us[b][i], ref[i])
+			}
+		}
+	}
+}
+
+// FuzzMulVecChecked: on any decoded CSR, MulVecChecked and MulVecsChecked
+// at B = 1, 3 and 8 never panic (short vector on a valid matrix excepted, as
+// in MulVec), return exactly Validate's error, and on a valid matrix
+// reproduce MulVec's bits.
 func FuzzMulVecChecked(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(fuzzBytes(Figure1()))
@@ -233,6 +279,9 @@ func FuzzMulVecChecked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, v := fuzzCSR(data)
 		checkAgainstValidate(t, "fuzz", a, v, max(a.Rows, 0))
+		for _, nb := range []int{1, 3, 8} {
+			checkMulVecsAgainstValidate(t, a, v, max(a.Rows, 0), nb)
+		}
 	})
 }
 

@@ -13,7 +13,8 @@
 # fingerprint golden, both gathers against their references, the search's
 # accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
-# fused validating reference against Validate, by test and fuzz smoke; the
+# fused validating reference against Validate, by test and fuzz smoke, and
+# the multi-vector walk against MulVec; the
 # execution-error golden; DotRows against its pre-change copy; replayed bins
 # served from the reference and armed faults still verified), the modeled
 # scoreboard golden, the tuning search's equivalence to the legacy pass
@@ -203,24 +204,26 @@ go test -run='^$' -fuzz=FuzzAppendFloat -fuzztime=10s ./internal/atof
 # flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
 # bytes, a megabyte of commas is rejected having allocated < 64 KiB, and a
 # vector past maxScratch leaves no scratch above it in the pool. The
-# response side: a warm 8 x 4000 spmv response encodes with 0 allocations.
+# response side: a warm 8 x 4000 spmv response encodes with 0 allocations,
+# and a warm B = 8 coalesced request allocates one result buffer per vector.
 echo "== decode + encode allocation gate"
-go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs' ./internal/server
+go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs|TestCoalescedRequestResultBuffers' ./internal/server
 
 # verifyBin takes equal values first; its pre-shortcut copy is the oracle.
 echo "== output verification against its reference"
 go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
 
-# A warm request walks the matrix once: the reference product, whose first
-# vector also validates the matrix (MulVecChecked), and whose rows every
-# replayed bin copies instead of recomputing and verifying them. The fused
-# check must equal Validate, error text and all, and which error wins must
-# not move; DotRows (a simulated launch's output) keeps its pre-change
+# A warm request walks the matrix once: the reference product, whose walk
+# also validates the matrix (MulVecChecked, or MulVecsChecked for B > 1),
+# and whose rows every replayed bin copies instead of recomputing and
+# verifying them. The fused check must equal Validate, error text and all,
+# the multi-vector walk must give B MulVec calls' bits, and which error wins
+# must not move; DotRows (a simulated launch's output) keeps its pre-change
 # copy's bits; a replayed bin serves the reference's bits at no extra
 # allocation, and a fault armed on a warm plan still simulates and reaches
 # the verified fallback chain.
 echo "== one walk per warm request"
-go test -count=1 -run 'TestMulVecCheckedMatchesValidate' ./internal/sparse
+go test -count=1 -run 'TestMulVecCheckedMatchesValidate|TestMulVecsCheckedMatchesMulVec' ./internal/sparse
 go test -count=1 -run 'TestExecutePlanErrorsGolden' ./internal/core
 go test -count=1 -run 'TestDotRowsMatchesReference' ./internal/kernels
 go test -count=1 -run 'TestReplayServesReferenceBits|TestReplayEqualsSimulate|TestReplayArmedFaultsBypassMemo|TestExecutePlanWarmAllocs' ./internal/core
