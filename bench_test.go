@@ -310,7 +310,7 @@ func benchFramework(b *testing.B, mut func(*core.GuardOptions)) {
 	if mut != nil {
 		mut(&opt)
 	}
-	p, err := fw.PlanTraced(context.Background(), a, opt.Trace, opt.TraceID)
+	p, err := fw.PlanTraced(context.Background(), a, "", opt.Trace, opt.TraceID)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -325,7 +325,7 @@ func cmdRun(args []string) error {
 		opt.Trace = trace.NewDeterministicWriter(out)
 	}
 
-	p, err := fw.PlanTraced(ctx, a, opt.Trace, opt.TraceID)
+	p, err := fw.PlanTraced(ctx, a, "", opt.Trace, opt.TraceID)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func guardFramework(t testing.TB) *Framework {
 // runGuarded is the one-shot guarded product the way every caller now
 // writes it: Plan (traced with the options' writer), then ExecutePlanOpts.
 func runGuarded(ctx context.Context, fw *Framework, a *sparse.CSR, v, u []float64, opt GuardOptions) (Decision, *ExecReport, error) {
-	p, err := fw.PlanTraced(ctx, a, opt.Trace, opt.TraceID)
+	p, err := fw.PlanTraced(ctx, a, "", opt.Trace, opt.TraceID)
 	if err != nil {
 		return Decision{}, nil, err
 	}

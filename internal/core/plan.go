@@ -63,14 +63,16 @@ func ModelVersion(m *Model) string {
 // fallback plan (Fallback set; its execution reports DecisionFallback). The
 // error is non-nil only for invalid input or an expired context.
 func (fw *Framework) Plan(ctx context.Context, a *sparse.CSR) (*plan.TuningPlan, error) {
-	return fw.PlanTraced(ctx, a, nil, "")
+	return fw.PlanTraced(ctx, a, "", nil, "")
 }
 
 // PlanTraced is Plan with pipeline tracing: one span per predict phase
 // (features → predict-u → bin → predict-kernel) is emitted to tw, tagged
-// with traceID. A nil Writer emits nothing — Plan is exactly
-// PlanTraced(ctx, a, nil, "").
-func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Writer, traceID string) (*plan.TuningPlan, error) {
+// with traceID. A nil Writer emits nothing. fingerprint is
+// plan.Fingerprint(a) when the caller already holds it — a server keys its
+// stored matrices by it — or empty, and then computed once a is validated.
+// Plan is exactly PlanTraced(ctx, a, "", nil, "").
+func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, fingerprint string, tw *trace.Writer, traceID string) (*plan.TuningPlan, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -81,13 +83,16 @@ func (fw *Framework) PlanTraced(ctx context.Context, a *sparse.CSR, tw *trace.Wr
 		return nil, errdefs.Canceled(err)
 	}
 
+	if fingerprint == "" {
+		fingerprint = plan.Fingerprint(a)
+	}
 	// One atomic load for the whole plan: the recorded ModelVersion and the
 	// decisions below always come from the same model snapshot, even while
 	// a retrain promotion swaps the live pointer.
 	cur := fw.installed()
 	m := cur.m
 	p := &plan.TuningPlan{
-		Fingerprint:  plan.Fingerprint(a),
+		Fingerprint:  fingerprint,
 		ModelVersion: cur.version,
 		Rows:         a.Rows,
 		Cols:         a.Cols,

@@ -313,6 +313,31 @@ func TestPlanCarriesInstalledModelVersion(t *testing.T) {
 	}
 }
 
+// TestPlanTracedTakesFingerprint: a fingerprint handed to PlanTraced is
+// the one the plan carries (a server's stored key, not hashed again), and
+// the plan is otherwise Plan's own; an invalid matrix is still refused.
+func TestPlanTracedTakesFingerprint(t *testing.T) {
+	fw := guardFramework(t)
+	a, _, _ := guardMatrix()
+	ctx := context.Background()
+	want, err := fw.Plan(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fw.PlanTraced(ctx, a, want.Fingerprint, nil, "")
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("PlanTraced with the fingerprint = %+v, %v; Plan = %+v", got, err, want)
+	}
+	if p, _ := fw.PlanTraced(ctx, a, "stored-key", nil, ""); p == nil || p.Fingerprint != "stored-key" {
+		t.Errorf("PlanTraced did not record the fingerprint it was given: %+v", p)
+	}
+	bad := a.Clone()
+	bad.RowPtr[1] = -1
+	if _, err := fw.PlanTraced(ctx, bad, want.Fingerprint, nil, ""); err == nil {
+		t.Error("PlanTraced with a fingerprint skipped validating the matrix")
+	}
+}
+
 // TestPlanAllocs bounds a plan's allocations. Plan makes 45 on this
 // matrix and model; hashing the model's trees on every plan, before the
 // version was computed at install, made it 58.

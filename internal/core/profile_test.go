@@ -150,7 +150,7 @@ func TestPlanTracedSpans(t *testing.T) {
 	a, _, _ := guardMatrix()
 	var buf bytes.Buffer
 	tw := trace.NewDeterministicWriter(&buf)
-	if _, err := fw.PlanTraced(context.Background(), a, tw, "plan-1"); err != nil {
+	if _, err := fw.PlanTraced(context.Background(), a, "", tw, "plan-1"); err != nil {
 		t.Fatalf("PlanTraced failed: %v", err)
 	}
 	out := buf.String()

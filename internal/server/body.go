@@ -119,9 +119,9 @@ func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field) (stdlib 
 // printable ASCII without escapes; int fields as integer literals; float
 // fields and vector elements as JSON-grammar numbers. A number decodes to
 // the bits of the call encoding/json itself makes (strconv.ParseFloat /
-// ParseInt): num either computes them exactly or makes that call. Unknown or
-// case-folded keys, duplicates, null, escapes, non-ASCII, a literal strconv
-// rejects, trailing bytes: all false.
+// ParseInt): the scanner either computes them exactly or makes that call.
+// Unknown or case-folded keys, duplicates, null, escapes, non-ASCII, a
+// literal strconv rejects, trailing bytes: all false.
 func scanBody(data []byte, fields []field) bool {
 	s := scanner{data: data}
 	var seen uint64 // bit i: fields[i] already assigned
@@ -211,46 +211,54 @@ func (s *scanner) str() ([]byte, bool) {
 	return s.data[start:s.i], s.eat('"')
 }
 
-// num scans one literal of the JSON number grammar,
+// num scans one literal of the JSON number grammar at the cursor,
 // -?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?, converts it in the same walk, and
-// reports whether it has neither fraction nor exponent. The grammar is
-// checked here because strconv alone also accepts +1, .5, 1., 0x1p-2, 1_0
-// and Inf; bytes at the cursor that are not a number leave it in place.
-//
-// The walk accumulates the digits into a mantissa m under atof.MantLimit —
-// the first 19 significant digits, a decimal exponent e and a truncation
-// flag, exactly as strconv's own scan does, the exponent part saturating
-// at 10^4 as there — and atof turns them into the bits strconv.ParseFloat
-// returns: atof.Short, inlined, for a short decimal such as -0.517, else
-// atof.Convert. A literal Convert declines is converted by
-// strconv.ParseFloat, and one it rejects (1e999) is not a number here
-// either, with the cursor after it.
+// reports whether it has neither fraction nor exponent. It is numFrom from
+// the literal's first digit.
 func (s *scanner) num() (f float64, integer, ok bool) {
-	d, i := s.data, s.i
-	if i >= len(d) {
+	if s.i >= len(s.data) {
 		return 0, false, false
 	}
-	// The sign is taken without a branch: spmvd's vectors are signed at
-	// random, and a branch on the sign mispredicts on every other element.
-	neg := is(d[i], '-')
-	i += neg
-	var m uint64
-	e, trunc := 0, false // the decimal exponent of m; a nonzero digit was dropped
-	j := i
-	for ; j < len(d) && d[j]-'0' <= 9; j++ {
-		if m < atof.MantLimit {
-			m = m*10 + uint64(d[j]-'0')
-		} else {
-			e++
-			trunc = trunc || d[j] != '0'
+	f, integer, s.i, ok = numFrom(s.data, s.i, s.i+is(s.data[s.i], '-'), 0, 0, -1)
+	return f, integer, ok
+}
+
+// numFrom is the number grammar and its conversion, resumed from the state
+// a scan of the literal starting at d[start] reached at j: m and e are the
+// mantissa and decimal exponent of the digits before j, every one of them
+// kept; dot is the index of the literal's '.' when j is past it, else -1.
+// It returns the value, whether the literal is an integer, and the index
+// after the literal. The grammar is checked here because strconv alone also
+// accepts +1, .5, 1., 0x1p-2, 1_0 and Inf; bytes that are not a number
+// return end = start.
+//
+// The digits go into m under atof.MantLimit — the first 19 significant
+// digits, e and a truncation flag, exactly as strconv's own scan does, the
+// exponent part saturating at 10^4 as there — and atof.Convert turns them
+// into the bits strconv.ParseFloat returns. A literal Convert declines is
+// converted by strconv.ParseFloat, and one it rejects (1e999) is not a
+// number here either, with end after it.
+func numFrom(d []byte, start, j int, m uint64, e, dot int) (f float64, integer bool, end int, ok bool) {
+	k, trunc := start+is(d[start], '-'), false
+	intEnd := dot
+	if dot < 0 {
+		for ; j < len(d) && d[j]-'0' <= 9; j++ {
+			if m < atof.MantLimit {
+				m = m*10 + uint64(d[j]-'0')
+			} else {
+				e++
+				trunc = trunc || d[j] != '0'
+			}
+		}
+		if intEnd = j; j < len(d) && d[j] == '.' {
+			dot, j = j, j+1
 		}
 	}
-	if j == i || j > i+1 && d[i] == '0' {
-		return 0, false, false
+	if intEnd == k || intEnd > k+1 && d[k] == '0' {
+		return 0, false, start, false
 	}
-	i, integer = j, true
-	if i < len(d) && d[i] == '.' {
-		for j = i + 1; j < len(d) && d[j]-'0' <= 9; j++ {
+	if dot >= 0 {
+		for ; j < len(d) && d[j]-'0' <= 9; j++ {
 			if m < atof.MantLimit {
 				m = m*10 + uint64(d[j]-'0')
 				e--
@@ -258,40 +266,35 @@ func (s *scanner) num() (f float64, integer, ok bool) {
 				trunc = true
 			}
 		}
-		if j == i+1 {
-			return 0, false, false
+		if j == dot+1 {
+			return 0, false, start, false
 		}
-		i, integer = j, false
 	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		j = i + 1
+	integer = dot < 0
+	if j < len(d) && d[j]|0x20 == 'e' {
+		j++
 		eneg := 0
 		if j < len(d) {
 			eneg = is(d[j], '-')
 			j += eneg | is(d[j], '+')
 		}
-		k, x := j, 0
-		for ; k < len(d) && d[k]-'0' <= 9; k++ {
+		x, digits := 0, j
+		for ; j < len(d) && d[j]-'0' <= 9; j++ {
 			if x < 1e4 {
-				x = x*10 + int(d[k]-'0')
+				x = x*10 + int(d[j]-'0')
 			}
 		}
-		if k == j {
-			return 0, false, false
+		if j == digits {
+			return 0, false, start, false
 		}
 		e += x ^ -eneg + eneg // -x when eneg
-		i, integer = k, false
+		integer = false
 	}
-	tok := d[s.i:i]
-	s.i = i
-	if f, ok = atof.Short(m, e, neg != 0); ok {
-		return f, integer, true
+	if f, ok = atof.Convert(m, e, k != start, trunc); ok {
+		return f, integer, j, true
 	}
-	if f, ok = atof.Convert(m, e, neg != 0, trunc); ok {
-		return f, integer, true
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, integer, err == nil
+	f, err := strconv.ParseFloat(string(d[start:j]), 64)
+	return f, integer, j, err == nil
 }
 
 // is is 1 when c == x and 0 otherwise, computed without a branch.
@@ -332,11 +335,11 @@ const maxScratch = 1 << 18
 // scratchPool recycles the slices vector() parses elements into.
 var scratchPool sync.Pool // of *[]float64
 
-// vector scans an array of numbers in one pass: each element is converted
-// as it is scanned, into a pooled scratch slice, and once the closing bracket
-// is reached the vector is one exact allocation and a copy. The vector is
-// therefore sized only from elements already parsed — a body of a million
-// commas allocates nothing.
+// vector scans an array of numbers in one loop (appendNumbers). Each
+// element goes into a pooled scratch slice, and once the closing bracket is
+// reached the vector is one exact allocation and a copy: it is sized only
+// from elements already parsed — a body of a million commas allocates
+// nothing.
 func (s *scanner) vector() (v []float64, ok bool) {
 	if !s.eat('[') {
 		return nil, false
@@ -346,13 +349,9 @@ func (s *scanner) vector() (v []float64, ok bool) {
 	if scratch == nil {
 		scratch = new([]float64)
 	}
-	buf, ok := (*scratch)[:0], true
-	for more := !s.eat(']'); more && ok; {
-		var f float64
-		if f, _, ok = s.num(); ok {
-			buf = append(buf, f)
-			more, ok = s.next(']')
-		}
+	buf, ok := (*scratch)[:0], s.eat(']')
+	if !ok {
+		buf, s.i, ok = appendNumbers(buf, s.data, s.i)
 	}
 	if ok {
 		v = make([]float64, len(buf))
@@ -363,6 +362,60 @@ func (s *scanner) vector() (v []float64, ok bool) {
 		scratchPool.Put(scratch)
 	}
 	return v, ok
+}
+
+// appendNumbers appends to buf the elements of the array of numbers whose
+// first element is at d[i], and returns buf and the index after the
+// closing bracket, or false at the first byte outside the grammar. The
+// cursor is a local. The common element, -?(0|[1-9]\d*)(\.\d+)? of at most
+// 15 digits and no exponent, is accumulated and converted inline by
+// atof.Short, and a comma directly followed by the next element is taken
+// without a whitespace scan. The inline step stops at 15 digits, so m stays
+// below 10^15 < 2^52, inside Short's domain, and each digit it took is one
+// numFrom keeps too: any other element is finished by numFrom from the
+// state the inline step reached, and no literal is scanned twice.
+func appendNumbers(buf []float64, d []byte, i int) ([]float64, int, bool) {
+	for i < len(d) {
+		start := i
+		k := i + is(d[i], '-') // no branch: spmvd's vectors are signed at random
+		j, m := k, uint64(0)
+		for lim := min(len(d), k+15); j < lim && d[j]-'0' <= 9; j++ {
+			m = m*10 + uint64(d[j]-'0')
+		}
+		short := j == k+1 || j > k+1 && d[k] != '0'
+		e, dot := 0, -1
+		if j < len(d) && d[j] == '.' {
+			dot, j = j, j+1
+			for lim := min(len(d), k+16); j < lim && d[j]-'0' <= 9; j++ {
+				m = m*10 + uint64(d[j]-'0')
+			}
+			e = dot + 1 - j
+			short = short && e < 0
+		}
+		var f float64
+		short = short && (j == len(d) || d[j]-'0' > 9 && d[j]|0x20 != 'e')
+		if short {
+			f, short = atof.Short(m, e, k != start)
+		}
+		if !short {
+			var ok bool
+			if f, _, j, ok = numFrom(d, start, j, m, e, dot); !ok {
+				return buf, j, false
+			}
+		}
+		buf = append(buf, f)
+		if j+1 < len(d) && d[j] == ',' && d[j+1] > ' ' {
+			i = j + 1
+			continue
+		}
+		s := scanner{data: d, i: j}
+		more, ok := s.next(']')
+		if !more || !ok {
+			return buf, s.i, ok
+		}
+		i = s.i
+	}
+	return buf, i, false
 }
 
 // vectors scans an array of vectors. The outer slice grows with the

@@ -112,6 +112,42 @@ func TestDecodeLeavesScannerMidway(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite calls validate on NaN, +Inf and -Inf at the
+// first, a middle and the last position of a vector, alone and as the
+// second vector of a batch: each is refused with the index of the first
+// offender, and a finite vector passes.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	const n = 9
+	finite := func() []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(i) - 4.5
+		}
+		return v
+	}
+	if err := (&SpMVRequest{Matrix: "m", Vector: finite()}).validate(8); err != nil {
+		t.Fatalf("finite vector: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			v := finite()
+			v[at] = bad
+			if at > 0 {
+				v[n-1] = bad // a later offender must not be the one reported
+			}
+			for i, req := range []SpMVRequest{
+				{Matrix: "m", Vector: v},
+				{Matrix: "m", Vectors: [][]float64{finite(), v}},
+			} {
+				want := errdefs.Invalidf("server: vector %d has non-finite value at %d", i, at).Error()
+				if err := req.validate(8); err == nil || err.Error() != want {
+					t.Errorf("%v at %d: validate = %v, want %q", bad, at, err, want)
+				}
+			}
+		}
+	}
+}
+
 // benchBody renders an SpMV body the way the benchmark's load generator
 // does: values drawn as its randVec draws them, k/1000 for a seeded uniform
 // k in [-1000, 1000), so signs come at random and a branch on one
@@ -198,7 +234,8 @@ func TestDecodeAllocsAheadOfValidation(t *testing.T) {
 }
 
 // BenchmarkDecodeSpMV decodes the spmv_codec workload's body — 200 000
-// numbers, 1.28 MB — through encoding/json alone and through the decoder.
+// numbers, 1.28 MB — through encoding/json alone and through the decoder,
+// and spmv_fused's ("vectors").
 func BenchmarkDecodeSpMV(b *testing.B) {
 	body, _ := benchBody(200000, false)
 	positive, _ := benchBody(200000, true)
@@ -215,30 +252,43 @@ func BenchmarkDecodeSpMV(b *testing.B) {
 	// "scanner-f3" is every element with at most three decimals, the bytes
 	// spmvload sends: all take atof.Short. "scanner-full" is every element
 	// with 17 significant digits: none does, and all take Convert's
-	// Eisel–Lemire branch.
-	vector := func(elem func(dst []byte, i int) []byte) []byte {
-		body := []byte(`{"matrix":"0123456789abcdef","vector":[`)
-		for i := 0; i < 200000; i++ {
-			if i > 0 {
-				body = append(body, ',')
-			}
-			body = elem(body, i)
-		}
-		return append(body, "]}"...)
-	}
+	// Eisel–Lemire branch. "vectors" is spmv_fused's body, 8 x 4000
+	// elements of "scanner-f3"'s kind.
 	rng := rand.New(rand.NewSource(1))
+	f3 := func(dst []byte, i int) []byte {
+		return strconv.AppendFloat(dst, float64(rng.Intn(2000)-1000)/1000, 'f', -1, 64)
+	}
+	array := func(dst []byte, n int, elem func(dst []byte, i int) []byte) []byte {
+		dst = append(dst, '[')
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = elem(dst, i)
+		}
+		return append(dst, ']')
+	}
+	vector := func(elem func(dst []byte, i int) []byte) []byte {
+		body := array([]byte(`{"matrix":"0123456789abcdef","vector":`), 200000, elem)
+		return append(body, '}')
+	}
+	fused := func() []byte {
+		body := array([]byte(`{"matrix":"0123456789abcdef","vectors":`), 8, func(dst []byte, i int) []byte {
+			return array(dst, 4000, f3)
+		})
+		return append(body, '}')
+	}
 	for _, bc := range []struct {
 		name string
 		body []byte
 	}{
 		{"scanner", body},
 		{"scanner-positive", positive},
-		{"scanner-f3", vector(func(dst []byte, i int) []byte {
-			return strconv.AppendFloat(dst, float64(rng.Intn(2000)-1000)/1000, 'f', -1, 64)
-		})},
+		{"scanner-f3", vector(f3)},
 		{"scanner-full", vector(func(dst []byte, i int) []byte {
 			return strconv.AppendFloat(dst, (rng.Float64()*2-1)*0.9995, 'e', 16, 64)
 		})},
+		{"vectors", fused()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(bc.body)))

@@ -123,12 +123,26 @@ func checkNumAgainstReference(t *testing.T, data []byte) {
 	}
 }
 
+// checkInContexts runs checkNumAgainstReference on tok alone and on tok as
+// an array element in every order of vector's inline step and numFrom: one
+// element, first of nine, between short elements, with spaces around both
+// separators, and twice.
+func checkInContexts(t *testing.T, tok string) {
+	t.Helper()
+	for _, data := range []string{
+		tok, "[" + tok + "]", "[" + tok + ",0,0,0,0,0,0,0,0]",
+		"[0.5," + tok + ",-0.25]", "[0.5 , " + tok + " , 1]", "[" + tok + "," + tok + "]",
+	} {
+		checkNumAgainstReference(t, []byte(data))
+	}
+}
+
 // FuzzScanNumber holds the one-walk number path to the two-walk one it
 // replaced: for any input of at most 4 KiB, num and referenceFloat agree on
 // acceptance, cursor and Float64bits, and vector and referenceVector return
-// identical slices or both fail — on the input as given, wrapped in
-// brackets as a one-element array, and as the first of nine elements, so
-// that the literal ends well before the data does.
+// identical slices or both fail — on the input as given and in each array
+// context of checkInContexts, so that the literal ends well before the data
+// does and is entered from and left to an inline element.
 func FuzzScanNumber(f *testing.F) {
 	for _, seed := range []string{
 		"0", "-0", "-0.000", "00", "-", "1.", ".5", "+1", "1e", "1E+0", "1e-07",
@@ -147,9 +161,7 @@ func FuzzScanNumber(f *testing.F) {
 		if len(data) > 4<<10 {
 			return
 		}
-		checkNumAgainstReference(t, data)
-		checkNumAgainstReference(t, []byte("["+string(data)+"]"))
-		checkNumAgainstReference(t, []byte("["+string(data)+",0,0,0,0,0,0,0,0]"))
+		checkInContexts(t, string(data))
 	})
 }
 
@@ -157,7 +169,7 @@ func FuzzScanNumber(f *testing.F) {
 // the shapes that matter — mantissas of 1 to 25 digits with leading and
 // trailing zeros, with and without a fraction and an exponent near the fast
 // path's edges — so plain `go test` exercises both sides of every branch;
-// each alone and followed by more elements, as FuzzScanNumber checks them.
+// each in every context FuzzScanNumber checks.
 func TestNumMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	digitRun := func(n int) string {
@@ -184,7 +196,84 @@ func TestNumMatchesReference(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			tok += []string{"e", "E", "e+", "e-", "E-"}[rng.Intn(5)] + strconv.Itoa(rng.Intn(60))
 		}
-		checkNumAgainstReference(t, []byte(tok))
-		checkNumAgainstReference(t, []byte("["+tok+",0,0,0,0,0,0,0,0]"))
+		checkInContexts(t, tok)
+	}
+}
+
+// mixedElement returns one vector element of a shape the decoder treats
+// differently: taken inline (short decimals, -0, integers), finished by
+// numFrom (17 digits, exponents, long fractions) or refused (a leading
+// zero, a literal out of range, an empty element).
+func mixedElement(rng *rand.Rand, bad bool) string {
+	if bad {
+		return []string{"01", "-00.5", "1e999", "-1e999", ",", "1.", ".5", "+1"}[rng.Intn(8)]
+	}
+	x := rng.Float64()*2 - 1
+	switch rng.Intn(8) {
+	case 0:
+		return strconv.FormatFloat(math.Round(x*1000)/1000, 'f', -1, 64)
+	case 1:
+		return strconv.FormatFloat(x, 'f', -1, 64)
+	case 2:
+		return strconv.FormatFloat(x*math.Pow(10, float64(rng.Intn(40)-20)), 'e', rng.Intn(17), 64)
+	case 3:
+		return []string{"-0", "0", "-0.000", "0.0", "1", "-7"}[rng.Intn(6)]
+	case 4:
+		return strconv.FormatFloat(x, 'f', 15+rng.Intn(8), 64)
+	case 5:
+		return strconv.Itoa(rng.Intn(1<<30) - 1<<29)
+	case 6:
+		return strconv.FormatFloat(x*1e-5, 'f', -1, 64)
+	}
+	return strconv.FormatFloat(x, 'E', -1, 64)
+}
+
+// TestDecodeMixedBodies decodes 3000 seeded bodies through
+// decodeSpMVRequest under checkAgainstStdlib: vectors and batches of
+// elements of every shape mixedElement draws, separated by a bare comma or
+// with whitespace around either separator, a quarter of them with one
+// element the scanner must refuse, so that the encoding/json fallback and
+// its error texts are checked as well as the bits — and the scanner takes
+// exactly the others.
+func TestDecodeMixedBodies(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	seps := []string{",", ",", ",", " , ", ",\n", "\t,", " ,", ", "}
+	vector := func(bad bool) string {
+		n := 1 + rng.Intn(40)
+		at := -1
+		if bad {
+			at = rng.Intn(n)
+		}
+		var b strings.Builder
+		b.WriteString([]string{"[", "[ ", "[\n"}[rng.Intn(3)])
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(seps[rng.Intn(len(seps))])
+			}
+			b.WriteString(mixedElement(rng, i == at))
+		}
+		if bad && rng.Intn(4) == 0 {
+			b.WriteString(",") // a trailing comma
+		}
+		b.WriteString([]string{"]", " ]", "\n]"}[rng.Intn(3)])
+		return b.String()
+	}
+	const maxBatch = 8
+	for c := 0; c < 3000; c++ {
+		bad := rng.Intn(4) == 0
+		body := `{"matrix":"m","vector":` + vector(bad) + `}`
+		if rng.Intn(3) == 0 {
+			vs := make([]string, 1+rng.Intn(3))
+			for b := range vs {
+				vs[b] = vector(bad && b == len(vs)-1)
+			}
+			body = `{"matrix":"m","vectors":[` + strings.Join(vs, ",") + `]}`
+		}
+		checkAgainstStdlib(t, []byte(body), SpMVRequest{}, (*SpMVRequest).fields,
+			func(r *SpMVRequest) error { return r.validate(maxBatch) },
+			func(data []byte) (*SpMVRequest, bool, error) { return decodeSpMVRequest(data, maxBatch) })
+		if _, stdlib, _ := decodeSpMVRequest([]byte(body), maxBatch); stdlib != bad {
+			t.Fatalf("%q: took encoding/json %v, want %v", body, stdlib, bad)
+		}
 	}
 }

@@ -85,13 +85,30 @@ func (r *SpMVRequest) validate(maxBatch int) error {
 		if len(vec) == 0 {
 			return errdefs.Invalidf("server: vector %d is empty", i)
 		}
-		for j, x := range vec {
-			// JSON cannot encode NaN/Inf, but the decoder is the trust
-			// boundary; keep the invariant explicit.
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return errdefs.Invalidf("server: vector %d has non-finite value at %d", i, j)
-			}
+		// JSON cannot encode NaN/Inf, but the decoder is the trust boundary;
+		// keep the invariant explicit.
+		if j := firstNonFinite(vec); j >= 0 {
+			return errdefs.Invalidf("server: vector %d has non-finite value at %d", i, j)
 		}
 	}
 	return nil
+}
+
+// firstNonFinite returns the index of vec's first NaN or ±Inf, or -1. The
+// scan ORs one bit per element, set when the exponent field is all ones,
+// without a branch; only a vector that has one is searched for its index.
+func firstNonFinite(vec []float64) int {
+	var nonFinite uint64
+	for _, x := range vec {
+		nonFinite |= (math.Float64bits(x)>>52&0x7FF + 1) >> 11
+	}
+	if nonFinite == 0 {
+		return -1
+	}
+	for j, x := range vec {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return j
+		}
+	}
+	return -1
 }

@@ -580,7 +580,7 @@ func (s *Server) planFor(ctx context.Context, e *matrixEntry, traceID string) (p
 				return nil, herr
 			}
 		}
-		return s.cfg.Framework.PlanTraced(ctx, e.A, s.cfg.Trace, traceID)
+		return s.cfg.Framework.PlanTraced(ctx, e.A, e.Fingerprint, s.cfg.Trace, traceID)
 	})
 	if err != nil && br != nil && br.isOpen() {
 		// The failure tripped (or joined an already-open) breaker: serve

@@ -211,13 +211,21 @@ func (a *CSR) MulVec(v, u []float64) {
 	if len(u) < a.Rows {
 		panic(fmt.Sprintf("sparse: len(u)=%d < Rows=%d", len(u), a.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	if a.Rows <= 0 {
+		return
+	}
+	rowPtr, colIdx, val := a.RowPtr, a.ColIdx, a.Val
+	u = u[:a.Rows]
+	lo := rowPtr[0]
+	for i, hi := range rowPtr[1 : len(u)+1] {
+		cs := colIdx[lo:max(lo, hi)] // a decreasing RowPtr yields an empty row
+		vs := val[lo:][:len(cs)]
 		sum := 0.0
-		for k := lo; k < hi; k++ {
-			sum += v[a.ColIdx[k]] * a.Val[k]
+		for k, c := range cs {
+			sum += v[c] * vs[k]
 		}
 		u[i] = sum
+		lo = hi
 	}
 }
 

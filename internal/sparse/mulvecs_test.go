@@ -156,3 +156,47 @@ func BenchmarkMulVecs(b *testing.B) {
 		})
 	}
 }
+
+// frozenMulVec is MulVec's loop before its slices were hoisted, kept
+// verbatim as the oracle of TestMulVecMatchesFrozenLoop.
+func frozenMulVec(a *sparse.CSR, v, u []float64) {
+	for i := 0; i < a.Rows; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		sum := 0.0
+		for k := lo; k < hi; k++ {
+			sum += v[a.ColIdx[k]] * a.Val[k]
+		}
+		u[i] = sum
+	}
+}
+
+// TestMulVecMatchesFrozenLoop holds MulVec to frozenMulVec bit for bit on
+// the matgen families with and without special values in the matrix and
+// in the vector, on a RowPtr that decreases (an empty row to both) and on
+// a negative row count (no row to both).
+func TestMulVecMatchesFrozenLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cases := mulVecsCases(rng)
+	cases["decreasing"] = &sparse.CSR{Rows: 3, Cols: 2, RowPtr: []int64{0, 2, 1, 3},
+		ColIdx: []int32{0, 1, 1}, Val: []float64{1, 2, 3}}
+	cases["negative-rows"] = &sparse.CSR{Rows: -1, Cols: 2}
+	for name, a := range cases {
+		for trial := 0; trial < 4; trial++ {
+			v := make([]float64, a.Cols)
+			for c := range v {
+				v[c] = rng.NormFloat64()
+			}
+			if trial%2 == 1 {
+				v = spiced(rng, v)
+			}
+			got, want := make([]float64, max(a.Rows, 0)), make([]float64, max(a.Rows, 0))
+			a.MulVec(v, got)
+			frozenMulVec(a, v, want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s trial %d: row %d: MulVec %v, frozen loop %v", name, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

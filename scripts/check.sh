@@ -67,8 +67,8 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 90059
-size_cap .claude/skills/verify/SKILL.md 19712
+size_cap DESIGN.md 90013
+size_cap .claude/skills/verify/SKILL.md 19663
 
 echo "== go vet"
 go vet ./...
@@ -177,12 +177,14 @@ go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 # The number codecs take signs and decimal points without branches; their
 # output may not move: the response formatter against json.Marshal at
 # every decimal-point position of 'f' notation and on its edges, with its
-# Schubfach table, the request scanner's number path against its reference,
-# and the upload reader against its reference. Without -race, which the
+# Schubfach table, the request scanner's number path against its reference
+# (each literal also between, before and after inline-scanned elements) and
+# whole mixed bodies against encoding/json, and the upload reader against
+# its reference. Without -race, which the
 # sweep above runs them under, slowly.
 echo "== codec byte identity"
 go test -count=1 -run 'TestAppendFloatLayouts|TestAppendFloatEdges|TestSchubfachTable' ./internal/atof
-go test -count=1 -run 'TestNumMatchesReference' ./internal/server
+go test -count=1 -run 'TestNumMatchesReference|TestDecodeMixedBodies' ./internal/server
 go test -count=1 -run 'TestReadPiecesMatchReference' ./internal/mmio
 
 # The request scanner's one-walk number path against the two-walk one it
@@ -218,12 +220,12 @@ go test -count=1 -run 'TestVerifyBinMatchesReference' ./internal/core
 # and whose rows every replayed bin copies instead of recomputing and
 # verifying them. The fused check must equal Validate, error text and all,
 # the multi-vector walk must give B MulVec calls' bits, and which error wins
-# must not move; DotRows (a simulated launch's output) keeps its pre-change
-# copy's bits; a replayed bin serves the reference's bits at no extra
-# allocation, and a fault armed on a warm plan still simulates and reaches
-# the verified fallback chain.
+# must not move; MulVec and DotRows (a simulated launch's output) keep the
+# bits of frozen copies of their loops; a replayed bin serves the
+# reference's bits at no extra allocation, and a fault armed on a warm plan
+# still simulates and reaches the verified fallback chain.
 echo "== one walk per warm request"
-go test -count=1 -run 'TestMulVecCheckedMatchesValidate|TestMulVecsCheckedMatchesMulVec' ./internal/sparse
+go test -count=1 -run 'TestMulVecCheckedMatchesValidate|TestMulVecsCheckedMatchesMulVec|TestMulVecMatchesFrozenLoop' ./internal/sparse
 go test -count=1 -run 'TestExecutePlanErrorsGolden' ./internal/core
 go test -count=1 -run 'TestDotRowsMatchesReference' ./internal/kernels
 go test -count=1 -run 'TestReplayServesReferenceBits|TestReplayEqualsSimulate|TestReplayArmedFaultsBypassMemo|TestExecutePlanWarmAllocs' ./internal/core
