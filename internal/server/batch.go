@@ -36,10 +36,11 @@ import (
 // failure (cancellation, invalid plan) fails every waiter.
 
 // batchItem is one execution's share of a pending fused launch. The item
-// owns a private copy of its vector and its own result buffer: a waiter
-// that abandons the batch (client disconnect) must not leave the flush
-// reading or writing caller-owned memory. A waiter that sees the flush
-// done may take u as its result (Server.multiply).
+// owns a private copy of its vector and its own result buffer, both from
+// scratchPool: a waiter that abandons the batch (client disconnect) must
+// not leave the flush reading or writing caller-owned memory. A waiter that
+// sees the flush done may take u as its result and give v back
+// (Server.multiply).
 type batchItem struct {
 	v []float64
 	u []float64
@@ -86,10 +87,11 @@ func newCoalescer(s *Server, window time.Duration) *coalescer {
 // goroutine. The returned item completes via wait.
 func (co *coalescer) enqueue(e *matrixEntry, p *plan.TuningPlan, opt core.GuardOptions, traceID string, v []float64) *batchItem {
 	it := &batchItem{
-		v:    append([]float64(nil), v...),
-		u:    make([]float64, e.A.Rows),
+		v:    scratchPool.get(len(v)),
+		u:    scratchPool.get(e.A.Rows),
 		done: make(chan struct{}),
 	}
+	copy(it.v, v)
 	co.mu.Lock()
 	b := co.pending[e]
 	if b == nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"spmvtune/internal/atof"
@@ -17,37 +16,45 @@ import (
 // for the canonical JSON subset in front of encoding/json. DESIGN.md "The
 // request body path" has the rationale.
 
-// bodyPool recycles request-body buffers. A decoded request aliases nothing
-// in its body (strings are copied, numbers parsed), so the buffer goes back
-// the moment decoding ends. Decoded vectors are never pooled: the
-// coalescer's flush goroutine can outlive the handler that enqueued them.
-var bodyPool sync.Pool // of *[]byte
-
-// readBody reads a request body of at most MaxBodyBytes into a buffer the
-// caller returns to bodyPool. A declared Content-Length sizes the read
-// exactly — and refuses an oversized body before a byte of it is read;
-// without one the limited ReadAll grows as it goes. An oversized body is
+// readBody reads a request body of at most MaxBodyBytes into a buffer from
+// bodyPool, which the caller gives back. A declared Content-Length sizes
+// the read exactly — and refuses an oversized body before a byte of it is
+// read; without one the read grows the buffer as it goes, as io.ReadAll
+// does, until http.MaxBytesReader trips at the limit. An oversized body is
 // reported as *http.MaxBytesError either way.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, error) {
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	if err := s.declaredTooLarge(r); err != nil {
 		return nil, err
 	}
 	limit, n := s.cfg.MaxBodyBytes, r.ContentLength
 	if n <= 0 {
-		b, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-		return &b, err
+		return readAll(http.MaxBytesReader(w, r.Body, limit), bodyPool.largest())
 	}
-	buf, _ := bodyPool.Get().(*[]byte)
-	if buf == nil || int64(cap(*buf)) < n {
-		buf = new([]byte)
-		*buf = make([]byte, n)
-	}
-	*buf = (*buf)[:n]
-	if _, err := io.ReadFull(r.Body, *buf); err != nil {
-		bodyPool.Put(buf)
+	buf := bodyPool.get(int(n))
+	if _, err := io.ReadFull(r.Body, buf); err != nil {
+		bodyPool.put(buf)
 		return nil, err
 	}
 	return buf, nil
+}
+
+// readAll is io.ReadAll appending to b. On an error b goes back to
+// bodyPool.
+func readAll(r io.Reader, b []byte) ([]byte, error) {
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			bodyPool.put(b)
+			return nil, err
+		}
+	}
 }
 
 // declaredTooLarge refuses a body whose declared Content-Length exceeds
@@ -70,8 +77,8 @@ func readRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, ep in
 		s.writeError(w, tooLarge(errdefs.Invalidf("server: read body: %w", err)))
 		return nil, false
 	}
-	req, stdlib, err := decode(*buf)
-	bodyPool.Put(buf)
+	req, stdlib, err := decode(buf)
+	bodyPool.put(buf)
 	if stdlib {
 		s.m.decodeFallbacks.Add(1)
 	}
@@ -97,14 +104,16 @@ type field struct {
 // mainstream encoder emits (see scanBody) are decoded by the scanner; any
 // other body goes through json.Unmarshal, which stays the specification of
 // what the API accepts. The choice is made from the body's own syntax.
-func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field) (stdlib bool, err error) {
+// With lend, the scanner's vectors are scratchPool's (see vector).
+func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field, lend bool) (stdlib bool, err error) {
 	preset := *req
-	if scanBody(data, fields(req)) {
+	if scanBody(data, fields(req), lend) {
 		return false, nil
 	}
 	// Not canonical, possibly noticed midway: drop what the scanner had
 	// decoded by then, so encoding/json starts from the presets and no
-	// half-decoded field leaks into its result.
+	// half-decoded field leaks into its result. Vectors it lent by then
+	// are left to the GC.
 	*req = preset
 	if err := json.Unmarshal(data, req); err != nil {
 		return true, errdefs.Invalidf("server: bad request body: %v", err)
@@ -121,9 +130,10 @@ func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field) (stdlib 
 // the bits of the call encoding/json itself makes (strconv.ParseFloat /
 // ParseInt): the scanner either computes them exactly or makes that call.
 // Unknown or case-folded keys, duplicates, null, escapes, non-ASCII, a
-// literal strconv rejects, trailing bytes: all false.
-func scanBody(data []byte, fields []field) bool {
-	s := scanner{data: data}
+// literal strconv rejects, trailing bytes: all false. With lend, vectors
+// are scratchPool's buffers.
+func scanBody(data []byte, fields []field, lend bool) bool {
+	s := scanner{data: data, lend: lend}
 	var seen uint64 // bit i: fields[i] already assigned
 	s.ws()
 	ok := s.elems('{', '}', func() bool {
@@ -147,10 +157,12 @@ func scanBody(data []byte, fields []field) bool {
 	return ok && s.i == len(s.data)
 }
 
-// scanner is a cursor over a request body.
+// scanner is a cursor over a request body. A lending scanner decodes
+// vectors into scratchPool's buffers (see vector).
 type scanner struct {
 	data []byte
 	i    int
+	lend bool
 }
 
 func (s *scanner) ws() {
@@ -327,40 +339,29 @@ func (s *scanner) value(dst any) (ok bool) {
 	return ok
 }
 
-// maxScratch caps the vector scratch a decode gives back to scratchPool:
-// 2^18 elements, 2 MiB. A larger one — a rare huge body — is left to the
-// GC rather than pinned in the pool.
-const maxScratch = 1 << 18
-
-// scratchPool recycles the slices vector() parses elements into.
-var scratchPool sync.Pool // of *[]float64
-
-// vector scans an array of numbers in one loop (appendNumbers). Each
-// element goes into a pooled scratch slice, and once the closing bracket is
-// reached the vector is one exact allocation and a copy: it is sized only
-// from elements already parsed — a body of a million commas allocates
-// nothing.
+// vector scans an array of numbers in one loop (appendNumbers) into a
+// buffer from scratchPool. A lending scanner returns that buffer itself,
+// for its caller to give back; otherwise the vector is one exact
+// allocation and a copy, and the buffer goes back at once. Either way it
+// is sized only from elements already parsed — a body of a million commas
+// allocates nothing.
 func (s *scanner) vector() (v []float64, ok bool) {
 	if !s.eat('[') {
 		return nil, false
 	}
 	s.ws()
-	scratch, _ := scratchPool.Get().(*[]float64)
-	if scratch == nil {
-		scratch = new([]float64)
-	}
-	buf, ok := (*scratch)[:0], s.eat(']')
+	buf, ok := scratchPool.largest(), s.eat(']')
 	if !ok {
 		buf, s.i, ok = appendNumbers(buf, s.data, s.i)
+	}
+	if ok && s.lend {
+		return buf, true
 	}
 	if ok {
 		v = make([]float64, len(buf))
 		copy(v, buf)
 	}
-	if cap(buf) <= maxScratch {
-		*scratch = buf[:0]
-		scratchPool.Put(scratch)
-	}
+	scratchPool.put(buf)
 	return v, ok
 }
 

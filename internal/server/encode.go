@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
-	"sync"
 
 	"spmvtune/internal/atof"
 )
@@ -25,25 +24,19 @@ type jsonAppender interface {
 	appendJSON(dst []byte) ([]byte, error)
 }
 
-// respPool recycles response buffers (see encodeResponse).
-var respPool sync.Pool // of *[]byte
-
 // encodeResponse encodes v and a newline — what json.Encoder.Encode writes
-// — into a buffer the caller returns to respPool, through v's appendJSON
-// when it has one.
-func encodeResponse(v any) (*[]byte, error) {
-	buf, _ := respPool.Get().(*[]byte)
-	if buf == nil {
-		buf = new([]byte)
-	}
+// — into a buffer from respPool, which the caller gives back, through v's
+// appendJSON when it has one.
+func encodeResponse(v any) ([]byte, error) {
+	buf := respPool.largest()
 	var err error
 	if a, ok := v.(jsonAppender); ok {
-		*buf, err = a.appendJSON((*buf)[:0])
-		*buf = append(*buf, '\n')
+		buf, err = a.appendJSON(buf)
+		buf = append(buf, '\n')
 	} else {
-		w := bytes.NewBuffer((*buf)[:0])
+		w := bytes.NewBuffer(buf)
 		err = json.NewEncoder(w).Encode(v)
-		*buf = w.Bytes()
+		buf = w.Bytes()
 	}
 	return buf, err
 }
@@ -156,8 +149,8 @@ func appendString(b []byte, s string) []byte {
 func floatsLen(v []float64) int { return (atof.MaxLen+1)*len(v) + 2 }
 
 // appendFloats appends v as a JSON array, null when v is nil. It reserves
-// floatsLen(v) up front: a response buffer the GC took from respPool would
-// otherwise regrow by doubling, float by float.
+// floatsLen(v) up front: a response buffer too small for v would otherwise
+// regrow by doubling, float by float.
 func appendFloats(b []byte, v []float64) ([]byte, error) {
 	if v == nil {
 		return append(b, "null"...), nil

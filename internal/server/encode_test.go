@@ -35,8 +35,8 @@ func checkSameBytes(t *testing.T, name string, v any) {
 	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
 		t.Fatalf("%s: error %v, encoding/json %v", name, err, werr)
 	}
-	if err == nil && !bytes.Equal(*buf, want) {
-		t.Fatalf("%s:\n got %q\nwant %q", name, *buf, want)
+	if err == nil && !bytes.Equal(buf, want) {
+		t.Fatalf("%s:\n got %q\nwant %q", name, buf, want)
 	}
 }
 

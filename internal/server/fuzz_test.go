@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -10,7 +11,7 @@ import (
 // a request that satisfies every documented constraint; never a panic. And
 // differentially (checkAgainstStdlib): whatever the scanner accepts,
 // encoding/json decodes to the same bits, and the decoder's verdict and
-// value are those of a stdlib-only decode.
+// value are those of a stdlib-only decode — lending or copying.
 func FuzzHTTPSpMV(f *testing.F) {
 	f.Add([]byte(`{"matrix":"abc","vector":[1,2,3]}`))
 	f.Add([]byte(`{"matrix":"abc","vectors":[[1],[2]],"timeoutMs":50}`))
@@ -56,12 +57,20 @@ func FuzzHTTPSpMV(f *testing.F) {
 			func(data []byte) (*SpMVRequest, bool, error) { return decodeSpMVRequest(data, maxBatch) })
 
 		req, _, err := decodeSpMVRequest(data, maxBatch)
+		// The handler's lending decode: the same verdict and request, its
+		// vectors scratchPool's until release.
+		lent, _, lerr := decodeSpMV(data, maxBatch, true)
+		if (lerr == nil) != (err == nil) || err != nil && lerr.Error() != err.Error() ||
+			err == nil && !sameValue(reflect.ValueOf(*lent), reflect.ValueOf(*req)) {
+			t.Fatalf("lending decode of %q: %+v, %v; copying decode: %+v, %v", data, lent, lerr, req, err)
+		}
 		if err != nil {
-			if req != nil {
+			if req != nil || lent != nil {
 				t.Fatal("error with non-nil request")
 			}
 			return
 		}
+		lent.release()
 		if req.Matrix == "" {
 			t.Fatal("accepted request without matrix id")
 		}

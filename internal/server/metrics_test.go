@@ -39,6 +39,7 @@ var metricFamilies = []string{
 	`spmvd_launch_replayed_total `,
 	`spmvd_matrices_stored `,
 	`spmvd_sessions_active `,
+	`spmvd_recycled_bytes `,
 	`spmvd_batched_requests_total `,
 	`spmvd_batch_size_sum `,
 	`spmvd_batch_size_count `,
@@ -194,6 +195,21 @@ func TestDeviceCounterGauges(t *testing.T) {
 	active := scrapeMetric(t, ts, "spmvd_device_active_lanes_total")
 	if slots <= 0 || active <= 0 || active > slots {
 		t.Errorf("lane slots=%d active=%d, want 0 < active <= slots", slots, active)
+	}
+}
+
+// TestRecycledBytesGauge: /metrics reports what the recycler holds — once a
+// request has given its buffers back, more than nothing and at most the
+// three classes' bounds.
+func TestRecycledBytesGauge(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	a := matgen.Banded(64, 3, 1)
+	id := uploadMatrix(t, ts, a)
+	if resp, body := postSpMV(t, ts, fmt.Sprintf(`{"matrix":%q,"vector":%s}`, id, onesJSON(a.Cols))); resp.StatusCode != http.StatusOK {
+		t.Fatalf("spmv status %d: %s", resp.StatusCode, body)
+	}
+	if got := scrapeMetric(t, ts, "spmvd_recycled_bytes"); got <= 0 || got > 3*classBytes {
+		t.Errorf("spmvd_recycled_bytes = %d, want in (0, %d]", got, 3*classBytes)
 	}
 }
 

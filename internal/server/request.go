@@ -48,17 +48,33 @@ func (r *SpMVRequest) fields() []field {
 // untrusted network input: every rejection is a typed invalid-input error
 // (HTTP 400), never a panic — this function is the server's fuzz surface.
 // Dimension checks against the target matrix happen later, in the handler,
-// once the matrix is resolved.
+// once the matrix is resolved. The vectors are the caller's.
 func decodeSpMVRequest(data []byte, maxBatch int) (*SpMVRequest, bool, error) {
+	return decodeSpMV(data, maxBatch, false)
+}
+
+// decodeSpMV is decodeSpMVRequest; with lend, the request's vectors are
+// scratchPool's until its release. A request it rejects has released them.
+func decodeSpMV(data []byte, maxBatch int, lend bool) (*SpMVRequest, bool, error) {
 	var req SpMVRequest
-	stdlib, err := unmarshalBody(data, &req, (*SpMVRequest).fields)
+	stdlib, err := unmarshalBody(data, &req, (*SpMVRequest).fields, lend)
 	if err == nil {
 		err = req.validate(maxBatch)
 	}
 	if err != nil {
+		if lend {
+			req.release()
+		}
 		return nil, stdlib, err
 	}
 	return &req, stdlib, nil
+}
+
+// release gives a lending decode's vectors back to scratchPool, once
+// nothing reads them.
+func (r *SpMVRequest) release() {
+	scratchPool.put(r.Vector)
+	recycle(r.Vectors)
 }
 
 // validate checks a decoded request against every documented constraint.

@@ -481,15 +481,15 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 // a body past its 2 KiB buffer as chunked.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	buf, err := encodeResponse(v)
-	defer respPool.Put(buf)
+	defer respPool.put(buf)
 	if err != nil {
 		s.writeError(w, nonFinite(err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
-	_, _ = w.Write(*buf) // a failed write means the client is gone
+	_, _ = w.Write(buf) // a failed write means the client is gone
 }
 
 // nonFinite classes a response the encoder refused: the only values in the
@@ -672,10 +672,12 @@ func (s *Server) execute(ctx context.Context, e *matrixEntry, p *plan.TuningPlan
 // so a stateless waiter holding its slot would starve the requests its
 // batch waits to fuse with (at -workers 1, B could never exceed 1). A
 // session iterate passes nil and keeps its slot across its multiplies.
-// A nil us[i] is given a result buffer of its own — with a coalescer, the
-// batch item's, which the flush wrote and nothing else holds once it is
-// done — so a stateless request allocates one buffer per vector; a
-// non-nil us[i] (a session's stepper buffer) receives a copy.
+// A nil us[i] is given a result buffer from scratchPool — with a
+// coalescer, the batch item's, which the flush wrote and nothing else holds
+// once it is done — and the caller gives it back once it has sent it; a
+// non-nil us[i] (a session's stepper buffer) receives a copy. A done
+// item's other buffers go back here; an item whose waiter gave up keeps
+// them, for its flush may still run, and leaves them to the GC.
 func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPlan, traceID string, vs, us [][]float64, park func()) (degraded bool, fallbacks int, err error) {
 	if s.cfg.ExecHook != nil {
 		s.cfg.ExecHook()
@@ -685,7 +687,7 @@ func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPla
 	if s.co == nil {
 		for i := range vs {
 			if us[i] == nil {
-				us[i] = make([]float64, e.A.Rows)
+				us[i] = scratchPool.get(e.A.Rows)
 			}
 			rep, err := s.execute(ctx, e, p, opt, traceID, vs[i:i+1], us[i:i+1])
 			if err != nil {
@@ -707,10 +709,12 @@ func (s *Server) multiply(ctx context.Context, e *matrixEntry, p *plan.TuningPla
 		if err != nil {
 			return false, 0, err
 		}
+		scratchPool.put(it.v)
 		if us[i] == nil {
 			us[i] = it.u
 		} else {
 			copy(us[i], it.u)
+			scratchPool.put(it.u)
 		}
 		add(d, f)
 	}
@@ -822,14 +826,18 @@ type spmvResponse struct {
 
 // handleSpMV executes one or a batch of tuned multiplications: decode →
 // resolve the matrix → admit → plan via the shared cache (singleflight) →
-// multiply → respond.
+// multiply → respond. The request's vectors and its results are
+// scratchPool's buffers, given back on every path once the response is
+// written: nothing reads them past multiply, whose coalesced items copy
+// their vectors.
 func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	req, ok := readRequest(s, w, r, epSpMV, func(body []byte) (*SpMVRequest, bool, error) {
-		return decodeSpMVRequest(body, s.cfg.MaxBatch)
+		return decodeSpMV(body, s.cfg.MaxBatch, true)
 	})
 	if !ok {
 		return
 	}
+	defer req.release()
 	e, err := s.matrix(req.Matrix)
 	if err != nil {
 		s.writeError(w, err)
@@ -857,6 +865,7 @@ func (s *Server) handleSpMV(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := spmvResponse{Matrix: e.ID, Plan: p.Fingerprint, U: p.U, CacheHit: cacheHit, TraceID: traceID}
 	resp.Results = make([][]float64, len(vecs))
+	defer recycle(resp.Results)
 	degraded, fallbacks, err := s.multiply(ctx, e, p, traceID, vecs, resp.Results, park)
 	if err != nil {
 		s.writeError(w, err)
@@ -1033,6 +1042,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// and scratch right now. The iteration/eviction counters live in
 	// writeTo with the other totals.
 	fmt.Fprintf(w, "spmvd_sessions_active %d\n", s.SessionCount())
+	// Bytes the request path's recycled buffers hold, process-wide: at most
+	// classBytes for each of bodies, vectors and responses.
+	fmt.Fprintf(w, "spmvd_recycled_bytes %d\n", recycledBytes())
 	// Breaker state gauges: how many matrices are currently tripped (open)
 	// or probing (half-open), alongside the trip/probe counters writeTo
 	// emits.

@@ -447,12 +447,12 @@ func (s *Server) runSolve(ctx context.Context, w http.ResponseWriter, sess *sess
 	w.WriteHeader(http.StatusOK)
 	send := func(v any) bool {
 		line, err := encodeResponse(v)
-		defer respPool.Put(line)
+		defer respPool.put(line)
 		if err != nil {
 			s.writeError(w, nonFinite(err))
 			return false
 		}
-		_, _ = w.Write(*line) // a gone client cancels ctx, which ends the loop
+		_, _ = w.Write(line) // a gone client cancels ctx, which ends the loop
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}

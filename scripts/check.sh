@@ -67,8 +67,8 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 90013
-size_cap .claude/skills/verify/SKILL.md 19663
+size_cap DESIGN.md 90006
+size_cap .claude/skills/verify/SKILL.md 19636
 
 echo "== go vet"
 go vet ./...
@@ -205,11 +205,16 @@ go test -run='^$' -fuzz=FuzzAppendFloat -fuzztime=10s ./internal/atof
 # The request scanner's memory contract, as counts a shared runner cannot
 # flake: an n-number vector decodes in <= 4 allocations and <= 1.25 x 8n
 # bytes, a megabyte of commas is rejected having allocated < 64 KiB, and a
-# vector past maxScratch leaves no scratch above it in the pool. The
+# vector past maxScratch leaves no scratch above it in the recycler. The
 # response side: a warm 8 x 4000 spmv response encodes with 0 allocations,
-# and a warm B = 8 coalesced request allocates one result buffer per vector.
+# and a warm B = 8 coalesced request allocates at most one result buffer
+# per vector. The recycler keeps buffers across collections, within its
+# byte bound and class caps; a warm 200 000-element spmv request after a
+# collection allocates less than one vector, and a warm undeclared body
+# less than itself; lent vectors never reach a session, nor a stale row a
+# result.
 echo "== decode + encode allocation gate"
-go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs|TestCoalescedRequestResultBuffers' ./internal/server
+go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs|TestCoalescedRequestResultBuffers|TestRecycler|TestWarmSpMVAllocsBelowAVector|TestUndeclaredBodyIsRecycled|TestRecycledVectorsStayTheRequests' ./internal/server
 
 # verifyBin takes equal values first; its pre-shortcut copy is the oracle.
 echo "== output verification against its reference"
