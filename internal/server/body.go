@@ -104,8 +104,8 @@ type field struct {
 // mainstream encoder emits (see scanBody) are decoded by the scanner; any
 // other body goes through json.Unmarshal, which stays the specification of
 // what the API accepts. The choice is made from the body's own syntax.
-// With lend, the scanner's vectors are scratchPool's (see vector).
-func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field, lend bool) (stdlib bool, err error) {
+// With lend > 0, the scanner's vectors are scratchPool's (see vectors).
+func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field, lend int) (stdlib bool, err error) {
 	preset := *req
 	if scanBody(data, fields(req), lend) {
 		return false, nil
@@ -130,9 +130,10 @@ func unmarshalBody[T any](data []byte, req *T, fields func(*T) []field, lend boo
 // the bits of the call encoding/json itself makes (strconv.ParseFloat /
 // ParseInt): the scanner either computes them exactly or makes that call.
 // Unknown or case-folded keys, duplicates, null, escapes, non-ASCII, a
-// literal strconv rejects, trailing bytes: all false. With lend, vectors
-// are scratchPool's buffers.
-func scanBody(data []byte, fields []field, lend bool) bool {
+// literal strconv rejects, trailing bytes: all false. With lend > 0,
+// vectors are scratchPool's buffers, at most lend of one array (see
+// vectors).
+func scanBody(data []byte, fields []field, lend int) bool {
 	s := scanner{data: data, lend: lend}
 	var seen uint64 // bit i: fields[i] already assigned
 	s.ws()
@@ -157,12 +158,12 @@ func scanBody(data []byte, fields []field, lend bool) bool {
 	return ok && s.i == len(s.data)
 }
 
-// scanner is a cursor over a request body. A lending scanner decodes
-// vectors into scratchPool's buffers (see vector).
+// scanner is a cursor over a request body. A lending scanner (lend > 0)
+// decodes vectors into scratchPool's buffers, at most lend of one array.
 type scanner struct {
 	data []byte
 	i    int
-	lend bool
+	lend int
 }
 
 func (s *scanner) ws() {
@@ -346,15 +347,11 @@ func (s *scanner) value(dst any) (ok bool) {
 // is sized only from elements already parsed — a body of a million commas
 // allocates nothing.
 func (s *scanner) vector() (v []float64, ok bool) {
-	if !s.eat('[') {
+	if s.i >= len(s.data) || s.data[s.i] != '[' {
 		return nil, false
 	}
-	s.ws()
-	buf, ok := scratchPool.largest(), s.eat(']')
-	if !ok {
-		buf, s.i, ok = appendNumbers(buf, s.data, s.i)
-	}
-	if ok && s.lend {
+	buf, ok := s.array(scratchPool.largest())
+	if ok && s.lend > 0 {
 		return buf, true
 	}
 	if ok {
@@ -363,6 +360,19 @@ func (s *scanner) vector() (v []float64, ok bool) {
 	}
 	scratchPool.put(buf)
 	return v, ok
+}
+
+// array appends the array of numbers at the cursor to buf.
+func (s *scanner) array(buf []float64) (_ []float64, ok bool) {
+	if !s.eat('[') {
+		return buf, false
+	}
+	s.ws()
+	if s.eat(']') {
+		return buf, true
+	}
+	buf, s.i, ok = appendNumbers(buf, s.data, s.i)
+	return buf, ok
 }
 
 // appendNumbers appends to buf the elements of the array of numbers whose
@@ -420,13 +430,23 @@ func appendNumbers(buf []float64, d []byte, i int) ([]float64, int, bool) {
 }
 
 // vectors scans an array of vectors. The outer slice grows with the
-// vectors actually parsed.
+// vectors actually parsed. A lending scanner lends at most s.lend of them,
+// the batch limit: past it the request will be refused, so each further
+// vector is parsed into one spare buffer and kept as nil — an over-long
+// batch of tiny vectors cannot fill scratchPool with buffers.
 func (s *scanner) vectors() ([][]float64, bool) {
 	vs := [][]float64{}
-	ok := s.elems('[', ']', func() bool {
-		v, ok := s.vector()
+	var spare []float64
+	ok := s.elems('[', ']', func() (ok bool) {
+		var v []float64
+		if s.lend > 0 && len(vs) >= s.lend {
+			spare, ok = s.array(spare[:0])
+		} else {
+			v, ok = s.vector()
+		}
 		vs = append(vs, v)
 		return ok
 	})
+	scratchPool.put(spare)
 	return vs, ok
 }

@@ -58,7 +58,7 @@ func checkAgainstStdlib[T any](t *testing.T, data []byte, preset T, fields func(
 	t.Helper()
 	scanned, ref := preset, preset
 	refErr := json.Unmarshal(data, &ref)
-	if scanBody(data, fields(&scanned), false) {
+	if scanBody(data, fields(&scanned), 0) {
 		if refErr != nil {
 			t.Fatalf("scanner accepted %q, encoding/json rejects it: %v", data, refErr)
 		}

@@ -49,6 +49,11 @@ func FuzzHTTPSpMV(f *testing.F) {
 	f.Add([]byte(`{"matrix":"x","vectors":[[],[1]]}`))
 	f.Add([]byte(`{"matrix":"x","vector":[1],"extra":{"a":[true]}}`))
 	f.Add([]byte(`{"matrix":"x","vector":[1],}`))
+	// Past the batch limit a lending decode parses vectors without keeping
+	// them: the same refusal, whichever field comes first.
+	f.Add([]byte(`{"matrix":"x","vectors":[[1],[2],[3],[4],[5],[6],[7],[8],[9,1e999]]}`))
+	f.Add([]byte(`{"matrix":"x","vectors":[[1],[2],[3],[4],[5],[6],[7],[8]],"vector":[1]}`))
+	f.Add([]byte(`{"matrix":"x","vectors":[[1],[2],[3],[4],[5],[6],[7],[8],[9]],"vector":[1]}`))
 
 	const maxBatch = 8
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -21,6 +21,12 @@ const (
 	maxScratch = 1 << 18
 	// classBytes bounds what each class holds: 8 MiB.
 	classBytes = 8 << 20
+	// minKeep is the smallest buffer kept, in bytes: one below it costs
+	// less to allocate again than to keep.
+	minKeep = 1 << 10
+	// maxKept bounds the buffers each class holds, so a request of many
+	// small vectors cannot make every get and put scan a long free list.
+	maxKept = 128
 )
 
 var (
@@ -42,8 +48,9 @@ func recycle(vs [][]float64) {
 }
 
 // recycler keeps buffers of one class for reuse: never one whose capacity
-// exceeds maxCap elements, and never more than classBytes in all. A buffer
-// given to put belongs to the recycler: nothing may read or write it after.
+// exceeds maxCap elements or falls below minKeep bytes, never more than
+// maxKept of them and never more than classBytes in all. A buffer given to
+// put belongs to the recycler: nothing may read or write it after.
 type recycler[E byte | float64] struct {
 	maxCap int
 
@@ -95,13 +102,17 @@ func (r *recycler[E]) largest() []E {
 	return r.take(best)
 }
 
-// put keeps b for a later get unless its capacity is 0 or above maxCap.
-// Past classBytes it drops the oldest buffers kept to make room.
+// put keeps b for a later get unless its capacity is below minKeep bytes or
+// above maxCap. Past maxKept buffers or classBytes it drops the oldest
+// buffers kept to make room.
 func (r *recycler[E]) put(b []E) {
-	if cap(b) == 0 || cap(b) > r.maxCap {
+	if capBytes(b) < minKeep || cap(b) > r.maxCap {
 		return
 	}
 	r.mu.Lock()
+	if len(r.free) == maxKept {
+		r.take(0)
+	}
 	r.free = append(r.free, b[:0])
 	for r.bytes += capBytes(b); r.bytes > classBytes; {
 		r.take(0)

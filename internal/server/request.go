@@ -54,10 +54,18 @@ func decodeSpMVRequest(data []byte, maxBatch int) (*SpMVRequest, bool, error) {
 }
 
 // decodeSpMV is decodeSpMVRequest; with lend, the request's vectors are
-// scratchPool's until its release. A request it rejects has released them.
+// scratchPool's until its release, and it lends no more than maxBatch. A
+// request it rejects has released them.
 func decodeSpMV(data []byte, maxBatch int, lend bool) (*SpMVRequest, bool, error) {
 	var req SpMVRequest
-	stdlib, err := unmarshalBody(data, &req, (*SpMVRequest).fields, lend)
+	limit := 0
+	if lend {
+		limit = math.MaxInt
+		if maxBatch > 0 {
+			limit = maxBatch
+		}
+	}
+	stdlib, err := unmarshalBody(data, &req, (*SpMVRequest).fields, limit)
 	if err == nil {
 		err = req.validate(maxBatch)
 	}

@@ -139,7 +139,7 @@ func (r *IterateRequest) fields() []field {
 // the matrix is resolved.
 func decodeSolveRequest(data []byte) (*SolveRequest, bool, error) {
 	var req SolveRequest
-	stdlib, err := unmarshalBody(data, &req, (*SolveRequest).fields, false)
+	stdlib, err := unmarshalBody(data, &req, (*SolveRequest).fields, 0)
 	if err == nil {
 		err = req.normalize()
 	}
@@ -229,7 +229,7 @@ func decodeIterateRequest(data []byte) (*IterateRequest, bool, error) {
 	var stdlib bool
 	var err error
 	if len(data) > 0 {
-		stdlib, err = unmarshalBody(data, &req, (*IterateRequest).fields, false)
+		stdlib, err = unmarshalBody(data, &req, (*IterateRequest).fields, 0)
 	}
 	if err == nil {
 		err = req.normalize()

@@ -67,8 +67,8 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 90006
-size_cap .claude/skills/verify/SKILL.md 19636
+size_cap DESIGN.md 89986
+size_cap .claude/skills/verify/SKILL.md 19659
 
 echo "== go vet"
 go vet ./...
@@ -209,12 +209,14 @@ go test -run='^$' -fuzz=FuzzAppendFloat -fuzztime=10s ./internal/atof
 # response side: a warm 8 x 4000 spmv response encodes with 0 allocations,
 # and a warm B = 8 coalesced request allocates at most one result buffer
 # per vector. The recycler keeps buffers across collections, within its
-# byte bound and class caps; a warm 200 000-element spmv request after a
-# collection allocates less than one vector, and a warm undeclared body
-# less than itself; lent vectors never reach a session, nor a stale row a
-# result.
+# byte bound, buffer count and class caps; a warm 200 000-element spmv
+# request after a collection allocates less than one vector, a warm
+# coalesced B = 8 one less than a row, and a warm undeclared body less than
+# itself; the lending decode keeps the copying one's bounds and lends no
+# more than the batch limit; lent vectors never reach a session, nor a
+# stale row a result.
 echo "== decode + encode allocation gate"
-go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs|TestCoalescedRequestResultBuffers|TestRecycler|TestWarmSpMVAllocsBelowAVector|TestUndeclaredBodyIsRecycled|TestRecycledVectorsStayTheRequests' ./internal/server
+go test -count=1 -run 'DecodeAllocs|TestDecodeScratchBounded|TestEncodeAllocs|TestCoalescedRequestResultBuffers|TestRecycler|TestWarmSpMVAllocsBelowAVector|TestUndeclaredBodyIsRecycled|TestRecycledVectorsStayTheRequests|TestLendingDecodeBounded|TestOverBatchBodiesLeaveRecyclerSmall|TestWarmCoalescedAllocsBelowARow' ./internal/server
 
 # verifyBin takes equal values first; its pre-shortcut copy is the oracle.
 echo "== output verification against its reference"
