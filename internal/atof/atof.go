@@ -218,13 +218,13 @@ func Parse(b []byte) (f float64, ok bool) {
 	neg := b[0] == '-'
 	i := int(b2u(neg) | b2u(b[0] == '+'))
 	start := i
-	i, m, e, trunc := digits(b, i, 0)
+	i, m, e, trunc := Digits(b, i, 0)
 	nd := i - start
 	if i < len(b) && b[i] == '.' {
 		frac := i + 1
 		var dropped int
 		var t bool
-		i, m, dropped, t = digits(b, frac, m)
+		i, m, dropped, t = Digits(b, frac, m)
 		nd += i - frac
 		e -= i - frac - dropped
 		trunc = trunc || t
@@ -256,12 +256,12 @@ func Parse(b []byte) (f float64, ok bool) {
 	return Convert(m, e, neg, trunc)
 }
 
-// digits appends the run of decimal digits at b[i:] to the mantissa m under
+// Digits appends the run of decimal digits at b[i:] to the mantissa m under
 // the MantLimit rule and returns the index after the run, the new mantissa,
 // how many of the run's digits were dropped, and whether one of those was
 // nonzero. While m < 10^10 a run of eight digits fits whole, and is taken
 // in one step.
-func digits(b []byte, i int, m uint64) (next int, mant uint64, dropped int, trunc bool) {
+func Digits(b []byte, i int, m uint64) (next int, mant uint64, dropped int, trunc bool) {
 	for m < 1e10 && len(b)-i >= 8 {
 		x := binary.LittleEndian.Uint64(b[i:])
 		if !eightDigits(x) {

@@ -313,6 +313,64 @@ func entry(l []byte, pattern bool) (i, j int, v float64, ok bool) {
 	return i, j, v, ok
 }
 
+// walk reads the entry line at the start of b in one pass when it is the
+// line every writer emits: `index blanks index blanks value '\n'`, the
+// indices as entry reads them and the value a decimal of at most 19
+// significant digits without an exponent, [+-]?(\d+\.?\d*|\.\d+), that
+// atof.Convert accepts. It returns the line's indices and value, and n, the
+// bytes up to and including the newline; n = 0 declines, and the caller
+// reads the line the general way. A line walk accepts is one entry reads
+// with the same result, and the newline frames it, so nothing is scanned
+// for the newline, nothing trimmed and nothing walked twice.
+func walk(b []byte) (i, j int, v float64, n int) {
+	i, k, ok := index(b, 0)
+	if !ok {
+		return 0, 0, 0, 0
+	}
+	if k, ok = blanks(b, k); !ok {
+		return 0, 0, 0, 0
+	}
+	if j, k, ok = index(b, k); !ok {
+		return 0, 0, 0, 0
+	}
+	if k, ok = blanks(b, k); !ok || k == len(b) {
+		return 0, 0, 0, 0
+	}
+	neg := is(b[k], '-')
+	k += neg | is(b[k], '+') // no branch: values are signed at random
+	start := k
+	var m uint64
+	for ; k < len(b) && b[k]-'0' <= 9; k++ {
+		if m >= atof.MantLimit {
+			return 0, 0, 0, 0
+		}
+		m = m*10 + uint64(b[k]-'0')
+	}
+	nd, e := k-start, 0
+	if k < len(b) && b[k] == '.' {
+		frac := k + 1
+		var dropped int
+		k, m, dropped, _ = atof.Digits(b, frac, m)
+		if dropped > 0 {
+			return 0, 0, 0, 0
+		}
+		nd += k - frac
+		e = frac - k
+	}
+	if nd == 0 || k == len(b) || b[k] != '\n' {
+		return 0, 0, 0, 0
+	}
+	if v, ok = atof.Convert(m, e, neg == 1, false); !ok {
+		return 0, 0, 0, 0
+	}
+	return i, j, v, k + 1
+}
+
+// is is 1 when c == x and 0 otherwise, computed without a branch.
+func is(c, x byte) int {
+	return int(uint64(int(c^x)-1) >> 63)
+}
+
 // readCoordinate reads a coordinate file's size line and entries. The size
 // line, every entry line entry declines and (in readArray) every value
 // atof declines go through fields and strconv as string(tok), a conversion
@@ -355,9 +413,13 @@ type parser struct {
 	f   [][]byte
 }
 
-// pieceBufs recycles parsers' piece copies of the default size, so a read
-// on several goroutines allocates no more than one on the caller's.
-var pieceBufs sync.Pool // of *[]byte
+// pieceBufs keeps parsers' piece copies of the default size from one read
+// to the next, so a read on several goroutines allocates no more than one
+// on the caller's. It is a free list any goroutine takes from: a
+// sync.Pool misses whenever a goroutine runs on another P than the one its
+// copy was put back on, and a collection empties it. Its capacity bounds
+// what it keeps to the copies of a read on 16 goroutines, 1 MiB.
+var pieceBufs = make(chan *[]byte, 16)
 
 // result is what parsing a piece left: its triplets, and the number of
 // entry lines it read before its first bad one, and that line's error.
@@ -378,9 +440,9 @@ type pieces struct {
 
 	// free is the unreserved rest of the triplet storage: the shared
 	// preallocation first, then segments allocated as pieces need them.
-	// grown is the capacity allocated so far, reserved the part of it
-	// handed to pieces.
-	free            sparse.COO
+	// first is that preallocation whole, grown the capacity allocated so
+	// far, reserved the part of it handed to pieces.
+	free, first     sparse.COO
 	grown, reserved int
 
 	mu      sync.Mutex
@@ -400,6 +462,7 @@ func readEntries(cd coordinate, sc *bufio.Scanner, sp *splitter) (*sparse.CSR, e
 	s := &pieces{cd: cd, sc: sc, sp: sp, ps: make([]parser, runtime.GOMAXPROCS(0)), started: 1, t: tally{nnz: cd.nnz}}
 	s.rs = s.rs0[:0]
 	s.grow(min(cd.perLine()*cd.nnz, maxPrealloc))
+	s.first = s.free
 	s.run(0)
 	s.wg.Wait()
 
@@ -411,6 +474,9 @@ func readEntries(cd coordinate, sc *bufio.Scanner, sp *splitter) (*sparse.CSR, e
 	}
 	if s.t.seen != cd.nnz {
 		return nil, badf("truncated input: got %d entries, header promised %d", s.t.seen, cd.nnz)
+	}
+	if c, ok := s.tiled(); ok {
+		return sparse.AdoptToCSR(cd.rows, cd.cols, c)
 	}
 	var views [16]sparse.COO
 	parts := slices.Grow(views[:0], len(s.rs))
@@ -465,12 +531,37 @@ func (s *pieces) reserve(n int) sparse.COO {
 	return c
 }
 
-// grow replaces s.free by a new segment for n triplets, the row and column
-// indices in one allocation.
+// grow replaces s.free by a new segment for n triplets. The row indices
+// are an allocation of their own, so a matrix that adopts the segment's
+// columns and values does not keep them.
 func (s *pieces) grow(n int) {
-	ij := make([]int32, 2*n)
-	s.free = sparse.COO{RowIdx: ij[:0:n], ColIdx: ij[n : n : 2*n], Val: make([]float64, 0, n)}
+	s.free = sparse.COO{RowIdx: make([]int32, 0, n), ColIdx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 	s.grown += n
+}
+
+// tiled returns the triplets the pieces stored as one list in the first
+// segment when they fill it exactly: each piece stored what it reserved,
+// in stream order, and nothing was stored past it. sparse.AdoptToCSR may
+// then keep the segment as the matrix. In practice that is a general file
+// within the preallocation: a piece that appended past its range, or
+// reserved for lines that stored nothing before another piece's, breaks
+// the tiling, as does a symmetric file's diagonal, and a file past the
+// preallocation stores into other segments.
+func (s *pieces) tiled() (sparse.COO, bool) {
+	seg := s.first
+	seg.RowIdx, seg.ColIdx, seg.Val = seg.RowIdx[:cap(seg.RowIdx)], seg.ColIdx[:cap(seg.ColIdx)], seg.Val[:cap(seg.Val)]
+	n := 0
+	for _, r := range s.rs {
+		k := len(r.c.Val)
+		if k == 0 {
+			continue
+		}
+		if n+k > len(seg.Val) || &r.c.Val[0] != &seg.Val[n] || &r.c.ColIdx[0] != &seg.ColIdx[n] || &r.c.RowIdx[0] != &seg.RowIdx[n] {
+			return sparse.COO{}, false
+		}
+		n += k
+	}
+	return seg, n == len(seg.Val)
 }
 
 // run parses pieces with parser w until none is left. Reading a piece that
@@ -490,7 +581,10 @@ func (s *pieces) run(w int) {
 		}
 		if s.started > 1 {
 			if p.buf == nil {
-				p.buf, _ = pieceBufs.Get().(*[]byte)
+				select {
+				case p.buf = <-pieceBufs:
+				default:
+				}
 			}
 			if p.buf == nil || cap(*p.buf) < len(tok) {
 				b := make([]byte, 0, max(s.sp.piece, len(tok)))
@@ -513,7 +607,10 @@ func (s *pieces) run(w int) {
 	s.done = true
 	s.mu.Unlock()
 	if p.buf != nil && cap(*p.buf) == pieceSize {
-		pieceBufs.Put(p.buf)
+		select {
+		case pieceBufs <- p.buf:
+		default:
+		}
 	}
 }
 
@@ -553,44 +650,31 @@ func (t *tally) advance(rs []result) bool {
 // parse appends the triplets of piece's entry lines to p's storage, reading
 // each line as the line-by-line reader did but for the count against the
 // header, which needs the pieces before this one. It returns how many entry
-// lines it read before the first bad one, and that line's error.
+// lines it read before the first bad one, and that line's error. A line
+// walk reads is framed by its own newline; any other is framed by a search
+// for the newline, trimmed, and read by line.
 func (cd *coordinate) parse(p *parser, piece []byte) (good int, err error) {
-	wantFields := 3
-	if cd.pattern {
-		wantFields = 2
-	}
 	for len(piece) > 0 {
-		line := piece
-		if k := bytes.IndexByte(piece, '\n'); k >= 0 {
-			line, piece = piece[:k], piece[k+1:]
+		var i, j, n int
+		var v float64
+		if !cd.pattern {
+			i, j, v, n = walk(piece)
+		}
+		if n > 0 {
+			piece = piece[n:]
 		} else {
-			piece = nil
-		}
-		l := entryLine(line)
-		if l == nil {
-			continue
-		}
-		i, j, v, ok := entry(l, cd.pattern)
-		if !ok {
-			p.f = fields(p.f, l)
-			if len(p.f) < wantFields {
-				return good, badf("bad entry line %q", l)
+			line := piece
+			if k := bytes.IndexByte(piece, '\n'); k >= 0 {
+				line, piece = piece[:k], piece[k+1:]
+			} else {
+				piece = nil
 			}
-			var err error
-			i, err = strconv.Atoi(string(p.f[0]))
-			if err != nil {
-				return good, badf("bad row index in %q: %v", l, err)
+			l := entryLine(line)
+			if l == nil {
+				continue
 			}
-			j, err = strconv.Atoi(string(p.f[1]))
-			if err != nil {
-				return good, badf("bad col index in %q: %v", l, err)
-			}
-			v = 1.0
-			if !cd.pattern {
-				v, err = strconv.ParseFloat(string(p.f[2]), 64)
-				if err != nil {
-					return good, badf("bad value in %q: %v", l, err)
-				}
+			if i, j, v, err = cd.line(p, l); err != nil {
+				return good, err
 			}
 		}
 		// Matrix Market is 1-based.
@@ -613,6 +697,36 @@ func (cd *coordinate) parse(p *parser, piece []byte) (good int, err error) {
 		good++
 	}
 	return good, nil
+}
+
+// line reads entry line l, trimmed, in one walk when entry accepts it,
+// and otherwise by fields and strconv, whose error texts it returns.
+func (cd *coordinate) line(p *parser, l []byte) (i, j int, v float64, err error) {
+	i, j, v, ok := entry(l, cd.pattern)
+	if ok {
+		return i, j, v, nil
+	}
+	wantFields := 3
+	if cd.pattern {
+		wantFields = 2
+	}
+	p.f = fields(p.f, l)
+	if len(p.f) < wantFields {
+		return 0, 0, 0, badf("bad entry line %q", l)
+	}
+	if i, err = strconv.Atoi(string(p.f[0])); err != nil {
+		return 0, 0, 0, badf("bad row index in %q: %v", l, err)
+	}
+	if j, err = strconv.Atoi(string(p.f[1])); err != nil {
+		return 0, 0, 0, badf("bad col index in %q: %v", l, err)
+	}
+	if cd.pattern {
+		return i, j, 1, nil
+	}
+	if v, err = strconv.ParseFloat(string(p.f[2]), 64); err != nil {
+		return 0, 0, 0, badf("bad value in %q: %v", l, err)
+	}
+	return i, j, v, nil
 }
 
 func readArray(sc *bufio.Scanner, h Header, sizeLine []byte, lim Limits) (*sparse.CSR, error) {

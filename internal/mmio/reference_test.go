@@ -275,6 +275,8 @@ func FuzzMTXDifferential(f *testing.F) {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, w.String())
+	// Every edge of the one-walk line read (walk_test.go).
+	seeds = append(seeds, walkEdgeFiles()...)
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -16,6 +16,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
+	"unsafe"
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
@@ -35,10 +37,50 @@ const fingerprintSalt = "spmvtune-plan-fp1"
 // pattern and different values share one optimal plan. 128 bits of SHA-256
 // keeps the key short enough for URLs and filenames.
 func Fingerprint(a *sparse.CSR) string {
+	return fingerprint(a, littleEndian)
+}
+
+// littleEndian reports whether the host stores integers little-endian, the
+// byte order the fingerprint stream is defined in.
+var littleEndian = func() bool {
+	var b [2]byte
+	binary.NativeEndian.PutUint16(b[:], 1)
+	return b[0] == 1
+}()
+
+// fingerprint is Fingerprint, hashing the row pointers and column indices
+// as the bytes they occupy when raw is set — on a little-endian host those
+// bytes are the stream itself — and staging each through
+// binary.LittleEndian otherwise. The digests are the same.
+func fingerprint(a *sparse.CSR, raw bool) string {
 	h := sha256.New()
 	h.Write([]byte(fingerprintSalt))
-	// The stream is staged through one stack block: a hash call per index
-	// cost more than the hashing.
+	var head [24]byte
+	binary.LittleEndian.PutUint64(head[0:], uint64(a.Rows))
+	binary.LittleEndian.PutUint64(head[8:], uint64(a.Cols))
+	binary.LittleEndian.PutUint64(head[16:], uint64(len(a.ColIdx)))
+	h.Write(head[:])
+	if raw {
+		h.Write(bytesOf(a.RowPtr))
+		// Column indices are hashed 32-bit to halve the work; they are
+		// int32 in CSR storage already.
+		h.Write(bytesOf(a.ColIdx))
+	} else {
+		stage(h, a)
+	}
+	sum := h.Sum(nil)
+	return hex.EncodeToString(sum[:16])
+}
+
+// bytesOf is the memory of s as bytes, in the host's byte order.
+func bytesOf[T int32 | int64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(T(0))))
+}
+
+// stage writes a's row pointers as 64-bit and its column indices as 32-bit
+// little-endian words to h, through one stack block: a hash call per index
+// cost more than the hashing.
+func stage(h hash.Hash, a *sparse.CSR) {
 	var buf [4096]byte
 	n := 0
 	next := func(size int) []byte {
@@ -49,21 +91,13 @@ func Fingerprint(a *sparse.CSR) string {
 		n += size
 		return buf[n-size : n]
 	}
-	put := func(x int64) { binary.LittleEndian.PutUint64(next(8), uint64(x)) }
-	put(int64(a.Rows))
-	put(int64(a.Cols))
-	put(int64(len(a.ColIdx)))
 	for _, p := range a.RowPtr {
-		put(p)
+		binary.LittleEndian.PutUint64(next(8), uint64(p))
 	}
-	// Column indices are hashed 32-bit to halve the work; they are int32
-	// in CSR storage already.
 	for _, c := range a.ColIdx {
 		binary.LittleEndian.PutUint32(next(4), uint32(c))
 	}
 	h.Write(buf[:n])
-	sum := h.Sum(nil)
-	return hex.EncodeToString(sum[:16])
 }
 
 // FormatVersion is the current plan-format version. Version 1 (and 0, the

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -61,6 +62,42 @@ func TestFingerprintGolden(t *testing.T) {
 	for _, c := range cases {
 		if got := Fingerprint(c.a); got != c.want {
 			t.Errorf("%s: fingerprint %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFingerprintBytesMatchStaged: on random matrices — 0×0, nnz = 0,
+// empty rows, and sizes on either side of the staging block — the digest of
+// the indices' own bytes equals the digest of the staged little-endian
+// stream, which is the one TestFingerprintGolden pins.
+func TestFingerprintBytesMatchStaged(t *testing.T) {
+	if !littleEndian {
+		t.Skip("the indices' own bytes are the stream only on a little-endian host")
+	}
+	rng := rand.New(rand.NewSource(3))
+	cases := []*sparse.CSR{
+		{RowPtr: []int64{0}},
+		{Rows: 5, Cols: 7, RowPtr: make([]int64, 6)},
+		{Cols: 9, RowPtr: []int64{0}},
+	}
+	for k := 0; k < 200; k++ {
+		rows, cols := rng.Intn(1500), 1+rng.Intn(1<<20)
+		a := &sparse.CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+		for i := 0; i < rows; i++ {
+			n := 0
+			if rng.Intn(3) > 0 { // a third of the rows empty
+				n = rng.Intn(6)
+			}
+			for c := 0; c < n; c++ {
+				a.ColIdx = append(a.ColIdx, int32(rng.Intn(cols)))
+			}
+			a.RowPtr[i+1] = int64(len(a.ColIdx))
+		}
+		cases = append(cases, a)
+	}
+	for k, a := range cases {
+		if got, want := fingerprint(a, true), fingerprint(a, false); got != want {
+			t.Errorf("case %d (%dx%d, %d nnz): byte-view digest %s, staged %s", k, a.Rows, a.Cols, len(a.ColIdx), got, want)
 		}
 	}
 }

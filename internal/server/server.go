@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,11 +27,11 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"spmvtune/internal/core"
 	"spmvtune/internal/errdefs"
@@ -762,13 +763,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 	// The values are compared outside s.mu (a stored matrix is never
 	// mutated, only replaced). The stored entry stays only if it is the one
-	// compared and holds the same bits; otherwise this upload is the latest.
+	// compared and holds the same bits — the same bytes, so they are
+	// compared as bytes; otherwise this upload is the latest.
 	s.mu.RLock()
 	old := s.matrices[id]
 	s.mu.RUnlock()
-	same := old != nil && slices.EqualFunc(old.A.Val, a.Val, func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
+	same := old != nil && bytes.Equal(valueBytes(old.A.Val), valueBytes(a.Val))
 
 	s.mu.Lock()
 	if cur, exists := s.matrices[id]; exists && (cur != old || !same) {
@@ -793,6 +793,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		"cols":        a.Cols,
 		"nnz":         a.NNZ(),
 	})
+}
+
+// valueBytes is the memory of v as bytes: two value slices hold the same
+// bits exactly when these are equal.
+func valueBytes(v []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
 // matrix resolves an uploaded matrix ID.

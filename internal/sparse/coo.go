@@ -63,14 +63,32 @@ func (c *COO) ToCSR() (*CSR, error) {
 // its own counting sort, so it is copied; and when every row is strictly
 // increasing there is nothing to sort and no duplicate to sum.
 func PartsToCSR(rows, cols int, parts []COO) (*CSR, error) {
+	return partsToCSR(rows, cols, parts, false)
+}
+
+// AdoptToCSR is PartsToCSR for one triplet list c that the caller hands
+// over: when c is row-major with strictly increasing columns in every row,
+// the matrix takes c.ColIdx and c.Val as its own storage, and only RowPtr,
+// counted from c.RowIdx, is allocated. Any other list is converted as
+// PartsToCSR converts it. The bits and error texts are PartsToCSR's.
+func AdoptToCSR(rows, cols int, c COO) (*CSR, error) {
+	return partsToCSR(rows, cols, []COO{c}, true)
+}
+
+// partsToCSR is PartsToCSR, adopting a single part's storage when adopt is
+// set and nothing would be moved in it.
+func partsToCSR(rows, cols int, parts []COO, adopt bool) (*CSR, error) {
 	nnz := 0
 	for k := range parts {
-		if err := parts[k].validate(rows, cols, nnz); err != nil {
-			return nil, err
+		p := &parts[k]
+		if len(p.RowIdx) != len(p.ColIdx) || len(p.RowIdx) != len(p.Val) {
+			return nil, validateParts(rows, cols, parts)
 		}
-		nnz += parts[k].NNZ()
+		nnz += p.NNZ()
 	}
 	a := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int64, rows+1)}
+	// The walk that counts the rows also checks the indices; an index out
+	// of range leaves the error to validateParts, which names the first.
 	// inOrder: the list is row-major; distinct: then each row's columns
 	// also strictly increase.
 	inOrder, distinct := true, true
@@ -78,8 +96,11 @@ func PartsToCSR(rows, cols int, parts []COO) (*CSR, error) {
 	for k := range parts {
 		p := &parts[k]
 		for t, r := range p.RowIdx {
-			a.RowPtr[r+1]++
 			c := p.ColIdx[t]
+			if r < 0 || int(r) >= rows || c < 0 || int(c) >= cols {
+				return nil, validateParts(rows, cols, parts)
+			}
+			a.RowPtr[r+1]++
 			if r < lastRow {
 				inOrder = false
 			} else if r == lastRow && c <= lastCol {
@@ -90,6 +111,10 @@ func PartsToCSR(rows, cols int, parts []COO) (*CSR, error) {
 	}
 	for i := 0; i < rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	if adopt && inOrder && distinct {
+		a.ColIdx, a.Val = parts[0].ColIdx[:nnz:nnz], parts[0].Val[:nnz:nnz]
+		return a, nil
 	}
 	a.ColIdx = make([]int32, nnz)
 	a.Val = make([]float64, nnz)
@@ -118,6 +143,19 @@ func PartsToCSR(rows, cols int, parts []COO) (*CSR, error) {
 		a.sumDuplicates()
 	}
 	return a, nil
+}
+
+// validateParts is the first error validate finds in parts, each counted
+// from the list's start.
+func validateParts(rows, cols int, parts []COO) error {
+	nnz := 0
+	for k := range parts {
+		if err := parts[k].validate(rows, cols, nnz); err != nil {
+			return err
+		}
+		nnz += parts[k].NNZ()
+	}
+	return nil
 }
 
 // sumDuplicates merges consecutive equal column indices in each (sorted)

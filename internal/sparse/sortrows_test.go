@@ -164,3 +164,54 @@ func TestPartsToCSRMatchesToCSR(t *testing.T) {
 		}
 	}
 }
+
+// TestAdoptToCSRMatchesPartsToCSR: AdoptToCSR gives PartsToCSR's matrix
+// bit for bit, or its error text, on row-major lists with and without
+// duplicate columns, shuffled lists, empty ones and lists with an index out
+// of range; it keeps the list's own column and value storage exactly when
+// the list is row-major with strictly increasing columns.
+func TestAdoptToCSRMatchesPartsToCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 300; trial++ {
+		rows, cols := rng.Intn(30), 1+rng.Intn(30)
+		c := COO{Rows: rows, Cols: cols}
+		if rows > 0 {
+			for k := rng.Intn(200); k > 0; k-- {
+				c.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
+			}
+		}
+		switch trial % 4 {
+		case 0, 1: // row-major, strictly increasing columns
+			c.SortRowMajor()
+			a, _ := c.ToCSR()
+			c = *FromCSR(a)
+		case 2: // row-major, duplicates kept
+			c.SortRowMajor()
+		}
+		bad := trial%7 == 0 && c.NNZ() > 0
+		if bad {
+			c.RowIdx[rng.Intn(c.NNZ())] = int32(-1 - rng.Intn(2))
+		}
+		want, wantErr := PartsToCSR(rows, cols, []COO{c})
+		got, err := AdoptToCSR(rows, cols, c)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("trial %d: error %v, want %v", trial, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) ||
+			!slices.EqualFunc(got.Val, want.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("trial %d (%dx%d, %d triplets): AdoptToCSR differs from PartsToCSR", trial, rows, cols, c.NNZ())
+		}
+		sorted := true // row-major with strictly increasing columns
+		for k := 1; k < c.NNZ(); k++ {
+			if c.RowIdx[k] < c.RowIdx[k-1] || c.RowIdx[k] == c.RowIdx[k-1] && c.ColIdx[k] <= c.ColIdx[k-1] {
+				sorted = false
+			}
+		}
+		if kept := c.NNZ() > 0 && &got.Val[0] == &c.Val[0] && &got.ColIdx[0] == &c.ColIdx[0]; c.NNZ() > 0 && kept != sorted {
+			t.Errorf("trial %d: kept the list's storage %v, want %v", trial, kept, sorted)
+		}
+	}
+}

@@ -9,7 +9,7 @@
 # strconv) and the response float formatter (against encoding/json), the
 # request scanner's, the response encoder's and the upload reader's
 # codec byte identity (formatter layouts and edges, scanner and reader
-# against their references), their allocation gates (the reader's at GOMAXPROCS 1, 2 and 4), the simulator's bit-identity (golden digests, the device
+# against their references), their allocation gates (the reader's at GOMAXPROCS 1, 2 and 4, with its bytes assembled in place), the simulator's bit-identity (golden digests, the device
 # fingerprint golden, both gathers against their references, the search's
 # accounting-only launch against the full one), output verification against its reference, the error-response
 # golden and the one-error-writer gate, the warm request's one walk (the
@@ -180,12 +180,12 @@ go test -run='^$' -fuzz=FuzzPlanDecode -fuzztime=10s ./internal/plan
 # Schubfach table, the request scanner's number path against its reference
 # (each literal also between, before and after inline-scanned elements) and
 # whole mixed bodies against encoding/json, and the upload reader against
-# its reference. Without -race, which the
+# its reference, with the one-walk line read on each of its edges. Without -race, which the
 # sweep above runs them under, slowly.
 echo "== codec byte identity"
 go test -count=1 -run 'TestAppendFloatLayouts|TestAppendFloatEdges|TestSchubfachTable' ./internal/atof
 go test -count=1 -run 'TestNumMatchesReference|TestDecodeMixedBodies' ./internal/server
-go test -count=1 -run 'TestReadPiecesMatchReference' ./internal/mmio
+go test -count=1 -run 'TestReadPiecesMatchReference|TestWalkEdges' ./internal/mmio
 
 # The request scanner's one-walk number path against the two-walk one it
 # replaced (number_test.go): same verdict, cursor and bits.
@@ -260,10 +260,12 @@ go test -run='^$' -fuzz=FuzzMulVecChecked -fuzztime=10s ./internal/sparse
 # lines of as many bytes store. The reader parses pieces on GOMAXPROCS
 # goroutines, so the gate runs at 1, 2 and 4 (testing.AllocsPerRun pins
 # GOMAXPROCS to 1; TestReadAllocsAtGOMAXPROCS counts at the -cpu value),
-# and a read's bytes at the -cpu value stay within 5 % of those at 1. A result JSON cannot
-# carry is a 400, not an empty 200.
+# and a read's bytes at the -cpu value stay within 5 % of those at 1. The
+# cold_upload body is assembled in place: a read allocates no more than its
+# triplets, row pointers and 128 KiB, no copy of the triplets. A result
+# JSON cannot carry is a 400, not an empty 200.
 echo "== upload allocation gate + non-finite results"
-go test -count=1 -cpu 1,2,4 -run 'TestReadAllocs|CannotClaimMemory|TestReadBytesAtGOMAXPROCS' ./internal/mmio
+go test -count=1 -cpu 1,2,4 -run 'TestReadAllocs|CannotClaimMemory|TestReadBytesAtGOMAXPROCS|TestReadBytesInPlace' ./internal/mmio
 go test -count=1 -run 'TestNonFiniteResultIsAnError' ./internal/server
 
 echo "== staticcheck"
