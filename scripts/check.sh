@@ -67,8 +67,8 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 89986
-size_cap .claude/skills/verify/SKILL.md 19659
+size_cap DESIGN.md 89980
+size_cap .claude/skills/verify/SKILL.md 19658
 
 echo "== go vet"
 go vet ./...
