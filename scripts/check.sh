@@ -68,7 +68,7 @@ size_cap() {
     fi
 }
 size_cap DESIGN.md 89980
-size_cap .claude/skills/verify/SKILL.md 19658
+size_cap .claude/skills/verify/SKILL.md 19659
 
 echo "== go vet"
 go vet ./...
