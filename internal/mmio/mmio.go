@@ -123,7 +123,11 @@ func ReadWithLimits(r io.Reader, lim Limits) (*sparse.CSR, error) {
 func readWithLimits(r io.Reader, lim Limits, piece int) (*sparse.CSR, error) {
 	sp := &splitter{piece: piece}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, max(pieceSize, piece)), 1<<22)
+	// Nothing the read returns aliases the scanner's buffer, so it goes
+	// back to the free list when the read ends.
+	buf := takeBuf()
+	defer giveBuf(buf)
+	sc.Buffer((*buf)[:0], 1<<22)
 	sc.Split(sp.split)
 
 	if !sc.Scan() {
@@ -413,13 +417,36 @@ type parser struct {
 	f   [][]byte
 }
 
-// pieceBufs keeps parsers' piece copies of the default size from one read
-// to the next, so a read on several goroutines allocates no more than one
-// on the caller's. It is a free list any goroutine takes from: a
-// sync.Pool misses whenever a goroutine runs on another P than the one its
-// copy was put back on, and a collection empties it. Its capacity bounds
-// what it keeps to the copies of a read on 16 goroutines, 1 MiB.
+// pieceBufs keeps buffers of pieceSize — scanners' buffers and parsers'
+// piece copies — from one read to the next, so a read allocates none. It
+// is a free list any goroutine takes from: a sync.Pool misses whenever a
+// goroutine runs on another P than the one its buffer was put back on, and
+// a collection empties it. Its capacity bounds what it keeps to the
+// buffers of a read on 15 goroutines, 1 MiB.
 var pieceBufs = make(chan *[]byte, 16)
+
+// takeBuf returns an empty buffer of pieceSize from pieceBufs, or a new one.
+func takeBuf() *[]byte {
+	select {
+	case b := <-pieceBufs:
+		return b
+	default:
+		b := make([]byte, 0, pieceSize)
+		return &b
+	}
+}
+
+// giveBuf hands b back to pieceBufs, unless b has grown past pieceSize or
+// the list is full.
+func giveBuf(b *[]byte) {
+	if cap(*b) != pieceSize {
+		return
+	}
+	select {
+	case pieceBufs <- b:
+	default:
+	}
+}
 
 // result is what parsing a piece left: its triplets, and the number of
 // entry lines it read before its first bad one, and that line's error.
@@ -581,13 +608,10 @@ func (s *pieces) run(w int) {
 		}
 		if s.started > 1 {
 			if p.buf == nil {
-				select {
-				case p.buf = <-pieceBufs:
-				default:
-				}
+				p.buf = takeBuf()
 			}
-			if p.buf == nil || cap(*p.buf) < len(tok) {
-				b := make([]byte, 0, max(s.sp.piece, len(tok)))
+			if cap(*p.buf) < len(tok) {
+				b := make([]byte, 0, len(tok))
 				p.buf = &b
 			}
 			*p.buf = append((*p.buf)[:0], tok...)
@@ -606,11 +630,8 @@ func (s *pieces) run(w int) {
 	}
 	s.done = true
 	s.mu.Unlock()
-	if p.buf != nil && cap(*p.buf) == pieceSize {
-		select {
-		case pieceBufs <- p.buf:
-		default:
-		}
+	if p.buf != nil {
+		giveBuf(p.buf)
 	}
 }
 

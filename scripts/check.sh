@@ -67,7 +67,7 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 89980
+size_cap DESIGN.md 89952
 size_cap .claude/skills/verify/SKILL.md 19659
 
 echo "== go vet"
