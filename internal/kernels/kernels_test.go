@@ -291,3 +291,13 @@ func TestRowsPerWG(t *testing.T) {
 		}
 	}
 }
+
+// poolSpaceFingerprint is PoolSpace().Fingerprint(), which heads every
+// pool-space cost-cache key: pruning the synthesized space must not move it.
+const poolSpaceFingerprint = 0x10673e8de15168d8
+
+func TestPoolSpaceFingerprintGolden(t *testing.T) {
+	if got := PoolSpace().Fingerprint(); got != poolSpaceFingerprint {
+		t.Fatalf("PoolSpace().Fingerprint() = %#x, want %#x", got, uint64(poolSpaceFingerprint))
+	}
+}
