@@ -4,6 +4,7 @@
 //	experiments -exp all
 //	experiments -exp fig6 -scale 32 -corpus 240
 //	experiments -exp fig8 -scale 1
+//	experiments -exp census -scale 16
 //
 // Absolute times come from the device model, so shapes (who wins, by what
 // factor, where crossovers fall) are the meaningful output; EXPERIMENTS.md
@@ -21,7 +22,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig2a|fig2b|fig5|fig6|fig7|fig8|fig9|table2|mlerr|queued|features|reorder")
+	exp := flag.String("exp", "all", "experiment: all|fig2a|fig2b|fig5|fig6|fig7|fig8|fig9|table2|mlerr|queued|features|reorder|census (all omits census)")
 	scale := flag.Int("scale", 64, "representative-matrix scale divisor (1 = paper-size matrices)")
 	corpus := flag.Int("corpus", 120, "training corpus size")
 	minRows := flag.Int("minrows", 512, "smallest training-corpus matrix")
@@ -65,8 +66,13 @@ func main() {
 	run("queued", func() error { _, err := experiments.Queued(o); return err })
 	run("features", func() error { _, err := experiments.FeatureCmp(o); return err })
 	run("reorder", func() error { _, err := experiments.Reorder(o); return err })
+	// The census decides what the kernel space keeps; it is no paper
+	// figure, so "all" leaves it out.
+	if *exp == "census" {
+		run("census", func() error { _, err := experiments.Census(o); return err })
+	}
 
-	known := "all|fig2a|fig2b|fig5|fig6|fig7|fig8|fig9|table2|mlerr|queued|features|reorder"
+	known := "all|fig2a|fig2b|fig5|fig6|fig7|fig8|fig9|table2|mlerr|queued|features|reorder|census"
 	if *exp != "all" && !strings.Contains(known, *exp) {
 		fatal(fmt.Errorf("unknown experiment %q (want %s)", *exp, known))
 	}

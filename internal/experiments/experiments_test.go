@@ -260,3 +260,34 @@ func TestModelExperimentsEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+func TestCensus(t *testing.T) {
+	var buf bytes.Buffer
+	runs, err := Census(smallOptions(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 2 {
+		t.Fatalf("%d runs, want corpus and representatives", len(runs))
+	}
+	for _, run := range runs {
+		argmin := 0
+		for _, p := range run.Points {
+			if p.Wins > p.Argmin {
+				t.Errorf("%s: %s wins %d cells but is the argmin of %d", run.Name, p.Name, p.Wins, p.Argmin)
+			}
+			argmin += p.Argmin
+		}
+		// Every cell has exactly one argmin, and the pool is part of the
+		// space, so the space's argmin is never slower than the pool's.
+		if argmin != run.Cells || run.Cells == 0 {
+			t.Errorf("%s: argmin counts sum to %d over %d cells", run.Name, argmin, run.Cells)
+		}
+		if run.GeoRatio < 1 || run.WorstRatio < run.GeoRatio {
+			t.Errorf("%s: pool/space geo-mean %v, worst %v", run.Name, run.GeoRatio, run.WorstRatio)
+		}
+	}
+	if !strings.Contains(buf.String(), "wins>=1%") {
+		t.Error("missing table header")
+	}
+}
