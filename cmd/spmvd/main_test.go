@@ -70,7 +70,7 @@ func TestBootstrapModelVersion(t *testing.T) {
 		want   string
 	}{
 		{"pool", 24, core.DefaultConfig(), "ef446644505c477b"},
-		{"synth", 4, synth, "86b35fa1692dd452"},
+		{"synth", 4, synth, "50fab818bb798539"},
 	} {
 		m, err := obtainModel("", tc.corpus, tc.cfg)
 		if err != nil {

@@ -247,7 +247,7 @@ func cmdRun(args []string) error {
 	tracePath := fs.String("trace", "", "write JSONL pipeline spans to this file ('-' for stdout); deterministic — identical runs emit identical bytes")
 	counters := fs.Bool("counters", false, "collect device performance counters and print per-bin execution profiles")
 	workers := fs.Int("workers", 1, "host goroutines serving independent bins in the guarded executor (1 = sequential; the result and report are identical for every value)")
-	searchStats := fs.Bool("search-stats", false, "run the exhaustive tuning search on the matrix and print cost-cache and parameter-space statistics (hits/misses/pruned cells, space size, synth wins, format pick) before executing")
+	searchStats := fs.Bool("search-stats", false, "run the exhaustive tuning search on the matrix and print cost-cache and parameter-space statistics (hits/misses/pruned cells, space size, synth wins) before executing")
 	space := fs.String("kernel-space", "", "kernel space the -search-stats search enumerates: 'pool' or '' = the paper's nine kernels, 'synth' = the synthesized parameter space")
 	fs.Parse(args)
 	a, err := loadMatrix(*in)
@@ -293,15 +293,6 @@ func cmdRun(args []string) error {
 			sp.Name, sp.Size(), sps.SpaceCells, sps.SynthWins)
 		fmt.Printf("search-cache: hits=%d misses=%d pruned=%d entries=%d evictions=%d\n",
 			st.Hits, st.Misses, st.Pruned, st.Entries, st.Evictions)
-		if res.Format != "" {
-			fmt.Printf("search-format: best=%s", res.Format)
-			for _, name := range []string{"csr", "ell", "hyb"} {
-				if s, ok := res.FormatSeconds[name]; ok {
-					fmt.Printf(" %s=%.3fms", name, s*1e3)
-				}
-			}
-			fmt.Println()
-		}
 	} else if *space != "" {
 		return fmt.Errorf("-kernel-space only applies to the -search-stats search (the model's space travels with the model)")
 	}

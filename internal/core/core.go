@@ -41,10 +41,9 @@ type Config struct {
 
 	// KernelSpace names the candidate kernel enumeration the tuning search
 	// ranges over and the stage-2 model classifies into: "" or "pool" is
-	// the paper's fixed nine-kernel pool, "synth" the parameterized
-	// superset (kernels.SynthSpace) whose extra points are synthesized from
-	// KernelParams. The pool is always the prefix of the synth space, so
-	// pool labels remain valid kernel IDs in every space.
+	// the paper's fixed nine-kernel pool, "synth" the pool followed by the
+	// synthesized points that win (kernels.SynthSpace), so pool labels
+	// remain valid kernel IDs in every space.
 	KernelSpace string
 
 	// Workers bounds the host-side worker pool the exhaustive tuning

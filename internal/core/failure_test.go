@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"spmvtune/internal/c50"
@@ -80,5 +82,37 @@ func TestFinalizeIdempotent(t *testing.T) {
 	td.Finalize()
 	if td.Stage1.Len() != n1 || td.Stage2.Len() != n2 {
 		t.Error("second Finalize duplicated samples")
+	}
+}
+
+// Stage-2 classes are kernel IDs: a model whose class names are not its
+// space's kernel names, in order, was trained on another enumeration, so
+// LoadModel refuses it instead of serving the wrong kernels by ID.
+func TestLoadModelRefusesRenamedStage2Class(t *testing.T) {
+	cfg := testConfig()
+	td := NewTrainingData(cfg)
+	td.AddMatrix(cfg, matgen.Banded(200, 3, 1))
+	m := TrainModel(td, cfg, c50.DefaultOptions())
+	path := filepath.Join(t.TempDir(), "m.json")
+	if err := SaveModel(path, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(path); err != nil {
+		t.Fatalf("unedited model refused: %v", err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := bytes.Replace(blob, []byte(`"subvector8"`), []byte(`"synth.t8.rd.f4.seq"`), 1)
+	if bytes.Equal(renamed, blob) {
+		t.Fatal("saved model names no subvector8 class")
+	}
+	if err := os.WriteFile(path, renamed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadModel(path)
+	if err == nil || !strings.Contains(err.Error(), `"synth.t8.rd.f4.seq"`) {
+		t.Fatalf("LoadModel with a renamed stage-2 class: %v", err)
 	}
 }

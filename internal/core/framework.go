@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -198,6 +199,11 @@ func LoadModel(path string) (*Model, error) {
 	}
 	if err := json.Unmarshal(mj.Stage2, m.Stage2); err != nil {
 		return nil, fmt.Errorf("core: parse stage2: %w", err)
+	}
+	// Stage-2 classes are kernel IDs: a model trained on another enumeration
+	// of its space (one holding a since-pruned point) names other kernels.
+	if got, want := m.Stage2.Classes(), kernelClassNames(m.KernelSpace()); !slices.Equal(got, want) {
+		return nil, fmt.Errorf("core: model's stage-2 classes %q are not the kernels of its space %q, %q: retrain it", got, m.KernelSpace().Name, want)
 	}
 	return m, nil
 }

@@ -10,7 +10,6 @@ import (
 
 	"spmvtune/internal/binning"
 	"spmvtune/internal/errdefs"
-	"spmvtune/internal/formats"
 	"spmvtune/internal/hsa"
 	"spmvtune/internal/kernels"
 	"spmvtune/internal/plancache"
@@ -53,17 +52,6 @@ type SearchResult struct {
 	BestU   int
 	Seconds float64 // total time under the best U
 	PerU    []ULabel
-
-	// Format is the storage-format dimension of the search, populated only
-	// in the synthesized kernel space: the cheapest modeled whole-matrix
-	// format among CSR (the binned best, i.e. Seconds) and the device ELL /
-	// HYB kernels. It is advisory — execution stays in CSR; a non-CSR pick
-	// flags the matrix as one where conversion would pay (DESIGN.md §14).
-	// FormatSeconds holds the modeled seconds per candidate format. Both
-	// are zero-valued in the pool space, keeping pool results byte-
-	// identical to the pre-synthesis search.
-	Format        string
-	FormatSeconds map[string]float64
 }
 
 // BestBins returns the per-bin kernel labels for the winning U.
@@ -258,20 +246,12 @@ func SearchAll(ctx context.Context, cfg Config, mats []*sparse.CSR) ([]SearchRes
 			}
 		}
 
-		if sp.Size() > len(kernels.Pool()) {
-			// The extra dimensions of the synthesized space: count how many
-			// best-U bins a non-pool point won (the headline the /metrics
-			// family spmvd_search_synth_wins_total aggregates), and evaluate
-			// the storage-format alternatives against the binned CSR optimum.
-			poolSize := len(kernels.Pool())
-			wins := int64(0)
-			for _, bl := range res.BestBins() {
-				if bl.KernelID >= poolSize {
-					wins++
-				}
+		// The best-U bins a synthesized point won feed the /metrics family
+		// spmvd_search_synth_wins_total.
+		for _, bl := range res.BestBins() {
+			if bl.KernelID >= kernels.PoolSpace().Size() {
+				searchSynthWinsTotal.Add(1)
 			}
-			searchSynthWinsTotal.Add(wins)
-			res.Format, res.FormatSeconds = formats.AutoSelect(cfg.Device, mats[mi], res.Seconds)
 		}
 	}
 	return results, nil

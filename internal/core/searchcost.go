@@ -30,9 +30,6 @@ import (
 // steady state) nearly free.
 var sharedSearchCache = plancache.NewCostCache(plancache.CostCacheOptions{})
 
-// SharedSearchCostCache returns the process-wide default search cost cache.
-func SharedSearchCostCache() *plancache.CostCache { return sharedSearchCache }
-
 // SearchCacheStats reports the process-wide default cache's counters, for
 // metrics exposition (spmvd_search_cache_*).
 func SearchCacheStats() plancache.CostStats { return sharedSearchCache.Stats() }

@@ -39,9 +39,6 @@ func TestPoolSubspaceEquivalence(t *testing.T) {
 					if !reflect.DeepEqual(legacy, pool) {
 						t.Fatalf("workers=%d layered=%v: pool space result differs from default space", workers, layered)
 					}
-					if pool.Format != "" || pool.FormatSeconds != nil {
-						t.Fatalf("pool space grew format dimension: %q %v", pool.Format, pool.FormatSeconds)
-					}
 				}
 			}
 		})
@@ -89,9 +86,6 @@ func TestSynthSpaceEquivalenceAndImprovement(t *testing.T) {
 				tuned := Search(cfg, a)
 				if err := CheckSearchEquivalence(legacy, tuned); err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if tuned.Format == "" || tuned.FormatSeconds["csr"] != tuned.Seconds {
-					t.Fatalf("workers=%d: format dimension missing: %q %v", workers, tuned.Format, tuned.FormatSeconds)
 				}
 			}
 
@@ -180,7 +174,8 @@ func TestSynthModelTrainsPredictsAndPlans(t *testing.T) {
 	a := matgen.PowerLaw(700, 5, 1.9, 150, 11)
 	vec := cfg.FeatureVector(a)
 	u := m.PredictUVec(vec)
-	kid, params := m.PredictKernelParams(vec, u, 1, 200, 8)
+	kid := m.PredictKernelVec(vec, u, 1, 200, 8)
+	params, _ := m.KernelSpace().ParamsByID(kid)
 	if err := params.Validate(); err != nil {
 		t.Fatalf("predicted params invalid: %v", err)
 	}

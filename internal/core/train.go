@@ -286,17 +286,6 @@ func (m *Model) PredictKernelVec(vec []float64, u, binID, binRows int, binAvgLen
 	return kid
 }
 
-// PredictKernelParams is PredictKernelVec plus the predicted kernel's point
-// in parameter space — the stage-2 classifier over a synthesized space is a
-// learned quantization of that space, so every class is a concrete
-// KernelParams vector. Over the pool space the returned params are the
-// pool kernels' canonical coordinates.
-func (m *Model) PredictKernelParams(vec []float64, u, binID, binRows int, binAvgLen float64) (int, kernels.KernelParams) {
-	kid := m.PredictKernelVec(vec, u, binID, binRows, binAvgLen)
-	params, _ := m.KernelSpace().ParamsByID(kid)
-	return kid, params
-}
-
 // PredictU is the Table I convenience form of PredictUVec; it panics on a
 // model trained with extended features (those need the full matrix — use
 // Framework.Decide or PredictUVec).

@@ -12,45 +12,27 @@ import (
 	"spmvtune/internal/sparse"
 )
 
-// censusWinMargin is the relative margin by which a point must beat the
-// pool-only search's minimum for the cell to count as a win: a point that
-// never wins by it buys nothing the paper's pool does not already give.
-const censusWinMargin = 0.01
-
-// CensusPoint is one kernel point's record over a census run.
-type CensusPoint struct {
-	Name string
-	// Argmin counts the cells whose minimum over the searched space is
-	// this point (the lowest ID on exact ties).
-	Argmin int
-	// Wins counts the argmin cells where the pool-only search's minimum
-	// is at least 1+censusWinMargin times the point's time.
-	Wins int
-}
-
-// CensusRun is the census over one set of matrices: every (matrix, U,
-// bin) cell of a search over the synthesized space against the same cell
-// of a pool-only search.
+// CensusRun is the census of one matrix set. For each point of the
+// synthesized space, in space order, Argmin counts the (matrix, U, bin)
+// cells whose fastest kernel is the point (the lowest ID on exact ties),
+// and Wins the argmin cells where the pool-only search's fastest kernel is
+// at least 1 % slower. GeoRatio and WorstRatio are the geo-mean and
+// maximum over matrices of pool ÷ space argminSeconds; the two Seconds
+// fields time the searches.
 type CensusRun struct {
-	Name   string
-	Cells  int
-	Points []CensusPoint // space order
-	// GeoRatio and WorstRatio are the geometric mean and maximum, over
-	// matrices, of the pool-only search's argmin seconds divided by the
-	// space search's (argminSeconds).
-	GeoRatio, WorstRatio float64
-	// SpaceSeconds and PoolSeconds are the two searches' wall times.
+	Name                      string
+	Cells                     int
+	Argmin, Wins              []int
+	GeoRatio, WorstRatio      float64
 	SpaceSeconds, PoolSeconds float64
 }
 
 // Census decides which points of the synthesized space earn their search
-// time (Elafrou et al.'s rule: the machinery that chooses an optimisation
-// must cost less than the optimisation wins). It searches the training
-// corpus and the representative matrices at the configured scale twice —
-// over the synthesized space and over the pool alone — and reports, per
-// point, the cells it is the argmin of and those it wins by at least 1 %,
-// with the geo-mean and worst, over matrices, of pool ÷ space argmin
-// seconds. A point with no win in any run is a candidate for deletion.
+// time: the machinery that chooses an optimisation must cost less than the
+// optimisation wins (Elafrou et al.). It searches the training corpus and
+// the representative matrices at the configured scale over the space and
+// over the pool alone, and compares the searches cell by cell. A point
+// that wins no cell in any run buys nothing the paper's pool does not.
 func Census(o *Options) ([]CensusRun, error) {
 	o.Defaults()
 	corpus := matgen.ValueFreeCorpus(matgen.CorpusOptions{
@@ -60,37 +42,30 @@ func Census(o *Options) ([]CensusRun, error) {
 	for _, r := range o.representative() {
 		reps = append(reps, r.A)
 	}
-	var runs []CensusRun
-	for _, set := range []struct {
-		name string
-		mats []*sparse.CSR
-	}{
-		{fmt.Sprintf("corpus (%d matrices, seed %d)", len(corpus), o.Seed), matgen.Matrices(corpus)},
-		{fmt.Sprintf("representatives at 1/%d", o.Scale), reps},
-	} {
-		run, err := o.census(set.name, set.mats)
-		if err != nil {
+	runs := []CensusRun{
+		{Name: fmt.Sprintf("corpus (%d matrices, seed %d)", len(corpus), o.Seed)},
+		{Name: fmt.Sprintf("representatives at 1/%d", o.Scale)},
+	}
+	fmt.Fprintf(o.Out, "== Census: synthesized points against a pool-only search ==\n")
+	for i, mats := range [][]*sparse.CSR{matgen.Matrices(corpus), reps} {
+		run := &runs[i]
+		if err := o.census(run, mats); err != nil {
 			return nil, err
 		}
-		runs = append(runs, run)
-	}
-
-	fmt.Fprintf(o.Out, "== Census: synthesized points against a pool-only search ==\n")
-	for _, run := range runs {
 		fmt.Fprintf(o.Out, "# %s: %d cells, search %.1fs (synth) / %.1fs (pool)\n",
 			run.Name, run.Cells, run.SpaceSeconds, run.PoolSeconds)
 		fmt.Fprintf(o.Out, "%-24s %7s %9s\n", "point", "argmin", "wins>=1%")
-		for _, p := range run.Points {
-			fmt.Fprintf(o.Out, "%-24s %7d %9d\n", p.Name, p.Argmin, p.Wins)
+		for id, info := range kernels.SynthSpace().Infos {
+			fmt.Fprintf(o.Out, "%-24s %7d %9d\n", info.Name, run.Argmin[id], run.Wins[id])
 		}
 		fmt.Fprintf(o.Out, "pool / space argmin seconds: geo-mean %.4f, worst %.4f\n", run.GeoRatio, run.WorstRatio)
 	}
 	return runs, nil
 }
 
-// census runs the two searches over mats and compares them cell by cell.
-func (o *Options) census(name string, mats []*sparse.CSR) (CensusRun, error) {
-	run := CensusRun{Name: name}
+// census fills run from a search of mats over the space and one over the
+// pool.
+func (o *Options) census(run *CensusRun, mats []*sparse.CSR) error {
 	search := func(space string) ([]core.SearchResult, float64, error) {
 		cfg := o.config()
 		cfg.KernelSpace = space
@@ -100,26 +75,24 @@ func (o *Options) census(name string, mats []*sparse.CSR) (CensusRun, error) {
 	}
 	spaceRes, spaceSecs, err := search("synth")
 	if err != nil {
-		return run, err
+		return err
 	}
 	poolRes, poolSecs, err := search("pool")
 	if err != nil {
-		return run, err
+		return err
 	}
 	run.SpaceSeconds, run.PoolSeconds = spaceSecs, poolSecs
-	for _, info := range kernels.SynthSpace().Infos {
-		run.Points = append(run.Points, CensusPoint{Name: info.Name})
-	}
-
+	n := kernels.SynthSpace().Size()
+	run.Argmin, run.Wins = make([]int, n), make([]int, n)
 	logSum := 0.0
 	for mi := range mats {
 		for ui, ul := range spaceRes[mi].PerU {
 			for bi, bl := range ul.Bins {
 				spaceMin, argmin := minTime(bl.KernelTimes)
 				poolMin, _ := minTime(poolRes[mi].PerU[ui].Bins[bi].KernelTimes)
-				run.Points[argmin].Argmin++
-				if poolMin >= spaceMin*(1+censusWinMargin) {
-					run.Points[argmin].Wins++
+				run.Argmin[argmin]++
+				if poolMin >= spaceMin*1.01 {
+					run.Wins[argmin]++
 				}
 				run.Cells++
 			}
@@ -131,12 +104,12 @@ func (o *Options) census(name string, mats []*sparse.CSR) (CensusRun, error) {
 	if len(mats) > 0 {
 		run.GeoRatio = math.Exp(logSum / float64(len(mats)))
 	}
-	return run, nil
+	return nil
 }
 
-// argminSeconds is the best time a search found for its matrix: the
-// smallest, over granularities, of the sum of each bin's fastest kernel
-// (the search's label adds a tie-break on top, which is not compared here).
+// argminSeconds is the best time a search found for its matrix: the least,
+// over granularities, of the sum of each bin's fastest kernel (the label
+// adds a tie-break on top, which the census does not compare).
 func argminSeconds(res core.SearchResult) float64 {
 	best := math.Inf(1)
 	for _, ul := range res.PerU {

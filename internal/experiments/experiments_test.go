@@ -272,11 +272,11 @@ func TestCensus(t *testing.T) {
 	}
 	for _, run := range runs {
 		argmin := 0
-		for _, p := range run.Points {
-			if p.Wins > p.Argmin {
-				t.Errorf("%s: %s wins %d cells but is the argmin of %d", run.Name, p.Name, p.Wins, p.Argmin)
+		for id, n := range run.Argmin {
+			if run.Wins[id] > n {
+				t.Errorf("%s: point %d wins %d cells but is the argmin of %d", run.Name, id, run.Wins[id], n)
 			}
-			argmin += p.Argmin
+			argmin += n
 		}
 		// Every cell has exactly one argmin, and the pool is part of the
 		// space, so the space's argmin is never slower than the pool's.

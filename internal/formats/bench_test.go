@@ -170,13 +170,3 @@ func BenchmarkSimCOO(b *testing.B) {
 	}
 	b.ReportMetric(sim, "sim-ms/op")
 }
-
-func BenchmarkAutoSelect(b *testing.B) {
-	a := matgen.Banded(16384, 7, 2)
-	var pick string
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pick, _ = AutoSelect(hsa.DefaultConfig(), a, 1e-3)
-	}
-	b.ReportMetric(float64(len(pick)), "pick-len")
-}

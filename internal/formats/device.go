@@ -11,8 +11,7 @@ import (
 // reduction, and one lane per distinct row commits the partial to u with
 // an atomic add. u is zeroed first (COO kernels accumulate).
 //
-// The triplets must be sorted row-major (COO.SortRowMajor). Value-free
-// triplets (Val nil) are charged alone, leaving u as it is.
+// The triplets must be sorted row-major (COO.SortRowMajor).
 func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats {
 	run := hsa.NewRun(dev)
 	regRow := run.Alloc(4, int64(c.NNZ()))
@@ -21,9 +20,7 @@ func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats 
 	regV := run.Alloc(8, int64(len(v)))
 	regU := run.Alloc(8, int64(len(u)))
 
-	if c.Val != nil {
-		clear(u[:min(c.Rows, len(u))])
-	}
+	clear(u[:min(c.Rows, len(u))])
 
 	wfSize := dev.WavefrontSize
 	wgSize := dev.MaxWorkGroupSize
@@ -52,9 +49,7 @@ func SimulateCOOMulVec(dev hsa.Config, c *sparse.COO, v, u []float64) hsa.Stats 
 			prevRow := int32(-1)
 			for k := lo; k < hi; k++ {
 				vAddrs = append(vAddrs, int64(c.ColIdx[k]))
-				if c.Val != nil {
-					u[c.RowIdx[k]] += c.Val[k] * v[c.ColIdx[k]]
-				}
+				u[c.RowIdx[k]] += c.Val[k] * v[c.ColIdx[k]]
 				if c.RowIdx[k] != prevRow {
 					prevRow = c.RowIdx[k]
 					uAddrs = append(uAddrs, int64(prevRow))

@@ -36,8 +36,7 @@ const MaxELLExpansion = 20
 
 // ELLFromCSR converts a CSR matrix to ELLPACK. It fails if the padded size
 // would exceed MaxELLExpansion times the stored non-zeros (the failure mode
-// that makes ELL unusable for power-law matrices). A value-free matrix
-// (Val nil) converts to a value-free ELL.
+// that makes ELL unusable for power-law matrices).
 func ELLFromCSR(a *sparse.CSR) (*ELL, error) {
 	st := sparse.ComputeRowStats(a)
 	width := st.Max
@@ -55,14 +54,11 @@ func ELLFromCSR(a *sparse.CSR) (*ELL, error) {
 	return e, nil
 }
 
-// newELL returns a's ELL form at the given width with every slot padding,
-// holding values only if a does.
+// newELL returns a's ELL form at the given width with every slot padding.
 func newELL(a *sparse.CSR, width int) *ELL {
 	padded := a.Rows * width
-	e := &ELL{Rows: a.Rows, Cols: a.Cols, Width: width, ColIdx: make([]int32, padded)}
-	if a.Val != nil {
-		e.Val = make([]float64, padded)
-	}
+	e := &ELL{Rows: a.Rows, Cols: a.Cols, Width: width,
+		ColIdx: make([]int32, padded), Val: make([]float64, padded)}
 	for i := range e.ColIdx {
 		e.ColIdx[i] = PadCol
 	}
@@ -72,9 +68,7 @@ func newELL(a *sparse.CSR, width int) *ELL {
 // set stores a's entry k in slot t of row r.
 func (e *ELL) set(t, r int, a *sparse.CSR, k int64) {
 	e.ColIdx[t*e.Rows+r] = a.ColIdx[k]
-	if e.Val != nil {
-		e.Val[t*e.Rows+r] = a.Val[k]
-	}
+	e.Val[t*e.Rows+r] = a.Val[k]
 }
 
 // MulVec computes u = E*v sequentially.
@@ -114,12 +108,10 @@ func (e *ELL) ToCSR() *sparse.CSR {
 // device simulator: iteration t loads slot t of 64 consecutive rows — a
 // fully coalesced stream — but every wavefront iterates the full Width,
 // which is exactly the padding waste that kills ELL on skewed matrices.
-// A value-free ELL is charged alone: u is left as it is, and v and u only
-// give the vector regions their lengths.
 func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 	run := hsa.NewRun(dev)
 	regCol := run.Alloc(4, int64(len(e.ColIdx)))
-	regVal := run.Alloc(8, int64(len(e.ColIdx)))
+	regVal := run.Alloc(8, int64(len(e.Val)))
 	regV := run.Alloc(8, int64(len(v)))
 	regU := run.Alloc(8, int64(len(u)))
 
@@ -138,9 +130,7 @@ func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 				hi = e.Rows
 			}
 			acc := g.WF()
-			if e.Val != nil {
-				clear(u[lo:hi])
-			}
+			clear(u[lo:hi])
 			for t := 0; t < e.Width; t++ {
 				// Coalesced slot loads across the wavefront's rows.
 				acc.Seq(regCol, int64(t*e.Rows+lo), int64(hi-lo))
@@ -152,9 +142,7 @@ func (e *ELL) SimulateMulVec(dev hsa.Config, v, u []float64) hsa.Stats {
 						continue
 					}
 					vAddrs = append(vAddrs, int64(c))
-					if e.Val != nil {
-						u[r] += e.Val[t*e.Rows+r] * v[c]
-					}
+					u[r] += e.Val[t*e.Rows+r] * v[c]
 				}
 				acc.Gather(regV, vAddrs)
 				acc.ALU(2)
@@ -269,8 +257,7 @@ type HYB struct {
 }
 
 // HYBFromCSR splits a CSR matrix at the given ELL width; width <= 0 uses
-// the mean row length rounded up (the standard heuristic). A value-free
-// matrix splits into value-free parts.
+// the mean row length rounded up (the standard heuristic).
 func HYBFromCSR(a *sparse.CSR, width int) *HYB {
 	if width <= 0 {
 		st := sparse.ComputeRowStats(a)
@@ -287,11 +274,7 @@ func HYBFromCSR(a *sparse.CSR, width int) *HYB {
 				ell.set(t, r, a, k)
 				continue
 			}
-			coo.RowIdx = append(coo.RowIdx, int32(r))
-			coo.ColIdx = append(coo.ColIdx, a.ColIdx[k])
-			if a.Val != nil {
-				coo.Val = append(coo.Val, a.Val[k])
-			}
+			coo.Add(r, int(a.ColIdx[k]), a.Val[k])
 		}
 	}
 	return &HYB{Ell: ell, Coo: coo}

@@ -10,13 +10,12 @@ import (
 )
 
 // batchKernelsUnderTest covers every walker family: the full pool plus
-// synthesized points exercising the serial geometry, the sequential
-// reduction, and the wavefront-synchronous combine.
+// synthesized points exercising a non-default LDS tiling and the
+// wavefront-synchronous combine.
 func batchKernelsUnderTest() []Info {
 	infos := append([]Info{}, Pool()...)
 	for _, p := range []KernelParams{
-		{TPR: 1, RowsPerWG: 64},
-		{TPR: 8, RowsPerWG: 16, LDSFactor: 2, Reduction: ReduceSequential},
+		{TPR: 8, LDSFactor: 2},
 		{TPR: 16, Reduction: ReduceWavefront},
 		{TPR: 64, Reduction: ReduceWavefront},
 	} {

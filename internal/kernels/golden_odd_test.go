@@ -37,31 +37,16 @@ var oddDevicesGoldenDigests = [][2]string{
 	{"subvector4", "9b6839a2530deb09a93132a3513d9ad809db575f977b1eead3962449651ef5ed"},
 	{"subvector64", "b6f5098474886573c0f397b4ba13f0624cdfc4b1b16af304ed7f255d40085ebc"},
 	{"subvector8", "067a29f28c72242146ec64006edd8290023f95356815a32aa60d8787b3315ee8"},
-	{"synth.t1.r128", "9ded0fec88546f367e77508849a77ec323f87c050a0ca938ac21e97041108d90"},
-	{"synth.t1.r64", "eda8e845b0539b367b020380a7aa94e141fbbb80a558dbc941eae547a8ab75a1"},
-	{"synth.t128.rd.f16.tree", "fc4fb1c8c5813a3d35a4cc4dd25f048902e21a5f0258fa8c14405904e77deac8"},
 	{"synth.t128.rd.f8.tree", "b1c8dbcd3a28323c8cf65ea350194ae5a4ee87ff6caf0ad207873c71870d3ba2"},
 	{"synth.t16.rd.f16.tree", "0f64d09ed5d044202036f4be1c9d1628d7b4f4484bd82d5cac0c9ca1cb40903a"},
 	{"synth.t16.rd.f8.tree", "389714644e5c39cda39aef829bbbc2a1431882313de49328dbdf1778183d4fd4"},
 	{"synth.t16.rd.wf", "f8d13af4df331315fef0490d6767561ab49692cf5704bbab98c4ed77517d495a"},
-	{"synth.t2.rd.f16.tree", "29aab6bccad6527e4cfd3ad91729fbc18a1e04e6c362924e985bdf26efaf5d41"},
-	{"synth.t2.rd.f4.seq", "5b4947c7492f045b49314ad048e206c949061f463c10f3fd26cc237f697b5791"},
-	{"synth.t2.rd.f8.tree", "53ef4c62a167a75379f29fa71ac3b2dab364b40692b7e4594dedb0a1deca4f57"},
 	{"synth.t2.rd.wf", "84e9a03bdecc4d2c19e049b27b10a020ef4baface82eb095d139ce348a1c1cf9"},
-	{"synth.t256.rd.f16.tree", "e93ff2f6738b0ab65df1ba13b53a1988b776c8a10f2aeb67faeab23f380d7731"},
-	{"synth.t256.rd.f8.tree", "01bb72d12aec624717bed6c729382914d97777698a4b97e2a938ae2980d59343"},
-	{"synth.t32.rd.f16.tree", "ef56987571eeadf617eea15e9403da66db2564130bc3591e651479c24bbe4f5e"},
-	{"synth.t32.rd.f8.tree", "25df8856c5b028f2d74d13c9feff1e67b6dd419c4546e44f2ba86b877ca5fca5"},
 	{"synth.t32.rd.wf", "aadf7480c6d84b1ff61681fecad22118ade59caa519716b0ef409c16363955be"},
 	{"synth.t4.rd.f16.tree", "a06b0cbc427d6e45394b5d1f3fae7e65f5cde3eb5faf162aae17a76edb57d544"},
-	{"synth.t4.rd.f4.seq", "2e3cb3053d6ff7da45d7df85c30b8a32a931318a3162e7feffdf23a363ec75e3"},
-	{"synth.t4.rd.f8.tree", "ef2bad61a25489d72be5dd6a018b686518bc407e0c6544720b76019a8a43698d"},
 	{"synth.t4.rd.wf", "cf1734dfcbd510f218d9aa8d02a4617e19fd21da83223faa3fc793f21fc4ef2e"},
-	{"synth.t64.rd.f16.tree", "b50ee05cf9aa2053ab2f205fbc63c0893737a5a8cd48ab8577bc1ec7409b3226"},
-	{"synth.t64.rd.f8.tree", "e6ad30004ba10eed929f4f39d70ba0bfdcfdeff1389b999fa6af02344402724b"},
 	{"synth.t64.rd.wf", "acc0df5058885df8f1b06ebf29fbbcd090086265ba1e6e2d5a19760e01f5b569"},
 	{"synth.t8.rd.f16.tree", "9c64379719d4e1c42017233f092ae3b338641ca55f30cc319c718891a92fec3f"},
-	{"synth.t8.rd.f4.seq", "dc73ff5f6b235476e2290de3c36dc60fab2d85bf2352dad985388fbfec39afcb"},
 	{"synth.t8.rd.f8.tree", "bafc1050517897821650ad9f19daa5818e0e188673a049177a59ea5bafec7859"},
 	{"synth.t8.rd.wf", "d6dd156691dab89d68cb6a381f9b58d59c7e503df15d05ff7e913413baa2aae0"},
 	{"vector", "aa241fc0cf04c634eff3c4cd498c42ada392cb0caff61cf5abdb743078682707"},

@@ -36,31 +36,16 @@ var walkerGoldenDigests = [][2]string{
 	{"subvector4", "19728c01534b71d30d342d586b71dfac9a52f52f15389c95fcc8aa46389822eb"},
 	{"subvector64", "50fa77d8082bd8790f4b0ef69d2962c9788f068a58860cdf382190b982da1dd2"},
 	{"subvector8", "3cd43d5a7abe8b9759260ab876a3f81ec1bd2e64bad3f1d34665c0cb7f83589f"},
-	{"synth.t1.r128", "14c97d496e57268931119e7a3ab2aea4ed16452e7edb1c8a229d8b84f6787b61"},
-	{"synth.t1.r64", "959dcc98616e798fe6f81e962ab41ae59a659c12937b4228273ae908354835e5"},
-	{"synth.t128.rd.f16.tree", "c319d39bb87feecba0fe7bd5f59ce3cddb471c1debebda7ff9312ea9a6b692dd"},
 	{"synth.t128.rd.f8.tree", "c9acf1dcc192d235c5db61f0aec2d1086045a9854f55f094c31cb8410c80124f"},
 	{"synth.t16.rd.f16.tree", "b79f18e1b44a788893737f2e1125fa69a2d386c44e212c5b0c4f42907e654be8"},
 	{"synth.t16.rd.f8.tree", "be31256988ef4413e64c067a3f08f994fd5c54d8a1095996d4e6a940445632c1"},
 	{"synth.t16.rd.wf", "a10ef56dee97b0fe12c3db8751785ee5217f2a0796f0a5e646961af29ac5f688"},
-	{"synth.t2.rd.f16.tree", "f71869734e4a19cb2aee51295454564446bbcd5e2d619d43d0bdb438ea735457"},
-	{"synth.t2.rd.f4.seq", "7cc18164fdb7e717b4e5ca55b13a488ae15f043509b751289d5fb6ccf18c1812"},
-	{"synth.t2.rd.f8.tree", "fe043e8ff002157e53ad27e77828f28dbcba8376ae78ea01c0573b402b4b44b0"},
 	{"synth.t2.rd.wf", "13275df71a398fbe350cfd45f59ac20d972c8aff8b0b77db053c9257dbf74c56"},
-	{"synth.t256.rd.f16.tree", "0eba027f9a34c06f8fc14fa80de0cf24a4500bf7efdb4058691ea76e481e9883"},
-	{"synth.t256.rd.f8.tree", "c0fee5f1444a8d2c43771cba9df0941035e273c85daee1791ebe1f5764596a02"},
-	{"synth.t32.rd.f16.tree", "cbbf78b467ea94e62c37fbf3fa4c58afdaf8f453fe7e00c8b611e4c4d872757a"},
-	{"synth.t32.rd.f8.tree", "f81e1c1ecb3136d220cbb88080ca7087244dc266d22c51f3e584a87e9d5e3b73"},
 	{"synth.t32.rd.wf", "553906e6fd2c1d2ceb7d85d412ca3cf5860e55e8befcc1ffd8c0d799021e6592"},
 	{"synth.t4.rd.f16.tree", "d054980973d299b057aa70b727a9aa58c1da3e93c5e3bc9c3c3ddcc056f86484"},
-	{"synth.t4.rd.f4.seq", "6b6572b52b2ad0b44c2e29ac00a11668e6b980305a91d2a246277e725cbc0c7e"},
-	{"synth.t4.rd.f8.tree", "fd7c95315199d45665346e885230d1d240b195146e8ec8bfb2a3f558c18b5d7f"},
 	{"synth.t4.rd.wf", "2d334d55bea2d91d30a70ea646ee31ae7c7c7a817e1285936540befd548981c9"},
-	{"synth.t64.rd.f16.tree", "b347c218b3515c519ab9492c44c60232123419a4564aaede28acc73daa07c254"},
-	{"synth.t64.rd.f8.tree", "ff8470b0ac954e2aa6cafaeee02e2db9f1c58b1c470a720c9d72860323b26ad8"},
 	{"synth.t64.rd.wf", "1ef97d3427b696bcb9012aa3199cf3f2a15720c7ff9bb2c481ad2de4add032fd"},
 	{"synth.t8.rd.f16.tree", "599b43b8b014e15747cd41b9d3a7dcb41485a80e276376b768e52ea40bddc4e4"},
-	{"synth.t8.rd.f4.seq", "70d51d1b7fe59dc6b26f6a01ba35f60742504f7bcd83f100824799069af869c6"},
 	{"synth.t8.rd.f8.tree", "39c4913bd47a4acb54f5aabdd39e162538a541258c615d6eb3a792322ea435b9"},
 	{"synth.t8.rd.wf", "d7b81f8248d9217f023dc5c7f34f79860cd77ffdb7555b3b60f2a613bee1fa4a"},
 	{"vector", "352e5a99aa7f4eb52bc1031bc45403e9276c1991f72c690297a5eced4c8fe399"},

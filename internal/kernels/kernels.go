@@ -1,7 +1,7 @@
 // Package kernels implements the CSR SpMV kernels the auto-tuner chooses
 // among, on the simulated HSA device. Every kernel is one KernelParams point
-// — threads per row × rows per work-group × LDS tiling × reduction strategy —
-// realized by one of three walkers (walkers.go):
+// — threads per row × LDS tiling × reduction strategy — realized by one of
+// three walkers (walkers.go):
 //
 //   - serial (Algorithm 3): one work-item per row, walking it in lock-step
 //     with the rest of its wavefront;

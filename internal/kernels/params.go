@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the parameterized kernel space: every candidate is a
-// KernelParams point in threads-per-row × rows-per-work-group × LDS-tiling ×
-// reduction-strategy space, and the paper's fixed nine-kernel pool is the
-// prefix of every enumeration (IDs 0..8 are the named points poolParams
-// lists, with their historical names, so every pool label and golden test
-// still anchors correctness). The auto-tuner searches a Space — "pool" for
-// the paper's nine points, "synth" for the pruned superset — and the stage-2
-// model predicts a point of that space (a learned quantization: each class
-// label is one enumerated KernelParams).
+// KernelParams point in threads-per-row × LDS-tiling × reduction-strategy
+// space, and the paper's fixed nine-kernel pool is the prefix of every
+// enumeration (IDs 0..8 are the named points poolParams lists, with their
+// historical names, so every pool label and golden test still anchors
+// correctness). The auto-tuner searches a Space — "pool" for the paper's
+// nine points, "synth" for the pool plus the points the census keeps — and
+// the stage-2 model predicts a point of that space (a learned
+// quantization: each class label is one enumerated KernelParams).
 
 const (
 	// ldsFactor is the paper's local-memory buffering multiple ("we set the
@@ -36,12 +36,6 @@ const (
 	// ReduceTree is the paper's segmented parallel reduction: log2(chunk)
 	// strided LDS steps with two barriers per round (Algorithm 4).
 	ReduceTree Reduction = iota
-	// ReduceSequential has lane 0 of each subvector walk the staged chunk
-	// serially: chunk LDS reads instead of log-step passes, but no strided
-	// bank conflicts and — for subvectors no wider than a wavefront — only
-	// one barrier per round (the lanes are wavefront-synchronous, so the
-	// combine completes before any lane proceeds to the next round).
-	ReduceSequential
 	// ReduceWavefront keeps each lane's partial products in registers and
 	// combines them with log2(TPR) cross-lane permute steps at the end of
 	// the row — no LDS staging, no barriers, no per-round overhead at all
@@ -53,10 +47,7 @@ const (
 
 // String implements fmt.Stringer.
 func (r Reduction) String() string {
-	switch r {
-	case ReduceSequential:
-		return "seq"
-	case ReduceWavefront:
+	if r == ReduceWavefront {
 		return "wf"
 	}
 	return "tree"
@@ -67,15 +58,13 @@ func (r Reduction) MarshalJSON() ([]byte, error) {
 	return []byte(`"` + r.String() + `"`), nil
 }
 
-// UnmarshalJSON accepts exactly the names String renders ("tree", "seq",
-// "wf"); anything else is a typed invalid-input error, so corrupt persisted plans surface as 400-class
-// failures instead of silently defaulting.
+// UnmarshalJSON accepts exactly the names String renders ("tree", "wf");
+// anything else is a typed invalid-input error, so corrupt persisted plans
+// surface as 400-class failures instead of silently defaulting.
 func (r *Reduction) UnmarshalJSON(data []byte) error {
 	switch string(data) {
 	case `"tree"`:
 		*r = ReduceTree
-	case `"seq"`:
-		*r = ReduceSequential
 	case `"wf"`:
 		*r = ReduceWavefront
 	default:
@@ -84,19 +73,15 @@ func (r *Reduction) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// KernelParams is one point of the parameterized kernel space. The zero
-// values of RowsPerWG and LDSFactor mean "device default" (a full work-group
-// of rows for TPR=1, MaxWorkGroupSize/TPR rows and the paper's factor 4 for
-// TPR>=2), which keeps the canonical pool points device-agnostic.
+// KernelParams is one point of the parameterized kernel space. A launch
+// packs the device's work-group with rows (MaxWorkGroupSize/TPR of them),
+// and the zero LDSFactor means the paper's factor 4, which keeps the
+// canonical pool points device-agnostic.
 type KernelParams struct {
 	// TPR is the number of work-items cooperating on one row: 1 selects the
 	// serial lock-step walk, >= 2 a subvector scheme (the full work-group
 	// size makes it the vector kernel).
 	TPR int `json:"tpr"`
-	// RowsPerWG is how many rows one work-group covers; 0 = device default.
-	// Smaller work-groups trade dispatch overhead for compute-unit balance
-	// on small bins.
-	RowsPerWG int `json:"rowsPerWG,omitempty"`
 	// LDSFactor is the local-memory buffering multiple (products staged per
 	// lane per round); 0 = the paper's factor 4. Meaningless for TPR=1 and
 	// for the wavefront reduction, which never stage through LDS.
@@ -105,24 +90,19 @@ type KernelParams struct {
 	Reduction Reduction `json:"reduction"`
 }
 
-// Name renders the canonical synthesized-kernel name for the point.
+// Name renders the canonical synthesized-kernel name for the point. The
+// "rd" tag (rows per work-group: device default) is kept from when that was
+// a coordinate of the space: names are class labels of trained models.
 func (p KernelParams) Name() string {
 	if p.TPR <= 1 {
-		return fmt.Sprintf("synth.t1.r%s", sizeTag(p.RowsPerWG))
+		return "synth.t1.rd"
 	}
 	if p.Reduction == ReduceWavefront {
 		// The wavefront combine never stages through LDS, so the tiling
 		// factor is not part of the point's identity.
-		return fmt.Sprintf("synth.t%d.r%s.wf", p.TPR, sizeTag(p.RowsPerWG))
+		return fmt.Sprintf("synth.t%d.rd.wf", p.TPR)
 	}
-	return fmt.Sprintf("synth.t%d.r%s.f%d.%s", p.TPR, sizeTag(p.RowsPerWG), p.ldsFactor(), p.Reduction)
-}
-
-func sizeTag(n int) string {
-	if n <= 0 {
-		return "d" // device default
-	}
-	return fmt.Sprintf("%d", n)
+	return fmt.Sprintf("synth.t%d.rd.f%d.%s", p.TPR, p.ldsFactor(), p.Reduction)
 }
 
 func (p KernelParams) ldsFactor() int {
@@ -139,13 +119,10 @@ func (p KernelParams) Validate() error {
 	if p.TPR < 1 || p.TPR > 1024 {
 		return errdefs.Invalidf("kernels: params TPR %d outside [1, 1024]", p.TPR)
 	}
-	if p.RowsPerWG < 0 || p.RowsPerWG > 1024 {
-		return errdefs.Invalidf("kernels: params RowsPerWG %d outside [0, 1024]", p.RowsPerWG)
-	}
 	if p.LDSFactor < 0 || p.LDSFactor > 64 {
 		return errdefs.Invalidf("kernels: params LDSFactor %d outside [0, 64]", p.LDSFactor)
 	}
-	if p.Reduction != ReduceTree && p.Reduction != ReduceSequential && p.Reduction != ReduceWavefront {
+	if p.Reduction != ReduceTree && p.Reduction != ReduceWavefront {
 		return errdefs.Invalidf("kernels: params unknown reduction %d", p.Reduction)
 	}
 	return nil
@@ -193,7 +170,9 @@ func (s *Space) ParamsByID(id int) (KernelParams, bool) {
 // Fingerprint digests the space's parameter points (FNV-1a over size and
 // per-ID coordinates). The search's cost-cache keys mix it in, so two
 // spaces differing in any point — even a single kernel's LDS tiling —
-// can never collide on a cached cell.
+// can never collide on a cached cell. Each point still hashes a zero where
+// its rows-per-work-group coordinate was, so the pool's fingerprint, and
+// with it every pool-space cache key, is the one it always was.
 func (s *Space) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -206,7 +185,7 @@ func (s *Space) Fingerprint() uint64 {
 	put(len(s.Params))
 	for _, p := range s.Params {
 		put(p.TPR)
-		put(p.RowsPerWG)
+		put(0)
 		put(p.LDSFactor)
 		put(int(p.Reduction))
 	}
@@ -249,26 +228,22 @@ func (s *Space) extend(params []KernelParams) *Space {
 }
 
 // synthExtraParams enumerates the synthesized tail of the "synth" space:
-// the regions of parameter space the fixed pool cannot reach. The order is
-// fixed — IDs are class labels, so reordering would silently relabel
-// trained models.
+// the points of the regions the fixed pool cannot reach that win a search
+// cell by at least 1 % against the pool (`experiments -exp census`,
+// EXPERIMENTS.md). The order is fixed — IDs are class labels, so
+// reordering would silently relabel trained models.
 func synthExtraParams() []KernelParams {
-	var ps []KernelParams
-	// Serial walks with smaller work-groups: more dispatches, better CU
-	// balance on bins narrower than NumCUs full work-groups.
-	ps = append(ps, KernelParams{TPR: 1, RowsPerWG: 64}, KernelParams{TPR: 1, RowsPerWG: 128})
-	widths := []int{2, 4, 8, 16, 32, 64, 128}
-	// LDS tiling sweep above the paper's factor 4: double it, and max it
-	// out. Factor 16 is the LDS capacity ceiling at the default work-group
-	// size (32 KiB / 8 B per product / 256 lanes) — four times the paper's
-	// buffering, so a long row pays the two-barrier reduction overhead a
-	// quarter as often. (Halved tiling was probed and dominated everywhere:
-	// staging work is invariant to the factor, so shrinking it only adds
-	// rounds.)
-	for _, x := range widths {
-		ps = append(ps,
-			KernelParams{TPR: x, LDSFactor: 8},
-			KernelParams{TPR: x, LDSFactor: 16})
+	// LDS tiling above the paper's factor 4: doubled, and maxed out. Factor
+	// 16 is the LDS capacity ceiling at the default work-group size (32 KiB
+	// / 8 B per product / 256 lanes), so a long row pays the two-barrier
+	// reduction overhead a quarter as often. (Halved tiling was probed and
+	// dominated everywhere: staging work is invariant to the factor, so
+	// shrinking it only adds rounds.)
+	ps := []KernelParams{
+		{TPR: 4, LDSFactor: 16},
+		{TPR: 8, LDSFactor: 8}, {TPR: 8, LDSFactor: 16},
+		{TPR: 16, LDSFactor: 8}, {TPR: 16, LDSFactor: 16},
+		{TPR: 128, LDSFactor: 8},
 	}
 	// Wavefront-synchronous combine: no LDS staging, no barriers, one
 	// log2(x) cross-lane pass per row. Enumerated only up to the narrowest
@@ -277,17 +252,6 @@ func synthExtraParams() []KernelParams {
 	for _, x := range []int{2, 4, 8, 16, 32, 64} {
 		ps = append(ps, KernelParams{TPR: x, Reduction: ReduceWavefront})
 	}
-	// Sequential combine at the paper's tiling, narrow subvectors only:
-	// the serial walk of the staged chunk costs chunk reads, so it can only
-	// beat the tree where chunks are small and the saved barrier matters.
-	for _, x := range []int{2, 4, 8} {
-		ps = append(ps, KernelParams{TPR: x, LDSFactor: 4, Reduction: ReduceSequential})
-	}
-	// Vector-like variants (whole work-group per row).
-	ps = append(ps,
-		KernelParams{TPR: vectorTPR, LDSFactor: 8},
-		KernelParams{TPR: vectorTPR, LDSFactor: 16},
-	)
 	return ps
 }
 
@@ -305,8 +269,8 @@ func PoolSpace() *Space {
 	return poolSpaceVal
 }
 
-// SynthSpace returns the full parameterized space: the pool prefix plus
-// the synthesized enumeration of synthExtraParams.
+// SynthSpace returns the parameterized space: the pool prefix plus the
+// synthesized enumeration of synthExtraParams.
 func SynthSpace() *Space {
 	synthSpaceOnce.Do(func() { synthSpaceVal = poolPrefixSpace("synth", synthExtraParams()) })
 	return synthSpaceVal

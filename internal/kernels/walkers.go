@@ -40,10 +40,9 @@ type geom struct {
 	fam       family
 	x         int // work-items per row (1 for the serial walk)
 	rowsPerWG int
-	wgSize    int  // work-items per group
-	factor    int  // LDS staging multiple (staged family only)
-	chunk     int  // elements one subvector consumes per round
-	seq       bool // staged family: lane 0 combines serially instead of the tree
+	wgSize    int // work-items per group
+	factor    int // LDS staging multiple (staged family only)
+	chunk     int // elements one subvector consumes per round
 }
 
 func (k Kernel) geom(cfg hsa.Config) geom {
@@ -51,19 +50,12 @@ func (k Kernel) geom(cfg hsa.Config) geom {
 	var g geom
 	if p.TPR <= 1 {
 		g.x = 1
-		g.rowsPerWG = p.RowsPerWG
-		if g.rowsPerWG <= 0 || g.rowsPerWG > cfg.MaxWorkGroupSize {
-			g.rowsPerWG = cfg.MaxWorkGroupSize
-		}
+		g.rowsPerWG = cfg.MaxWorkGroupSize
 		g.wgSize = g.rowsPerWG
 		return g
 	}
 	g.x = min(p.TPR, cfg.MaxWorkGroupSize)
-	maxRows := max(cfg.MaxWorkGroupSize/g.x, 1)
-	g.rowsPerWG = p.RowsPerWG
-	if g.rowsPerWG <= 0 || g.rowsPerWG > maxRows {
-		g.rowsPerWG = maxRows
-	}
+	g.rowsPerWG = max(cfg.MaxWorkGroupSize/g.x, 1)
 	g.wgSize = g.x * g.rowsPerWG
 	// The wavefront combine needs the subvector's lanes in lock-step, i.e.
 	// inside one wavefront. Wider points degrade to the tree reduction — a
@@ -74,7 +66,6 @@ func (k Kernel) geom(cfg hsa.Config) geom {
 		return g
 	}
 	g.fam = famStaged
-	g.seq = p.Reduction == ReduceSequential
 	g.factor = p.ldsFactor()
 	// The staged products must fit the work-group's LDS allocation.
 	if fit := cfg.LDSBytesPerWG / (8 * g.wgSize); g.factor > fit && fit >= 1 {
@@ -124,23 +115,11 @@ func (k Kernel) PipeFloor(cfg hsa.Config, maxRowLen, vectors int) float64 {
 		// those separately), and they are the only part of a round that
 		// amortizes over vectors.
 		rounds := (maxRowLen + g.chunk - 1) / g.chunk
-		var perRound float64
-		if g.seq {
-			barriers := 1.0
-			if g.x > cfg.WavefrontSize {
-				barriers = 2
-			}
-			perRound = float64(g.factor)*cfg.LDSCycles +
-				barriers*cfg.BarrierCycles +
-				float64(g.chunk)*cfg.LDSCycles +
-				float64(g.chunk+1)*cfg.ALUCycles
-		} else {
-			redSteps := log2ceil(g.chunk)
-			perRound = float64(g.factor)*cfg.LDSCycles +
-				2*cfg.BarrierCycles +
-				2*float64(redSteps)*cfg.LDSCycles +
-				float64(redSteps+1)*cfg.ALUCycles
-		}
+		redSteps := log2ceil(g.chunk)
+		perRound := float64(g.factor)*cfg.LDSCycles +
+			2*cfg.BarrierCycles +
+			2*float64(redSteps)*cfg.LDSCycles +
+			float64(redSteps+1)*cfg.ALUCycles
 		perVector = float64(rounds) * perRound
 	}
 	return nb * perVector
@@ -391,29 +370,16 @@ func (w *wavefront) walkStaged(g geom) {
 				acc.LDSWrite(1) // stage into localMem
 			}
 			acc.Barrier()
-			if g.seq {
-				// Lane 0 of each subvector walks the staged chunk serially:
-				// chunk LDS reads and adds, no strided bank conflicts.
-				acc.LDSRead(g.chunk)
-				acc.ALU(g.chunk)
-				acc.ALU(1) // accumulate into sum
-				if w.x > w.size {
-					// Subvector spans wavefronts: the next round's staging
-					// must wait for the cross-wavefront combine.
-					acc.Barrier()
-				}
-			} else {
-				// Segmented parallel reduction over the staged products:
-				// each step reads partner values and writes the combined
-				// ones back, at a doubling (power-of-two) stride — the
-				// access pattern behind the bank-conflict estimate.
-				acc.LDSRead(redSteps)
-				acc.LDSWrite(redSteps)
-				acc.BankConflicts(redConflicts)
-				acc.ALU(redSteps)
-				acc.Barrier()
-				acc.ALU(1) // first lane accumulates into sum
-			}
+			// Segmented parallel reduction over the staged products: each
+			// step reads partner values and writes the combined ones back,
+			// at a doubling (power-of-two) stride — the access pattern
+			// behind the bank-conflict estimate.
+			acc.LDSRead(redSteps)
+			acc.LDSWrite(redSteps)
+			acc.BankConflicts(redConflicts)
+			acc.ALU(redSteps)
+			acc.Barrier()
+			acc.ALU(1) // first lane accumulates into sum
 		}
 	}
 	w.store()
