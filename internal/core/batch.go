@@ -94,8 +94,8 @@ func (fw *Framework) ExecutePlanBatchOpts(ctx context.Context, p *plan.TuningPla
 	// from a pooled slab: the fallback copies out of them and nothing
 	// retains them past the bin loop. One checked walk computes them all
 	// and validates a, so validation costs no walk of its own.
-	ref := refPool.Get().(*refSlab)
-	defer refPool.Put(ref)
+	ref := getRefSlab()
+	defer putRefSlab(ref)
 	wants := ref.carve(len(vs), a.Rows)
 	if err := a.MulVecsChecked(vs, wants, &ref.x); err != nil {
 		return brep, err
@@ -147,15 +147,43 @@ func checkLaunch(ctx context.Context, p *plan.TuningPlan, a *sparse.CSR, vs, us 
 	return nil
 }
 
-// refSlab is the pooled backing store of one execution's reference results
-// and of the interleaved vectors their walk reads.
+// refSlab is the recycled backing store of one execution's reference
+// results and of the interleaved vectors their walk reads.
 type refSlab struct {
 	buf   []float64
 	wants [][]float64
 	x     []float64
 }
 
-var refPool = sync.Pool{New: func() any { return new(refSlab) }}
+// refSlabs is the free list of idle slabs, at most maxRefSlabs of them.
+// Unlike a sync.Pool it survives collections and is shared by every P, and
+// it hands back the slab returned last: a warm request finds the slab the
+// previous one grew, instead of rotating through slabs that each grow.
+var refSlabs struct {
+	sync.Mutex
+	free []*refSlab
+}
+
+const maxRefSlabs = 8
+
+func getRefSlab() *refSlab {
+	refSlabs.Lock()
+	defer refSlabs.Unlock()
+	if n := len(refSlabs.free); n > 0 {
+		s := refSlabs.free[n-1]
+		refSlabs.free = refSlabs.free[:n-1]
+		return s
+	}
+	return new(refSlab)
+}
+
+func putRefSlab(s *refSlab) {
+	refSlabs.Lock()
+	defer refSlabs.Unlock()
+	if len(refSlabs.free) < maxRefSlabs {
+		refSlabs.free = append(refSlabs.free, s)
+	}
+}
 
 // carve returns n vectors of rows elements each, growing the slab as needed.
 func (s *refSlab) carve(n, rows int) [][]float64 {
