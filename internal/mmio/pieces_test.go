@@ -188,15 +188,11 @@ func TestReadAllocsAtGOMAXPROCS(t *testing.T) {
 // the test runs with are within 5 % of those at GOMAXPROCS 1. Each piece
 // reserves its triplets from shared storage when it is taken, so a
 // goroutine's share never runs out and is copied, and the goroutines'
-// piece copies come from a pool. A collection empties that pool, which
-// the next reads refill; the gate is on what a read itself allocates, so no
-// collection runs while it measures but the one readCost starts with. It
-// skips under -race, whose sync.Pool drops a share of what it is given
-// whatever the collector does; scripts/check.sh runs it without.
+// piece copies come from the reader's free list (pieceBufs), which keeps
+// them across collections and under the race detector alike; the gate is
+// on what a read itself allocates, so no collection runs while it measures
+// but the one readCost starts with.
 func TestReadBytesAtGOMAXPROCS(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector drops pooled piece copies at random")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, rows := range []int{6000, 60000} {
 		data := uploadBody(t, rows)
