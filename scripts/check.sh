@@ -22,7 +22,8 @@
 # counts, the batch search against per-matrix searches) and the training
 # corpus digests, the structure-only labelling path (value-free corpora
 # against valued ones, the search on both, the bootstrap's allocation
-# budget, the holdout regret and format-selection goldens), the solver trajectories golden, every stepper's Step
+# budget, the holdout regret golden), a census smoke of the kernel space,
+# the solver trajectories golden, every stepper's Step
 # against its frozen body, per-Step allocation and GMRES session budget
 # gates, the size caps on DESIGN.md and the verify skill, plus staticcheck
 # and govulncheck.
@@ -67,8 +68,8 @@ size_cap() {
         exit 1
     fi
 }
-size_cap DESIGN.md 89952
-size_cap .claude/skills/verify/SKILL.md 19659
+size_cap DESIGN.md 89857
+size_cap .claude/skills/verify/SKILL.md 19603
 
 echo "== go vet"
 go vet ./...
@@ -86,15 +87,15 @@ echo "== replay equivalence + race (count=3)"
 go test -race -count=3 -run 'Replay' ./internal/core
 
 # The simulator's host cost may change, its modeled behaviour may not: the
-# two golden digests pin every stat, counter and output bit (they skip
-# themselves under -race, so the run above never executes them), and the
-# device fingerprint golden pins the key of every cached cost and replayed
-# launch. The differential tests hold Gather to the quadratic reference
-# dedup, the run gather to Gather over the expanded lanes, and the tuning
-# search's accounting-only launch (Kernel.Account) to Kernel.Run's stats and
-# counters.
+# two golden tests pin every stat, counter and output bit, one digest per
+# kernel point (they skip themselves under -race, so the run above never
+# executes them), and the device and pool-space fingerprint goldens pin the
+# keys of every cached cost and replayed launch. The differential tests
+# hold Gather to the quadratic reference dedup, the run gather to Gather
+# over the expanded lanes, and the tuning search's accounting-only launch
+# (Kernel.Account) to Kernel.Run's stats and counters.
 echo "== simulator bit-identity (golden digests + device fingerprint + gather and accounting references)"
-go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices|TestAccountMatchesRun' ./internal/kernels
+go test -count=1 -run 'TestWalkerGoldenDigest|TestSimulatorGoldenOddDevices|TestPoolSpaceFingerprintGolden|TestAccountMatchesRun' ./internal/kernels
 go test -count=1 -run 'TestGatherMatchesReference|TestGatherRunsMatchesLaneGather|TestDeviceFingerprintGolden' ./internal/hsa
 
 # The tuner's modeled scoreboard: every case's cycles, seconds and counters,
@@ -115,14 +116,18 @@ go test -count=1 -run 'TestModeledScoreboardGolden' ./internal/core
 # fingerprint of a value-free copy must equal the valued matrix's, regret
 # must skip matrices the oracle runs in no time, and the bootstrap (pinned
 # model versions, pool and synth) must stay within its allocation budget,
-# with the holdout regret and AutoSelect's picks pinned. Without -race (the
+# with the holdout regret pinned. Without -race (the
 # sweep above runs most of these slowly, and the cutoff test and the
 # allocation budget skip under it).
 echo "== search equivalence"
 go test -count=1 -run 'TestSearchCachePruneEquivalence|TestSearchDefaultsMatchLegacy|TestSynthSpaceEquivalenceAndImprovement|TestSearchBatchedWidth|TestSearchCostStatsWorkerDeterminism|TestSearchAllWorkerDeterminism|TestLaunchCutoffSound|TestPruneOffSearchIgnoresCachedBounds|TestSearchIgnoresValues|TestEvaluateRegretSkipsZeroTimeMatrices' ./internal/core
 go test -count=1 -run 'TestCorpusDigestGolden|TestValueFreeCorpusMatchesCorpus' ./internal/matgen
-go test -count=1 -run 'TestAutoSelectGolden' ./internal/formats
 go test -count=1 -run 'TestBootstrapModelVersion|TestHoldoutRegretGolden|TestBootstrapAllocBudget' ./cmd/spmvd
+
+# The synthesized kernel space keeps only points that win a search cell by
+# at least 1 % against the pool: the census must run end to end.
+echo "== kernel-space census smoke"
+go run ./cmd/experiments -exp census -scale 64 -corpus 120 >/dev/null
 
 # Every error path of the API — status, Content-Type, Retry-After and body
 # bytes — is pinned against the server before its request lifecycle was
